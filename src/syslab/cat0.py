@@ -1,30 +1,24 @@
 """The modified characteristic disk and exact shortest paths inside it.
 
 The disk polygon is shrunk by half an edge along every layer segment; the
-resulting domain carries the intrinsic (CAT(0)) path metric, and shortest
-paths are computed on the visibility graph of the polygon with exact
-side-of-line predicates. Only path-length comparisons use floating point,
-at a declared tolerance far below the geometric feature size.
+resulting domain carries the intrinsic (CAT(0)) path metric. Its shrunken
+layer segments are portals, and shortest paths are funnel shortest paths
+through the layer portals, decided by exact side-of-line predicates alone.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import eplane
 from .chardisk import CharDisk
 from .complexes import Simplex
 from .directed import ThickInterval
-from .errors import (DegenerateDomain, NoCrossing, OutsideDomain,
-                     PreconditionViolated)
-from .exact import (ExactScalar, PlanePoint, cross, dist_sq, dot, lerp,
-                    on_segment, orient)
-
-LENGTH_TOLERANCE = 1e-9
+from .errors import DegenerateDomain, NoCrossing, PreconditionViolated
+from .exact import ExactScalar, PlanePoint, cross, dist_sq, dot, lerp, orient
 
 
 @dataclass(frozen=True)
@@ -104,98 +98,20 @@ def _all_collinear(points) -> bool:
     return all(orient(a, b, p) == 0 for p in points[2:])
 
 
-# -- point-in-polygon with exact predicates ------------------------------------
-
-
-def _on_boundary(m: ModifiedDisk, p: PlanePoint) -> bool:
-    poly = m.polygon
-    return any(on_segment(p, poly[i], poly[(i + 1) % len(poly)])
-               for i in range(len(poly)))
-
-
-def _inside_or_on(m: ModifiedDisk, p: PlanePoint) -> bool:
-    if _on_boundary(m, p):
-        return True
-    if m.degenerate:
-        return False
-    poly = m.polygon
-    crossings = 0
-    for i in range(len(poly)):
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        ay, by = a.y - p.y, b.y - p.y
-        if (ay.sign() > 0) == (by.sign() > 0):
-            continue
-        # x coordinate of the crossing with the horizontal through p,
-        # compared without division: sign of (x_int - p.x) * (b.y - a.y)^2
-        dy = b.y - a.y
-        xi_num = a.x * dy + (p.y - a.y) * (b.x - a.x) - p.x * dy
-        if (xi_num * dy).sign() > 0:
-            crossings += 1
-    return crossings % 2 == 1
-
-
-def _segment_inside(m: ModifiedDisk, p: PlanePoint, q: PlanePoint) -> bool:
-    """Whether the closed segment pq stays inside the closed domain. Exact."""
-    if p == q:
-        return _inside_or_on(m, p)
-    poly = m.polygon
-    npoly = len(poly)
-    for i in range(npoly):
-        a, b = poly[i], poly[(i + 1) % npoly]
-        o1, o2 = orient(p, q, a), orient(p, q, b)
-        o3, o4 = orient(a, b, p), orient(a, b, q)
-        if o1 * o2 < 0 and o3 * o4 < 0:
-            return False  # proper crossing
-    # collect split points: polygon vertices on pq and pq endpoints on edges
-    d = q - p
-    params = {ExactScalar(0), dot(d, d)}
-    for i in range(npoly):
-        a = poly[i]
-        if on_segment(a, p, q):
-            params.add(dot(a - p, d))
-        b = poly[(i + 1) % npoly]
-        inter = _proper_line_hit(p, q, a, b)
-        if inter is not None:
-            params.add(dot(inter - p, d))
-    ordered = sorted(params)
-    for t0, t1 in zip(ordered, ordered[1:]):
-        tm = (t0 + t1) / (dot(d, d) * 2)
-        mid = lerp(p, q, tm)
-        if not _inside_or_on(m, mid):
-            return False
-    return True
-
-
-def _proper_line_hit(p, q, a, b):
-    """Intersection point of segment pq with segment ab when they touch."""
-    d1 = q - p
-    d2 = b - a
-    denom = cross(d1, d2)
-    if denom.is_zero():
-        return None
-    s = cross(a - p, d2) / denom
-    t = cross(a - p, d1) / denom
-    if s.sign() < 0 or (s - 1).sign() > 0 or t.sign() < 0 or (t - 1).sign() > 0:
-        return None
-    return lerp(p, q, s)
-
-
 # -- shortest paths --------------------------------------------------------------
 
 
-def shortest_path(m: ModifiedDisk, start: Optional[PlanePoint] = None,
-                  goal: Optional[PlanePoint] = None) -> PolyPath:
-    """Shortest path in the intrinsic metric of the polygon domain.
+def shortest_path(m: ModifiedDisk) -> PolyPath:
+    """Shortest path from start to goal in the intrinsic metric of the domain.
 
-    Computed as a Dijkstra run over the visibility graph on polygon corners
-    plus the two endpoints. Visibility uses exact predicates; lengths are
-    floats compared at LENGTH_TOLERANCE, far below the feature size of 1/2.
+    The domain is a strip of trapezoids between parallel layer lines, so the
+    path is the string pulled taut through the portals [v'_i, w'_i] of the
+    inner layers: the funnel algorithm (Lee-Preparata 1984), with exact
+    orientation tests only. A portal point on a side of the funnel tightens
+    the funnel instead of bending the path, so no interior vertex of the
+    result is collinear with its neighbours.
     """
-    start = m.start if start is None else start
-    goal = m.goal if goal is None else goal
-    for p in (start, goal):
-        if not _on_boundary(m, p):
-            raise OutsideDomain(f"endpoint {p!r} is not on the domain boundary")
+    start, goal = m.start, m.goal
     if m.degenerate:
         # collapsed domain: the path is forced along the segment, provided
         # every corner lies between the endpoints
@@ -206,37 +122,35 @@ def shortest_path(m: ModifiedDisk, start: Optional[PlanePoint] = None,
                 raise DegenerateDomain(
                     "domain collapsed to a segment extending beyond the endpoints")
         return PolyPath((start, goal))
-    if _segment_inside(m, start, goal):
-        return PolyPath((start, goal))
-    nodes = [start, goal] + [p for p in m.polygon if p not in (start, goal)]
-    edges: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(len(nodes))}
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if _segment_inside(m, nodes[i], nodes[j]):
-                wlen = math.sqrt(float(dist_sq(nodes[i], nodes[j])))
-                edges[i].append((j, wlen))
-                edges[j].append((i, wlen))
-    dist = {0: 0.0}
-    prev: Dict[int, int] = {}
-    heap = [(0.0, 0)]
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if v == 1:
-            break
-        if dv > dist.get(v, math.inf) + LENGTH_TOLERANCE:
-            continue
-        for u, w in edges[v]:
-            nd = dv + w
-            if nd < dist.get(u, math.inf) - LENGTH_TOLERANCE:
-                dist[u] = nd
-                prev[u] = v
-                heapq.heappush(heap, (nd, u))
-    if 1 not in dist:
-        raise OutsideDomain("endpoints are not connected inside the domain")
-    path = [1]
-    while path[-1] != 0:
-        path.append(prev[path[-1]])
-    return PolyPath(tuple(nodes[i] for i in reversed(path)))
+    # (left, right) as seen walking from start; portals are parallel to the
+    # start's layer line, so the sign below is 0 only for a one-point portal
+    portals = [(start, start)]
+    for v, w in zip(m.v_prime[1:-1], m.w_prime[1:-1]):
+        portals.append((w, v) if orient(start, v, w) > 0 else (v, w))
+    portals.append((goal, goal))
+    points = [start]
+    apex = left = right = start
+    left_i = right_i = 0
+    i = 1
+    while i < len(portals):
+        lp, rp = portals[i]
+        if orient(apex, right, rp) >= 0:          # rp narrows the right side
+            if orient(apex, left, rp) > 0:        # ... past the left side
+                points.append(left)
+                apex = right = left
+                right_i, i = left_i, left_i + 1
+                continue
+            right, right_i = rp, i
+        if orient(apex, left, lp) <= 0:           # lp narrows the left side
+            if orient(apex, right, lp) < 0:       # ... past the right side
+                points.append(right)
+                apex = left = right
+                left_i, i = right_i, right_i + 1
+                continue
+            left, left_i = lp, i
+        i += 1
+    points.append(goal)
+    return PolyPath(tuple(points))
 
 
 # -- the Euclidean diagonal --------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -21,14 +20,12 @@ def _build_parser():
     run = sub.add_parser("run", help="run a scenario file and write its report")
     run.add_argument("scenario")
     run.add_argument("--out", default=None, help="report path (default <name>.report.json)")
-    run.add_argument("--jobs", type=int, default=None)
     run.add_argument("--constants", default=None, help="overrides, e.g. C=200,D=600")
     run.add_argument("--seed", type=int, default=None)
 
     rend = sub.add_parser("render", help="run only the figure-render tasks")
     rend.add_argument("scenario")
     rend.add_argument("--out", required=True, help="output directory for figures")
-    rend.add_argument("--jobs", type=int, default=None)
     rend.add_argument("--seed", type=int, default=None)
 
     chk = sub.add_parser("check", help="run the local 6-largeness check on a complex file")
@@ -53,12 +50,6 @@ def _apply_overrides(scenario, args):
         scenario.constants = GoodnessConstants(empirical=True, **base)
 
 
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None) is not None:
-        return args.jobs
-    return int(os.environ.get("SYSLAB_JOBS", "1"))
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -66,7 +57,7 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             _apply_overrides(scenario, args)
             out = Path(args.out) if args.out else Path(f"{scenario.name}.report.json")
-            report, code = run_scenario(scenario, out.parent, jobs=_jobs(args))
+            report, code = run_scenario(scenario, out.parent)
             write_report(report, out)
             status = "PASS" if code == 0 else "FAIL"
             print(f"{status} {scenario.name}: report written to {out}")
@@ -79,7 +70,7 @@ def main(argv=None) -> int:
             _apply_overrides(scenario, args)
             scenario.tasks = [t for t in scenario.tasks if t.kind == "figure-render"]
             out_dir = Path(args.out)
-            report, code = run_scenario(scenario, out_dir, jobs=_jobs(args))
+            report, code = run_scenario(scenario, out_dir)
             write_report(report, out_dir / f"{scenario.name}.report.json")
             for task in report["tasks"]:
                 print(f"rendered {task['outputs'].get('file')}")

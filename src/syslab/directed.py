@@ -202,18 +202,6 @@ def _verify_conditions(c: FlagComplex, geo: DirectedGeodesic):
                 f"between {geo.source} and {geo.target}")
 
 
-def satisfies_conditions(c: FlagComplex, source, target,
-                         sims: Sequence[Simplex]) -> bool:
-    """Whether a simplex sequence meets both defining conditions end to end."""
-    if not sims or sims[0].verts != (source,) or sims[-1].verts != (target,):
-        return False
-    try:
-        _verify_conditions(c, DirectedGeodesic(source, target, tuple(sims)))
-    except ConditionViolated:
-        return False
-    return True
-
-
 # -- layers and thickness ---------------------------------------------------------
 
 

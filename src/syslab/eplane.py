@@ -13,7 +13,7 @@ from typing import Iterator, Tuple
 
 from . import complexes
 from .errors import EmptyLayer, PreconditionViolated, ScenarioParseError
-from .exact import HALF, ExactScalar, PlanePoint, cross
+from .exact import ExactScalar, PlanePoint, cross
 
 Axial = Tuple[int, int]
 
@@ -297,18 +297,3 @@ def layer_line(i: int, x: Axial, y: Axial) -> Line:
             best = (score, u)
     return Line(embed(layer[0]), best[1])
 
-
-def apply_to_point(iso: PlaneIsometry, p: PlanePoint) -> PlanePoint:
-    """Action of the isometry on exact plane coordinates.
-
-    Decomposes p in the lattice basis (beta = 2y/sqrt(3), alpha = x - beta/2),
-    both of which stay inside Q[sqrt(3)], then maps through the same affine
-    action the lattice sees.
-    """
-    beta = p.y * 2 / ExactScalar(0, 1)
-    alpha = p.x - beta * HALF
-    origin = embed(iso.apply((0, 0)))
-    e1 = embed(iso.apply((1, 0))) - origin
-    e2 = embed(iso.apply((0, 1))) - origin
-    return PlanePoint(origin.x + e1.x * alpha + e2.x * beta,
-                      origin.y + e1.y * alpha + e2.y * beta)

@@ -61,10 +61,6 @@ class DegenerateDomain(SyslabError):
     """The modified disk collapsed to a segment where that is not handled."""
 
 
-class OutsideDomain(SyslabError):
-    """A path endpoint does not lie on the polygon domain."""
-
-
 class NoCrossing(SyslabError):
     """The CAT(0) path does not cross a layer line exactly once."""
 

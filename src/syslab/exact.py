@@ -10,7 +10,7 @@ keeps the hot paths on plain integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, sqrt
 
 _REDUCE_LIMIT = 1 << 128
 
@@ -146,18 +146,6 @@ class ExactScalar:
         """Return (p, q) with value p + q*sqrt(3), both Fractions."""
         return Fraction(self.a, self.den), Fraction(self.b, self.den)
 
-    def sqrt_if_rational_square(self):
-        """Exact square root when self is the square of a rational; else None."""
-        if self.b != 0 or self.sign() < 0:
-            return None
-        num, den = self.a, self.den
-        g = gcd(num, den) if num else den
-        num, den = num // g if g else 0, den // g if g else 1
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return ExactScalar(rn, 0, rd)
-        return None
-
     def __repr__(self):
         p, q = self.as_fractions()
         if q == 0:
@@ -182,9 +170,6 @@ def _require(value):
     return o
 
 
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
-SQRT3 = ExactScalar(0, 1)
 HALF = ExactScalar(1, 0, 2)
 
 
@@ -258,25 +243,3 @@ def on_segment(p: PlanePoint, a: PlanePoint, b: PlanePoint) -> bool:
     t = dot(p - a, d)
     return t.sign() >= 0 and (t - dot(d, d)).sign() <= 0
 
-
-def line_intersection(p: PlanePoint, dp: PlanePoint, q: PlanePoint, dq: PlanePoint):
-    """Intersection of lines p + s*dp and q + t*dq, or None when parallel."""
-    denom = cross(dp, dq)
-    if denom.is_zero():
-        return None
-    s = cross(q - p, dq) / denom
-    return p + dp.scale(s)
-
-
-def segment_param(p: PlanePoint, a: PlanePoint, b: PlanePoint) -> ExactScalar:
-    """Euclidean arc-length position of p along the segment from a toward b.
-
-    Assumes p collinear with a, b. Exact whenever |b - a| is rational, which
-    holds for every lattice segment.
-    """
-    d = b - a
-    length_sq = dot(d, d)
-    length = length_sq.sqrt_if_rational_square()
-    if length is None:
-        raise ValueError("segment length is not rational; cannot parametrize exactly")
-    return dot(p - a, d) / length

@@ -92,11 +92,6 @@ class TableAction(Isometry):
         return TableAction(tuple(sorted(out.items())))
 
 
-def load_permutation(path) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_permutation_text(fh.read())
-
-
 def parse_permutation_text(text: str) -> Dict:
     """Load the ``perm v1`` format: one ``u -> v`` line per vertex."""
     lines = [ln.strip() for ln in text.splitlines()]

@@ -83,10 +83,8 @@ class TaskRecord:
                 "wall_clock_s": round(self.wall_clock_s, 6)}
 
 
-def run_scenario(scenario: Scenario, out_dir: Path,
-                 jobs: int = 1) -> Tuple[Dict, int]:
+def run_scenario(scenario: Scenario, out_dir: Path) -> Tuple[Dict, int]:
     """Execute all tasks in order; write partial results even on failure."""
-    del jobs  # sweeps are cheap at desk scale; the flag is accepted for parity
     records: List[TaskRecord] = []
     for index, task in enumerate(scenario.tasks):
         rng = random.Random((scenario.seed, index, task.name).__repr__())

@@ -19,8 +19,15 @@ from .complexes import FlagComplex, load_complex
 from .errors import PreconditionViolated, ScenarioParseError
 from .euclid import GoodnessConstants
 
-TASK_KINDS = ("geodesic-pipeline", "goodness-sweep", "displacement-study",
-              "contracting-suite", "extendability-study", "figure-render")
+# task kind -> the parameters its runner handler cannot do without
+TASK_KINDS = {
+    "geodesic-pipeline": ("complex", "from", "to"),
+    "goodness-sweep": ("complex",),
+    "displacement-study": ("complex", "isometry"),
+    "contracting-suite": ("complex",),
+    "extendability-study": (),
+    "figure-render": ("complex", "from", "to"),
+}
 
 
 @dataclass
@@ -142,6 +149,10 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
             if kind not in TASK_KINDS:
                 raise ScenarioParseError(
                     f"task {words[1]!r} has unknown kind {kind!r}")
+            missing = [key for key in TASK_KINDS[kind] if key not in items]
+            if missing:
+                raise ScenarioParseError(
+                    f"task {words[1]!r} ({kind}) lacks {', '.join(missing)}")
             tasks.append(TaskSpec(words[1], kind, items))
         else:
             raise ScenarioParseError(f"unknown section [{section}]")

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written against raw adjacency and floats,
 not against the library's own metric or exact predicates, so each check is
-a genuine second route to the same answer.
+a genuine second route to the same answer. The one exception is
+``visibility_shortest_path``: it reuses ``syslab.exact`` (and the
+``PolyPath`` result type), because it checks the portal funnel of
+``syslab.cat0`` point for point, which needs the same exact coordinates.
 """
 
 from __future__ import annotations
@@ -11,6 +14,11 @@ import heapq
 import math
 from collections import deque
 from itertools import combinations
+
+from syslab.cat0 import PolyPath
+from syslab.errors import DegenerateDomain
+from syslab.exact import (ExactScalar, cross, dist_sq, dot, lerp, on_segment,
+                          orient)
 
 
 def bfs_distance(c, x, y, cap=10 ** 9):
@@ -266,3 +274,135 @@ def grid_dijkstra_path_length(polygon, start, goal, pitch=0.02):
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
     return None
+
+
+# -- visibility-graph shortest-path oracle -------------------------------------------
+#
+# The former library implementation, kept as the oracle for the portal funnel.
+# Unlike the float oracles above it reuses syslab.exact: visibility is decided
+# with exact predicates over the whole polygon, and Dijkstra compares float
+# lengths at VISIBILITY_TOLERANCE.
+
+VISIBILITY_TOLERANCE = 1e-9
+
+
+def _on_boundary(m, p):
+    poly = m.polygon
+    return any(on_segment(p, poly[i], poly[(i + 1) % len(poly)])
+               for i in range(len(poly)))
+
+
+def _inside_or_on(m, p):
+    if _on_boundary(m, p):
+        return True
+    if m.degenerate:
+        return False
+    poly = m.polygon
+    crossings = 0
+    for i in range(len(poly)):
+        a, b = poly[i], poly[(i + 1) % len(poly)]
+        ay, by = a.y - p.y, b.y - p.y
+        if (ay.sign() > 0) == (by.sign() > 0):
+            continue
+        # x coordinate of the crossing with the horizontal through p,
+        # compared without division: sign of (x_int - p.x) * (b.y - a.y)^2
+        dy = b.y - a.y
+        xi_num = a.x * dy + (p.y - a.y) * (b.x - a.x) - p.x * dy
+        if (xi_num * dy).sign() > 0:
+            crossings += 1
+    return crossings % 2 == 1
+
+
+def _segment_inside(m, p, q):
+    """Whether the closed segment pq stays inside the closed domain. Exact."""
+    if p == q:
+        return _inside_or_on(m, p)
+    poly = m.polygon
+    npoly = len(poly)
+    for i in range(npoly):
+        a, b = poly[i], poly[(i + 1) % npoly]
+        o1, o2 = orient(p, q, a), orient(p, q, b)
+        o3, o4 = orient(a, b, p), orient(a, b, q)
+        if o1 * o2 < 0 and o3 * o4 < 0:
+            return False  # proper crossing
+    # collect split points: polygon vertices on pq and pq endpoints on edges
+    d = q - p
+    params = {ExactScalar(0), dot(d, d)}
+    for i in range(npoly):
+        a = poly[i]
+        if on_segment(a, p, q):
+            params.add(dot(a - p, d))
+        b = poly[(i + 1) % npoly]
+        inter = _proper_line_hit(p, q, a, b)
+        if inter is not None:
+            params.add(dot(inter - p, d))
+    ordered = sorted(params)
+    for t0, t1 in zip(ordered, ordered[1:]):
+        tm = (t0 + t1) / (dot(d, d) * 2)
+        mid = lerp(p, q, tm)
+        if not _inside_or_on(m, mid):
+            return False
+    return True
+
+
+def _proper_line_hit(p, q, a, b):
+    """Intersection point of segment pq with segment ab when they touch."""
+    d1 = q - p
+    d2 = b - a
+    denom = cross(d1, d2)
+    if denom.is_zero():
+        return None
+    s = cross(a - p, d2) / denom
+    t = cross(a - p, d1) / denom
+    if s.sign() < 0 or (s - 1).sign() > 0 or t.sign() < 0 or (t - 1).sign() > 0:
+        return None
+    return lerp(p, q, s)
+
+
+def visibility_shortest_path(m):
+    """Shortest path from m.start to m.goal in the polygon of a modified disk.
+
+    Dijkstra over the visibility graph on the polygon corners plus the two
+    endpoints; returns a cat0.PolyPath. A degenerate domain is read off the
+    segment exactly as the library does.
+    """
+    start, goal = m.start, m.goal
+    if m.degenerate:
+        d = goal - start
+        for p in m.polygon:
+            t = dot(p - start, d)
+            if t.sign() < 0 or (t - dot(d, d)).sign() > 0:
+                raise DegenerateDomain(
+                    "domain collapsed to a segment extending beyond the endpoints")
+        return PolyPath((start, goal))
+    if _segment_inside(m, start, goal):
+        return PolyPath((start, goal))
+    nodes = [start, goal] + [p for p in m.polygon if p not in (start, goal)]
+    edges = {i: [] for i in range(len(nodes))}
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if _segment_inside(m, nodes[i], nodes[j]):
+                wlen = math.sqrt(float(dist_sq(nodes[i], nodes[j])))
+                edges[i].append((j, wlen))
+                edges[j].append((i, wlen))
+    dist = {0: 0.0}
+    prev = {}
+    heap = [(0.0, 0)]
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if v == 1:
+            break
+        if dv > dist.get(v, math.inf) + VISIBILITY_TOLERANCE:
+            continue
+        for u, w in edges[v]:
+            nd = dv + w
+            if nd < dist.get(u, math.inf) - VISIBILITY_TOLERANCE:
+                dist[u] = nd
+                prev[u] = v
+                heapq.heappush(heap, (nd, u))
+    if 1 not in dist:
+        raise ValueError("endpoints are not connected inside the domain")
+    path = [1]
+    while path[-1] != 0:
+        path.append(prev[path[-1]])
+    return PolyPath(tuple(nodes[i] for i in reversed(path)))

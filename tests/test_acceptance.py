@@ -304,7 +304,8 @@ def test_criterion_09_fellow_traveller():
 
 
 def test_criterion_10_shortest_path_oracle():
-    """Visibility-graph paths match the dense-grid float oracle to 1e-6."""
+    """Funnel paths equal the visibility-graph oracle point for point and
+    match the dense-grid float oracle to 1e-6."""
     t0 = time.time()
     rng = random.Random(10)
     c = eplane.window((0, 0), 16)
@@ -324,9 +325,11 @@ def test_criterion_10_shortest_path_oracle():
             cycle = chardisk.boundary_cycle(c, interval, ls)
             disk = chardisk.extract_flat_disk(c, cycle)
             mdisk = cat0.modified_disk(disk)
+            path = cat0.shortest_path(mdisk)
+            assert path.points == oracles.visibility_shortest_path(mdisk).points, \
+                (x, y, interval)
             if mdisk.degenerate:
                 continue
-            path = cat0.shortest_path(mdisk)
             oracle = oracles.grid_dijkstra_path_length(
                 mdisk.polygon, mdisk.start, mdisk.goal, pitch=0.02)
             rel = abs(path.length() - oracle) / oracle

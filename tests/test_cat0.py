@@ -1,15 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from syslab import eplane
-from syslab.cat0 import (ModifiedDisk, PolyPath, euclidean_diagonal,
+from syslab.cat0 import (ModifiedDisk, PolyPath, _all_collinear, euclidean_diagonal,
                          modified_disk, nearest_simplex_on_segment, shortest_path)
 from syslab.chardisk import CharDisk, boundary_cycle, extract_flat_disk
 from syslab.directed import ThickInterval, layers, thick_intervals
-from syslab.errors import NoCrossing, OutsideDomain
+from syslab.errors import DegenerateDomain, NoCrossing
 from syslab.exact import ExactScalar, PlanePoint, on_segment
 
 
@@ -88,26 +89,72 @@ def test_shortest_path_convex_is_straight(hexagon_disk):
     assert path.length() == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
 
-def test_shortest_path_endpoints_validated(hexagon_disk):
-    _, disk = hexagon_disk
-    m = modified_disk(disk)
-    with pytest.raises(OutsideDomain):
-        shortest_path(m, start=pt(0, 0))
-
-
-def _l_shaped_domain():
-    polygon = (P(0, 0), P(3, 0), P(3, 1), P(1, 1), P(1, 3), P(0, 3))
-    return ModifiedDisk(None, ThickInterval(0, 2), polygon,
-                        P(3, Fraction(1, 2)), P(Fraction(1, 2), 3),
-                        (), (), False)
+def _portal_strip(v_prime, w_prime):
+    """A modified disk built directly from its portal endpoints, layers 0..k."""
+    polygon = tuple(v_prime) + tuple(reversed(w_prime[1:-1]))
+    return ModifiedDisk(None, ThickInterval(0, len(v_prime) - 1), polygon,
+                        v_prime[0], v_prime[-1], tuple(v_prime), tuple(w_prime),
+                        _all_collinear(polygon))
 
 
 def test_shortest_path_bends_at_reflex_vertex():
-    m = _l_shaped_domain()
+    """The path bends at the portal end (2, 2) and passes the collinear portal
+    end (1, 1) without making it a vertex."""
+    m = _portal_strip((P(0, 0), P(1, 1), P(2, 2), P(0, 3)),
+                      (P(0, 0), P(2, 1), P(3, 2), P(0, 3)))
     path = shortest_path(m)
-    assert [p for p in path.points] == [m.start, P(1, 1), m.goal]
+    assert path.points == (m.start, P(2, 2), m.goal)
     oracle = oracles.grid_dijkstra_path_length(m.polygon, m.start, m.goal, pitch=0.02)
     assert abs(path.length() - oracle) / oracle <= 1e-6
+
+
+def _random_portal_strip(rng):
+    """Portals on parallel lattice lines with half-integer ends; the small
+    coordinates make collinear portal ends common."""
+    along, across = rng.sample([eplane.embed(d) - eplane.embed((0, 0))
+                                for d in eplane.OFFSETS[::2]], 2)
+
+    def at(layer, x):
+        return across.scale(layer) + along.scale(Fraction(x, 2))
+
+    k = rng.randint(2, 5)
+    ends = [(rng.randint(-4, 4),) * 2]
+    for _ in range(1, k):
+        lo = rng.randint(-6, 5)
+        ends.append((lo, rng.randint(lo + 1, 6)))
+    ends.append((rng.randint(-4, 4),) * 2)
+    v_prime = [at(i, a) for i, (a, _) in enumerate(ends)]
+    w_prime = [at(i, b) for i, (_, b) in enumerate(ends)]
+    if rng.random() < 0.5:
+        v_prime, w_prime = w_prime, v_prime
+    return _portal_strip(v_prime, w_prime)
+
+
+def test_shortest_path_matches_visibility_oracle_on_random_strips():
+    rng = random.Random(2)
+    bending = 0
+    while bending < 200:
+        m = _random_portal_strip(rng)
+        if m.degenerate:
+            continue
+        expected = oracles.visibility_shortest_path(m)
+        assert shortest_path(m).points == expected.points, m
+        bending += len(expected) > 2
+
+
+def test_shortest_path_matches_visibility_oracle_on_plane_disks():
+    c = eplane.window((0, 0), 20)
+    disks = 0
+    for y in sorted(c.vertices()):
+        if not 1 <= eplane.lattice_distance((0, 0), y) <= 12:
+            continue
+        ls = layers(c, (0, 0), y)
+        for interval in thick_intervals(ls):
+            m = modified_disk(extract_flat_disk(c, boundary_cycle(c, interval, ls)))
+            assert shortest_path(m).points == oracles.visibility_shortest_path(m).points, \
+                (y, interval)
+            disks += 1
+    assert disks == 264
 
 
 def test_shortest_path_degenerate_domain():
@@ -116,7 +163,6 @@ def test_shortest_path_degenerate_domain():
                        (), (), True)
     path = shortest_path(seg)
     assert path.points == (P(0, 0), P(2, 0))
-    from syslab.errors import DegenerateDomain
     overhang = ModifiedDisk(None, ThickInterval(0, 2),
                             (P(0, 0), P(1, 0), P(3, 0)), P(0, 0), P(2, 0),
                             (), (), True)

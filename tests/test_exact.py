@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syslab.exact import (ExactScalar, PlanePoint, cross, dist_sq, lerp,
-                          midpoint, on_segment, orient, segment_param)
+                          midpoint, on_segment, orient)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -49,12 +49,6 @@ def test_comparisons_and_hash():
     assert ExactScalar(2, 4, 2) == ExactScalar(1, 2, 1)
 
 
-def test_sqrt_of_rational_square():
-    assert ExactScalar(Fraction(9, 4)).sqrt_if_rational_square() == ExactScalar(Fraction(3, 2))
-    assert es(2, 0).sqrt_if_rational_square() is None
-    assert es(0, 1).sqrt_if_rational_square() is None
-
-
 @given(rationals, rationals, rationals, rationals, rationals, rationals)
 @settings(max_examples=80, deadline=None)
 def test_field_axioms(p1, q1, p2, q2, p3, q3):
@@ -92,7 +86,6 @@ def test_segment_helpers():
     assert on_segment(m, a, b)
     assert not on_segment(PlanePoint(es(5), es(0)), a, b)
     assert lerp(a, b, Fraction(1, 4)) == PlanePoint(es(1), es(0))
-    assert segment_param(m, a, b) == es(2)
     assert dist_sq(a, b) == es(16)
 
 

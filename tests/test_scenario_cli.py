@@ -124,11 +124,14 @@ def test_cli_render(tmp_path):
     assert (tmp_path / "pipeline-42.svg").exists()
 
 
-def test_env_jobs(tmp_path, monkeypatch):
-    monkeypatch.setenv("SYSLAB_JOBS", "2")
+def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
+    scn = tmp_path / "no-to.scn"
+    scn.write_text("[complex main]\nkind = eplane\n\n"
+                   "[task p]\nkind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\n")
     out = tmp_path / "r.json"
-    assert cli.main(["run", str(SCENARIOS / "tree-extend.scn"),
-                     "--out", str(out)]) == 0
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 2
+    assert "lacks to" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corner_geodesics_are_geodesics():
