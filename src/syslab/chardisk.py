@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
 from . import eplane
-from .complexes import FlagComplex, Simplex
+from .complexes import FlagComplex, Simplex, interval
 from .directed import Layers, ThickInterval
 from .errors import (MinDiskTimeout, NoFilling, NoRealizingChain, NotASimplexOfDisk,
                      NotFlat, PreconditionViolated)
@@ -137,13 +137,9 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     if len(cycle) < 6:
         raise PreconditionViolated(
             f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
-    j, k = cycle.interval.j, cycle.interval.k
-    per_layer = []
     region = set()
     for s, t in zip(cycle.s, cycle.t):
-        seg = _interval_between(c, s, t)
-        per_layer.append(seg)
-        region |= seg
+        region |= interval(c, s, t)
     boundary = set(cycle.cycle)
     interior = region - boundary
 
@@ -165,13 +161,6 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     surface = {coords[v]: v for v in region}
     return CharDisk(cycle.interval, frozenset(region), coords,
                     v_labels, w_labels, (surface,), triangles)
-
-
-def _interval_between(c, s, t):
-    d = c.true_distance(s, t)
-    dx = c.bfs_distances(s, budget=d)
-    dy = c.bfs_distances(t, budget=d)
-    return {v for v, a in dx.items() if v in dy and a + dy[v] == d}
 
 
 def _is_region_hexagon(c, inside):

@@ -16,6 +16,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 import numpy as np
 
+from . import eplane
 from .errors import (BoundaryUnsafe, NotASimplex, PreconditionViolated,
                      ScenarioParseError, Unreachable)
 
@@ -182,6 +183,27 @@ class FlagComplex:
         raise Unreachable(f"no path {x} -> {y}"
                           + (f" within budget {budget}" if budget is not None else ""))
 
+    def interval_levels(self, x, y, n: int) -> tuple:
+        """The interval [x, y] as level sets, given n = d(x, y).
+
+        Level i holds the vertices on x-y geodesics at distance i from x.
+        Plane windows read the closed-form interval box; other complexes run
+        one BFS from y and walk out from x along edges that step one closer.
+        """
+        if self.plane_backed:
+            levels = [set() for _ in range(n + 1)]
+            for v in eplane.interval_box(x, y):
+                if v in self._adj:
+                    levels[eplane.lattice_distance(x, v)].add(v)
+            return tuple(map(frozenset, levels))
+        to_y = self.bfs_distances(y, budget=n)
+        level = frozenset([x])
+        levels = [level]
+        for d in range(n - 1, -1, -1):
+            level = frozenset(u for v in level for u in self._adj[v] if to_y.get(u) == d)
+            levels.append(level)
+        return tuple(levels)
+
     def _vertex_index(self):
         if self._index is None:
             order = sorted(self._adj)
@@ -214,7 +236,7 @@ def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
     """
     if x not in c or y not in c:
         raise PreconditionViolated(f"vertex not in complex: {x if x not in c else y}")
-    d = c.true_distance(x, y, budget) if c.trusts_metric else _raw_distance(c, x, y, budget)
+    d = c.true_distance(x, y, budget)
     if not c.trusts_metric:
         mx, my = c.margin(x), c.margin(y)
         if d > max(mx, my):
@@ -223,22 +245,9 @@ def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
     return d
 
 
-def _raw_distance(c, x, y, budget):
-    if x == y:
-        return 0
-    dist = c.bfs_distances(x, budget=budget)
-    if y not in dist:
-        raise Unreachable(f"no path {x} -> {y}"
-                          + (f" within budget {budget}" if budget is not None else ""))
-    return dist[y]
-
-
 def interval(c: FlagComplex, x, y, budget: Optional[int] = None) -> frozenset:
     """All vertices on geodesics from x to y: { v : d(x,v) + d(v,y) = d(x,y) }."""
-    d = distance(c, x, y, budget)
-    dx = c.bfs_distances(x, budget=d)
-    dy = c.bfs_distances(y, budget=d)
-    return frozenset(v for v, a in dx.items() if v in dy and a + dy[v] == d)
+    return frozenset().union(*c.interval_levels(x, y, distance(c, x, y, budget)))
 
 
 def is_convex(c: FlagComplex, vertices: Iterable[VertexId], radius_cap: int) -> bool:

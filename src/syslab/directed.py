@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from . import eplane
 from .complexes import (FlagComplex, Simplex, ball_of_simplex, residue)
 from .errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
                      MalformedProfile, PreconditionViolated)
@@ -113,32 +112,25 @@ def require_pair_safe(c: FlagComplex, x, y) -> int:
     the combinatorial interval, so links and residues there are complete.
     Returns d(x, y).
     """
+    return len(_safe_levels(c, x, y)) - 1
+
+
+def _safe_levels(c: FlagComplex, x, y) -> tuple:
+    """The levels of the interval [x, y], once the margin rule allows them."""
     if x not in c or y not in c:
         raise PreconditionViolated(f"vertex not in complex: {x if x not in c else y}")
     if not c.trusts_metric:
         raise BoundaryUnsafe(
             "window metric is not trusted; materialize a convex window instead")
-    n = c.true_distance(x, y)
+    levels = c.interval_levels(x, y, c.true_distance(x, y))
     if not c.is_complete:
-        for v in _interval_vertices(c, x, y, n):
-            if c.margin(v) < 1:
+        for level in levels:
+            unsafe = [v for v in level if c.margin(v) < 1]
+            if unsafe:
                 raise BoundaryUnsafe(
-                    f"interval vertex {v} touches the window boundary "
+                    f"interval vertex {min(unsafe)} touches the window boundary "
                     f"(pair {x}, {y})")
-    return n
-
-
-def _interval_vertices(c: FlagComplex, x, y, n):
-    if c.plane_backed:
-        for v in eplane.interval_box(x, y):
-            if v in c:
-                yield v
-        return
-    dx = c.bfs_distances(x, budget=n)
-    dy = c.bfs_distances(y, budget=n)
-    for v, a in dx.items():
-        if v in dy and a + dy[v] == n:
-            yield v
+    return levels
 
 
 # -- construction ---------------------------------------------------------------
@@ -151,10 +143,10 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
     clique, and ConditionViolated when the finished sequence fails either
     defining condition on re-verification.
     """
-    n = require_pair_safe(c, x, y)
+    levels = _safe_levels(c, x, y)
+    n = len(levels) - 1
     if n == 0:
         return DirectedGeodesic(x, y, (Simplex.of([x]),))
-    dist_to_y = _distance_map(c, y, n)
     simplices = [Simplex.of([x])]
     for i in range(n - 1):
         current = simplices[-1]
@@ -162,8 +154,7 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
         for v in current:
             nbrs = c.neighbors(v)
             common = nbrs if common is None else common & nbrs
-        wanted = n - i - 1
-        candidates = sorted(v for v in common if dist_to_y(v) == wanted)
+        candidates = sorted(common & levels[i + 1])
         if not candidates:
             raise ConstructionFailed(
                 f"empty projection at step {i + 1} between {x} and {y}")
@@ -176,13 +167,6 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
     geo = DirectedGeodesic(x, y, tuple(simplices))
     _verify_conditions(c, geo)
     return geo
-
-
-def _distance_map(c, y, budget):
-    if c.plane_backed:
-        return lambda v: eplane.lattice_distance(v, y)
-    dmap = c.bfs_distances(y, budget=budget)
-    return lambda v: dmap.get(v, budget + 1)
 
 
 def _verify_conditions(c: FlagComplex, geo: DirectedGeodesic):
@@ -213,19 +197,16 @@ def layers(c: FlagComplex, x, y) -> Layers:
     Thickness distances are measured in the ambient complex; layers are
     convex, so the value is realized inside the layer.
     """
-    n = require_pair_safe(c, x, y)
+    levels = _safe_levels(c, x, y)
     sigma_geo = directed_geodesic(c, x, y)
     tau_geo = directed_geodesic(c, y, x)
     tau_aligned = tau_geo.reversed_view()
-    per_layer: dict = {i: set() for i in range(n + 1)}
-    for v in _interval_vertices(c, x, y, n):
-        per_layer[c.true_distance(x, v)].add(v)
     items = []
-    for i in range(n + 1):
+    for i, level in enumerate(levels):
         sigma = sigma_geo[i]
         tau = tau_aligned[i]
         thickness = max(c.true_distance(s, t) for s in sigma for t in tau)
-        items.append(Layer(i, frozenset(per_layer[i]), sigma, tau, thickness))
+        items.append(Layer(i, level, sigma, tau, thickness))
     return Layers(c, x, y, items, sigma_geo, tau_geo)
 
 

@@ -9,6 +9,7 @@ displacement set at the translation length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import eplane
@@ -70,11 +71,12 @@ class TableAction(Isometry):
                         f"table does not preserve adjacency on edge ({u}, {w})")
         return TableAction(tuple(sorted(mapping.items())))
 
-    def _as_dict(self):
+    @cached_property
+    def _table(self) -> Dict:
         return dict(self.mapping)
 
     def apply(self, v):
-        return self._as_dict()[v]
+        return self._table[v]
 
     def displacement(self, c, v) -> int:
         if c is None:
@@ -82,13 +84,17 @@ class TableAction(Isometry):
         return c.true_distance(v, self.apply(v))
 
     def power(self, n: int) -> "TableAction":
-        m = self._as_dict()
+        """The n-th power by repeated squaring: O(|V| log |n|)."""
+        m = self._table
         if n < 0:
             m = {v: u for u, v in m.items()}
             n = -n
         out = {u: u for u in m}
-        for _ in range(n):
-            out = {u: m[w] for u, w in out.items()}
+        while n:
+            if n & 1:
+                out = {u: m[w] for u, w in out.items()}
+            m = {u: m[w] for u, w in m.items()}
+            n >>= 1
         return TableAction(tuple(sorted(out.items())))
 
 
@@ -130,7 +136,7 @@ def is_hyperbolic(h: Isometry, c: Optional[FlagComplex] = None) -> bool:
         raise PreconditionViolated("table isometries need their complex")
     if not c.is_complete:
         raise Inconclusive("cannot certify hyperbolicity on a truncated window")
-    mapping = h._as_dict()
+    mapping = h._table
     for clique in _all_cliques(c):
         if {mapping[v] for v in clique} == set(clique):
             return False

@@ -4,7 +4,8 @@ Every asserted inequality in a report names its constant, the bound, the
 measured value and a witness; reports are deterministic given the scenario
 and seed (wall-clock timings are recorded but excluded from that
 contract). Exit code 0 means every assertion passed, 1 an assertion or
-construction failed, 2 the input could not be parsed.
+construction failed or a task raised an unexpected error, 2 the input
+could not be parsed.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from typing import Dict, List, Optional, Tuple
 from . import eplane, render, samples, treestudy
 from .complexes import FlagComplex
 from .directed import directed_geodesic, layers, require_pair_safe, thick_intervals
-from .errors import BoundaryUnsafe, SyslabError, TaskFailed
+from .errors import BoundaryUnsafe, TaskFailed
 from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
 from .isodyn import (PlaneAction, check_min_proximity, displacement_set,
                      is_hyperbolic, min_set, translation_length)
-from .scenario import Scenario, parse_fraction_list
+from .scenario import Scenario, _parse_axial, parse_fraction_list
 
 SCHEMA = "report/1"
 
@@ -92,7 +93,7 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> Tuple[Dict, int]:
         start = time.perf_counter()
         try:
             _HANDLERS[task.kind](scenario, task, record, rng, out_dir)
-        except SyslabError as exc:
+        except Exception as exc:  # recorded, so the report is still written
             record.error = f"{type(exc).__name__}: {exc}"
         record.wall_clock_s = time.perf_counter() - start
         records.append(record)
@@ -143,8 +144,8 @@ def _sample_safe_pair(c: FlagComplex, rng, max_distance: int,
 
 def _task_pipeline(scenario, task, record, rng, out_dir):
     c = scenario.complex(task.params["complex"])
-    x = _axial(task.params["from"])
-    y = _axial(task.params["to"])
+    x = _parse_axial(task.params["from"])
+    y = _parse_axial(task.params["to"])
     layer_seq = layers(c, x, y)
     euclid = euclidean_geodesic(c, x, y, check_reversal=True)
     selected = select_vertex_geodesic(euclid)
@@ -205,7 +206,7 @@ def _goodness_staircase(scenario, task, record, c):
     from .isodyn import axis_line_max_distance_sq, invariant_geodesic_on_plane
     h = eplane.parse_isometry(task.params["staircase_map"])
     length = int(task.params.get("staircase_length", "16"))
-    origin = _axial(task.params.get("staircase_origin", "0 0"))
+    origin = _parse_axial(task.params.get("staircase_origin", "0 0"))
     gamma = invariant_geodesic_on_plane(h, origin, length)
     hausdorff = math.sqrt(float(axis_line_max_distance_sq(gamma, h, origin)))
     bound = 4 * hausdorff / math.sqrt(3.0) + 1
@@ -306,7 +307,7 @@ def _task_contracting(scenario, task, record, rng, out_dir):
     n_doubling = int(task.params.get("doubling", "20"))
     max_d = int(task.params.get("max_distance", "12"))
     cs = parse_fraction_list(task.params.get("cs", "1/4 1/2 3/4"))
-    origin = _axial(task.params.get("origin", "0 0"))
+    origin = _parse_axial(task.params.get("origin", "0 0"))
     rays = []
     seen = set()
     want = max(8, min(40, n_pairs))
@@ -385,8 +386,8 @@ def _task_extendability(scenario, task, record, rng, out_dir):
 
 def _task_render(scenario, task, record, rng, out_dir):
     c = scenario.complex(task.params["complex"])
-    x = _axial(task.params["from"])
-    y = _axial(task.params["to"])
+    x = _parse_axial(task.params["from"])
+    y = _parse_axial(task.params["to"])
     svg = render.render_pipeline_svg(c, x, y)
     out_name = task.params.get("out", f"{task.name}.svg")
     path = out_dir / out_name
@@ -399,11 +400,6 @@ def _task_render(scenario, task, record, rng, out_dir):
     })
     record.assertions.append(Assertion(
         "rendered", "deterministic svg", True, True, True))
-
-
-def _axial(text: str):
-    parts = text.replace(",", " ").split()
-    return (int(parts[0]), int(parts[1]))
 
 
 _HANDLERS = {

@@ -19,14 +19,24 @@ from .complexes import FlagComplex, load_complex
 from .errors import PreconditionViolated, ScenarioParseError
 from .euclid import GoodnessConstants
 
-# task kind -> the parameters its runner handler cannot do without
+# task kind -> {parameter its runner handler reads: (type, required)}; "int"
+# and "vertex" values are checked at parse time, "text" ones by their handler
 TASK_KINDS = {
-    "geodesic-pipeline": ("complex", "from", "to"),
-    "goodness-sweep": ("complex",),
-    "displacement-study": ("complex", "isometry"),
-    "contracting-suite": ("complex",),
-    "extendability-study": (),
-    "figure-render": ("complex", "from", "to"),
+    "geodesic-pipeline": {"complex": ("text", True), "from": ("vertex", True),
+                          "to": ("vertex", True)},
+    "goodness-sweep": {"complex": ("text", True), "pairs": ("int", False),
+                       "max_distance": ("int", False), "staircase_map": ("text", False),
+                       "staircase_length": ("int", False),
+                       "staircase_origin": ("vertex", False), "ambient": ("text", False)},
+    "displacement-study": {"complex": ("text", True), "isometry": ("text", True),
+                           "pairs": ("int", False), "max_distance": ("int", False)},
+    "contracting-suite": {"complex": ("text", True), "pairs": ("int", False),
+                          "doubling": ("int", False), "max_distance": ("int", False),
+                          "cs": ("text", False), "origin": ("vertex", False)},
+    "extendability-study": {"depth": ("int", False), "control_pairs": ("int", False),
+                            "control_span": ("int", False)},
+    "figure-render": {"complex": ("text", True), "from": ("vertex", True),
+                      "to": ("vertex", True), "out": ("text", False)},
 }
 
 
@@ -98,7 +108,32 @@ def _parse_axial(text: str) -> Tuple[int, int]:
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
         raise ScenarioParseError(f"expected two integers, got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    return (_parse_int(parts[0]), _parse_int(parts[1]))
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ScenarioParseError(f"expected an integer, got {text!r}") from exc
+
+
+_VALUE_PARSERS = {"int": _parse_int, "vertex": _parse_axial, "text": str}
+
+
+def _check_task_params(name: str, kind: str, items: Dict[str, str]):
+    schema = TASK_KINDS[kind]
+    missing = [key for key, (_, required) in schema.items()
+               if required and key not in items]
+    if missing:
+        raise ScenarioParseError(f"task {name!r} ({kind}) lacks {', '.join(missing)}")
+    for key, value in items.items():
+        if key not in schema:
+            raise ScenarioParseError(f"task {name!r} ({kind}) has unknown key {key!r}")
+        try:
+            _VALUE_PARSERS[schema[key][0]](value)
+        except ScenarioParseError as exc:
+            raise ScenarioParseError(f"task {name!r} ({kind}) key {key!r}: {exc}") from exc
 
 
 def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
@@ -149,10 +184,7 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
             if kind not in TASK_KINDS:
                 raise ScenarioParseError(
                     f"task {words[1]!r} has unknown kind {kind!r}")
-            missing = [key for key in TASK_KINDS[kind] if key not in items]
-            if missing:
-                raise ScenarioParseError(
-                    f"task {words[1]!r} ({kind}) lacks {', '.join(missing)}")
+            _check_task_params(words[1], kind, items)
             tasks.append(TaskSpec(words[1], kind, items))
         else:
             raise ScenarioParseError(f"unknown section [{section}]")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,45 @@ def test_interval_properties(ax, ay, bx, by):
     assert ivl == interval(c, y, x)
     assert x in ivl and y in ivl
     assert ivl == oracles.interval_scan(c, x, y)
+
+
+def _assert_levels_match_oracles(c, x, y, dist_from_x):
+    n = oracles.bfs_distance(c, x, y)
+    levels = c.interval_levels(x, y, n)
+    assert len(levels) == n + 1
+    assert frozenset().union(*levels) == oracles.interval_scan(c, x, y)
+    for i, level in enumerate(levels):
+        assert all(dist_from_x[v] == i for v in level)
+
+
+def test_interval_levels_plane_closed_form():
+    c = eplane.window((0, 0), 4)
+    assert c.plane_backed
+    pairs = 0
+    for x in sorted(c.vertices()):
+        dist_from_x = oracles.bfs_map(c, x)
+        for y in sorted(c.vertices()):
+            if dist_from_x[y] <= 8:
+                _assert_levels_match_oracles(c, x, y, dist_from_x)
+                pairs += 1
+    assert pairs == len(c) ** 2
+
+
+def test_interval_levels_book_bfs_walk():
+    c = samples.book_window(4, 8)
+    verts = sorted(c.vertices())
+    rng = random.Random(23)
+    for _ in range(60):
+        x, y = rng.choice(verts), rng.choice(verts)
+        _assert_levels_match_oracles(c, x, y, oracles.bfs_map(c, x))
+
+
+def test_interval_levels_flat_disk_all_pairs():
+    c = samples.flat_disk(3)
+    for x in sorted(c.vertices()):
+        dist_from_x = oracles.bfs_map(c, x)
+        for y in sorted(c.vertices()):
+            _assert_levels_match_oracles(c, x, y, dist_from_x)
 
 
 def test_is_convex_examples(window8):

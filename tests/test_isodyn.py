@@ -37,6 +37,23 @@ def test_table_validation():
         TableAction.from_dict(octa, {v: 0 for v in range(6)})
 
 
+def test_table_power_matches_repeated_apply():
+    octa = samples.octahedron()
+    antipodal = TableAction.from_dict(octa, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
+    w = eplane.window((0, 0), 2)
+    rotation = eplane.rotation60(1)
+    turn = TableAction.from_dict(w, {v: rotation.apply(v) for v in w.vertices()})
+    for c, h in ((octa, antipodal), (w, turn)):
+        for n in range(-7, 8):
+            power = h.power(n)
+            for v in c.vertices():
+                # h^|n| carries power(n)(v) back to v when n < 0
+                start, target = (v, power.apply(v)) if n >= 0 else (power.apply(v), v)
+                for _ in range(abs(n)):
+                    start = h.apply(start)
+                assert start == target
+
+
 def test_is_hyperbolic_table_window_inconclusive():
     w = eplane.window((0, 0), 2)
     mapping = {v: v for v in w.vertices()}

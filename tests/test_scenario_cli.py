@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from syslab import cli
+from syslab import cli, runner
 from syslab.errors import ScenarioParseError
 from syslab.runner import run_scenario, write_report
 from syslab.scenario import load_scenario, parse_scenario_text
@@ -132,6 +132,37 @@ def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(scn), "--out", str(out)]) == 2
     assert "lacks to" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task, message", [
+    ("kind = goodness-sweep\ncomplex = main\npairs = twelve\n",
+     "expected an integer, got 'twelve'"),
+    ("kind = geodesic-pipeline\ncomplex = main\nfrom = 0\nto = 4 2\n",
+     "expected two integers, got '0'"),
+    ("kind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\nto = 4 x\n",
+     "expected an integer, got 'x'"),
+    ("kind = goodness-sweep\ncomplex = main\npair = 3\n", "unknown key 'pair'"),
+], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key"])
+def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("[complex main]\nkind = eplane\n\n[task t]\n" + task)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unexpected_handler_error_is_reported(tmp_path, monkeypatch):
+    def explode(scenario, task, record, rng, out_dir):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(runner._HANDLERS, "figure-render", explode)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(SCENARIOS / "pipeline-42.scn"), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["tasks"][0]["pass"]
+    assert report["tasks"][1]["error"] == "ValueError: boom"
+    assert not report["pass"]
 
 
 def test_corner_geodesics_are_geodesics():
