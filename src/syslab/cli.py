@@ -10,7 +10,7 @@ from .complexes import check_local_6_large, load_complex
 from .errors import ScenarioParseError, SyslabError
 from .euclid import GoodnessConstants
 from .runner import run_scenario, write_report
-from .scenario import load_scenario
+from .scenario import _parse_value, load_scenario
 
 
 def _build_parser():
@@ -44,7 +44,7 @@ def _apply_overrides(scenario, args):
             key = key.strip()
             if key not in ("C", "D"):
                 raise ScenarioParseError(f"unknown constant {key!r}")
-            kwargs[key] = int(value)
+            kwargs[key] = _parse_value("--constants", key, "int", value)
         base = dict(C=scenario.constants.C, D=scenario.constants.D)
         base.update({k: v for k, v in kwargs.items() if k != "empirical"})
         scenario.constants = GoodnessConstants(empirical=True, **base)

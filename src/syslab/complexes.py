@@ -262,13 +262,15 @@ def is_convex(c: FlagComplex, vertices: Iterable[VertexId], radius_cap: int) -> 
     if sub.max() > radius_cap:
         raise PreconditionViolated(
             f"pairs exceed radius_cap={radius_cap} (max {int(sub.max())})")
-    inside = np.zeros(len(order), dtype=bool)
-    inside[idx] = True
-    # v lies on a geodesic a->b iff d(a,v) + d(v,b) == d(a,b)
-    da = mat[idx]                                     # |A| x V
-    through = da[:, None, :] + da[None, :, :]         # |A| x |A| x V
-    on_geo = (through == sub[:, :, None]).any(axis=(0, 1))
-    return not bool((on_geo & ~inside).any())
+    outside = np.ones(len(order), dtype=bool)
+    outside[idx] = False
+    da = mat[np.ix_(idx, outside)]                    # |A| x |V - A|
+    # v lies on a geodesic a->b iff d(a,v) + d(v,b) == d(a,b); one source a
+    # at a time keeps memory at |A| x |V|
+    for row, to_targets in zip(da, sub):
+        if ((row[None, :] + da) == to_targets[:, None]).any():
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ class DirectedGeodesic:
     def __getitem__(self, i):
         return self.simplices[i]
 
-    def reversed_view(self) -> Tuple[Simplex, ...]:
-        """The same simplices indexed in the opposite direction."""
-        return tuple(reversed(self.simplices))
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -89,6 +85,13 @@ class Layers(Sequence):
 
     def thickness_profile(self) -> Tuple[int, ...]:
         return tuple(layer.thickness for layer in self.items)
+
+    def reversed(self) -> "Layers":
+        """The decomposition of (y, x): layer i becomes layer n - i and the
+        two directed geodesics swap roles."""
+        items = [Layer(i, layer.vertices, layer.tau, layer.sigma, layer.thickness)
+                 for i, layer in enumerate(self.items[::-1])]
+        return Layers(self.complex, self.y, self.x, items, self.tau_geo, self.sigma_geo)
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,11 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
     clique, and ConditionViolated when the finished sequence fails either
     defining condition on re-verification.
     """
-    levels = _safe_levels(c, x, y)
+    return _project(c, x, y, _safe_levels(c, x, y))
+
+
+def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
+    """Project from x towards y through the interval levels read from x."""
     n = len(levels) - 1
     if n == 0:
         return DirectedGeodesic(x, y, (Simplex.of([x]),))
@@ -198,13 +205,13 @@ def layers(c: FlagComplex, x, y) -> Layers:
     convex, so the value is realized inside the layer.
     """
     levels = _safe_levels(c, x, y)
-    sigma_geo = directed_geodesic(c, x, y)
-    tau_geo = directed_geodesic(c, y, x)
-    tau_aligned = tau_geo.reversed_view()
+    sigma_geo = _project(c, x, y, levels)
+    tau_geo = _project(c, y, x, levels[::-1])
+    n = len(levels) - 1
     items = []
     for i, level in enumerate(levels):
         sigma = sigma_geo[i]
-        tau = tau_aligned[i]
+        tau = tau_geo[n - i]
         thickness = max(c.true_distance(s, t) for s in sigma for t in tau)
         items.append(Layer(i, level, sigma, tau, thickness))
     return Layers(c, x, y, items, sigma_geo, tau_geo)

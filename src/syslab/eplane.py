@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from . import complexes
-from .errors import EmptyLayer, PreconditionViolated, ScenarioParseError
-from .exact import ExactScalar, PlanePoint, cross
+from .errors import PreconditionViolated, ScenarioParseError
+from .exact import ExactScalar, PlanePoint
 
 Axial = Tuple[int, int]
 
@@ -242,58 +242,3 @@ def parse_isometry(text: str) -> PlaneIsometry:
     except (ValueError, TypeError) as exc:
         raise ScenarioParseError(f"bad isometry literal {text!r}") from exc
     raise ScenarioParseError(f"bad isometry literal {text!r}")
-
-
-# -- layer lines ----------------------------------------------------------------
-
-_LATTICE_DIRECTIONS: Tuple[Axial, ...] = ((1, 0), (0, 1), (1, -1))
-
-
-@dataclass(frozen=True)
-class Line:
-    """An exact line of the plane: a point plus a direction vector."""
-
-    point: PlanePoint
-    direction: PlanePoint
-
-    def side(self, p: PlanePoint) -> int:
-        return cross(self.direction, p - self.point).sign()
-
-    def contains(self, p: PlanePoint) -> bool:
-        return self.side(p) == 0
-
-
-def layer_line(i: int, x: Axial, y: Axial) -> Line:
-    """The straight line of the plane containing layer i between x and y.
-
-    Layers of the lattice are always collinear. A single-vertex layer does
-    not pin a direction; the lattice direction most transversal to the pair
-    direction is used, with a fixed preference on the (rare) exact tie.
-    """
-    n = lattice_distance(x, y)
-    if not 0 <= i <= n:
-        raise PreconditionViolated(f"layer index {i} outside 0..{n}")
-    layer = sorted(v for v in interval_box(x, y)
-                   if lattice_distance(x, v) == i and lattice_distance(v, y) == n - i)
-    if not layer:
-        raise EmptyLayer(f"layer {i} between {x} and {y} is empty")
-    if len(layer) >= 2:
-        p0, p1 = embed(layer[0]), embed(layer[1])
-        direction = p1 - p0
-        for v in layer[2:]:
-            if cross(direction, embed(v) - p0).sign() != 0:
-                raise EmptyLayer(f"layer {i} between {x} and {y} is not collinear")
-        return Line(p0, direction)
-    # degenerate single-vertex layer: most transversal lattice direction
-    if x == y:
-        return Line(embed(layer[0]), embed((0, 1)) - embed((0, 0)))
-    pair_dir = embed(y) - embed(x)
-    best = None
-    for d in _LATTICE_DIRECTIONS:
-        u = embed(d) - embed((0, 0))
-        score = cross(u, pair_dir)
-        score = score * score  # |cross|^2; directions are unit so comparable
-        if best is None or score > best[0]:
-            best = (score, u)
-    return Line(embed(layer[0]), best[1])
-

@@ -85,10 +85,6 @@ class NotPlaneBacked(SyslabError):
     """The operation needs a complex materialized from the triangulated plane."""
 
 
-class EmptyLayer(SyslabError):
-    """Requested layer contains no vertices."""
-
-
 class ScenarioParseError(SyslabError):
     """Scenario or complex file could not be parsed."""
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cat0, chardisk
 from .complexes import FlagComplex, Simplex
-from .directed import layers, thick_intervals
+from .directed import Layers, layers, thick_intervals
 from .errors import ConditionViolated, NoSelection, PreconditionViolated
 
 
@@ -44,13 +44,19 @@ class GoodnessConstants:
 
 @dataclass(frozen=True)
 class EuclideanGeodesic:
-    """Per-layer simplices delta_0..delta_n between two vertices."""
+    """Per-layer simplices delta_0..delta_n between two vertices.
+
+    Also carries the layers it was built on and, per thick interval in
+    order, the (boundary cycle, modified disk, CAT(0) path) stages.
+    """
 
     complex: FlagComplex = field(repr=False, compare=False)
     x: object
     y: object
     simplices: Tuple[Simplex, ...]
     provenance: Tuple[str, ...]   # endpoint | thin | disk
+    layers: Optional[Layers] = field(default=None, repr=False, compare=False)
+    disks: Tuple[tuple, ...] = field(default=(), repr=False, compare=False)
 
     def __len__(self):
         return len(self.simplices) - 1
@@ -67,12 +73,14 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     """Assemble the Euclidean geodesic between x and y.
 
     Verifies delta_i stays inside layer i, and (unless disabled for bulk
-    sweeps) that recomputing from the other endpoint yields the reversed
-    sequence.
+    sweeps) that assembling from the other endpoint, on the same layers
+    read backwards, yields the reversed sequence. The reversed pass rebuilds
+    every thick-interval stage from its own boundary cycle.
     """
-    geo = _assemble(c, x, y)
+    layer_seq = layers(c, x, y)
+    geo = _assemble(c, layer_seq)
     if check_reversal:
-        back = _assemble(c, y, x)
+        back = _assemble(c, layer_seq.reversed())
         forward = [frozenset(s.verts) for s in geo.simplices]
         reverse = [frozenset(s.verts) for s in reversed(back.simplices)]
         if forward != reverse:
@@ -81,11 +89,10 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     return geo
 
 
-def _assemble(c, x, y) -> EuclideanGeodesic:
-    layer_seq = layers(c, x, y)
-    n = layer_seq.n
+def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
+    x, y, n = layer_seq.x, layer_seq.y, layer_seq.n
     if n == 0:
-        return EuclideanGeodesic(c, x, y, (Simplex.of([x]),), ("endpoint",))
+        return EuclideanGeodesic(c, x, y, (Simplex.of([x]),), ("endpoint",), layer_seq)
     sims: List[Optional[Simplex]] = [None] * (n + 1)
     tags: List[str] = [""] * (n + 1)
     sims[0], tags[0] = Simplex.of([x]), "endpoint"
@@ -98,11 +105,13 @@ def _assemble(c, x, y) -> EuclideanGeodesic:
                 raise ConditionViolated(
                     f"thin layer {i} of ({x}, {y}) does not span a simplex")
             sims[i], tags[i] = Simplex.of(union), "thin"
+    disks = []
     for interval in thick_intervals(layer_seq):
         cycle = chardisk.boundary_cycle(c, interval, layer_seq)
         disk = chardisk.extract_flat_disk(c, cycle)
         mdisk = cat0.modified_disk(disk)
         alpha = cat0.shortest_path(mdisk)
+        disks.append((cycle, mdisk, alpha))
         diagonal = cat0.euclidean_diagonal(disk, alpha)
         for i in interval.interior():
             rho = diagonal.simplex_at(i)
@@ -114,7 +123,7 @@ def _assemble(c, x, y) -> EuclideanGeodesic:
         if not set(sims[i].verts) <= layer_seq[i].vertices:
             raise ConditionViolated(
                 f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
-    return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags))
+    return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq, tuple(disks))
 
 
 def select_vertex_geodesic(e: EuclideanGeodesic) -> Tuple:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
-from . import cat0, chardisk, eplane
+from . import eplane
 from .complexes import FlagComplex
-from .directed import layers, thick_intervals
 from .errors import NotPlaneBacked
 from .euclid import euclidean_geodesic, select_vertex_geodesic
 
@@ -39,9 +38,8 @@ def render_pipeline_svg(c: FlagComplex, x, y) -> str:
     """Render the full pipeline between two window vertices as an SVG string."""
     if not c.plane_backed:
         raise NotPlaneBacked("figure rendering needs a plane window")
-    layer_seq = layers(c, x, y)
-    intervals = thick_intervals(layer_seq)
     euclid = euclidean_geodesic(c, x, y, check_reversal=False)
+    layer_seq = euclid.layers
     selected = select_vertex_geodesic(euclid)
 
     verts = sorted(c.vertices())
@@ -89,11 +87,8 @@ def render_pipeline_svg(c: FlagComplex, x, y) -> str:
                                 _fmt(pos[b][0]), _fmt(pos[b][1])))
         parts.append('</g>')
 
-    for interval in intervals:
-        cycle = chardisk.boundary_cycle(c, interval, layer_seq)
-        disk = chardisk.extract_flat_disk(c, cycle)
-        mdisk = cat0.modified_disk(disk)
-        alpha = cat0.shortest_path(mdisk)
+    for cycle, mdisk, alpha in euclid.disks:
+        interval = cycle.interval
         parts.append('<g id="disk-{}-{}" fill="#7ed32122" stroke="#417505" '
                      'stroke-width="1.5">'.format(interval.j, interval.k))
         loop = " ".join(_pt(_xy(v)) for v in cycle.cycle)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import eplane, render, samples, treestudy
 from .complexes import FlagComplex
-from .directed import directed_geodesic, layers, require_pair_safe, thick_intervals
+from .directed import directed_geodesic, require_pair_safe
 from .errors import BoundaryUnsafe, TaskFailed
 from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
@@ -146,14 +146,15 @@ def _task_pipeline(scenario, task, record, rng, out_dir):
     c = scenario.complex(task.params["complex"])
     x = _parse_axial(task.params["from"])
     y = _parse_axial(task.params["to"])
-    layer_seq = layers(c, x, y)
     euclid = euclidean_geodesic(c, x, y, check_reversal=True)
+    layer_seq = euclid.layers
     selected = select_vertex_geodesic(euclid)
     report = goodness_constant(c, selected)
     record.outputs.update({
         "distance": layer_seq.n,
         "thickness_profile": layer_seq.thickness_profile(),
-        "thick_intervals": [(iv.j, iv.k) for iv in thick_intervals(layer_seq)],
+        "thick_intervals": [(cycle.interval.j, cycle.interval.k)
+                            for cycle, _, _ in euclid.disks],
         "euclidean_geodesic": [list(s.verts) for s in euclid],
         "selected_geodesic": list(selected),
         "goodness": report.c_star,

@@ -39,6 +39,14 @@ TASK_KINDS = {
                       "to": ("vertex", True), "out": ("text", False)},
 }
 
+# complex kind -> {parameter ComplexSpec.build reads: (type, required)}
+COMPLEX_KINDS = {
+    "eplane": {"radius": ("int", False), "center": ("vertex", False)},
+    "file": {"path": ("text", True)},
+    "tree": {"depth": ("int", False)},
+    "sample": {"name": ("text", True)},
+}
+
 
 @dataclass
 class ComplexSpec:
@@ -121,19 +129,22 @@ def _parse_int(text: str) -> int:
 _VALUE_PARSERS = {"int": _parse_int, "vertex": _parse_axial, "text": str}
 
 
-def _check_task_params(name: str, kind: str, items: Dict[str, str]):
-    schema = TASK_KINDS[kind]
+def _parse_value(where: str, key: str, kind: str, value: str):
+    try:
+        return _VALUE_PARSERS[kind](value)
+    except ScenarioParseError as exc:
+        raise ScenarioParseError(f"{where} key {key!r}: {exc}") from exc
+
+
+def _check_params(where: str, schema: Dict, items: Dict[str, str]):
     missing = [key for key, (_, required) in schema.items()
                if required and key not in items]
     if missing:
-        raise ScenarioParseError(f"task {name!r} ({kind}) lacks {', '.join(missing)}")
+        raise ScenarioParseError(f"{where} lacks {', '.join(missing)}")
     for key, value in items.items():
         if key not in schema:
-            raise ScenarioParseError(f"task {name!r} ({kind}) has unknown key {key!r}")
-        try:
-            _VALUE_PARSERS[schema[key][0]](value)
-        except ScenarioParseError as exc:
-            raise ScenarioParseError(f"task {name!r} ({kind}) key {key!r}: {exc}") from exc
+            raise ScenarioParseError(f"{where} has unknown key {key!r}")
+        _parse_value(where, key, schema[key][0], value)
 
 
 def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
@@ -158,12 +169,11 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
         head = words[0]
         if head == "scenario":
             name = items.get("name", name)
-            seed = int(items.get("seed", "0"))
+            seed = _parse_value("[scenario]", "seed", "int", items.get("seed", "0"))
         elif head == "constants":
-            if "C" in items:
-                constants_kwargs["C"] = int(items["C"])
-            if "D" in items:
-                constants_kwargs["D"] = int(items["D"])
+            for key in ("C", "D"):
+                if key in items:
+                    constants_kwargs[key] = _parse_value("[constants]", key, "int", items[key])
             if items.get("empirical", "false").lower() in ("1", "true", "yes"):
                 constants_kwargs["empirical"] = True
         elif head == "complex":
@@ -172,6 +182,9 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
             kind = items.pop("kind", None)
             if kind is None:
                 raise ScenarioParseError(f"complex {words[1]!r} has no kind")
+            if kind not in COMPLEX_KINDS:
+                raise ScenarioParseError(f"complex {words[1]!r} has unknown kind {kind!r}")
+            _check_params(f"complex {words[1]!r} ({kind})", COMPLEX_KINDS[kind], items)
             complexes[words[1]] = ComplexSpec(words[1], kind, items)
         elif head == "isometry":
             if len(words) != 2 or "map" not in items:
@@ -184,7 +197,7 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
             if kind not in TASK_KINDS:
                 raise ScenarioParseError(
                     f"task {words[1]!r} has unknown kind {kind!r}")
-            _check_task_params(words[1], kind, items)
+            _check_params(f"task {words[1]!r} ({kind})", TASK_KINDS[kind], items)
             tasks.append(TaskSpec(words[1], kind, items))
         else:
             raise ScenarioParseError(f"unknown section [{section}]")

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written against raw adjacency and floats,
 not against the library's own metric or exact predicates, so each check is
-a genuine second route to the same answer. The one exception is
-``visibility_shortest_path``: it reuses ``syslab.exact`` (and the
-``PolyPath`` result type), because it checks the portal funnel of
-``syslab.cat0`` point for point, which needs the same exact coordinates.
+a genuine second route to the same answer. There are two exceptions.
+``visibility_shortest_path`` reuses ``syslab.exact`` (and the ``PolyPath``
+result type), because it checks the portal funnel of ``syslab.cat0`` point
+for point, which needs the same exact coordinates. ``dense_is_convex``
+reads the complex's own distance matrix, because it checks the streamed
+``complexes.is_convex`` against the dense tensor form of the same test.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import math
 from collections import deque
 from itertools import combinations
 
+import numpy as np
+
 from syslab.cat0 import PolyPath
-from syslab.errors import DegenerateDomain
+from syslab.errors import DegenerateDomain, PreconditionViolated
 from syslab.exact import (ExactScalar, cross, dist_sq, dot, lerp, on_segment,
                           orient)
 
@@ -406,3 +410,25 @@ def visibility_shortest_path(m):
     while path[-1] != 0:
         path.append(prev[path[-1]])
     return PolyPath(tuple(nodes[i] for i in reversed(path)))
+
+
+def dense_is_convex(c, vertices, radius_cap):
+    """The dense |A| x |A| x |V| convexity test that ``complexes.is_convex``
+    replaced; kept verbatim as its oracle."""
+    A = sorted(set(vertices))
+    if len(A) <= 1:
+        return True
+    order, pos = c._vertex_index()
+    mat = c.distance_matrix()
+    idx = np.array([pos[v] for v in A])
+    sub = mat[np.ix_(idx, idx)]
+    if sub.max() > radius_cap:
+        raise PreconditionViolated(
+            f"pairs exceed radius_cap={radius_cap} (max {int(sub.max())})")
+    inside = np.zeros(len(order), dtype=bool)
+    inside[idx] = True
+    # v lies on a geodesic a->b iff d(a,v) + d(v,b) == d(a,b)
+    da = mat[idx]                                     # |A| x V
+    through = da[:, None, :] + da[None, :, :]         # |A| x |A| x V
+    on_geo = (through == sub[:, :, None]).any(axis=(0, 1))
+    return not bool((on_geo & ~inside).any())

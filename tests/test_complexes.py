@@ -112,6 +112,23 @@ def test_is_convex_radius_cap(window8):
         is_convex(window8, [(0, 0), (4, 0)], radius_cap=2)
 
 
+def test_is_convex_matches_dense_oracle_on_book_balls():
+    c = samples.book_window(4, 7)
+    seen = {True: 0, False: 0}
+    for r in range(2, 7):
+        for center in ((0, 0, 0), (0, 2, 1)):    # spine and page
+            ball = sorted(c.bfs_distances(center, budget=r))
+            # without its largest vertex, no violating pair holds the first source
+            holes = [[v for v in ball if v != drop] for drop in (center, ball[-1])]
+            for verts in [ball] + holes:
+                got = is_convex(c, verts, 2 * r)
+                assert got == oracles.dense_is_convex(c, verts, 2 * r), (r, center)
+                seen[got] += 1
+    far = [(-3, 0, 0), (3, 0, 0)]
+    assert is_convex(c, far, 6) is oracles.dense_is_convex(c, far, 6) is False
+    assert seen == {True: 10, False: 20}
+
+
 def test_six_large_window(window8):
     assert check_local_6_large(window8).ok
 

@@ -5,7 +5,7 @@ import pytest
 import oracles
 from syslab import eplane, samples
 from syslab.directed import (Layer, directed_geodesic, layers, map_geodesic,
-                             thick_intervals)
+                             require_pair_safe, thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile)
 
 
@@ -94,6 +94,44 @@ def test_layer_symmetry(window42):
     n = fwd.n
     for i in range(n + 1):
         assert fwd[i].vertices == bwd[n - i].vertices
+
+
+def _assert_reversed_layers(c, x, y):
+    back = layers(c, y, x)
+    flipped = layers(c, x, y).reversed()
+    assert (flipped.complex, flipped.x, flipped.y) == (c, y, x)
+    assert list(flipped) == list(back), (x, y)
+    assert flipped.sigma_geo == back.sigma_geo
+    assert flipped.tau_geo == back.tau_geo
+
+
+def test_reversed_layers_match_plane_pairs():
+    c = eplane.window((0, 0), 6)
+    safe = 0
+    for x in sorted(c.vertices()):
+        for y in sorted(c.vertices()):
+            try:
+                require_pair_safe(c, x, y)
+            except BoundaryUnsafe:
+                continue
+            _assert_reversed_layers(c, x, y)
+            safe += 1
+    assert safe == 91 * 91
+
+
+def test_reversed_layers_match_book_pairs():
+    c = samples.book_window(4, 8)
+    verts = sorted(c.vertices())
+    rng = random.Random(17)
+    checked = 0
+    while checked < 80:
+        x, y = rng.choice(verts), rng.choice(verts)
+        try:
+            require_pair_safe(c, x, y)
+        except BoundaryUnsafe:
+            continue
+        _assert_reversed_layers(c, x, y)
+        checked += 1
 
 
 def _profile(thicknesses):

@@ -129,33 +129,6 @@ def test_parse_isometry():
         eplane.parse_isometry("translate(a,b)")
 
 
-def test_layer_line_generic():
-    line = eplane.layer_line(3, (0, 0), (4, 2))
-    for v in [(1, 2), (2, 1), (3, 0)]:
-        assert line.contains(eplane.embed(v))
-    assert not line.contains(eplane.embed((0, 0)))
-
-
-def test_layer_line_degenerate_endpoint():
-    line = eplane.layer_line(0, (0, 0), (4, 2))
-    assert line.contains(eplane.embed((0, 0)))
-
-
-def test_layer_line_collinear_pair():
-    # single-vertex layers on the axis: the chosen line is transversal
-    line = eplane.layer_line(2, (0, 0), (5, 0))
-    assert line.contains(eplane.embed((2, 0)))
-    axis_dir = eplane.embed((1, 0)) - eplane.embed((0, 0))
-    from syslab.exact import cross
-    assert cross(line.direction, axis_dir).sign() != 0
-
-
-def test_layer_line_bad_index():
-    from syslab.errors import PreconditionViolated
-    with pytest.raises(PreconditionViolated):
-        eplane.layer_line(7, (0, 0), (2, 0))
-
-
 def test_interval_box_matches_scan():
     c = eplane.window((0, 0), 9)
     rng = random.Random(5)

@@ -152,6 +152,36 @@ def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     assert not out.exists()
 
 
+PIPELINE_TASK = "[task p]\nkind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\nto = 4 2\n"
+
+
+@pytest.mark.parametrize("head, message", [
+    ("[scenario]\nseed = abc\n\n[complex main]\nkind = eplane\n",
+     "[scenario] key 'seed': expected an integer, got 'abc'"),
+    ("[constants]\nC = lots\n\n[complex main]\nkind = eplane\n",
+     "[constants] key 'C': expected an integer, got 'lots'"),
+    ("[complex main]\nkind = eplane\nradius = big\n",
+     "complex 'main' (eplane) key 'radius': expected an integer, got 'big'"),
+    ("[complex main]\nkind = eplane\nradus = 5\n",
+     "complex 'main' (eplane) has unknown key 'radus'"),
+], ids=["scenario-seed", "constant-C", "complex-radius", "complex-misspelt-key"])
+def test_cli_malformed_section_value_exits_2(tmp_path, capsys, head, message):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(head + "\n" + PIPELINE_TASK)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_malformed_constants_override_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(SCENARIOS / "pipeline-42.scn"), "--out", str(out),
+                     "--constants", "C=abc"]) == 2
+    assert "--constants key 'C': expected an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unexpected_handler_error_is_reported(tmp_path, monkeypatch):
     def explode(scenario, task, record, rng, out_dir):
         raise ValueError("boom")
