@@ -84,6 +84,9 @@ class FlagComplex:
                 if u not in adj or v not in adj[u]:
                     raise PreconditionViolated(f"asymmetric adjacency {v}-{u}")
         self._adj = adj
+        # interval_levels hands out these on plane windows: fresh vertex tuples
+        # kept in results would pin allocator pools
+        self._own = {v: v for v in adj} if plane_backed else None
         self._margin = dict(margin) if margin is not None else None
         self.metric_hint = metric_hint
         self.convex_window = convex_window
@@ -187,13 +190,16 @@ class FlagComplex:
         """The interval [x, y] as level sets, given n = d(x, y).
 
         Level i holds the vertices on x-y geodesics at distance i from x.
-        Plane windows read the closed-form interval box; other complexes run
-        one BFS from y and walk out from x along edges that step one closer.
+        Plane windows read the closed-form interval box and return the
+        window's own vertex objects; other complexes run one BFS from y and
+        walk out from x along edges that step one closer.
         """
         if self.plane_backed:
             levels = [set() for _ in range(n + 1)]
+            own = self._own
             for v in eplane.interval_box(x, y):
-                if v in self._adj:
+                v = own.get(v)
+                if v is not None:
                     levels[eplane.lattice_distance(x, v)].add(v)
             return tuple(map(frozenset, levels))
         to_y = self.bfs_distances(y, budget=n)

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cat0, chardisk
 from .complexes import FlagComplex, Simplex
-from .directed import Layers, layers, thick_intervals
+from .directed import Layers, layers, require_pair_safe, thick_intervals
 from .errors import ConditionViolated, NoSelection, PreconditionViolated
 
 
@@ -172,17 +172,22 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     """Measure max over sub-pairs (j,k), layers i, vertices u in delta^{jk}_i
     of d(v_i, u).
 
-    This is exactly the least C' for which the geodesic is C'-good. Builds
-    one Euclidean geodesic per sub-pair; quadratic in the length.
+    This is exactly the least C' for which the geodesic is C'-good. Plane
+    windows are translation-equivariant, so there one Euclidean geodesic is
+    built per distinct difference v_k - v_j and shifted onto every later
+    sub-pair with that difference, each of which still passes the margin
+    rule first; other complexes build one Euclidean geodesic per sub-pair.
+    Quadratic in the length either way.
     """
     verts = tuple(geodesic)
+    memo = {} if c.plane_backed else None
     best = 0
     witness = None
     pairs = 0
     for j in range(len(verts)):
         for k in range(j + 1, len(verts)):
             pairs += 1
-            sub = euclidean_geodesic(c, verts[j], verts[k], check_reversal=False)
+            sub = _sub_simplices(c, verts[j], verts[k], memo)
             for i in range(j, k + 1):
                 for u in sub[i - j]:
                     d = c.true_distance(verts[i], u)
@@ -190,6 +195,26 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
                         best = d
                         witness = (j, k, i, u, d)
     return GoodnessReport(verts, best, witness, pairs)
+
+
+def _sub_simplices(c: FlagComplex, x, y, memo: Optional[dict]) -> Sequence:
+    """The simplices of the Euclidean geodesic from x to y, each iterable in
+    sorted vertex order. With a memo (plane windows) the pair passes the
+    margin rule, then reuses the vertex tuples built for the first pair x0
+    with difference y - x, shifted by x - x0; a translation keeps every
+    sorted tuple sorted."""
+    if memo is None:
+        return euclidean_geodesic(c, x, y, check_reversal=False)
+    require_pair_safe(c, x, y)
+    diff = (y[0] - x[0], y[1] - x[1])
+    hit = memo.get(diff)
+    if hit is None:
+        sims = tuple(s.verts for s in euclidean_geodesic(c, x, y, check_reversal=False))
+        memo[diff] = (x, sims)
+        return sims
+    x0, sims = hit
+    dx, dy = x[0] - x0[0], x[1] - x0[1]
+    return [tuple((a + dx, b + dy) for a, b in s) for s in sims]
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ TASK_KINDS = {
                       "to": ("vertex", True), "out": ("text", False)},
 }
 
+# [scenario] and [constants] keys: (type, required)
+SCENARIO_KEYS = {"name": ("text", False), "seed": ("int", False)}
+CONSTANTS_KEYS = {"C": ("int", False), "D": ("int", False), "empirical": ("bool", False)}
+
 # complex kind -> {parameter ComplexSpec.build reads: (type, required)}
 COMPLEX_KINDS = {
     "eplane": {"radius": ("int", False), "center": ("vertex", False)},
@@ -126,7 +130,17 @@ def _parse_int(text: str) -> int:
         raise ScenarioParseError(f"expected an integer, got {text!r}") from exc
 
 
-_VALUE_PARSERS = {"int": _parse_int, "vertex": _parse_axial, "text": str}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ScenarioParseError(f"expected one of true/false/yes/no/1/0, got {text!r}") from None
+
+
+_VALUE_PARSERS = {"int": _parse_int, "vertex": _parse_axial, "text": str, "bool": _parse_bool}
 
 
 def _parse_value(where: str, key: str, kind: str, value: str):
@@ -136,15 +150,19 @@ def _parse_value(where: str, key: str, kind: str, value: str):
         raise ScenarioParseError(f"{where} key {key!r}: {exc}") from exc
 
 
-def _check_params(where: str, schema: Dict, items: Dict[str, str]):
+def _check_params(where: str, schema: Dict, items: Dict[str, str]) -> Dict:
+    """Reject missing and unknown keys and malformed values; return the
+    parsed values."""
     missing = [key for key, (_, required) in schema.items()
                if required and key not in items]
     if missing:
         raise ScenarioParseError(f"{where} lacks {', '.join(missing)}")
+    parsed = {}
     for key, value in items.items():
         if key not in schema:
             raise ScenarioParseError(f"{where} has unknown key {key!r}")
-        _parse_value(where, key, schema[key][0], value)
+        parsed[key] = _parse_value(where, key, schema[key][0], value)
+    return parsed
 
 
 def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
@@ -166,16 +184,15 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
     for section in parser.sections():
         items = dict(parser.items(section))
         words = section.split()
-        head = words[0]
+        head = words[0] if words else ""
+        if head in ("scenario", "constants") and len(words) != 1:
+            raise ScenarioParseError(f"bad section [{section}]")
         if head == "scenario":
-            name = items.get("name", name)
-            seed = _parse_value("[scenario]", "seed", "int", items.get("seed", "0"))
+            values = _check_params("[scenario]", SCENARIO_KEYS, items)
+            name = values.get("name", name)
+            seed = values.get("seed", seed)
         elif head == "constants":
-            for key in ("C", "D"):
-                if key in items:
-                    constants_kwargs[key] = _parse_value("[constants]", key, "int", items[key])
-            if items.get("empirical", "false").lower() in ("1", "true", "yes"):
-                constants_kwargs["empirical"] = True
+            constants_kwargs.update(_check_params("[constants]", CONSTANTS_KEYS, items))
         elif head == "complex":
             if len(words) != 2:
                 raise ScenarioParseError(f"bad section [{section}]")

@@ -8,6 +8,9 @@ result type), because it checks the portal funnel of ``syslab.cat0`` point
 for point, which needs the same exact coordinates. ``dense_is_convex``
 reads the complex's own distance matrix, because it checks the streamed
 ``complexes.is_convex`` against the dense tensor form of the same test.
+``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
+with the library, because it checks the translation memo of
+``euclid.goodness_constant`` against one construction per sub-pair.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from syslab.cat0 import PolyPath
 from syslab.errors import DegenerateDomain, PreconditionViolated
+from syslab.euclid import GoodnessReport, euclidean_geodesic
 from syslab.exact import (ExactScalar, cross, dist_sq, dot, lerp, on_segment,
                           orient)
 
@@ -432,3 +436,24 @@ def dense_is_convex(c, vertices, radius_cap):
     through = da[:, None, :] + da[None, :, :]         # |A| x |A| x V
     on_geo = (through == sub[:, :, None]).any(axis=(0, 1))
     return not bool((on_geo & ~inside).any())
+
+
+def uncached_goodness_constant(c, geodesic):
+    """The one-construction-per-sub-pair loop that ``euclid.goodness_constant``
+    replaced with a translation memo on plane windows; kept verbatim as its
+    oracle."""
+    verts = tuple(geodesic)
+    best = 0
+    witness = None
+    pairs = 0
+    for j in range(len(verts)):
+        for k in range(j + 1, len(verts)):
+            pairs += 1
+            sub = euclidean_geodesic(c, verts[j], verts[k], check_reversal=False)
+            for i in range(j, k + 1):
+                for u in sub[i - j]:
+                    d = c.true_distance(verts[i], u)
+                    if d > best:
+                        best = d
+                        witness = (j, k, i, u, d)
+    return GoodnessReport(verts, best, witness, pairs)

@@ -83,6 +83,22 @@ def test_interval_levels_plane_closed_form():
     assert pairs == len(c) ** 2
 
 
+def test_interval_levels_plane_hold_window_vertices():
+    c = eplane.window((0, 0), 4)
+    own = {v: v for v in c.vertices()}
+    for x in sorted(c.vertices()):
+        for y in sorted(c.vertices()):
+            n = eplane.lattice_distance(x, y)
+            levels = c.interval_levels(tuple(list(x)), tuple(list(y)), n)
+            # fresh tuples in kept results would pin allocator pools
+            assert all(v is own[v] for level in levels for v in level)
+            closed_form = [set() for _ in range(n + 1)]
+            for v in eplane.interval_box(x, y):
+                if v in c:
+                    closed_form[eplane.lattice_distance(x, v)].add(v)
+            assert levels == tuple(map(frozenset, closed_form))
+
+
 def test_interval_levels_book_bfs_walk():
     c = samples.book_window(4, 8)
     verts = sorted(c.vertices())

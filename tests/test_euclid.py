@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from syslab import eplane
+from syslab.complexes import FlagComplex
 from syslab.directed import layers
-from syslab.errors import PreconditionViolated
+from syslab.errors import BoundaryUnsafe, PreconditionViolated
 from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
                            verify_contracting)
@@ -116,6 +117,64 @@ def test_equivariance(window12):
         direct = euclidean_geodesic(big, iso((0, 0)), iso((4, 2)),
                                     check_reversal=False)
         assert mapped == [sorted(s.verts) for s in direct]
+
+
+def _assert_memo_agrees(c, g):
+    assert goodness_constant(c, g) == oracles.uncached_goodness_constant(c, g)
+
+
+def test_goodness_memo_matches_oracle_on_plane_pairs():
+    c = eplane.window((0, 0), 16)
+    for y in sorted(c.vertices()):
+        if 2 <= eplane.lattice_distance((0, 0), y) <= 10:
+            selected = select_vertex_geodesic(euclidean_geodesic(c, (0, 0), y))
+            _assert_memo_agrees(c, selected)
+            _assert_memo_agrees(c, eplane.corner_geodesic((0, 0), y))
+
+
+def _random_lattice_geodesic(rng, n):
+    x = (rng.randint(-1, 1), rng.randint(-1, 1))
+    while True:
+        y = (x[0] + rng.randint(-n, n), x[1] + rng.randint(-n, n))
+        if eplane.lattice_distance(x, y) == n:
+            break
+    path = [x]
+    while path[-1] != y:
+        d = eplane.lattice_distance(path[-1], y)
+        path.append(rng.choice([u for u in eplane.neighbors(path[-1])
+                                if eplane.lattice_distance(u, y) == d - 1]))
+    return path
+
+
+def test_goodness_memo_matches_oracle_on_random_geodesics():
+    c = eplane.window((0, 0), 20)
+    rng = random.Random(5)
+    for _ in range(100):
+        g = _random_lattice_geodesic(rng, rng.randint(1, 16))
+        assert oracles.is_geodesic(c, g)
+        _assert_memo_agrees(c, g)
+
+
+def test_goodness_memo_keeps_margin_rule_on_cached_difference():
+    # A ball window minus the vertex (2, -1): its neighbours have margin 0.
+    ball = eplane.window((0, 0), 6)
+    hole = (2, -1)
+    c = FlagComplex(
+        {v: [u for u in ball.neighbors(v) if u != hole] for v in ball.vertices() if v != hole},
+        margin={v: min(ball.margin(v), eplane.lattice_distance(v, hole) - 1)
+                for v in ball.vertices() if v != hole},
+        metric_hint=eplane.lattice_distance, plane_backed=True)
+    # Sub-pair (2, 3) repeats the difference (2, 1) of sub-pair (0, 1) and is
+    # the first whose interval holds a margin-0 vertex. A geodesic cannot do
+    # this: its sub-pairs (0, k) come first and their intervals cover every
+    # later one. So the input is a vertex sequence with d(v_j, v_k) >= k - j.
+    path = [(-2, 4), (0, 5), (0, 0), (2, 1)]
+    expected = "interval vertex (1, 0) touches the window boundary (pair (0, 0), (2, 1))"
+    with pytest.raises(BoundaryUnsafe) as memo:
+        goodness_constant(c, path)
+    with pytest.raises(BoundaryUnsafe) as oracle:
+        oracles.uncached_goodness_constant(c, path)
+    assert str(memo.value) == str(oracle.value) == expected
 
 
 def test_contracting_equal_rays(window12):

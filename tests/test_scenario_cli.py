@@ -42,6 +42,14 @@ def test_parse_rejects_low_constants_without_flag():
     assert scenario.constants.C == 10
 
 
+def test_readme_scenario_example_parses():
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    scenario = parse_scenario_text(example)
+    assert scenario.name == "glide-minset"
+    assert [task.kind for task in scenario.tasks] == ["displacement-study"]
+
+
 def test_run_pipeline_scenario(tmp_path):
     scenario = load_scenario(SCENARIOS / "pipeline-42.scn")
     report, code = run_scenario(scenario, tmp_path)
@@ -164,7 +172,18 @@ PIPELINE_TASK = "[task p]\nkind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\
      "complex 'main' (eplane) key 'radius': expected an integer, got 'big'"),
     ("[complex main]\nkind = eplane\nradus = 5\n",
      "complex 'main' (eplane) has unknown key 'radus'"),
-], ids=["scenario-seed", "constant-C", "complex-radius", "complex-misspelt-key"])
+    ("[scenario]\nsede = 5\n\n[complex main]\nkind = eplane\n",
+     "[scenario] has unknown key 'sede'"),
+    ("[constants]\nCC = 10\n\n[complex main]\nkind = eplane\n",
+     "[constants] has unknown key 'CC'"),
+    ("[constants]\nC = 10\nempirical = maybe\n\n[complex main]\nkind = eplane\n",
+     "[constants] key 'empirical': expected one of true/false/yes/no/1/0, got 'maybe'"),
+    ("[constants extra]\n\n[complex main]\nkind = eplane\n",
+     "bad section [constants extra]"),
+    ("[ ]\n\n[complex main]\nkind = eplane\n", "unknown section [ ]"),
+], ids=["scenario-seed", "constant-C", "complex-radius", "complex-misspelt-key",
+        "scenario-misspelt-key", "constants-misspelt-key", "constants-empirical",
+        "constants-extra-word", "blank-section"])
 def test_cli_malformed_section_value_exits_2(tmp_path, capsys, head, message):
     scn = tmp_path / "bad.scn"
     scn.write_text(head + "\n" + PIPELINE_TASK)
@@ -172,6 +191,18 @@ def test_cli_malformed_section_value_exits_2(tmp_path, capsys, head, message):
     assert cli.main(["run", str(scn), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, empirical", [
+    ("[constants]\nC = 10\nempirical = yes\n", True),
+    ("[constants]\nC = 10\nempirical = TRUE\n", True),
+    ("[constants]\nC = 10\nempirical = 1\n", True),
+    ("[constants]\nempirical = no\n", False),
+    ("[constants]\nempirical = False\n", False),
+    ("[constants]\nempirical = 0\n", False),
+])
+def test_parse_constants_empirical_flag(text, empirical):
+    assert parse_scenario_text(text).constants.empirical is empirical
 
 
 def test_cli_malformed_constants_override_exits_2(tmp_path, capsys):
