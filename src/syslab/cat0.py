@@ -3,7 +3,9 @@
 The disk polygon is shrunk by half an edge along every layer segment; the
 resulting domain carries the intrinsic (CAT(0)) path metric. Its shrunken
 layer segments are portals, and shortest paths are funnel shortest paths
-through the layer portals, decided by exact side-of-line predicates alone.
+through the layer portals. Every point lives in integer doubled axial
+coordinates (``syslab.exact``), so each decision is an integer cross
+product and the diagonal's arc positions are ratios of them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .chardisk import CharDisk
 from .complexes import Simplex
 from .directed import ThickInterval
 from .errors import DegenerateDomain, NoCrossing, PreconditionViolated
-from .exact import ExactScalar, PlanePoint, cross, dist_sq, dot, lerp, orient
+from .exact import PlanePoint, orient
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,22 @@ class ModifiedDisk:
 
 @dataclass(frozen=True)
 class PolyPath:
-    """A polyline with exact vertices; its length is reported in floats."""
+    """A polyline with exact vertices; its length is reported in floats.
+
+    A funnel path also records, per inner layer i = j+1..k-1 of its
+    interval, the index a of the segment points[a] -> points[a+1] that
+    crosses the layer line (at points[a] when the path bends on that
+    portal): ``crossings[i - j - 1]``.
+    """
 
     points: Tuple[PlanePoint, ...]
+    crossings: Tuple[int, ...] = ()
 
     def length(self) -> float:
         total = 0.0
         for a, b in zip(self.points, self.points[1:]):
-            total += math.sqrt(float(dist_sq(a, b)))
+            dp, dq = b.p - a.p, b.q - a.q
+            total += math.sqrt((dp * dp + dp * dq + dq * dq) / 4)
         return total
 
     def __len__(self):
@@ -72,17 +82,17 @@ def modified_disk(disk: CharDisk) -> ModifiedDisk:
     """Shrink every layer segment of the disk by 1/2 at both ends.
 
     End layers have unit segments, so their two shrunken points coincide at
-    the midpoint, closing the polygon. All coordinates stay in Q[sqrt(3)].
+    the midpoint, closing the polygon. A corner half a unit step from a
+    vertex v is 2v + step in doubled axial coordinates.
     """
     j, k = disk.interval.j, disk.interval.k
     v_prime: List[PlanePoint] = []
     w_prime: List[PlanePoint] = []
     for i in range(j, k + 1):
         v, w = disk.layer_segment(i)
-        t = eplane.lattice_distance(v, w)
-        pv, pw = eplane.embed(v), eplane.embed(w)
-        v_prime.append(lerp(pv, pw, Fraction(1, 2 * t)))
-        w_prime.append(lerp(pw, pv, Fraction(1, 2 * t)))
+        _, (sp, sq) = _layer_step(v, w, i)
+        v_prime.append(PlanePoint(2 * v[0] + sp, 2 * v[1] + sq))
+        w_prime.append(PlanePoint(2 * w[0] - sp, 2 * w[1] - sq))
     if v_prime[0] != w_prime[0] or v_prime[-1] != w_prime[-1]:
         raise PreconditionViolated("bracket layers of the interval are not unit edges")
     polygon = tuple(v_prime[:-1] + [v_prime[-1]] + list(reversed(w_prime[1:-1])))
@@ -98,6 +108,16 @@ def _all_collinear(points) -> bool:
     return all(orient(a, b, p) == 0 for p in points[2:])
 
 
+def _layer_step(v, w, i: int) -> Tuple[int, Tuple[int, int]]:
+    """Length t of the straight layer segment i from v to w, and the unit
+    lattice step from v toward w."""
+    t = eplane.lattice_distance(v, w)
+    dp, dq = w[0] - v[0], w[1] - v[1]
+    if t == 0 or dp % t or dq % t:
+        raise PreconditionViolated(f"layer {i} segment {v}-{w} is not a lattice segment")
+    return t, (dp // t, dq // t)
+
+
 # -- shortest paths --------------------------------------------------------------
 
 
@@ -109,19 +129,24 @@ def shortest_path(m: ModifiedDisk) -> PolyPath:
     inner layers: the funnel algorithm (Lee-Preparata 1984), with exact
     orientation tests only. A portal point on a side of the funnel tightens
     the funnel instead of bending the path, so no interior vertex of the
-    result is collinear with its neighbours.
+    result is collinear with its neighbours. Each path vertex is an end of
+    a later portal than the one before it, so the segment between two
+    vertices crosses exactly the portals between theirs; the result records
+    that segment per inner portal (Hershberger-Snoeyink 1994).
     """
     start, goal = m.start, m.goal
     if m.degenerate:
         # collapsed domain: the path is forced along the segment, provided
-        # every corner lies between the endpoints
-        d = goal - start
-        for p in m.polygon:
-            t = dot(p - start, d)
-            if t.sign() < 0 or (t - dot(d, d)).sign() > 0:
+        # every corner lies between the endpoints (all corners are collinear,
+        # so any inner product orders them)
+        dp, dq = goal.p - start.p, goal.q - start.q
+        span = dp * dp + dq * dq
+        for c in m.polygon:
+            t = (c.p - start.p) * dp + (c.q - start.q) * dq
+            if t < 0 or t > span:
                 raise DegenerateDomain(
                     "domain collapsed to a segment extending beyond the endpoints")
-        return PolyPath((start, goal))
+        return PolyPath((start, goal), (0,) * (m.interval.k - m.interval.j - 1))
     # (left, right) as seen walking from start; portals are parallel to the
     # start's layer line, so the sign below is 0 only for a one-point portal
     portals = [(start, start)]
@@ -129,6 +154,7 @@ def shortest_path(m: ModifiedDisk) -> PolyPath:
         portals.append((w, v) if orient(start, v, w) > 0 else (v, w))
     portals.append((goal, goal))
     points = [start]
+    portal_of = [0]                               # portal index of each path vertex
     apex = left = right = start
     left_i = right_i = 0
     i = 1
@@ -137,6 +163,7 @@ def shortest_path(m: ModifiedDisk) -> PolyPath:
         if orient(apex, right, rp) >= 0:          # rp narrows the right side
             if orient(apex, left, rp) > 0:        # ... past the left side
                 points.append(left)
+                portal_of.append(left_i)
                 apex = right = left
                 right_i, i = left_i, left_i + 1
                 continue
@@ -144,13 +171,18 @@ def shortest_path(m: ModifiedDisk) -> PolyPath:
         if orient(apex, left, lp) <= 0:           # lp narrows the left side
             if orient(apex, right, lp) < 0:       # ... past the right side
                 points.append(right)
+                portal_of.append(right_i)
                 apex = left = right
                 left_i, i = right_i, right_i + 1
                 continue
             left, left_i = lp, i
         i += 1
     points.append(goal)
-    return PolyPath(tuple(points))
+    portal_of.append(len(portals) - 1)
+    crossings = []
+    for a in range(len(points) - 1):
+        crossings += [a] * (portal_of[a + 1] - portal_of[a])
+    return PolyPath(tuple(points), tuple(crossings[1:]))
 
 
 # -- the Euclidean diagonal --------------------------------------------------------
@@ -159,22 +191,24 @@ def shortest_path(m: ModifiedDisk) -> PolyPath:
 def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
     """Nearest disk simplex to the crossing of alpha with every inner layer.
 
-    The crossing point is intersected exactly; the nearest lattice vertex on
-    the layer segment is chosen, or the edge itself when the crossing sits
-    exactly on an edge barycenter (decidable in Q[sqrt(3)]). The defining
-    span conditions of the diagonal are re-verified before returning.
+    The crossing is read off the segment of alpha that the funnel recorded
+    for the layer; its arc position along the layer segment is an exact
+    ratio of integer cross products. The nearest lattice vertex on the
+    layer segment is chosen, or the edge itself when the crossing sits
+    exactly on an edge barycenter. The defining span conditions of the
+    diagonal are re-verified before returning.
     """
     j, k = disk.interval.j, disk.interval.k
+    if len(alpha.crossings) != k - j - 1:
+        raise NoCrossing(f"path records {len(alpha.crossings)} layer crossings "
+                         f"for {k - j - 1} inner layers")
     sims: List[Simplex] = []
-    for i in range(j + 1, k):
+    for i, a in zip(range(j + 1, k), alpha.crossings):
         v, w = disk.layer_segment(i)
-        pv, pw = eplane.embed(v), eplane.embed(w)
-        t = eplane.lattice_distance(v, w)
-        point = _line_crossing(alpha, pv, pw, i)
-        u = dot(point - pv, pw - pv) / ExactScalar(t)  # arc position in [0, t]
-        if u.sign() < 0 or (u - t).sign() > 0:
+        t, step = _layer_step(v, w, i)
+        u = _crossing_arc(alpha, a, v, step, i)
+        if u < 0 or u > t:
             raise NoCrossing(f"crossing with layer {i} lies outside its segment")
-        step = ((w[0] - v[0]) // t, (w[1] - v[1]) // t)
         best = nearest_simplex_on_segment(u, t)
         verts = tuple((v[0] + step[0] * mpos, v[1] + step[1] * mpos) for mpos in best)
         sims.append(Simplex.of(verts))
@@ -183,35 +217,22 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
     return diag
 
 
-def _line_crossing(alpha: PolyPath, pv: PlanePoint, pw: PlanePoint, i: int) -> PlanePoint:
-    """The unique point where alpha crosses the line through pv and pw."""
-    direction = pw - pv
-    sides = [cross(direction, p - pv).sign() for p in alpha.points]
-    hits: List[PlanePoint] = []
-    for a in range(len(alpha.points) - 1):
-        s0, s1 = sides[a], sides[a + 1]
-        if s0 == 0 and s1 == 0:
-            continue  # sliding along the line handled by vertex hits
-        if s0 == 0:
-            if a == 0 or sides[a - 1] != 0:
-                hits.append(alpha.points[a])
-            continue
-        if s1 == 0:
-            if a + 1 == len(alpha.points) - 1:
-                hits.append(alpha.points[a + 1])
-            continue
-        if s0 * s1 < 0:
-            p, q = alpha.points[a], alpha.points[a + 1]
-            d1 = q - p
-            s = cross(p - pv, direction) / cross(direction, d1)
-            hits.append(lerp(p, q, s))
-    uniq: List[PlanePoint] = []
-    for h in hits:
-        if not any(h == u for u in uniq):
-            uniq.append(h)
-    if len(uniq) != 1:
-        raise NoCrossing(f"path crosses layer {i} line {len(uniq)} times")
-    return uniq[0]
+def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Fraction:
+    """Arc position u, in unit steps from v, where segment a of alpha meets
+    the line of layer i through v along step.
+
+    With A, B the segment's ends relative to 2v (doubled axial) and s the
+    step, the meeting point is 2u*s, and crossing both sides with B - A
+    gives 2u = cross(A, B) / (cross(s, B) - cross(s, A)).
+    """
+    A, B = alpha.points[a], alpha.points[a + 1]
+    ap, aq = A.p - 2 * v[0], A.q - 2 * v[1]
+    bp, bq = B.p - 2 * v[0], B.q - 2 * v[1]
+    side_a = step[0] * aq - step[1] * ap
+    side_b = step[0] * bq - step[1] * bp
+    if side_a == side_b or side_a * side_b > 0:
+        raise NoCrossing(f"path segment {a} does not cross the layer {i} line")
+    return Fraction(ap * bq - aq * bp, 2 * (side_b - side_a))
 
 
 def _verify_diagonal(disk: CharDisk, diag: Diagonal):
@@ -246,18 +267,12 @@ def nearest_simplex_on_segment(u, segment_length: int):
     """Decision rule for a crossing at exact arc position u along a segment.
 
     Returns a 1-tuple (vertex index) or 2-tuple (edge) of integer positions;
-    the edge is returned only on an exact barycenter hit.
+    the edge is returned only on an exact barycenter hit, where 2u is an odd
+    integer. Otherwise the vertex is the integer nearest to u.
     """
-    u = u if isinstance(u, ExactScalar) else ExactScalar(Fraction(u))
-    double = u * 2
-    for mpos in range(segment_length + 1):
-        diff = double - (2 * mpos)
-        if diff.sign() == 0:
-            return (mpos,)
-        if abs(diff) == ExactScalar(1):
-            lo = mpos if diff.sign() > 0 else mpos - 1
-            return (lo, lo + 1)
-        if diff.sign() < 0:
-            prev_gap = double - (2 * mpos - 1)
-            return (mpos,) if prev_gap.sign() > 0 else (mpos - 1,)
-    return (segment_length,)
+    double = 2 * Fraction(u)
+    if double.denominator == 1 and double.numerator % 2:
+        lo = (double.numerator - 1) // 2
+        return (lo, lo + 1)
+    nearest = math.floor((double + 1) / 2)
+    return (min(max(nearest, 0), segment_length),)

@@ -66,24 +66,7 @@ def boundary_cycle(c: FlagComplex, interval: ThickInterval,
         options.append(pairs)
 
     chain: list = []
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(options):
-            return True
-        for s, t in options[pos]:
-            if pos in (0, len(options) - 1) and s == t:
-                continue  # embeddedness at the thin brackets
-            if chain:
-                ps, pt = chain[-1]
-                if not (c.adjacent(ps, s) and c.adjacent(pt, t)):
-                    continue
-            chain.append((s, t))
-            if backtrack(pos + 1):
-                return True
-            chain.pop()
-        return False
-
-    if not backtrack(0):
+    if not _extend_chain(c, options, chain, 0):
         raise NoRealizingChain(
             f"no adjacent embedded realizing chain for interval ({j}, {k})")
     s_side = tuple(p[0] for p in chain)
@@ -95,6 +78,29 @@ def boundary_cycle(c: FlagComplex, interval: ThickInterval,
     if len(set(cycle)) != len(cycle):
         raise NoRealizingChain("realizing cycle is not embedded")
     return BoundaryCycle(interval, s_side, t_side, cycle)
+
+
+def _extend_chain(c: FlagComplex, options, chain: list, pos: int) -> bool:
+    """Backtracking search for one realizing pair per layer from pos on.
+
+    A module function rather than a nested one: a recursive closure refers
+    to itself through its cell, and that cycle would keep the complex alive
+    until the cyclic garbage collector runs.
+    """
+    if pos == len(options):
+        return True
+    for s, t in options[pos]:
+        if pos in (0, len(options) - 1) and s == t:
+            continue  # embeddedness at the thin brackets
+        if chain:
+            ps, pt = chain[-1]
+            if not (c.adjacent(ps, s) and c.adjacent(pt, t)):
+                continue
+        chain.append((s, t))
+        if _extend_chain(c, options, chain, pos + 1):
+            return True
+        chain.pop()
+    return False
 
 
 @dataclass(frozen=True)

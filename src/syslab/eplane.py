@@ -2,7 +2,8 @@
 
 Vertices are integer pairs (a, b); the six neighbors of every vertex are the
 fixed offset set below, and embedding (a, b) at (a + b/2, b*sqrt(3)/2) makes
-every edge have unit length. The simplicial automorphisms form the
+every edge have unit length; ``embed`` returns that point as the integer
+pair 2*(a, b) (see ``syslab.exact``). The simplicial automorphisms form the
 lattice-affine group: the order-12 hexagonal point group plus translations.
 """
 
@@ -13,7 +14,7 @@ from typing import Iterator, Tuple
 
 from . import complexes
 from .errors import PreconditionViolated, ScenarioParseError
-from .exact import ExactScalar, PlanePoint
+from .exact import PlanePoint
 
 Axial = Tuple[int, int]
 
@@ -40,8 +41,8 @@ def lattice_distance(u: Axial, v: Axial) -> int:
 
 
 def embed(v: Axial) -> PlanePoint:
-    a, b = v
-    return PlanePoint(ExactScalar(2 * a + b, 0, 2), ExactScalar(0, b, 2))
+    """The vertex as a plane point, in doubled axial coordinates."""
+    return PlanePoint(2 * v[0], 2 * v[1])
 
 
 def corner_geodesic(x: Axial, y: Axial) -> Tuple[Axial, ...]:

@@ -135,27 +135,32 @@ def select_vertex_geodesic(e: EuclideanGeodesic) -> Tuple:
     outputs. Failure would contradict the existence guarantee and is
     reported with full context.
     """
-    c = e.complex
     choices = [sorted(s.verts, reverse=True) for s in e.simplices]
     picked: List = []
-
-    def dfs(pos: int) -> bool:
-        if pos == len(choices):
-            return True
-        for v in choices[pos]:
-            if picked and not c.adjacent(picked[-1], v) and picked[-1] != v:
-                continue
-            picked.append(v)
-            if dfs(pos + 1):
-                return True
-            picked.pop()
-        return False
-
-    if not dfs(0):
+    if not _thread(e.complex, choices, picked, 0):
         raise NoSelection(
             f"no vertex geodesic through the euclidean geodesic of "
             f"({e.x}, {e.y}); simplices: {[s.verts for s in e.simplices]}")
     return tuple(picked)
+
+
+def _thread(c: FlagComplex, choices, picked: List, pos: int) -> bool:
+    """Depth-first search for an adjacent chain through choices[pos:].
+
+    A module function rather than a nested one: a recursive closure refers
+    to itself through its cell, and that cycle would keep the complex alive
+    until the cyclic garbage collector runs.
+    """
+    if pos == len(choices):
+        return True
+    for v in choices[pos]:
+        if picked and not c.adjacent(picked[-1], v) and picked[-1] != v:
+            continue
+        picked.append(v)
+        if _thread(c, choices, picked, pos + 1):
+            return True
+        picked.pop()
+    return False
 
 
 @dataclass(frozen=True)
@@ -177,9 +182,11 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     built per distinct difference v_k - v_j and shifted onto every later
     sub-pair with that difference, each of which still passes the margin
     rule first; other complexes build one Euclidean geodesic per sub-pair.
-    Quadratic in the length either way.
+    Quadratic in the length either way. The input must be a vertex
+    geodesic; that is checked first, in O(n).
     """
     verts = tuple(geodesic)
+    _require_vertex_geodesic(c, verts)
     memo = {} if c.plane_backed else None
     best = 0
     witness = None
@@ -195,6 +202,22 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
                         best = d
                         witness = (j, k, i, u, d)
     return GoodnessReport(verts, best, witness, pairs)
+
+
+def _require_vertex_geodesic(c: FlagComplex, verts: Tuple):
+    """Every step is an edge and the ends are n steps apart. Then every
+    sub-path is a geodesic as well, so the check covers each sub-pair."""
+    for a, (u, v) in enumerate(zip(verts, verts[1:])):
+        if u not in c or v not in c or not c.adjacent(u, v):
+            raise PreconditionViolated(
+                f"not a vertex geodesic: step {a} from {u} to {v} is not an edge")
+    n = len(verts) - 1
+    if n > 1:
+        d = c.true_distance(verts[0], verts[-1])
+        if d != n:
+            raise PreconditionViolated(
+                f"not a vertex geodesic: d({verts[0]}, {verts[-1]}) = {d} "
+                f"but the sequence takes {n} steps")
 
 
 def _sub_simplices(c: FlagComplex, x, y, memo: Optional[dict]) -> Sequence:

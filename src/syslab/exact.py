@@ -1,10 +1,17 @@
-"""Exact arithmetic in the field Q[sqrt(3)] and planar predicates built on it.
+"""Integer plane points and the exact orientation predicate on them.
 
-Every coordinate produced by embedding the triangular lattice lies in
-Q[sqrt(3)], so incidence and side-of-line decisions can be made exactly.
-A scalar is stored as (a + b*sqrt(3)) / den with integer a, b and den > 0;
-the representation is not kept reduced (comparisons cross-multiply), which
-keeps the hot paths on plain integer arithmetic.
+A lattice vertex (a, b) sits at (a + b/2, b*sqrt(3)/2). Every point the
+CAT(0) stages build is an embedded vertex or a modified-disk corner half an
+edge away from one, so its axial coordinates are half-integers and it is
+stored as the integer pair (p, q) = 2*(a, b), doubled axial coordinates.
+The embedding is linear with positive determinant, so the sign of a turn is
+the sign of the integer axial cross product: no decision needs sqrt(3).
+Floats are produced only for drawing and for path lengths.
+
+``ExactScalar``, a number (a + b*sqrt(3))/den of Q[sqrt(3)], is not used by
+the pipeline; the independent Q[sqrt(3)] oracles of the test suite build on
+it. It is stored with integer a, b and den > 0, not kept reduced
+(comparisons cross-multiply).
 """
 
 from __future__ import annotations
@@ -170,76 +177,37 @@ def _require(value):
     return o
 
 
-HALF = ExactScalar(1, 0, 2)
-
-
 class PlanePoint:
-    """A point (or vector) of the plane with ExactScalar coordinates."""
+    """A plane point (or vector) in doubled axial coordinates: integers (p, q)
+    standing for the axial position (p/2, q/2)."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("p", "q")
 
-    def __init__(self, x, y):
-        self.x = _require(x)
-        self.y = _require(y)
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
 
     def __add__(self, other):
-        return PlanePoint(self.x + other.x, self.y + other.y)
+        return PlanePoint(self.p + other.p, self.q + other.q)
 
     def __sub__(self, other):
-        return PlanePoint(self.x - other.x, self.y - other.y)
-
-    def scale(self, factor):
-        return PlanePoint(self.x * factor, self.y * factor)
+        return PlanePoint(self.p - other.p, self.q - other.q)
 
     def __eq__(self, other):
-        return isinstance(other, PlanePoint) and self.x == other.x and self.y == other.y
+        return isinstance(other, PlanePoint) and self.p == other.p and self.q == other.q
 
     def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __iter__(self):
-        return iter((self.x, self.y))
+        return hash((self.p, self.q))
 
     def to_floats(self):
-        return float(self.x), float(self.y)
+        """Cartesian (x, y) = ((2p + q)/4, q*sqrt(3)/4) in floats."""
+        return (2 * self.p + self.q) / 4, self.q * sqrt(3.0) / 4
 
     def __repr__(self):
-        return f"P({self.x!r}, {self.y!r})"
-
-
-def cross(u: PlanePoint, v: PlanePoint) -> ExactScalar:
-    return u.x * v.y - u.y * v.x
-
-
-def dot(u: PlanePoint, v: PlanePoint) -> ExactScalar:
-    return u.x * v.x + u.y * v.y
+        return f"P({self.p}, {self.q})"
 
 
 def orient(o: PlanePoint, a: PlanePoint, b: PlanePoint) -> int:
     """Sign of the turn o->a->b: +1 left, -1 right, 0 collinear. Exact."""
-    return cross(a - o, b - o).sign()
-
-
-def dist_sq(a: PlanePoint, b: PlanePoint) -> ExactScalar:
-    d = b - a
-    return dot(d, d)
-
-
-def midpoint(a: PlanePoint, b: PlanePoint) -> PlanePoint:
-    return PlanePoint((a.x + b.x) * HALF, (a.y + b.y) * HALF)
-
-
-def lerp(a: PlanePoint, b: PlanePoint, t) -> PlanePoint:
-    """a + t*(b - a) with t rational or ExactScalar."""
-    t = _require(t)
-    return PlanePoint(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-
-
-def on_segment(p: PlanePoint, a: PlanePoint, b: PlanePoint) -> bool:
-    """Whether p lies on the closed segment [a, b]. Exact."""
-    if orient(a, b, p) != 0:
-        return False
-    d = b - a
-    t = dot(p - a, d)
-    return t.sign() >= 0 and (t - dot(d, d)).sign() <= 0
-
+    c = (a.p - o.p) * (b.q - o.q) - (a.q - o.q) * (b.p - o.p)
+    return (c > 0) - (c < 0)

@@ -9,6 +9,7 @@ displacement set at the translation length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -19,7 +20,6 @@ from .errors import (BoundaryUnsafe, Inconclusive, NoStableSegment,
                      NotTranslationLike, PreconditionViolated,
                      ScenarioParseError)
 from .euclid import euclidean_geodesic, select_vertex_geodesic
-from .exact import ExactScalar, cross, dot
 
 
 class Isometry:
@@ -283,14 +283,15 @@ def invariant_geodesic_on_plane(h: eplane.PlaneIsometry, x: eplane.Axial,
     embeddings (ties broken toward the right of the line, which is stable
     under rotation conjugation), then repeated through powers of h. The
     result stays within CAT(0) distance 1 of the axis and is verified to be
-    a geodesic.
+    a geodesic. Distances to the axis line are compared through the axial
+    cross product, which is sqrt(3)/2 times the Euclidean one.
     """
     if isinstance(h, PlaneAction):
         h = h.iso
     if not h.is_translation or h.shift == (0, 0):
         raise NotTranslationLike(f"{h} does not act as a nonzero translation")
     target = h.apply(x)
-    axis_dir = eplane.embed(target) - eplane.embed(x)
+    axis_dir = _diff(target, x)
     period = [x]
     current = x
     while current != target:
@@ -299,8 +300,8 @@ def invariant_geodesic_on_plane(h: eplane.PlaneIsometry, x: eplane.Axial,
         for nb in eplane.neighbors(current):
             if eplane.lattice_distance(nb, target) != remaining - 1:
                 continue
-            offset = cross(axis_dir, eplane.embed(nb) - eplane.embed(x))
-            options.append(((offset * offset, offset.sign()), nb))
+            offset = _cross(axis_dir, _diff(nb, x))
+            options.append(((offset * offset, (offset > 0) - (offset < 0)), nb))
         if not options:
             raise PreconditionViolated("no distance-reducing neighbor; bad metric")
         options.sort(key=lambda t: t[0])
@@ -324,29 +325,36 @@ def _assert_geodesic(vertices):
                     f"constructed sequence is not a geodesic at ({i}, {j})")
 
 
+def _diff(u, v):
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def _cross(u, v) -> int:
+    """Axial cross product; the Euclidean one of the embeddings is sqrt(3)/2 times it."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _norm_sq(d) -> int:
+    """Squared Euclidean length of the embedding of the axial vector d."""
+    return d[0] * d[0] + d[0] * d[1] + d[1] * d[1]
+
+
 def _assert_line_distance(vertices, x, axis_dir):
-    norm_sq = dot(axis_dir, axis_dir)
-    base = eplane.embed(x)
+    norm_sq = _norm_sq(axis_dir)
     for v in vertices:
-        off = cross(axis_dir, eplane.embed(v) - base)
-        if ((off * off) - norm_sq).sign() > 0:  # distance > 1
+        off = _cross(axis_dir, _diff(v, x))
+        if 3 * off * off > 4 * norm_sq:  # distance > 1
             raise PreconditionViolated(f"vertex {v} strays beyond distance 1 of the axis")
 
 
-def axis_line_max_distance_sq(vertices, h: eplane.PlaneIsometry, x) -> ExactScalar:
-    """Exact squared CAT(0) distance from the farthest vertex to the axis line."""
+def axis_line_max_distance_sq(vertices, h: eplane.PlaneIsometry, x) -> Fraction:
+    """Exact squared CAT(0) distance from the farthest vertex to the axis
+    line: (3/4) * cross^2 / |axis|^2 with the axial cross product."""
     if isinstance(h, PlaneAction):
         h = h.iso
-    axis_dir = eplane.embed(h.apply(x)) - eplane.embed(x)
-    norm_sq = dot(axis_dir, axis_dir)
-    base = eplane.embed(x)
-    best = ExactScalar(0)
-    for v in vertices:
-        off = cross(axis_dir, eplane.embed(v) - base)
-        val = off * off / norm_sq
-        if (val - best).sign() > 0:
-            best = val
-    return best
+    axis_dir = _diff(h.apply(x), x)
+    top = max((_cross(axis_dir, _diff(v, x)) ** 2 for v in vertices), default=0)
+    return Fraction(3 * top, 4 * _norm_sq(axis_dir))
 
 
 # -- central good geodesics across truncations ---------------------------------------

@@ -19,7 +19,11 @@ SCALE = 40.0
 
 
 def _xy(v):
-    x, y = eplane.embed(v).to_floats()
+    return _scaled(eplane.embed(v))
+
+
+def _scaled(p):
+    x, y = p.to_floats()
     return x * SCALE, -y * SCALE
 
 
@@ -97,14 +101,12 @@ def render_pipeline_svg(c: FlagComplex, x, y) -> str:
         parts.append('<g id="modified-{}-{}" fill="none" stroke="#417505" '
                      'stroke-width="1.2" stroke-dasharray="4 3">'.format(
                          interval.j, interval.k))
-        ring = " ".join(_pt((float(p.x) * SCALE, -float(p.y) * SCALE))
-                        for p in mdisk.polygon)
+        ring = " ".join(_pt(_scaled(p)) for p in mdisk.polygon)
         parts.append(f'<polygon points="{ring}"/>')
         parts.append('</g>')
         parts.append('<g id="alpha-{}-{}" fill="none" stroke="#111111" '
                      'stroke-width="2">'.format(interval.j, interval.k))
-        line = " ".join(_pt((float(p.x) * SCALE, -float(p.y) * SCALE))
-                        for p in alpha.points)
+        line = " ".join(_pt(_scaled(p)) for p in alpha.points)
         parts.append(f'<polyline points="{line}"/>')
         parts.append('</g>')
 

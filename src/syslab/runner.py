@@ -27,7 +27,7 @@ from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
 from .isodyn import (PlaneAction, check_min_proximity, displacement_set,
                      is_hyperbolic, min_set, translation_length)
-from .scenario import Scenario, _parse_axial, parse_fraction_list
+from .scenario import Scenario
 
 SCHEMA = "report/1"
 
@@ -143,9 +143,8 @@ def _sample_safe_pair(c: FlagComplex, rng, max_distance: int,
 
 
 def _task_pipeline(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.params["complex"])
-    x = _parse_axial(task.params["from"])
-    y = _parse_axial(task.params["to"])
+    c = scenario.complex(task.values["complex"])
+    x, y = task.values["from"], task.values["to"]
     euclid = euclidean_geodesic(c, x, y, check_reversal=True)
     layer_seq = euclid.layers
     selected = select_vertex_geodesic(euclid)
@@ -169,9 +168,9 @@ def _task_pipeline(scenario, task, record, rng, out_dir):
 
 
 def _task_goodness(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.params["complex"])
-    n_pairs = int(task.params.get("pairs", "20"))
-    max_d = int(task.params.get("max_distance", "10"))
+    c = scenario.complex(task.values["complex"])
+    n_pairs = task.values["pairs"]
+    max_d = task.values["max_distance"]
     worst_sel = (0, None)
     worst_corner = (0, None)
     for _ in range(n_pairs):
@@ -194,9 +193,9 @@ def _task_goodness(scenario, task, record, rng, out_dir):
     record.assertions.append(Assertion(
         "corner-goodness", "C", C, worst_corner[0], worst_corner[0] <= C,
         worst_corner[1]))
-    if "staircase_map" in task.params:
+    if "staircase_map" in task.values:
         _goodness_staircase(scenario, task, record, c)
-    if "ambient" in task.params:
+    if "ambient" in task.values:
         _goodness_ambient(scenario, task, record, c)
 
 
@@ -205,9 +204,9 @@ def _goodness_staircase(scenario, task, record, c):
     import math
 
     from .isodyn import axis_line_max_distance_sq, invariant_geodesic_on_plane
-    h = eplane.parse_isometry(task.params["staircase_map"])
-    length = int(task.params.get("staircase_length", "16"))
-    origin = _parse_axial(task.params.get("staircase_origin", "0 0"))
+    h = task.values["staircase_map"]
+    length = task.values["staircase_length"]
+    origin = task.values["staircase_origin"]
     gamma = invariant_geodesic_on_plane(h, origin, length)
     hausdorff = math.sqrt(float(axis_line_max_distance_sq(gamma, h, origin)))
     bound = 4 * hausdorff / math.sqrt(3.0) + 1
@@ -221,7 +220,7 @@ def _goodness_staircase(scenario, task, record, c):
 def _goodness_ambient(scenario, task, record, flat):
     """Goodness measured inside a larger sample degrades by at most 10."""
     from .scenario import _sample_by_name
-    ambient = _sample_by_name(task.params["ambient"])
+    ambient = _sample_by_name(task.values["ambient"])
     embed_map = samples.book_flat_embedding
     geodesics = [tuple((i, 0) for i in range(-4, 5)),
                  tuple((i // 2 + i % 2, i // 2) for i in range(-4, 5))]
@@ -233,19 +232,19 @@ def _goodness_ambient(scenario, task, record, flat):
         entry = (ambient_c, flat_c + 10, (g[0], g[-1]))
         if worst is None or entry[0] - entry[1] > worst[0] - worst[1]:
             worst = entry
-    record.outputs["ambient_sample"] = task.params["ambient"]
+    record.outputs["ambient_sample"] = task.values["ambient"]
     record.assertions.append(Assertion(
         "flat-ambient-goodness", "C'+10", worst[1], worst[0],
         worst[0] <= worst[1], worst[2]))
 
 
 def _task_displacement(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.params["complex"])
-    h = PlaneAction(scenario.isometry(task.params["isometry"]))
-    n_pairs = int(task.params.get("pairs", "10"))
-    max_d = int(task.params.get("max_distance", "20"))
+    c = scenario.complex(task.values["complex"])
+    h = PlaneAction(scenario.isometry(task.values["isometry"]))
+    n_pairs = task.values["pairs"]
+    max_d = task.values["max_distance"]
     if not is_hyperbolic(h):
-        raise TaskFailed(f"{task.params['isometry']} is not hyperbolic")
+        raise TaskFailed(f"{task.values['isometry']} is not hyperbolic")
     L = translation_length(h)
     mset = min_set(h, c)
     bound = 9 * L + 6
@@ -303,12 +302,12 @@ def _task_displacement(scenario, task, record, rng, out_dir):
 
 
 def _task_contracting(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.params["complex"])
-    n_pairs = int(task.params.get("pairs", "50"))
-    n_doubling = int(task.params.get("doubling", "20"))
-    max_d = int(task.params.get("max_distance", "12"))
-    cs = parse_fraction_list(task.params.get("cs", "1/4 1/2 3/4"))
-    origin = _parse_axial(task.params.get("origin", "0 0"))
+    c = scenario.complex(task.values["complex"])
+    n_pairs = task.values["pairs"]
+    n_doubling = task.values["doubling"]
+    max_d = task.values["max_distance"]
+    cs = task.values["cs"]
+    origin = task.values["origin"]
     rays = []
     seen = set()
     want = max(8, min(40, n_pairs))
@@ -361,7 +360,7 @@ def _task_contracting(scenario, task, record, rng, out_dir):
 
 
 def _task_extendability(scenario, task, record, rng, out_dir):
-    depth = int(task.params.get("depth", "10"))
+    depth = task.values["depth"]
     table = treestudy.tree_extendability(depth)
     expected = {samples.branch_tip(n): n for n in range(2, depth)}
     mismatches = [(e.y, e.E, expected[e.y]) for e in table.entries
@@ -370,8 +369,8 @@ def _task_extendability(scenario, task, record, rng, out_dir):
     record.assertions.append(Assertion(
         "tree-unbounded-E", "E(0, tip_n) = n", "exact",
         table.max_E(), not mismatches, mismatches or None))
-    n_control = int(task.params.get("control_pairs", "12"))
-    span = int(task.params.get("control_span", "6"))
+    n_control = task.values["control_pairs"]
+    span = task.values["control_span"]
     pairs = []
     for _ in range(n_control):
         x = (rng.randint(-span, span), rng.randint(-span, span))
@@ -386,11 +385,9 @@ def _task_extendability(scenario, task, record, rng, out_dir):
 
 
 def _task_render(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.params["complex"])
-    x = _parse_axial(task.params["from"])
-    y = _parse_axial(task.params["to"])
-    svg = render.render_pipeline_svg(c, x, y)
-    out_name = task.params.get("out", f"{task.name}.svg")
+    c = scenario.complex(task.values["complex"])
+    svg = render.render_pipeline_svg(c, task.values["from"], task.values["to"])
+    out_name = task.values.get("out", f"{task.name}.svg")
     path = out_dir / out_name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(svg, encoding="utf-8")

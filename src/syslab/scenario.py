@@ -19,36 +19,41 @@ from .complexes import FlagComplex, load_complex
 from .errors import PreconditionViolated, ScenarioParseError
 from .euclid import GoodnessConstants
 
-# task kind -> {parameter its runner handler reads: (type, required)}; "int"
-# and "vertex" values are checked at parse time, "text" ones by their handler
+# Schemas map each key to (type, default). Every value is checked against its
+# type at parse time; the default is REQUIRED, None (optional, no default), or
+# the raw text the key takes when it is absent.
+REQUIRED = object()
+
+# task kind -> {parameter its runner handler reads: (type, default)}; "text"
+# values that name a complex or isometry are checked against the file
 TASK_KINDS = {
-    "geodesic-pipeline": {"complex": ("text", True), "from": ("vertex", True),
-                          "to": ("vertex", True)},
-    "goodness-sweep": {"complex": ("text", True), "pairs": ("int", False),
-                       "max_distance": ("int", False), "staircase_map": ("text", False),
-                       "staircase_length": ("int", False),
-                       "staircase_origin": ("vertex", False), "ambient": ("text", False)},
-    "displacement-study": {"complex": ("text", True), "isometry": ("text", True),
-                           "pairs": ("int", False), "max_distance": ("int", False)},
-    "contracting-suite": {"complex": ("text", True), "pairs": ("int", False),
-                          "doubling": ("int", False), "max_distance": ("int", False),
-                          "cs": ("text", False), "origin": ("vertex", False)},
-    "extendability-study": {"depth": ("int", False), "control_pairs": ("int", False),
-                            "control_span": ("int", False)},
-    "figure-render": {"complex": ("text", True), "from": ("vertex", True),
-                      "to": ("vertex", True), "out": ("text", False)},
+    "geodesic-pipeline": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
+                          "to": ("vertex", REQUIRED)},
+    "goodness-sweep": {"complex": ("text", REQUIRED), "pairs": ("int", "20"),
+                       "max_distance": ("int", "10"), "staircase_map": ("isometry", None),
+                       "staircase_length": ("int", "16"),
+                       "staircase_origin": ("vertex", "0 0"), "ambient": ("text", None)},
+    "displacement-study": {"complex": ("text", REQUIRED), "isometry": ("text", REQUIRED),
+                           "pairs": ("int", "10"), "max_distance": ("int", "20")},
+    "contracting-suite": {"complex": ("text", REQUIRED), "pairs": ("int", "50"),
+                          "doubling": ("int", "20"), "max_distance": ("int", "12"),
+                          "cs": ("fractions", "1/4 1/2 3/4"), "origin": ("vertex", "0 0")},
+    "extendability-study": {"depth": ("int", "10"), "control_pairs": ("int", "12"),
+                            "control_span": ("int", "6")},
+    "figure-render": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
+                      "to": ("vertex", REQUIRED), "out": ("text", None)},
 }
 
-# [scenario] and [constants] keys: (type, required)
-SCENARIO_KEYS = {"name": ("text", False), "seed": ("int", False)}
-CONSTANTS_KEYS = {"C": ("int", False), "D": ("int", False), "empirical": ("bool", False)}
+# [scenario] and [constants] keys
+SCENARIO_KEYS = {"name": ("text", None), "seed": ("int", None)}
+CONSTANTS_KEYS = {"C": ("int", None), "D": ("int", None), "empirical": ("bool", None)}
 
-# complex kind -> {parameter ComplexSpec.build reads: (type, required)}
+# complex kind -> {parameter ComplexSpec.build reads: (type, default)}
 COMPLEX_KINDS = {
-    "eplane": {"radius": ("int", False), "center": ("vertex", False)},
-    "file": {"path": ("text", True)},
-    "tree": {"depth": ("int", False)},
-    "sample": {"name": ("text", True)},
+    "eplane": {"radius": ("int", None), "center": ("vertex", None)},
+    "file": {"path": ("text", REQUIRED)},
+    "tree": {"depth": ("int", None)},
+    "sample": {"name": ("text", REQUIRED)},
 }
 
 
@@ -90,9 +95,13 @@ def _sample_by_name(name: str) -> FlagComplex:
 
 @dataclass
 class TaskSpec:
+    """A task as written (``params``, raw text, which reports echo as their
+    inputs) and as its handler reads it (``values``: typed, defaults filled)."""
+
     name: str
     kind: str
     params: Dict[str, str]
+    values: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -140,7 +149,18 @@ def _parse_bool(text: str) -> bool:
         raise ScenarioParseError(f"expected one of true/false/yes/no/1/0, got {text!r}") from None
 
 
-_VALUE_PARSERS = {"int": _parse_int, "vertex": _parse_axial, "text": str, "bool": _parse_bool}
+def _parse_fractions(text: str) -> List[Fraction]:
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ScenarioParseError("expected one or more fractions, got nothing")
+    try:
+        return [Fraction(tok) for tok in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioParseError(f"expected fractions such as 1/4, got {text!r}") from exc
+
+
+_VALUE_PARSERS = {"int": _parse_int, "vertex": _parse_axial, "text": str, "bool": _parse_bool,
+                  "fractions": _parse_fractions, "isometry": eplane.parse_isometry}
 
 
 def _parse_value(where: str, key: str, kind: str, value: str):
@@ -152,9 +172,9 @@ def _parse_value(where: str, key: str, kind: str, value: str):
 
 def _check_params(where: str, schema: Dict, items: Dict[str, str]) -> Dict:
     """Reject missing and unknown keys and malformed values; return the
-    parsed values."""
-    missing = [key for key, (_, required) in schema.items()
-               if required and key not in items]
+    parsed values, with the defaults of absent keys filled in."""
+    missing = [key for key, (_, default) in schema.items()
+               if default is REQUIRED and key not in items]
     if missing:
         raise ScenarioParseError(f"{where} lacks {', '.join(missing)}")
     parsed = {}
@@ -162,6 +182,9 @@ def _check_params(where: str, schema: Dict, items: Dict[str, str]) -> Dict:
         if key not in schema:
             raise ScenarioParseError(f"{where} has unknown key {key!r}")
         parsed[key] = _parse_value(where, key, schema[key][0], value)
+    for key, (kind, default) in schema.items():
+        if key not in parsed and isinstance(default, str):
+            parsed[key] = _VALUE_PARSERS[kind](default)
     return parsed
 
 
@@ -214,8 +237,8 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
             if kind not in TASK_KINDS:
                 raise ScenarioParseError(
                     f"task {words[1]!r} has unknown kind {kind!r}")
-            _check_params(f"task {words[1]!r} ({kind})", TASK_KINDS[kind], items)
-            tasks.append(TaskSpec(words[1], kind, items))
+            values = _check_params(f"task {words[1]!r} ({kind})", TASK_KINDS[kind], items)
+            tasks.append(TaskSpec(words[1], kind, items, values))
         else:
             raise ScenarioParseError(f"unknown section [{section}]")
 
@@ -247,7 +270,3 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     return parse_scenario_text(text, base_dir=path.parent)
-
-
-def parse_fraction_list(text: str) -> List[Fraction]:
-    return [Fraction(tok) for tok in text.replace(",", " ").split()]

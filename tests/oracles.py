@@ -2,12 +2,16 @@
 
 Everything here is deliberately written against raw adjacency and floats,
 not against the library's own metric or exact predicates, so each check is
-a genuine second route to the same answer. There are two exceptions.
-``visibility_shortest_path`` reuses ``syslab.exact`` (and the ``PolyPath``
-result type), because it checks the portal funnel of ``syslab.cat0`` point
-for point, which needs the same exact coordinates. ``dense_is_convex``
-reads the complex's own distance matrix, because it checks the streamed
-``complexes.is_convex`` against the dense tensor form of the same test.
+a genuine second route to the same answer. The Q[sqrt(3)] plane geometry
+below (``ExactPoint`` and its predicates, built on ``syslab.exact``'s
+``ExactScalar``) is the library's former point arithmetic; it checks the
+integer doubled-axial predicates that replaced it. There are three
+exceptions. ``visibility_shortest_path`` and ``line_crossing_point`` take the
+library's ``ModifiedDisk`` and ``PolyPath`` values, because they check the
+portal funnel of ``syslab.cat0`` point for point; they convert every point
+to Q[sqrt(3)] first. ``dense_is_convex`` reads the complex's own distance
+matrix, because it checks the streamed ``complexes.is_convex`` against the
+dense tensor form of the same test.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
 with the library, because it checks the translation memo of
 ``euclid.goodness_constant`` against one construction per sub-pair.
@@ -18,15 +22,18 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
+from typing import List
 
 import numpy as np
 
+from syslab import cat0, eplane
 from syslab.cat0 import PolyPath
-from syslab.errors import DegenerateDomain, PreconditionViolated
+from syslab.errors import DegenerateDomain, NoCrossing, PreconditionViolated
 from syslab.euclid import GoodnessReport, euclidean_geodesic
-from syslab.exact import (ExactScalar, cross, dist_sq, dot, lerp, on_segment,
-                          orient)
+from syslab.exact import ExactScalar, _require
 
 
 def bfs_distance(c, x, y, cap=10 ** 9):
@@ -176,11 +183,173 @@ def find_induced_cycle(c, center, lengths=(4, 5)):
     return None
 
 
+# -- Q[sqrt(3)] plane geometry ----------------------------------------------------------
+#
+# The former syslab.exact point class (renamed ExactPoint) and its predicates,
+# and the former cat0._line_crossing, kept verbatim as oracles.
+
+HALF = ExactScalar(1, 0, 2)
+
+
+class ExactPoint:
+    """A point (or vector) of the plane with ExactScalar coordinates."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x = _require(x)
+        self.y = _require(y)
+
+    def __add__(self, other):
+        return ExactPoint(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other):
+        return ExactPoint(self.x - other.x, self.y - other.y)
+
+    def scale(self, factor):
+        return ExactPoint(self.x * factor, self.y * factor)
+
+    def __eq__(self, other):
+        return isinstance(other, ExactPoint) and self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __iter__(self):
+        return iter((self.x, self.y))
+
+    def to_floats(self):
+        return float(self.x), float(self.y)
+
+    def __repr__(self):
+        return f"P({self.x!r}, {self.y!r})"
+
+
+def cross(u: ExactPoint, v: ExactPoint) -> ExactScalar:
+    return u.x * v.y - u.y * v.x
+
+
+def dot(u: ExactPoint, v: ExactPoint) -> ExactScalar:
+    return u.x * v.x + u.y * v.y
+
+
+def orient(o: ExactPoint, a: ExactPoint, b: ExactPoint) -> int:
+    """Sign of the turn o->a->b: +1 left, -1 right, 0 collinear. Exact."""
+    return cross(a - o, b - o).sign()
+
+
+def dist_sq(a: ExactPoint, b: ExactPoint) -> ExactScalar:
+    d = b - a
+    return dot(d, d)
+
+
+def midpoint(a: ExactPoint, b: ExactPoint) -> ExactPoint:
+    return ExactPoint((a.x + b.x) * HALF, (a.y + b.y) * HALF)
+
+
+def lerp(a: ExactPoint, b: ExactPoint, t) -> ExactPoint:
+    """a + t*(b - a) with t rational or ExactScalar."""
+    t = _require(t)
+    return ExactPoint(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+
+
+def on_segment(p: ExactPoint, a: ExactPoint, b: ExactPoint) -> bool:
+    """Whether p lies on the closed segment [a, b]. Exact."""
+    if orient(a, b, p) != 0:
+        return False
+    d = b - a
+    t = dot(p - a, d)
+    return t.sign() >= 0 and (t - dot(d, d)).sign() <= 0
+
+
+def _line_crossing(alpha: PolyPath, pv: ExactPoint, pw: ExactPoint, i: int) -> ExactPoint:
+    """The unique point where alpha crosses the line through pv and pw."""
+    direction = pw - pv
+    sides = [cross(direction, p - pv).sign() for p in alpha.points]
+    hits: List[ExactPoint] = []
+    for a in range(len(alpha.points) - 1):
+        s0, s1 = sides[a], sides[a + 1]
+        if s0 == 0 and s1 == 0:
+            continue  # sliding along the line handled by vertex hits
+        if s0 == 0:
+            if a == 0 or sides[a - 1] != 0:
+                hits.append(alpha.points[a])
+            continue
+        if s1 == 0:
+            if a + 1 == len(alpha.points) - 1:
+                hits.append(alpha.points[a + 1])
+            continue
+        if s0 * s1 < 0:
+            p, q = alpha.points[a], alpha.points[a + 1]
+            d1 = q - p
+            s = cross(p - pv, direction) / cross(direction, d1)
+            hits.append(lerp(p, q, s))
+    uniq: List[ExactPoint] = []
+    for h in hits:
+        if not any(h == u for u in uniq):
+            uniq.append(h)
+    if len(uniq) != 1:
+        raise NoCrossing(f"path crosses layer {i} line {len(uniq)} times")
+    return uniq[0]
+
+
+def exact_point(p, q=None) -> ExactPoint:
+    """The Q[sqrt(3)] point of doubled axial coordinates (p, q), given as a
+    syslab.exact.PlanePoint or as two rationals: ((2p + q)/4, q*sqrt(3)/4)."""
+    if q is None:
+        p, q = p.p, p.q
+    return ExactPoint(ExactScalar(Fraction(2 * p + q, 4)), ExactScalar(0, Fraction(q, 4)))
+
+
+def portal_crossing_mismatches(m, alpha):
+    """Inner portals of the modified disk m, of positive length, where the
+    segment that ``cat0.shortest_path`` recorded meets the portal's line
+    elsewhere than the whole path does (``_line_crossing`` both times), as
+    (portal index, segment point, path point); empty when all agree."""
+    path = PolyPath(tuple(exact_point(p) for p in alpha.points))
+    bad = []
+    for i, a in enumerate(alpha.crossings, start=1):
+        v, w = m.v_prime[i], m.w_prime[i]
+        if v == w:
+            continue
+        pv, pw = exact_point(v), exact_point(w)
+        segment = PolyPath(path.points[a:a + 2])
+        try:
+            found = _line_crossing(segment, pv, pw, i)
+        except NoCrossing:
+            found = None
+        expected = _line_crossing(path, pv, pw, i)
+        if found != expected:
+            bad.append((i, found, expected))
+    return bad
+
+
+def crossing_mismatches(disk, alpha):
+    """Inner layers i of the disk where the crossing that ``cat0`` reads off
+    the funnel's recorded segment differs from ``_line_crossing`` over the
+    whole path, as (i, library point, oracle point); empty when all agree."""
+    path = PolyPath(tuple(exact_point(p) for p in alpha.points))
+    j, k = disk.interval.j, disk.interval.k
+    bad = []
+    for i, a in zip(range(j + 1, k), alpha.crossings):
+        v, w = disk.layer_segment(i)
+        _, step = cat0._layer_step(v, w, i)
+        u = cat0._crossing_arc(alpha, a, v, step, i)
+        library = exact_point(2 * v[0] + 2 * u * step[0], 2 * v[1] + 2 * u * step[1])
+        oracle = _line_crossing(path, exact_point(eplane.embed(v)),
+                                exact_point(eplane.embed(w)), i)
+        if library != oracle:
+            bad.append((i, library, oracle))
+    if len(alpha.crossings) != k - j - 1:
+        bad.append(("count", len(alpha.crossings), k - j - 1))
+    return bad
+
+
 # -- float shortest-path oracle --------------------------------------------------------
 
 
 def _poly_floats(polygon):
-    return [(float(p.x), float(p.y)) for p in polygon]
+    return [p.to_floats() for p in polygon]
 
 
 def _inside_float(poly, x, y, eps=1e-9):
@@ -223,8 +392,8 @@ def grid_dijkstra_path_length(polygon, start, goal, pitch=0.02):
     fallback routes. Entirely float-based.
     """
     poly = _poly_floats(polygon)
-    s = (float(start.x), float(start.y))
-    g = (float(goal.x), float(goal.y))
+    s = start.to_floats()
+    g = goal.to_floats()
     corners = [s, g] + [p for p in poly if p != s and p != g]
 
     xs = [p[0] for p in poly]
@@ -287,8 +456,8 @@ def grid_dijkstra_path_length(polygon, start, goal, pitch=0.02):
 # -- visibility-graph shortest-path oracle -------------------------------------------
 #
 # The former library implementation, kept as the oracle for the portal funnel.
-# Unlike the float oracles above it reuses syslab.exact: visibility is decided
-# with exact predicates over the whole polygon, and Dijkstra compares float
+# Unlike the float oracles above it is exact: visibility is decided with the
+# Q[sqrt(3)] predicates over the whole polygon, and Dijkstra compares float
 # lengths at VISIBILITY_TOLERANCE.
 
 VISIBILITY_TOLERANCE = 1e-9
@@ -371,9 +540,18 @@ def visibility_shortest_path(m):
     """Shortest path from m.start to m.goal in the polygon of a modified disk.
 
     Dijkstra over the visibility graph on the polygon corners plus the two
-    endpoints; returns a cat0.PolyPath. A degenerate domain is read off the
-    segment exactly as the library does.
+    endpoints, in Q[sqrt(3)] coordinates; returns a cat0.PolyPath of the
+    disk's own points. A degenerate domain is read off the segment exactly
+    as the library did.
     """
+    library = {exact_point(p): p for p in m.polygon + (m.start, m.goal)}
+    exact_m = replace(m, polygon=tuple(exact_point(p) for p in m.polygon),
+                      start=exact_point(m.start), goal=exact_point(m.goal))
+    path = _exact_visibility_path(exact_m)
+    return PolyPath(tuple(library[p] for p in path.points))
+
+
+def _exact_visibility_path(m):
     start, goal = m.start, m.goal
     if m.degenerate:
         d = goal - start

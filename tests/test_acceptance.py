@@ -18,7 +18,6 @@ from syslab.errors import BoundaryUnsafe
 from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
                            verify_contracting)
-from syslab.exact import ExactScalar
 from syslab.isodyn import (PlaneAction, axis_line_max_distance_sq,
                            check_min_proximity, invariant_geodesic_on_plane,
                            translation_length)
@@ -241,7 +240,7 @@ def test_criterion_07_staircase_goodness():
     h = eplane.translation(1, 1)
     stair = invariant_geodesic_on_plane(h, (0, 0), 24)
     # exact: max squared CAT(0) distance of a vertex to the axis equals 1/4
-    assert axis_line_max_distance_sq(stair, h, (0, 0)) == ExactScalar(1, 0, 4)
+    assert axis_line_max_distance_sq(stair, h, (0, 0)) == Fraction(1, 4)
     c = eplane.window((6, 6), 18)
     c_star = goodness_constant(c, stair).c_star
     bound = 4 * 0.5 / math.sqrt(3.0) + 1
@@ -304,7 +303,8 @@ def test_criterion_09_fellow_traveller():
 
 
 def test_criterion_10_shortest_path_oracle():
-    """Funnel paths equal the visibility-graph oracle point for point and
+    """Funnel paths equal the visibility-graph oracle point for point, their
+    recorded layer crossings equal the Q[sqrt(3)] line crossings, and they
     match the dense-grid float oracle to 1e-6."""
     t0 = time.time()
     rng = random.Random(10)
@@ -328,6 +328,7 @@ def test_criterion_10_shortest_path_oracle():
             path = cat0.shortest_path(mdisk)
             assert path.points == oracles.visibility_shortest_path(mdisk).points, \
                 (x, y, interval)
+            assert oracles.crossing_mismatches(disk, path) == [], (x, y, interval)
             if mdisk.degenerate:
                 continue
             oracle = oracles.grid_dijkstra_path_length(

@@ -11,23 +11,24 @@ from syslab.cat0 import (ModifiedDisk, PolyPath, _all_collinear, euclidean_diago
 from syslab.chardisk import CharDisk, boundary_cycle, extract_flat_disk
 from syslab.directed import ThickInterval, layers, thick_intervals
 from syslab.errors import DegenerateDomain, NoCrossing
-from syslab.exact import ExactScalar, PlanePoint, on_segment
+from syslab.exact import ExactScalar, PlanePoint
 
 
 def ES(p, q=0):
     return ExactScalar(Fraction(p)) + ExactScalar(0, 1) * ExactScalar(Fraction(q))
 
 
-def P(x, y, qx=0, qy=0):
-    return PlanePoint(ES(x, qx), ES(y, qy))
-
-
 S = Fraction(1, 4)  # shorthand: y coordinates come in multiples of sqrt(3)/4
 
 
 def pt(x, y_quarters):
-    """Point with y = y_quarters * sqrt(3)/4."""
-    return PlanePoint(ES(x), ES(0, y_quarters * S))
+    """The point (x, y_quarters * sqrt(3)/4) in doubled axial coordinates,
+    checked against the Q[sqrt(3)] oracle point."""
+    p = 2 * Fraction(x) - Fraction(y_quarters, 2)
+    assert p.denominator == 1, "not a half-integer axial point"
+    point = PlanePoint(int(p), y_quarters)
+    assert oracles.exact_point(point) == oracles.ExactPoint(ES(x), ES(0, y_quarters * S))
+    return point
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,8 @@ def test_shortest_path_convex_is_straight(hexagon_disk):
     path = shortest_path(m)
     assert len(path) == 2
     # the segment passes exactly through the disk center embed(2,1)
-    assert on_segment(eplane.embed((2, 1)), path.points[0], path.points[1])
+    assert oracles.on_segment(*(oracles.exact_point(p) for p in
+                                (eplane.embed((2, 1)),) + path.points))
     assert path.length() == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
 
@@ -99,11 +101,15 @@ def _portal_strip(v_prime, w_prime):
 
 def test_shortest_path_bends_at_reflex_vertex():
     """The path bends at the portal end (2, 2) and passes the collinear portal
-    end (1, 1) without making it a vertex."""
+    end (1, 1) without making it a vertex. The points are doubled axial
+    coordinates; the embedding is linear with positive determinant, so it
+    keeps every turn and collinearity of the strip."""
+    P = PlanePoint
     m = _portal_strip((P(0, 0), P(1, 1), P(2, 2), P(0, 3)),
                       (P(0, 0), P(2, 1), P(3, 2), P(0, 3)))
     path = shortest_path(m)
     assert path.points == (m.start, P(2, 2), m.goal)
+    assert path.crossings == (0, 1)
     oracle = oracles.grid_dijkstra_path_length(m.polygon, m.start, m.goal, pitch=0.02)
     assert abs(path.length() - oracle) / oracle <= 1e-6
 
@@ -111,11 +117,12 @@ def test_shortest_path_bends_at_reflex_vertex():
 def _random_portal_strip(rng):
     """Portals on parallel lattice lines with half-integer ends; the small
     coordinates make collinear portal ends common."""
-    along, across = rng.sample([eplane.embed(d) - eplane.embed((0, 0))
-                                for d in eplane.OFFSETS[::2]], 2)
+    along, across = rng.sample(list(eplane.OFFSETS[::2]), 2)
 
     def at(layer, x):
-        return across.scale(layer) + along.scale(Fraction(x, 2))
+        # layer * across + (x/2) * along, in doubled axial coordinates
+        return PlanePoint(2 * layer * across[0] + x * along[0],
+                          2 * layer * across[1] + x * along[1])
 
     k = rng.randint(2, 5)
     ends = [(rng.randint(-4, 4),) * 2]
@@ -138,7 +145,10 @@ def test_shortest_path_matches_visibility_oracle_on_random_strips():
         if m.degenerate:
             continue
         expected = oracles.visibility_shortest_path(m)
-        assert shortest_path(m).points == expected.points, m
+        alpha = shortest_path(m)
+        assert alpha.points == expected.points, m
+        assert len(alpha.crossings) == len(m.v_prime) - 2
+        assert oracles.portal_crossing_mismatches(m, alpha) == [], m
         bending += len(expected) > 2
 
 
@@ -150,19 +160,23 @@ def test_shortest_path_matches_visibility_oracle_on_plane_disks():
             continue
         ls = layers(c, (0, 0), y)
         for interval in thick_intervals(ls):
-            m = modified_disk(extract_flat_disk(c, boundary_cycle(c, interval, ls)))
-            assert shortest_path(m).points == oracles.visibility_shortest_path(m).points, \
-                (y, interval)
+            disk = extract_flat_disk(c, boundary_cycle(c, interval, ls))
+            m = modified_disk(disk)
+            alpha = shortest_path(m)
+            assert alpha.points == oracles.visibility_shortest_path(m).points, (y, interval)
+            assert oracles.crossing_mismatches(disk, alpha) == [], (y, interval)
             disks += 1
     assert disks == 264
 
 
 def test_shortest_path_degenerate_domain():
+    P = PlanePoint
     seg = ModifiedDisk(None, ThickInterval(0, 2),
                        (P(0, 0), P(1, 0), P(2, 0)), P(0, 0), P(2, 0),
                        (), (), True)
     path = shortest_path(seg)
     assert path.points == (P(0, 0), P(2, 0))
+    assert path.crossings == (0,)
     overhang = ModifiedDisk(None, ThickInterval(0, 2),
                             (P(0, 0), P(1, 0), P(3, 0)), P(0, 0), P(2, 0),
                             (), (), True)
@@ -187,9 +201,14 @@ def test_diagonal_strip(strip_disk):
 
 def test_diagonal_no_crossing(hexagon_disk):
     _, disk = hexagon_disk
-    stub = PolyPath((pt(Fraction(7, 4), 1), pt(2, 1)))
+    # along the start layer to its end (2, 0): never reaches the inner layer
+    stub = PolyPath((pt(Fraction(7, 4), 1), pt(2, 0)), (0,))
     with pytest.raises(NoCrossing):
         euclidean_diagonal(disk, stub)
+    # a path that records no crossings
+    m = modified_disk(disk)
+    with pytest.raises(NoCrossing):
+        euclidean_diagonal(disk, PolyPath((m.start, m.goal)))
 
 
 def _diamond_disk():
@@ -208,7 +227,8 @@ def test_diagonal_barycenter_hit_yields_edge():
     disk = _diamond_disk()
     alpha = PolyPath((pt(Fraction(3, 4), 1),
                       pt(Fraction(13, 4), 3),     # exactly arc 5/2 on layer 3
-                      pt(Fraction(21, 4), 7)))
+                      pt(Fraction(21, 4), 7)),
+                     (0, 0, 1, 1, 1))             # segments crossing layers 1..5
     diag = euclidean_diagonal(disk, alpha)
     assert [s.verts for s in diag.simplices] == [
         ((1, 1),), ((2, 1),), ((2, 2), (3, 1)), ((3, 2),), ((3, 3),)]
@@ -242,13 +262,13 @@ def test_decisions_stable_under_float_reevaluation(strip_disk):
     assert len(alpha.points) == 2
     j, k = disk.interval.j, disk.interval.k
     long = np.longdouble
-    ax, ay = (long(float(c)) for c in alpha.points[0])
-    bx, by = (long(float(c)) for c in alpha.points[-1])
+    ax, ay = (long(c) for c in alpha.points[0].to_floats())
+    bx, by = (long(c) for c in alpha.points[-1].to_floats())
     diag = euclidean_diagonal(disk, alpha)
     for i in range(j + 1, k):
         v, w = disk.layer_segment(i)
-        vx, vy = (long(float(c)) for c in eplane.embed(v))
-        wx, wy = (long(float(c)) for c in eplane.embed(w))
+        vx, vy = (long(c) for c in eplane.embed(v).to_floats())
+        wx, wy = (long(c) for c in eplane.embed(w).to_floats())
         det = (bx - ax) * (wy - vy) - (by - ay) * (wx - vx)
         t = ((vx - ax) * (wy - vy) - (vy - ay) * (wx - vx)) / det
         px, py = ax + t * (bx - ax), ay + t * (by - ay)

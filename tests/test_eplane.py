@@ -1,13 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syslab import eplane
+from syslab import cat0, eplane
 from syslab.errors import ScenarioParseError
-from syslab.exact import ExactScalar, PlanePoint, dist_sq
+from syslab.exact import ExactScalar, PlanePoint
 
 coords = st.integers(min_value=-20, max_value=20)
 
@@ -42,15 +43,24 @@ def test_triangle_inequality(ax, ay, bx, by, cx, cy):
     assert eplane.lattice_distance(a, b) == eplane.lattice_distance(b, a)
 
 
+def _exact(v):
+    return oracles.exact_point(eplane.embed(v))
+
+
 def test_embed_basis():
-    assert eplane.embed((0, 0)) == PlanePoint(ExactScalar(0), ExactScalar(0))
-    assert eplane.embed((1, 0)) == PlanePoint(ExactScalar(1), ExactScalar(0))
-    assert eplane.embed((0, 1)) == PlanePoint(ExactScalar(1, 0, 2), ExactScalar(0, 1, 2))
+    assert eplane.embed((0, 0)) == PlanePoint(0, 0)
+    assert eplane.embed((1, 0)) == PlanePoint(2, 0)
+    assert eplane.embed((0, 1)) == PlanePoint(0, 2)
+    # the Q[sqrt(3)] positions: (a + b/2, b*sqrt(3)/2)
+    assert _exact((0, 0)) == oracles.ExactPoint(ExactScalar(0), ExactScalar(0))
+    assert _exact((1, 0)) == oracles.ExactPoint(ExactScalar(1), ExactScalar(0))
+    assert _exact((0, 1)) == oracles.ExactPoint(ExactScalar(1, 0, 2), ExactScalar(0, 1, 2))
 
 
 def test_embed_unit_edges():
     for off in eplane.OFFSETS:
-        assert dist_sq(eplane.embed((0, 0)), eplane.embed(off)) == ExactScalar(1)
+        assert oracles.dist_sq(_exact((0, 0)), _exact(off)) == ExactScalar(1)
+        assert cat0.PolyPath((eplane.embed((0, 0)), eplane.embed(off))).length() == 1.0
 
 
 @given(coords, coords, coords, coords)
@@ -58,7 +68,10 @@ def test_embed_unit_edges():
 def test_euclidean_vs_lattice_length(ax, ay, bx, by):
     u, v = (ax, ay), (bx, by)
     d = eplane.lattice_distance(u, v)
-    sq = dist_sq(eplane.embed(u), eplane.embed(v))
+    sq = oracles.dist_sq(_exact(u), _exact(v))
+    # the doubled-axial norm that PolyPath.length reads
+    dp, dq = 2 * (bx - ax), 2 * (by - ay)
+    assert sq == ExactScalar(Fraction(dp * dp + dp * dq + dq * dq, 4))
     # d*sqrt(3)/2 <= |embed difference| <= d, compared on squares
     assert (sq - ExactScalar(d * d)).sign() <= 0
     assert (sq * 4 - ExactScalar(3 * d * d)).sign() >= 0

@@ -8,7 +8,7 @@ from syslab import eplane
 from syslab.complexes import FlagComplex
 from syslab.directed import layers
 from syslab.errors import BoundaryUnsafe, PreconditionViolated
-from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
+from syslab.euclid import (GoodnessConstants, _sub_simplices, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
                            verify_contracting)
 
@@ -167,14 +167,34 @@ def test_goodness_memo_keeps_margin_rule_on_cached_difference():
     # Sub-pair (2, 3) repeats the difference (2, 1) of sub-pair (0, 1) and is
     # the first whose interval holds a margin-0 vertex. A geodesic cannot do
     # this: its sub-pairs (0, k) come first and their intervals cover every
-    # later one. So the input is a vertex sequence with d(v_j, v_k) >= k - j.
+    # later one, and goodness_constant takes geodesics only. So the memo is
+    # driven directly, in goodness_constant's sub-pair order.
     path = [(-2, 4), (0, 5), (0, 0), (2, 1)]
     expected = "interval vertex (1, 0) touches the window boundary (pair (0, 0), (2, 1))"
-    with pytest.raises(BoundaryUnsafe) as memo:
-        goodness_constant(c, path)
-    with pytest.raises(BoundaryUnsafe) as oracle:
-        oracles.uncached_goodness_constant(c, path)
-    assert str(memo.value) == str(oracle.value) == expected
+    memo = {}
+    visited = []
+    with pytest.raises(BoundaryUnsafe) as cached:
+        for j in range(len(path)):
+            for k in range(j + 1, len(path)):
+                visited.append((j, k))
+                _sub_simplices(c, path[j], path[k], memo)
+    assert visited[-1] == (2, 3)
+    assert (2, 1) in memo                    # built for sub-pair (0, 1)
+    with pytest.raises(BoundaryUnsafe) as direct:
+        euclidean_geodesic(c, path[2], path[3], check_reversal=False)
+    assert str(cached.value) == str(direct.value) == expected
+
+
+def test_goodness_rejects_non_geodesic_input(window8):
+    with pytest.raises(PreconditionViolated, match=r"step 0 from \(-1, 1\) to \(0, 3\)"):
+        goodness_constant(window8, [(-1, 1), (0, 3), (0, 0), (1, 2)])
+    # every step an edge, but the ends are 1 apart after 2 steps
+    with pytest.raises(PreconditionViolated, match=r"d\(\(0, 0\), \(1, -1\)\) = 1"):
+        goodness_constant(window8, [(0, 0), (1, 0), (1, -1)])
+    with pytest.raises(PreconditionViolated, match="not an edge"):
+        goodness_constant(window8, [(0, 0), (0, 0)])
+    with pytest.raises(PreconditionViolated, match="not an edge"):
+        goodness_constant(window8, [(0, 0), (99, 0)])
 
 
 def test_contracting_equal_rays(window12):

@@ -1,10 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 import oracles
 from syslab import eplane, samples
 from syslab.errors import (Inconclusive, NotTranslationLike,
                            PreconditionViolated)
-from syslab.exact import ExactScalar
 from syslab.isodyn import (PlaneAction, TableAction,
                            axis_line_max_distance_sq, central_good_geodesic,
                            check_min_proximity, convergence_diagnostic,
@@ -141,7 +142,7 @@ def test_invariant_geodesic_staircase():
     assert stair == ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3),
                      (4, 3), (4, 4))
     assert axis_line_max_distance_sq(stair, eplane.translation(1, 1), (0, 0)) \
-        == ExactScalar(1, 0, 4)
+        == Fraction(1, 4)
 
 
 def test_invariant_geodesic_axis_line():
@@ -255,3 +256,20 @@ def test_parse_permutation():
         parse_permutation_text("0 -> 1\n")
     with pytest.raises(ScenarioParseError):
         parse_permutation_text("perm v1\n0 -> 1\n0 -> 2\n")
+
+
+def test_axis_distance_matches_q_sqrt3_oracle():
+    """(3/4) * axial cross^2 / |axis|^2 equals the Q[sqrt(3)] squared distance."""
+    for shift, origin, length in (((1, 1), (0, 0), 12), ((2, 1), (1, -1), 15),
+                                  ((3, -1), (-2, 2), 12), ((0, 4), (0, 0), 8)):
+        h = eplane.translation(*shift)
+        gamma = invariant_geodesic_on_plane(h, origin, length)
+        base = oracles.exact_point(eplane.embed(origin))
+        axis = oracles.exact_point(eplane.embed(h.apply(origin))) - base
+        best = None
+        for v in gamma:
+            off = oracles.cross(axis, oracles.exact_point(eplane.embed(v)) - base)
+            val = off * off / oracles.dot(axis, axis)
+            if best is None or val > best:
+                best = val
+        assert axis_line_max_distance_sq(gamma, h, origin) == best

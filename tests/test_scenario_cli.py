@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from syslab import cli, runner
+from syslab import cli, eplane, runner
 from syslab.errors import ScenarioParseError
 from syslab.runner import run_scenario, write_report
 from syslab.scenario import load_scenario, parse_scenario_text
@@ -150,7 +151,16 @@ def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
     ("kind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\nto = 4 x\n",
      "expected an integer, got 'x'"),
     ("kind = goodness-sweep\ncomplex = main\npair = 3\n", "unknown key 'pair'"),
-], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key"])
+    ("kind = contracting-suite\ncomplex = main\ncs = 1/2 abc\n",
+     "key 'cs': expected fractions such as 1/4, got '1/2 abc'"),
+    ("kind = contracting-suite\ncomplex = main\ncs = 1/0\n",
+     "key 'cs': expected fractions such as 1/4, got '1/0'"),
+    ("kind = contracting-suite\ncomplex = main\ncs =\n",
+     "key 'cs': expected one or more fractions"),
+    ("kind = goodness-sweep\ncomplex = main\nstaircase_map = nonsense\n",
+     "key 'staircase_map': bad isometry literal 'nonsense'"),
+], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key",
+        "non-fraction", "zero-denominator", "no-fractions", "bad-isometry"])
 def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     scn = tmp_path / "bad.scn"
     scn.write_text("[complex main]\nkind = eplane\n\n[task t]\n" + task)
@@ -265,3 +275,18 @@ def test_write_report_partial_on_failure(tmp_path):
     assert report["tasks"][1]["error"] is not None
     write_report(report, tmp_path / "partial.json")
     assert (tmp_path / "partial.json").exists()
+
+
+def test_task_values_are_typed_with_defaults_and_params_stay_raw():
+    sc = parse_scenario_text(
+        "[complex main]\nkind = eplane\n\n"
+        "[task c]\nkind = contracting-suite\ncomplex = main\npairs = 7\n\n"
+        "[task g]\nkind = goodness-sweep\ncomplex = main\nstaircase_map = translate(1, 1)\n")
+    c, g = sc.tasks
+    assert c.params == {"complex": "main", "pairs": "7"}
+    assert c.values == {"complex": "main", "pairs": 7, "doubling": 20, "max_distance": 12,
+                        "cs": [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
+                        "origin": (0, 0)}
+    assert g.values["staircase_map"] == eplane.translation(1, 1)
+    assert (g.values["pairs"], g.values["staircase_origin"]) == (20, (0, 0))
+    assert "ambient" not in g.values
