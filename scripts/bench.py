@@ -2,26 +2,29 @@
 """Benchmark a base commit against this checkout and write BENCH_<pr>.json.
 
     python3 scripts/bench.py --pr 6
-    python3 scripts/bench.py --pr 6 --base HEAD~1 --pairs 10 --seconds 30 --seed 401
+    python3 scripts/bench.py --pr 6 --base HEAD~1
 
 The base commit's files are exported with ``git archive`` into
 ``.bench_build/<sha>/`` (gitignored), and this checkout's ``perfbench/`` is
 copied over the export's, so both sides run the same harness, each on its
 own ``src/``. With the default base ``HEAD`` the comparison is the
-uncommitted change against its parent.
+uncommitted change against its parent; once the change is committed, name
+its parent with ``--base``. Every run lasts ``run_seconds`` of
+``BENCHMARK.json``.
 
 The file holds:
 
 - ``gated``: for each workload and gated metric of ``BENCHMARK.json``, every
   run of both sides, their medians and quartiles, and for ``item_cost`` the
-  number of pairs the change won. Pair i runs at seed ``--seed`` + i, every
+  number of pairs the change won. Pair i of ``PAIRS`` runs at seed
+  ``FIRST_SEED`` + i, every
   workload in a fresh process, base first on even pairs and change first
   on odd ones. Failed items and whether the pass-0 output digests of the
   two sides matched are kept per pair.
 - ``traced``: the per-layer metrics of one traced run (``--trace 1``) per
   side and workload at seed 1; the counts repeat exactly for a seed.
 - ``goodness_curve``: seconds per ``goodness_constant`` call on one selected
-  geodesic at n = 8, 16, 24, 32 (median of ``--repeats``), and the part of
+  geodesic at n = 8, 16, 24, 32 (median of ``REPEATS``), and the part of
   it spent in the three CAT(0) stages (``cat0.modified_disk``,
   ``shortest_path``, ``euclidean_diagonal``), timed by a wrapper around
   each stage call.
@@ -43,6 +46,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
+PAIRS = 10
+FIRST_SEED = 401
+REPEATS = 3
 CURVE_LENGTHS = (8, 16, 24, 32)
 CAT0_STAGES = ("modified_disk", "shortest_path", "euclidean_diagonal")
 
@@ -86,20 +92,20 @@ def summary(values) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
-def gated(sides: dict, workloads, metrics, pairs: int, seed0: int, seconds: float) -> dict:
+def gated(sides: dict, workloads, metrics, seconds: float) -> dict:
     runs = {w: {side: [] for side in sides} for w in workloads}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
         for w in workloads:
             for side in order:
-                res = run_perfbench(sides[side], w, seed0 + i, seconds, 0)
+                res = run_perfbench(sides[side], w, FIRST_SEED + i, seconds, 0)
                 runs[w][side].append(res)
                 print(f"pair {i} {w:<15} {side:<6} item_cost "
                       f"{res['metrics']['item_cost']['value']:.4g}", flush=True)
     out = {}
     for w in workloads:
         base, change = runs[w]["base"], runs[w]["change"]
-        entry = {"seeds": [seed0 + i for i in range(pairs)]}
+        entry = {"seeds": [FIRST_SEED + i for i in range(PAIRS)]}
         for m in metrics:
             b = [r["metrics"][m]["value"] for r in base]
             c = [r["metrics"][m]["value"] for r in change]
@@ -121,16 +127,15 @@ def traced(sides: dict, workloads) -> dict:
                 for side, tree in sides.items()} for w in workloads}
 
 
-def curve(tree: Path, repeats: int) -> dict:
+def curve(tree: Path) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--curve-worker",
-         "--repeats", str(repeats)],
+        [sys.executable, str(Path(__file__).resolve()), "--curve-worker"],
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def curve_worker(repeats: int) -> dict:
+def curve_worker() -> dict:
     """Time goodness_constant on the selected geodesic from (n/2, -q/2) to
     (-n/2, q - q/2), q = 3n/8, in a radius-40 window; run with the side's
     src/ on PYTHONPATH."""
@@ -157,7 +162,7 @@ def curve_worker(repeats: int) -> dict:
         path = euclid.select_vertex_geodesic(
             euclid.euclidean_geodesic(c, x, y, check_reversal=False))
         plain, staged, shares = [], [], []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             euclid.goodness_constant(c, path)
             plain.append(time.perf_counter() - t0)
@@ -187,36 +192,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed seconds per run (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--seed", type=int, default=401, help="seed of the first pair")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--curve-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.curve_worker:
-        print(json.dumps(curve_worker(args.repeats)))
+        print(json.dumps(curve_worker()))
         return 0
     if args.pr is None:
         parser.error("--pr is required")
-    if args.pairs < 2 or args.repeats < 1:
-        parser.error("need --pairs >= 2 (for quartiles) and --repeats >= 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     sides = {"base": export_base(args.base), "change": ROOT}
     started = time.time()
     result = {
         "base": git("rev-parse", args.base),
         "change": "working tree of " + git("rev-parse", "HEAD"),
         "meta": {"python": platform.python_version(), "nproc": os.cpu_count(),
-                 "machine": platform.machine(), "pairs": args.pairs, "seconds": seconds},
+                 "machine": platform.machine(), "pairs": PAIRS, "seconds": seconds},
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
-        "goodness_curve": {side: curve(tree, args.repeats) for side, tree in sides.items()},
+        "goodness_curve": {side: curve(tree) for side, tree in sides.items()},
         "traced": traced(sides, workloads),
-        "gated": gated(sides, workloads, metrics, args.pairs, args.seed, seconds),
+        "gated": gated(sides, workloads, metrics, seconds),
     }
     result["meta"]["wall_s"] = round(time.time() - started, 1)
     out = ROOT / f"BENCH_{args.pr}.json"

@@ -20,7 +20,7 @@ from .chardisk import CharDisk
 from .complexes import Simplex
 from .directed import ThickInterval
 from .errors import DegenerateDomain, NoCrossing, PreconditionViolated
-from .exact import PlanePoint, orient
+from .exact import PlanePoint, cross, norm_sq, orient
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class PolyPath:
     def length(self) -> float:
         total = 0.0
         for a, b in zip(self.points, self.points[1:]):
-            dp, dq = b.p - a.p, b.q - a.q
-            total += math.sqrt((dp * dp + dp * dq + dq * dq) / 4)
+            total += math.sqrt(norm_sq((b.p - a.p, b.q - a.q)) / 4)
         return total
 
     def __len__(self):
@@ -226,13 +225,12 @@ def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Fraction:
     gives 2u = cross(A, B) / (cross(s, B) - cross(s, A)).
     """
     A, B = alpha.points[a], alpha.points[a + 1]
-    ap, aq = A.p - 2 * v[0], A.q - 2 * v[1]
-    bp, bq = B.p - 2 * v[0], B.q - 2 * v[1]
-    side_a = step[0] * aq - step[1] * ap
-    side_b = step[0] * bq - step[1] * bp
+    A = (A.p - 2 * v[0], A.q - 2 * v[1])
+    B = (B.p - 2 * v[0], B.q - 2 * v[1])
+    side_a, side_b = cross(step, A), cross(step, B)
     if side_a == side_b or side_a * side_b > 0:
         raise NoCrossing(f"path segment {a} does not cross the layer {i} line")
-    return Fraction(ap * bq - aq * bp, 2 * (side_b - side_a))
+    return Fraction(cross(A, B), 2 * (side_b - side_a))
 
 
 def _verify_diagonal(disk: CharDisk, diag: Diagonal):

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cat0, chardisk
 from .complexes import FlagComplex, Simplex
-from .directed import Layers, layers, require_pair_safe, thick_intervals
+from .directed import Layers, layers, thick_intervals
 from .errors import ConditionViolated, NoSelection, PreconditionViolated
 
 
@@ -180,10 +180,9 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     This is exactly the least C' for which the geodesic is C'-good. Plane
     windows are translation-equivariant, so there one Euclidean geodesic is
     built per distinct difference v_k - v_j and shifted onto every later
-    sub-pair with that difference, each of which still passes the margin
-    rule first; other complexes build one Euclidean geodesic per sub-pair.
-    Quadratic in the length either way. The input must be a vertex
-    geodesic; that is checked first, in O(n).
+    sub-pair with that difference; other complexes build one Euclidean
+    geodesic per sub-pair. Quadratic in the length either way. The input
+    must be a vertex geodesic; that is checked first, in O(n).
     """
     verts = tuple(geodesic)
     _require_vertex_geodesic(c, verts)
@@ -222,13 +221,17 @@ def _require_vertex_geodesic(c: FlagComplex, verts: Tuple):
 
 def _sub_simplices(c: FlagComplex, x, y, memo: Optional[dict]) -> Sequence:
     """The simplices of the Euclidean geodesic from x to y, each iterable in
-    sorted vertex order. With a memo (plane windows) the pair passes the
-    margin rule, then reuses the vertex tuples built for the first pair x0
-    with difference y - x, shifted by x - x0; a translation keeps every
-    sorted tuple sorted."""
+    sorted vertex order. With a memo (plane windows) a pair reuses the
+    vertex tuples built for the first pair x0 with difference y - x,
+    shifted by x - x0; a translation keeps every sorted tuple sorted.
+
+    A reused pair skips the margin rule, which goodness_constant's
+    precondition makes redundant: on a vertex geodesic the sub-pairs
+    (0, k) come first and all have different differences, so each is
+    built and checked, and every later interval I(v_j, v_k) lies inside
+    the checked I(v_0, v_k)."""
     if memo is None:
         return euclidean_geodesic(c, x, y, check_reversal=False)
-    require_pair_safe(c, x, y)
     diff = (y[0] - x[0], y[1] - x[1])
     hit = memo.get(diff)
     if hit is None:

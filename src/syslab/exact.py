@@ -5,8 +5,10 @@ CAT(0) stages build is an embedded vertex or a modified-disk corner half an
 edge away from one, so its axial coordinates are half-integers and it is
 stored as the integer pair (p, q) = 2*(a, b), doubled axial coordinates.
 The embedding is linear with positive determinant, so the sign of a turn is
-the sign of the integer axial cross product: no decision needs sqrt(3).
-Floats are produced only for drawing and for path lengths.
+the sign of the integer axial cross product (``cross``): no decision needs
+sqrt(3). ``cross`` and the embedded squared length ``norm_sq`` serve every
+module that works in axial coordinates. Floats are produced only for
+drawing and for path lengths.
 
 ``ExactScalar``, a number (a + b*sqrt(3))/den of Q[sqrt(3)], is not used by
 the pipeline; the independent Q[sqrt(3)] oracles of the test suite build on
@@ -207,7 +209,19 @@ class PlanePoint:
         return f"P({self.p}, {self.q})"
 
 
+def cross(u, v) -> int:
+    """Axial cross product of two integer pairs (axial or doubled axial
+    vectors); the Euclidean cross product of their embeddings is
+    sqrt(3)/2 times it, so the two have the same sign."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def norm_sq(d) -> int:
+    """Squared Euclidean length of the embedding of the axial vector d."""
+    return d[0] * d[0] + d[0] * d[1] + d[1] * d[1]
+
+
 def orient(o: PlanePoint, a: PlanePoint, b: PlanePoint) -> int:
     """Sign of the turn o->a->b: +1 left, -1 right, 0 collinear. Exact."""
-    c = (a.p - o.p) * (b.q - o.q) - (a.q - o.q) * (b.p - o.p)
+    c = cross((a.p - o.p, a.q - o.q), (b.p - o.p, b.q - o.q))
     return (c > 0) - (c < 0)

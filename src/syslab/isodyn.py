@@ -20,6 +20,7 @@ from .errors import (BoundaryUnsafe, Inconclusive, NoStableSegment,
                      NotTranslationLike, PreconditionViolated,
                      ScenarioParseError)
 from .euclid import euclidean_geodesic, select_vertex_geodesic
+from .exact import cross, norm_sq
 
 
 class Isometry:
@@ -300,7 +301,7 @@ def invariant_geodesic_on_plane(h: eplane.PlaneIsometry, x: eplane.Axial,
         for nb in eplane.neighbors(current):
             if eplane.lattice_distance(nb, target) != remaining - 1:
                 continue
-            offset = _cross(axis_dir, _diff(nb, x))
+            offset = cross(axis_dir, _diff(nb, x))
             options.append(((offset * offset, (offset > 0) - (offset < 0)), nb))
         if not options:
             raise PreconditionViolated("no distance-reducing neighbor; bad metric")
@@ -329,21 +330,11 @@ def _diff(u, v):
     return (u[0] - v[0], u[1] - v[1])
 
 
-def _cross(u, v) -> int:
-    """Axial cross product; the Euclidean one of the embeddings is sqrt(3)/2 times it."""
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _norm_sq(d) -> int:
-    """Squared Euclidean length of the embedding of the axial vector d."""
-    return d[0] * d[0] + d[0] * d[1] + d[1] * d[1]
-
-
 def _assert_line_distance(vertices, x, axis_dir):
-    norm_sq = _norm_sq(axis_dir)
+    axis_sq = norm_sq(axis_dir)
     for v in vertices:
-        off = _cross(axis_dir, _diff(v, x))
-        if 3 * off * off > 4 * norm_sq:  # distance > 1
+        off = cross(axis_dir, _diff(v, x))
+        if 3 * off * off > 4 * axis_sq:  # distance > 1
             raise PreconditionViolated(f"vertex {v} strays beyond distance 1 of the axis")
 
 
@@ -353,8 +344,8 @@ def axis_line_max_distance_sq(vertices, h: eplane.PlaneIsometry, x) -> Fraction:
     if isinstance(h, PlaneAction):
         h = h.iso
     axis_dir = _diff(h.apply(x), x)
-    top = max((_cross(axis_dir, _diff(v, x)) ** 2 for v in vertices), default=0)
-    return Fraction(3 * top, 4 * _norm_sq(axis_dir))
+    top = max((cross(axis_dir, _diff(v, x)) ** 2 for v in vertices), default=0)
+    return Fraction(3 * top, 4 * norm_sq(axis_dir))
 
 
 # -- central good geodesics across truncations ---------------------------------------

@@ -8,7 +8,7 @@ from syslab import eplane
 from syslab.complexes import FlagComplex
 from syslab.directed import layers
 from syslab.errors import BoundaryUnsafe, PreconditionViolated
-from syslab.euclid import (GoodnessConstants, _sub_simplices, euclidean_geodesic,
+from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
                            verify_contracting)
 
@@ -155,34 +155,43 @@ def test_goodness_memo_matches_oracle_on_random_geodesics():
         _assert_memo_agrees(c, g)
 
 
-def test_goodness_memo_keeps_margin_rule_on_cached_difference():
-    # A ball window minus the vertex (2, -1): its neighbours have margin 0.
+def _holed_ball():
+    """A plane-backed ball window minus the vertex (2, -1): the neighbours
+    of the hole have margin 0, the ring around them margin 1."""
     ball = eplane.window((0, 0), 6)
     hole = (2, -1)
-    c = FlagComplex(
+    return FlagComplex(
         {v: [u for u in ball.neighbors(v) if u != hole] for v in ball.vertices() if v != hole},
         margin={v: min(ball.margin(v), eplane.lattice_distance(v, hole) - 1)
                 for v in ball.vertices() if v != hole},
         metric_hint=eplane.lattice_distance, plane_backed=True)
-    # Sub-pair (2, 3) repeats the difference (2, 1) of sub-pair (0, 1) and is
-    # the first whose interval holds a margin-0 vertex. A geodesic cannot do
-    # this: its sub-pairs (0, k) come first and their intervals cover every
-    # later one, and goodness_constant takes geodesics only. So the memo is
-    # driven directly, in goodness_constant's sub-pair order.
-    path = [(-2, 4), (0, 5), (0, 0), (2, 1)]
-    expected = "interval vertex (1, 0) touches the window boundary (pair (0, 0), (2, 1))"
-    memo = {}
-    visited = []
-    with pytest.raises(BoundaryUnsafe) as cached:
-        for j in range(len(path)):
-            for k in range(j + 1, len(path)):
-                visited.append((j, k))
-                _sub_simplices(c, path[j], path[k], memo)
-    assert visited[-1] == (2, 3)
-    assert (2, 1) in memo                    # built for sub-pair (0, 1)
-    with pytest.raises(BoundaryUnsafe) as direct:
-        euclidean_geodesic(c, path[2], path[3], check_reversal=False)
-    assert str(cached.value) == str(direct.value) == expected
+
+
+def test_goodness_memo_keeps_margin_rule_on_cached_difference():
+    # Geodesics passing the hole: the memo reuses constructions without
+    # re-checking the margin rule, so it must refuse exactly the pairs the
+    # per-sub-pair oracle refuses, with the same message, and agree on the
+    # rest, including geodesics whose intervals reach the margin-1 ring.
+    c = _holed_ball()
+    rng = random.Random(11)
+    refused = agreed = touching = 0
+    for _ in range(400):
+        g = _random_lattice_geodesic(rng, rng.randint(2, 6))
+        if not all(v in c for v in g) or not oracles.is_geodesic(c, g):
+            continue
+        try:
+            expected = oracles.uncached_goodness_constant(c, g)
+        except BoundaryUnsafe as exc:
+            with pytest.raises(BoundaryUnsafe) as cached:
+                goodness_constant(c, g)
+            assert str(cached.value) == str(exc)
+            refused += 1
+            continue
+        assert goodness_constant(c, g) == expected
+        agreed += 1
+        interval = set().union(*c.interval_levels(g[0], g[-1], len(g) - 1))
+        touching += any(c.margin(v) == 1 for v in interval)
+    assert refused >= 10 and agreed >= 10 and touching >= 5
 
 
 def test_goodness_rejects_non_geodesic_input(window8):

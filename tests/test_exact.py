@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from syslab import eplane
-from syslab.exact import ExactScalar, PlanePoint, orient
+from syslab.exact import ExactScalar, PlanePoint, cross, norm_sq, orient
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -135,12 +135,14 @@ def test_segment_helpers():
 
 
 def test_cross_on_lattice_vectors():
-    """The identity behind every integer predicate: for lattice vectors u, v,
-    cross(embed u, embed v) = (sqrt3/2) * (u_a v_b - u_b v_a)."""
+    """The identities behind every integer predicate: for lattice vectors
+    u, v, cross(embed u, embed v) = (sqrt3/2) * cross(u, v), and the
+    squared length of embed u is norm_sq(u)."""
+    origin = oracles.exact_point(0, 0)
     for u, v in [((1, 1), (1, 0)), ((2, -1), (3, 4)), ((-5, 2), (1, -7))]:
         eu, ev = (oracles.exact_point(eplane.embed(w)) for w in (u, v))
-        axial_cross = u[0] * v[1] - u[1] * v[0]
-        assert oracles.cross(eu, ev) == es(0, Fraction(axial_cross, 2))
+        assert oracles.cross(eu, ev) == es(0, Fraction(cross(u, v), 2))
+        assert oracles.dist_sq(origin, eu) == es(norm_sq(u))
     # the unit rhombus of embed(1,1) and embed(1,0) has area sqrt3/2
     assert oracles.cross(oracles.exact_point(eplane.embed((1, 1))),
                          oracles.exact_point(eplane.embed((1, 0)))) == es(0, Fraction(-1, 2))
