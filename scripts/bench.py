@@ -29,6 +29,11 @@ The file holds:
   ``shortest_path``, ``euclidean_diagonal``), timed by a wrapper around
   each stage call.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
+- ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
+  ``tests/``) on each side, with pytest's closing summary line.
+- ``startup``: wall seconds of a fresh ``python -c "import syslab.cli"``
+  process on each side, interpreter start included (median of
+  ``STARTUP_REPEATS``).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ FIRST_SEED = 401
 REPEATS = 3
 CURVE_LENGTHS = (8, 16, 24, 32)
 CAT0_STAGES = ("modified_disk", "shortest_path", "euclidean_diagonal")
+STARTUP_REPEATS = 5
 
 
 def git(*args: str) -> str:
@@ -127,12 +133,36 @@ def traced(sides: dict, workloads) -> dict:
                 for side, tree in sides.items()} for w in workloads}
 
 
+def side_env(tree: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+
 def curve(tree: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--curve-worker"],
-        env={**os.environ, "PYTHONPATH": str(tree / "src")},
-        capture_output=True, text=True, check=True)
+        env=side_env(tree), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def tier1(tree: Path) -> dict:
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"],
+        cwd=tree, env=side_env(tree), capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 2), "summary": lines[-1] if lines else ""}
+
+
+def startup(tree: Path) -> float:
+    walls = []
+    for _ in range(STARTUP_REPEATS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import syslab.cli"], cwd=tree,
+                       env=side_env(tree), check=True)
+        walls.append(time.perf_counter() - t0)
+    return round(statistics.median(walls), 4)
 
 
 def curve_worker() -> dict:
@@ -213,6 +243,8 @@ def main(argv=None) -> int:
                  "machine": platform.machine(), "pairs": PAIRS, "seconds": seconds},
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         "goodness_curve": {side: curve(tree) for side, tree in sides.items()},
+        "startup": {side: startup(tree) for side, tree in sides.items()},
+        "tier1": {side: tier1(tree) for side, tree in sides.items()},
         "traced": traced(sides, workloads),
         "gated": gated(sides, workloads, metrics, seconds),
     }

@@ -138,8 +138,8 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     between the realizing pair; an interior vertex whose region link is not
     a 6-cycle fails the flat test and raises NotFlat. The region is then
     developed onto the lattice, which also certifies the embedding is
-    isometric. Plane-backed complexes develop by identity, which is
-    isometric by construction.
+    isometric; that check costs one BFS per region vertex. Plane-backed
+    complexes develop by identity, which is isometric by construction.
     """
     if len(cycle) < 6:
         raise PreconditionViolated(
@@ -257,10 +257,16 @@ def _edge_completions(pa, pb):
 
 
 def _check_isometric(c, region, coords):
+    """Compare every pair's lattice and ambient distances, in sorted pair
+    order, with one BFS per vertex reaching as far as its later partners."""
     verts = sorted(region)
-    for a, b in combinations(verts, 2):
-        if eplane.lattice_distance(coords[a], coords[b]) != c.true_distance(a, b):
-            raise NotFlat(f"development is not isometric on pair ({a}, {b})")
+    for i, a in enumerate(verts[:-1]):
+        later = verts[i + 1:]
+        want = [eplane.lattice_distance(coords[a], coords[b]) for b in later]
+        dist = c.bfs_distances(a, budget=max(want))
+        for b, d in zip(later, want):
+            if dist.get(b) != d:
+                raise NotFlat(f"development is not isometric on pair ({a}, {b})")
 
 
 def _check_layer_geometry(v_labels, w_labels):

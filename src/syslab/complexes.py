@@ -141,8 +141,13 @@ class FlagComplex:
 
     # -- internal metric -------------------------------------------------------
 
-    def bfs_distances(self, source, *, budget: Optional[int] = None) -> dict:
-        """Distance map from source, truncated at the given radius."""
+    def bfs_distances(self, source, *, budget: Optional[int] = None,
+                      until=None) -> dict:
+        """Distance map from source, truncated at the given radius.
+
+        With ``until`` the search stops as soon as that vertex is discovered;
+        every vertex nearer to source than it then holds its exact distance.
+        """
         dist = {source: 0}
         queue = deque([source])
         while queue:
@@ -153,6 +158,8 @@ class FlagComplex:
             for u in self._adj[v]:
                 if u not in dist:
                     dist[u] = dv + 1
+                    if u == until:
+                        return dist
                     queue.append(u)
         return dist
 
@@ -186,29 +193,34 @@ class FlagComplex:
         raise Unreachable(f"no path {x} -> {y}"
                           + (f" within budget {budget}" if budget is not None else ""))
 
-    def interval_levels(self, x, y, n: int) -> tuple:
-        """The interval [x, y] as level sets, given n = d(x, y).
+    def interval_levels(self, x, y) -> tuple:
+        """The interval [x, y] as its d(x, y) + 1 level sets.
 
         Level i holds the vertices on x-y geodesics at distance i from x.
         Plane windows read the closed-form interval box and return the
-        window's own vertex objects; other complexes run one BFS from y and
-        walk out from x along edges that step one closer.
+        window's own vertex objects; other complexes run one BFS from x that
+        stops once y is discovered, and walk back from y along edges that
+        step one closer to x.
         """
         if self.plane_backed:
-            levels = [set() for _ in range(n + 1)]
+            levels = [set() for _ in range(eplane.lattice_distance(x, y) + 1)]
             own = self._own
             for v in eplane.interval_box(x, y):
                 v = own.get(v)
                 if v is not None:
                     levels[eplane.lattice_distance(x, v)].add(v)
             return tuple(map(frozenset, levels))
-        to_y = self.bfs_distances(y, budget=n)
-        level = frozenset([x])
+        if x == y:
+            return (frozenset([x]),)
+        from_x = self.bfs_distances(x, until=y)
+        if y not in from_x:
+            raise Unreachable(f"no path {x} -> {y}")
+        level = frozenset([y])
         levels = [level]
-        for d in range(n - 1, -1, -1):
-            level = frozenset(u for v in level for u in self._adj[v] if to_y.get(u) == d)
+        for d in range(from_x[y] - 1, -1, -1):
+            level = frozenset(u for v in level for u in self._adj[v] if from_x.get(u) == d)
             levels.append(level)
-        return tuple(levels)
+        return tuple(levels[::-1])
 
     def _vertex_index(self):
         if self._index is None:
@@ -253,7 +265,8 @@ def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
 
 def interval(c: FlagComplex, x, y, budget: Optional[int] = None) -> frozenset:
     """All vertices on geodesics from x to y: { v : d(x,v) + d(v,y) = d(x,y) }."""
-    return frozenset().union(*c.interval_levels(x, y, distance(c, x, y, budget)))
+    distance(c, x, y, budget)
+    return frozenset().union(*c.interval_levels(x, y))
 
 
 def is_convex(c: FlagComplex, vertices: Iterable[VertexId], radius_cap: int) -> bool:

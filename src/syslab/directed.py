@@ -125,7 +125,7 @@ def _safe_levels(c: FlagComplex, x, y) -> tuple:
     if not c.trusts_metric:
         raise BoundaryUnsafe(
             "window metric is not trusted; materialize a convex window instead")
-    levels = c.interval_levels(x, y, c.true_distance(x, y))
+    levels = c.interval_levels(x, y)
     if not c.is_complete:
         for level in levels:
             unsafe = [v for v in level if c.margin(v) < 1]

@@ -20,8 +20,8 @@ from .errors import PreconditionViolated, ScenarioParseError
 from .euclid import GoodnessConstants
 
 # Schemas map each key to (type, default). Every value is checked against its
-# type at parse time; the default is REQUIRED, None (optional, no default), or
-# the raw text the key takes when it is absent.
+# type, range included, at parse time; the default is REQUIRED, None (optional,
+# no default), or the raw text the key takes when it is absent.
 REQUIRED = object()
 
 # task kind -> {parameter its runner handler reads: (type, default)}; "text"
@@ -29,16 +29,16 @@ REQUIRED = object()
 TASK_KINDS = {
     "geodesic-pipeline": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
                           "to": ("vertex", REQUIRED)},
-    "goodness-sweep": {"complex": ("text", REQUIRED), "pairs": ("int", "20"),
-                       "max_distance": ("int", "10"), "staircase_map": ("isometry", None),
+    "goodness-sweep": {"complex": ("text", REQUIRED), "pairs": ("count", "20"),
+                       "max_distance": ("int", "10"), "staircase_map": ("translation", None),
                        "staircase_length": ("int", "16"),
                        "staircase_origin": ("vertex", "0 0"), "ambient": ("text", None)},
     "displacement-study": {"complex": ("text", REQUIRED), "isometry": ("text", REQUIRED),
-                           "pairs": ("int", "10"), "max_distance": ("int", "20")},
-    "contracting-suite": {"complex": ("text", REQUIRED), "pairs": ("int", "50"),
+                           "pairs": ("count", "10"), "max_distance": ("int", "20")},
+    "contracting-suite": {"complex": ("text", REQUIRED), "pairs": ("count", "50"),
                           "doubling": ("int", "20"), "max_distance": ("int", "12"),
-                          "cs": ("fractions", "1/4 1/2 3/4"), "origin": ("vertex", "0 0")},
-    "extendability-study": {"depth": ("int", "10"), "control_pairs": ("int", "12"),
+                          "cs": ("unit-fractions", "1/4 1/2 3/4"), "origin": ("vertex", "0 0")},
+    "extendability-study": {"depth": ("int", "10"), "control_pairs": ("count", "12"),
                             "control_span": ("int", "6")},
     "figure-render": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
                       "to": ("vertex", REQUIRED), "out": ("text", None)},
@@ -149,18 +149,37 @@ def _parse_bool(text: str) -> bool:
         raise ScenarioParseError(f"expected one of true/false/yes/no/1/0, got {text!r}") from None
 
 
-def _parse_fractions(text: str) -> List[Fraction]:
+def _parse_count(text: str) -> int:
+    n = _parse_int(text)
+    if n < 1:
+        raise ScenarioParseError(f"expected a count of at least 1, got {text!r}")
+    return n
+
+
+def _parse_unit_fractions(text: str) -> List[Fraction]:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ScenarioParseError("expected one or more fractions, got nothing")
     try:
-        return [Fraction(tok) for tok in tokens]
+        values = [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioParseError(f"expected fractions such as 1/4, got {text!r}") from exc
+    for tok, value in zip(tokens, values):
+        if not 0 <= value <= 1:
+            raise ScenarioParseError(f"expected fractions in [0, 1], got {tok!r}")
+    return values
 
 
-_VALUE_PARSERS = {"int": _parse_int, "vertex": _parse_axial, "text": str, "bool": _parse_bool,
-                  "fractions": _parse_fractions, "isometry": eplane.parse_isometry}
+def _parse_translation(text: str) -> eplane.PlaneIsometry:
+    h = eplane.parse_isometry(text)
+    if not h.is_translation or h.shift == (0, 0):
+        raise ScenarioParseError(f"expected a nonzero translation, got {text!r}")
+    return h
+
+
+_VALUE_PARSERS = {"int": _parse_int, "count": _parse_count, "vertex": _parse_axial,
+                  "text": str, "bool": _parse_bool, "unit-fractions": _parse_unit_fractions,
+                  "translation": _parse_translation}
 
 
 def _parse_value(where: str, key: str, kind: str, value: str):

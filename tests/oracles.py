@@ -15,6 +15,11 @@ dense tensor form of the same test.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
 with the library, because it checks the translation memo of
 ``euclid.goodness_constant`` against one construction per sub-pair.
+``two_bfs_interval_levels`` and ``pairwise_check_isometric`` are the
+library's former interval walk and disk isometry check, kept on the
+complex's own ``true_distance`` and ``bfs_distances``, because they check
+that the searches which replaced them give the same levels and name the
+same failing pair.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from syslab import cat0, eplane
 from syslab.cat0 import PolyPath
-from syslab.errors import DegenerateDomain, NoCrossing, PreconditionViolated
+from syslab.errors import DegenerateDomain, NoCrossing, NotFlat, PreconditionViolated
 from syslab.euclid import GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
 
@@ -67,6 +72,23 @@ def bfs_map(c, x, cap=10 ** 9):
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
+
+
+def pairs_within(c, radius):
+    """Every ordered vertex pair of c at distance at most radius, found by
+    plain BFS. On a book (vertices (a, b, page), page 0 the spine) only one
+    pair per orbit of the page permutations, which are automorphisms of a
+    book window: the one whose pages, read x then y and spine aside, run
+    1, 2, ... in order of first appearance."""
+    book = c.name.startswith("book-")
+    for x in sorted(c.vertices()):
+        near = bfs_map(c, x, cap=radius)
+        for y in sorted(near):
+            if book:
+                pages = list(dict.fromkeys(p for p in (x[2], y[2]) if p))
+                if pages != list(range(1, len(pages) + 1)):
+                    continue
+            yield x, y
 
 
 def interval_scan(c, x, y):
@@ -635,3 +657,25 @@ def uncached_goodness_constant(c, geodesic):
                         best = d
                         witness = (j, k, i, u, d)
     return GoodnessReport(verts, best, witness, pairs)
+
+
+def two_bfs_interval_levels(c, x, y):
+    """The former non-plane ``FlagComplex.interval_levels``: ``true_distance``,
+    then one BFS from y, then the walk out from x along edges that step one
+    closer to y."""
+    n = c.true_distance(x, y)
+    to_y = c.bfs_distances(y, budget=n)
+    level = frozenset([x])
+    levels = [level]
+    for d in range(n - 1, -1, -1):
+        level = frozenset(u for v in level for u in c.neighbors(v) if to_y.get(u) == d)
+        levels.append(level)
+    return tuple(levels)
+
+
+def pairwise_check_isometric(c, region, coords):
+    """The former ``chardisk._check_isometric``: one ``true_distance`` per pair."""
+    verts = sorted(region)
+    for a, b in combinations(verts, 2):
+        if eplane.lattice_distance(coords[a], coords[b]) != c.true_distance(a, b):
+            raise NotFlat(f"development is not isometric on pair ({a}, {b})")

@@ -1,12 +1,13 @@
 import pytest
 
-from syslab import eplane, samples
+import oracles
+from syslab import chardisk, eplane, samples
 from syslab.chardisk import (boundary_cycle, brute_force_min_disk,
                              characteristic_map, extract_flat_disk)
 from syslab.complexes import FlagComplex, Simplex
 from syslab.directed import ThickInterval, layers, thick_intervals
-from syslab.errors import (MinDiskTimeout, NoFilling, NotASimplexOfDisk,
-                           PreconditionViolated)
+from syslab.errors import (BoundaryUnsafe, MinDiskTimeout, NoFilling, NotASimplexOfDisk,
+                           NotFlat, PreconditionViolated)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,66 @@ def test_development_in_book():
             for mi in range(t + 1):
                 for mj in range(mi, t + 1):
                     assert book.true_distance(surface[pts[mi]], surface[pts[mj]]) == mj - mi
+
+
+def _flat_disks(c):
+    """The distinct flat disks of the thick intervals between pairs x < y
+    within distance 8 that the margin rule allows."""
+    disks = {}
+    for x, y in oracles.pairs_within(c, 8):
+        if x < y:
+            try:
+                ls = layers(c, x, y)
+            except BoundaryUnsafe:
+                continue
+            for iv in thick_intervals(ls):
+                disk = extract_flat_disk(c, boundary_cycle(c, iv, ls))
+                disks.setdefault(disk.region, disk)
+    return list(disks.values())
+
+
+def _swapped(coords, a, b):
+    bad = dict(coords)
+    bad[a], bad[b] = coords[b], coords[a]
+    return bad
+
+
+def test_check_isometric_agrees_with_pairwise_oracle(non_plane_complexes):
+    checked = 0
+    for c in non_plane_complexes:
+        for disk in _flat_disks(c):
+            chardisk._check_isometric(c, disk.region, disk.coords)
+            oracles.pairwise_check_isometric(c, disk.region, disk.coords)
+            verts = sorted(disk.region)
+            bad = _swapped(disk.coords, verts[1], verts[-2])
+            with pytest.raises(NotFlat) as new:
+                chardisk._check_isometric(c, disk.region, bad)
+            with pytest.raises(NotFlat) as old:
+                oracles.pairwise_check_isometric(c, disk.region, bad)
+            assert str(new.value) == str(old.value)
+            checked += 1
+    assert checked >= 250
+
+
+def test_non_isometric_development_raises_not_flat(monkeypatch):
+    """A development that misplaces two vertices of a book disk is caught
+    by the isometry check, which names the first bad pair in sorted order."""
+    book = samples.book_window(3, 12)
+    bf = samples.book_flat_embedding
+    ls = layers(book, bf((-3, 1)), bf((5, -2)))
+    cyc = boundary_cycle(book, thick_intervals(ls)[0], ls)
+    region = sorted(extract_flat_disk(book, cyc).region)
+    a, b = region[2], region[5]
+    develop = chardisk._develop
+    monkeypatch.setattr(chardisk, "_develop",
+                        lambda c, cycle, reg: _swapped(develop(c, cycle, reg), a, b))
+    with pytest.raises(NotFlat, match=r"development is not isometric on pair") as new:
+        extract_flat_disk(book, cyc)
+    bad = _swapped(develop(book, cyc, set(region)), a, b)
+    with pytest.raises(NotFlat) as old:
+        oracles.pairwise_check_isometric(book, region, bad)
+    assert str(new.value) == str(old.value)
+    assert str(new.value).endswith(f"on pair ({region[0]}, {a})")
 
 
 def test_no_realizing_chain_on_degenerate_bracket():

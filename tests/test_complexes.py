@@ -9,6 +9,7 @@ from syslab import eplane, samples
 from syslab.complexes import (FlagComplex, Simplex, check_local_6_large, distance,
                               dump_complex, interval, is_convex, load_complex,
                               materialize_window, parse_complex_text, residue)
+from syslab.directed import require_pair_safe
 from syslab.errors import (BoundaryUnsafe, NotASimplex, PreconditionViolated,
                            ScenarioParseError, Unreachable)
 
@@ -63,7 +64,7 @@ def test_interval_properties(ax, ay, bx, by):
 
 def _assert_levels_match_oracles(c, x, y, dist_from_x):
     n = oracles.bfs_distance(c, x, y)
-    levels = c.interval_levels(x, y, n)
+    levels = c.interval_levels(x, y)
     assert len(levels) == n + 1
     assert frozenset().union(*levels) == oracles.interval_scan(c, x, y)
     for i, level in enumerate(levels):
@@ -89,7 +90,7 @@ def test_interval_levels_plane_hold_window_vertices():
     for x in sorted(c.vertices()):
         for y in sorted(c.vertices()):
             n = eplane.lattice_distance(x, y)
-            levels = c.interval_levels(tuple(list(x)), tuple(list(y)), n)
+            levels = c.interval_levels(tuple(list(x)), tuple(list(y)))
             # fresh tuples in kept results would pin allocator pools
             assert all(v is own[v] for level in levels for v in level)
             closed_form = [set() for _ in range(n + 1)]
@@ -114,6 +115,22 @@ def test_interval_levels_flat_disk_all_pairs():
         dist_from_x = oracles.bfs_map(c, x)
         for y in sorted(c.vertices()):
             _assert_levels_match_oracles(c, x, y, dist_from_x)
+
+
+def test_interval_levels_agree_with_two_bfs_oracle(non_plane_complexes):
+    for c in non_plane_complexes:
+        for x, y in oracles.pairs_within(c, 8):
+            assert c.interval_levels(x, y) == oracles.two_bfs_interval_levels(c, x, y)
+
+
+def test_interval_levels_disconnected_pair(non_plane_complexes):
+    c = non_plane_complexes[-1]
+    with pytest.raises(Unreachable, match=r"^no path 0 -> 100$"):
+        c.interval_levels(0, 100)
+    with pytest.raises(Unreachable, match=r"^no path 0 -> 100$"):
+        oracles.two_bfs_interval_levels(c, 0, 100)
+    with pytest.raises(Unreachable, match=r"^no path 0 -> 100$"):
+        require_pair_safe(c, 0, 100)
 
 
 def test_is_convex_examples(window8):

@@ -189,7 +189,7 @@ def test_goodness_memo_keeps_margin_rule_on_cached_difference():
             continue
         assert goodness_constant(c, g) == expected
         agreed += 1
-        interval = set().union(*c.interval_levels(g[0], g[-1], len(g) - 1))
+        interval = set().union(*c.interval_levels(g[0], g[-1]))
         touching += any(c.margin(v) == 1 for v in interval)
     assert refused >= 10 and agreed >= 10 and touching >= 5
 

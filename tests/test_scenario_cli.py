@@ -159,8 +159,25 @@ def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
      "key 'cs': expected one or more fractions"),
     ("kind = goodness-sweep\ncomplex = main\nstaircase_map = nonsense\n",
      "key 'staircase_map': bad isometry literal 'nonsense'"),
+    ("kind = contracting-suite\ncomplex = main\ncs = 1/2 2\n",
+     "key 'cs': expected fractions in [0, 1], got '2'"),
+    ("kind = contracting-suite\ncomplex = main\ncs = -1/4\n",
+     "key 'cs': expected fractions in [0, 1], got '-1/4'"),
+    ("kind = goodness-sweep\ncomplex = main\nstaircase_map = glide(1,1)\n",
+     "key 'staircase_map': expected a nonzero translation, got 'glide(1,1)'"),
+    ("kind = goodness-sweep\ncomplex = main\nstaircase_map = translate(0, 0)\n",
+     "key 'staircase_map': expected a nonzero translation, got 'translate(0, 0)'"),
+    ("kind = contracting-suite\ncomplex = main\npairs = -3\n",
+     "key 'pairs': expected a count of at least 1, got '-3'"),
+    ("kind = displacement-study\ncomplex = main\nisometry = g\npairs = 0\n"
+     "\n[isometry g]\nmap = translate(1, 0)\n",
+     "key 'pairs': expected a count of at least 1, got '0'"),
+    ("kind = extendability-study\ncontrol_pairs = 0\n",
+     "key 'control_pairs': expected a count of at least 1, got '0'"),
 ], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key",
-        "non-fraction", "zero-denominator", "no-fractions", "bad-isometry"])
+        "non-fraction", "zero-denominator", "no-fractions", "bad-isometry",
+        "fraction-above-1", "fraction-below-0", "glide-staircase", "zero-translation",
+        "negative-pairs", "zero-pairs", "zero-control-pairs"])
 def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     scn = tmp_path / "bad.scn"
     scn.write_text("[complex main]\nkind = eplane\n\n[task t]\n" + task)
