@@ -31,6 +31,7 @@ The file holds:
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
 - ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
   ``tests/``) on each side, with pytest's closing summary line.
+- ``acceptance``: the same for one run of ``tests/test_acceptance.py`` alone.
 - ``startup``: wall seconds of a fresh ``python -c "import syslab.cli"``
   process on each side, interpreter start included (median of
   ``STARTUP_REPEATS``).
@@ -144,11 +145,12 @@ def curve(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def tier1(tree: Path) -> dict:
+def pytest_wall(tree: Path, *paths: str) -> dict:
+    """Wall seconds and closing summary line of one pytest run on the side."""
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"],
+         "-p", "no:cacheprovider", *paths],
         cwd=tree, env=side_env(tree), capture_output=True, text=True, check=False)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
@@ -168,7 +170,9 @@ def startup(tree: Path) -> float:
 def curve_worker() -> dict:
     """Time goodness_constant on the selected geodesic from (n/2, -q/2) to
     (-n/2, q - q/2), q = 3n/8, in a radius-40 window; run with the side's
-    src/ on PYTHONPATH."""
+    src/ on PYTHONPATH. Every timed call gets a window of its own, built
+    untimed, so no call reads constructions an earlier one left in the
+    window's translation memo."""
     from syslab import cat0, eplane, euclid
 
     spent = [0.0]
@@ -193,9 +197,11 @@ def curve_worker() -> dict:
             euclid.euclidean_geodesic(c, x, y, check_reversal=False))
         plain, staged, shares = [], [], []
         for _ in range(REPEATS):
+            c = eplane.window((0, 0), 40)
             t0 = time.perf_counter()
             euclid.goodness_constant(c, path)
             plain.append(time.perf_counter() - t0)
+            c = eplane.window((0, 0), 40)
             for name, fn in originals.items():
                 setattr(cat0, name, timed(fn))
             try:
@@ -244,7 +250,9 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         "goodness_curve": {side: curve(tree) for side, tree in sides.items()},
         "startup": {side: startup(tree) for side, tree in sides.items()},
-        "tier1": {side: tier1(tree) for side, tree in sides.items()},
+        "tier1": {side: pytest_wall(tree) for side, tree in sides.items()},
+        "acceptance": {side: pytest_wall(tree, "tests/test_acceptance.py")
+                       for side, tree in sides.items()},
         "traced": traced(sides, workloads),
         "gated": gated(sides, workloads, metrics, seconds),
     }

@@ -59,13 +59,21 @@ class Simplex:
 class FlagComplex:
     """Uniformly locally finite graph; simplices are its cliques.
 
-    Immutable after construction; all queries are read-only.
+    The graph is immutable after construction and all queries are
+    read-only.
 
     ``margin`` maps each vertex to its hop distance to the nearest vertex
     missing from a materialized window; ``None`` marks a complete complex.
     ``convex_window`` asserts the window is a combinatorial ball of a locally
     6-large complex, whose convexity makes every internal BFS distance true.
     ``metric_hint`` is an exact closed-form metric (used for plane windows).
+
+    ``translation_memo`` is the one mutable cache, and only plane windows
+    have it (``None`` elsewhere): ``euclid.goodness_constant`` maps each
+    difference y - x to ``(x0, simplex vertex tuples)`` of the Euclidean
+    geodesic it built from x0 to x0 + (y - x), so every call on the window
+    shares one construction per difference. It is bounded by the
+    differences that fit in the window and lives as long as the window.
     """
 
     def __init__(self, adjacency: Mapping[VertexId, Iterable[VertexId]], *,
@@ -91,6 +99,7 @@ class FlagComplex:
         self.metric_hint = metric_hint
         self.convex_window = convex_window
         self.plane_backed = plane_backed
+        self.translation_memo = {} if plane_backed else None
         self.name = name
         self.degree_bound = max((len(n) for n in adj.values()), default=0)
         self._index = None
@@ -252,21 +261,34 @@ def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
     cannot have affected it: the window is a convex ball, a closed-form
     metric backs it, or the distance fits inside one endpoint's margin.
     """
+    _require_members(c, x, y)
+    d = c.true_distance(x, y, budget)
+    _certify(c, x, y, d)
+    return d
+
+
+def interval(c: FlagComplex, x, y) -> frozenset:
+    """All vertices on geodesics from x to y: { v : d(x,v) + d(v,y) = d(x,y) }.
+
+    Certified like ``distance``, with d(x, y) read off the level count."""
+    _require_members(c, x, y)
+    levels = c.interval_levels(x, y)
+    _certify(c, x, y, len(levels) - 1)
+    return frozenset().union(*levels)
+
+
+def _require_members(c: FlagComplex, x, y):
     if x not in c or y not in c:
         raise PreconditionViolated(f"vertex not in complex: {x if x not in c else y}")
-    d = c.true_distance(x, y, budget)
+
+
+def _certify(c: FlagComplex, x, y, d: int):
+    """The margin rule for a distance d(x, y) = d found inside the window."""
     if not c.trusts_metric:
         mx, my = c.margin(x), c.margin(y)
         if d > max(mx, my):
             raise BoundaryUnsafe(
                 f"distance {d} between {x} and {y} exceeds both margins ({mx}, {my})")
-    return d
-
-
-def interval(c: FlagComplex, x, y, budget: Optional[int] = None) -> frozenset:
-    """All vertices on geodesics from x to y: { v : d(x,v) + d(v,y) = d(x,y) }."""
-    distance(c, x, y, budget)
-    return frozenset().union(*c.interval_levels(x, y))
 
 
 def is_convex(c: FlagComplex, vertices: Iterable[VertexId], radius_cap: int) -> bool:
@@ -379,16 +401,21 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     if radius < 0:
         raise PreconditionViolated("radius must be >= 0")
     depth = {center: 0}
+    inner = {}
     queue = deque([center])
     while queue:
         v = queue.popleft()
         if depth[v] == radius:
             continue
-        for u in neighbors_fn(v):
+        inner[v] = around = neighbors_fn(v)
+        for u in around:
             if u not in depth:
                 depth[u] = depth[v] + 1
                 queue.append(u)
-    adjacency = {v: [u for u in neighbors_fn(v) if u in depth] for v in depth}
+    # every neighbour of a vertex inside the radius is in the window, so only
+    # the rim's neighbour lists need filtering
+    adjacency = {v: inner[v] if v in inner else [u for u in neighbors_fn(v) if u in depth]
+                 for v in depth}
     margin = {v: radius - d for v, d in depth.items()}
     return FlagComplex(adjacency, margin=margin, metric_hint=metric_hint,
                        convex_window=convex, plane_backed=plane_backed, name=name)

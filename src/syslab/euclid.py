@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cat0, chardisk
 from .complexes import FlagComplex, Simplex
-from .directed import Layers, layers, thick_intervals
+from .directed import Layers, layers, require_pair_safe, thick_intervals
 from .errors import ConditionViolated, NoSelection, PreconditionViolated
 
 
@@ -179,21 +179,21 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
 
     This is exactly the least C' for which the geodesic is C'-good. Plane
     windows are translation-equivariant, so there one Euclidean geodesic is
-    built per distinct difference v_k - v_j and shifted onto every later
-    sub-pair with that difference; other complexes build one Euclidean
-    geodesic per sub-pair. Quadratic in the length either way. The input
-    must be a vertex geodesic; that is checked first, in O(n).
+    built per distinct difference v_k - v_j, kept in the window's
+    ``translation_memo`` and shifted onto every later sub-pair with that
+    difference, in this call or a later one; other complexes build one
+    Euclidean geodesic per sub-pair. Quadratic in the length either way.
+    The input must be a vertex geodesic; that is checked first, in O(n).
     """
     verts = tuple(geodesic)
     _require_vertex_geodesic(c, verts)
-    memo = {} if c.plane_backed else None
     best = 0
     witness = None
     pairs = 0
     for j in range(len(verts)):
         for k in range(j + 1, len(verts)):
             pairs += 1
-            sub = _sub_simplices(c, verts[j], verts[k], memo)
+            sub = _sub_simplices(c, verts[j], verts[k], j == 0)
             for i in range(j, k + 1):
                 for u in sub[i - j]:
                     d = c.true_distance(verts[i], u)
@@ -219,17 +219,17 @@ def _require_vertex_geodesic(c: FlagComplex, verts: Tuple):
                 f"but the sequence takes {n} steps")
 
 
-def _sub_simplices(c: FlagComplex, x, y, memo: Optional[dict]) -> Sequence:
+def _sub_simplices(c: FlagComplex, x, y, check: bool) -> Sequence:
     """The simplices of the Euclidean geodesic from x to y, each iterable in
     sorted vertex order. With a memo (plane windows) a pair reuses the
     vertex tuples built for the first pair x0 with difference y - x,
     shifted by x - x0; a translation keeps every sorted tuple sorted.
 
-    A reused pair skips the margin rule, which goodness_constant's
-    precondition makes redundant: on a vertex geodesic the sub-pairs
-    (0, k) come first and all have different differences, so each is
-    built and checked, and every later interval I(v_j, v_k) lies inside
-    the checked I(v_0, v_k)."""
+    A reused pair is still held to the margin rule when ``check`` is set,
+    which goodness_constant sets for the sub-pairs (0, k). The later
+    sub-pairs skip it: on a vertex geodesic every interval I(v_j, v_k)
+    lies inside the I(v_0, v_k) that was checked just before."""
+    memo = c.translation_memo
     if memo is None:
         return euclidean_geodesic(c, x, y, check_reversal=False)
     diff = (y[0] - x[0], y[1] - x[1])
@@ -238,6 +238,8 @@ def _sub_simplices(c: FlagComplex, x, y, memo: Optional[dict]) -> Sequence:
         sims = tuple(s.verts for s in euclidean_geodesic(c, x, y, check_reversal=False))
         memo[diff] = (x, sims)
         return sims
+    if check:
+        require_pair_safe(c, x, y)
     x0, sims = hit
     dx, dy = x[0] - x0[0], x[1] - x0[1]
     return [tuple((a + dx, b + dy) for a, b in s) for s in sims]

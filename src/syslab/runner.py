@@ -85,14 +85,22 @@ class TaskRecord:
 
 
 def run_scenario(scenario: Scenario, out_dir: Path) -> Tuple[Dict, int]:
-    """Execute all tasks in order; write partial results even on failure."""
+    """Execute all tasks in order; write partial results even on failure.
+
+    Each named complex is built on first use and shared by the later tasks
+    of this run; none outlives it.
+    """
     records: List[TaskRecord] = []
+    built: Dict[str, FlagComplex] = {}
     for index, task in enumerate(scenario.tasks):
         rng = random.Random((scenario.seed, index, task.name).__repr__())
         record = TaskRecord(task.name, task.kind, dict(task.params))
         start = time.perf_counter()
         try:
-            _HANDLERS[task.kind](scenario, task, record, rng, out_dir)
+            name = task.values.get("complex")
+            if name is not None and name not in built:
+                built[name] = scenario.complex(name)
+            _HANDLERS[task.kind](scenario, task, record, rng, out_dir, built.get(name))
         except Exception as exc:  # recorded, so the report is still written
             record.error = f"{type(exc).__name__}: {exc}"
         record.wall_clock_s = time.perf_counter() - start
@@ -119,16 +127,28 @@ def write_report(report: Dict, path: Path):
 # -- samplers -------------------------------------------------------------------
 
 
-def _sample_safe_pair(c: FlagComplex, rng, max_distance: int,
+def _sample_space(c: FlagComplex, name: str) -> List:
+    """The vertices pairs are drawn from, sorted: those of margin >= 1."""
+    verts = sorted(v for v in c.vertices() if c.is_complete or c.margin(v) >= 1)
+    if len(verts) < 2:
+        raise TaskFailed(f"complex {name!r} ({c.name}) has {len(verts)} vertices "
+                         f"of margin >= 1; sampling needs two")
+    return verts
+
+
+def _sample_safe_pair(c: FlagComplex, verts: List, rng, max_distance: int,
                       predicate=None, max_tries: int = 5000):
-    verts = sorted(v for v in c.vertices()
-                   if c.is_complete or c.margin(v) >= 1)
+    """Draw x, y from the sample space until the pair is margin-safe and
+    1 <= d(x, y) <= max_distance. A closed-form metric rejects far pairs
+    before their interval is enumerated; the draws are the same either way."""
     for _ in range(max_tries):
         x = verts[rng.randrange(len(verts))]
         y = verts[rng.randrange(len(verts))]
         if x == y:
             continue
         if predicate is not None and not (predicate(x) and predicate(y)):
+            continue
+        if c.metric_hint is not None and c.metric_hint(x, y) > max_distance:
             continue
         try:
             d = require_pair_safe(c, x, y)
@@ -142,8 +162,7 @@ def _sample_safe_pair(c: FlagComplex, rng, max_distance: int,
 # -- task handlers -----------------------------------------------------------------
 
 
-def _task_pipeline(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.values["complex"])
+def _task_pipeline(scenario, task, record, rng, out_dir, c):
     x, y = task.values["from"], task.values["to"]
     euclid = euclidean_geodesic(c, x, y, check_reversal=True)
     layer_seq = euclid.layers
@@ -167,14 +186,14 @@ def _task_pipeline(scenario, task, record, rng, out_dir):
         report.c_star <= scenario.constants.C, report.witness))
 
 
-def _task_goodness(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.values["complex"])
+def _task_goodness(scenario, task, record, rng, out_dir, c):
     n_pairs = task.values["pairs"]
     max_d = task.values["max_distance"]
+    verts = _sample_space(c, task.values["complex"])
     worst_sel = (0, None)
     worst_corner = (0, None)
     for _ in range(n_pairs):
-        x, y, _ = _sample_safe_pair(c, rng, max_d)
+        x, y, _ = _sample_safe_pair(c, verts, rng, max_d)
         selected = select_vertex_geodesic(
             euclidean_geodesic(c, x, y, check_reversal=False))
         rep = goodness_constant(c, selected)
@@ -238,8 +257,7 @@ def _goodness_ambient(scenario, task, record, flat):
         worst[0] <= worst[1], worst[2]))
 
 
-def _task_displacement(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.values["complex"])
+def _task_displacement(scenario, task, record, rng, out_dir, c):
     h = PlaneAction(scenario.isometry(task.values["isometry"]))
     n_pairs = task.values["pairs"]
     max_d = task.values["max_distance"]
@@ -248,9 +266,10 @@ def _task_displacement(scenario, task, record, rng, out_dir):
     L = translation_length(h)
     mset = min_set(h, c)
     bound = 9 * L + 6
+    verts = _sample_space(c, task.values["complex"])
     pairs = []
     for _ in range(n_pairs):
-        x, y, _ = _sample_safe_pair(c, rng, max_d,
+        x, y, _ = _sample_safe_pair(c, verts, rng, max_d,
                                     predicate=lambda v: v in mset.vertices)
         pairs.append((x, y))
     prox = check_min_proximity(c, h, pairs)
@@ -301,20 +320,20 @@ def _task_displacement(scenario, task, record, rng, out_dir):
         K + 2 * grow if ok else "violated", ok, witness))
 
 
-def _task_contracting(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.values["complex"])
+def _task_contracting(scenario, task, record, rng, out_dir, c):
     n_pairs = task.values["pairs"]
     n_doubling = task.values["doubling"]
     max_d = task.values["max_distance"]
     cs = task.values["cs"]
     origin = task.values["origin"]
+    verts = _sample_space(c, task.values["complex"])
     rays = []
     seen = set()
     want = max(8, min(40, n_pairs))
     attempts = 0
     while len(rays) < want and attempts < 50 * want:
         attempts += 1
-        x, y, d = _sample_safe_pair(c, rng, max_d)
+        x, y, d = _sample_safe_pair(c, verts, rng, max_d)
         target = (origin[0] + (y[0] - x[0]), origin[1] + (y[1] - x[1]))
         if target in seen or target not in c:
             continue
@@ -359,7 +378,7 @@ def _task_contracting(scenario, task, record, rng, out_dir):
         str(doubling_slack), doubling_violations == 0, None))
 
 
-def _task_extendability(scenario, task, record, rng, out_dir):
+def _task_extendability(scenario, task, record, rng, out_dir, c):
     depth = task.values["depth"]
     table = treestudy.tree_extendability(depth)
     expected = {samples.branch_tip(n): n for n in range(2, depth)}
@@ -384,8 +403,7 @@ def _task_extendability(scenario, task, record, rng, out_dir):
         control.max_E() <= 1, None))
 
 
-def _task_render(scenario, task, record, rng, out_dir):
-    c = scenario.complex(task.values["complex"])
+def _task_render(scenario, task, record, rng, out_dir, c):
     svg = render.render_pipeline_svg(c, task.values["from"], task.values["to"])
     out_name = task.values.get("out", f"{task.name}.svg")
     path = out_dir / out_name

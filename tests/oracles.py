@@ -19,7 +19,11 @@ with the library, because it checks the translation memo of
 library's former interval walk and disk isometry check, kept on the
 complex's own ``true_distance`` and ``bfs_distances``, because they check
 that the searches which replaced them give the same levels and name the
-same failing pair.
+same failing pair. ``sample_safe_pair`` is the runner's former pair
+sampler, run with the library's ``require_pair_safe``, because it checks
+that the sampler which replaced it makes the same draws and decisions.
+``window_adjacency`` is the former window cut of
+``complexes.materialize_window``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ import numpy as np
 
 from syslab import cat0, eplane
 from syslab.cat0 import PolyPath
-from syslab.errors import DegenerateDomain, NoCrossing, NotFlat, PreconditionViolated
+from syslab.directed import require_pair_safe
+from syslab.errors import (BoundaryUnsafe, DegenerateDomain, NoCrossing, NotFlat,
+                           PreconditionViolated, TaskFailed)
 from syslab.euclid import GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
 
@@ -679,3 +685,40 @@ def pairwise_check_isometric(c, region, coords):
     for a, b in combinations(verts, 2):
         if eplane.lattice_distance(coords[a], coords[b]) != c.true_distance(a, b):
             raise NotFlat(f"development is not isometric on pair ({a}, {b})")
+
+
+def sample_safe_pair(c, rng, max_distance: int, predicate=None, max_tries: int = 5000):
+    """The former ``runner._sample_safe_pair``: it sorts the margin-1 sample
+    space on every call and runs ``require_pair_safe`` on every draw."""
+    verts = sorted(v for v in c.vertices()
+                   if c.is_complete or c.margin(v) >= 1)
+    for _ in range(max_tries):
+        x = verts[rng.randrange(len(verts))]
+        y = verts[rng.randrange(len(verts))]
+        if x == y:
+            continue
+        if predicate is not None and not (predicate(x) and predicate(y)):
+            continue
+        try:
+            d = require_pair_safe(c, x, y)
+        except BoundaryUnsafe:
+            continue
+        if 1 <= d <= max_distance:
+            return x, y, d
+    raise TaskFailed("could not sample a margin-safe pair")
+
+
+def window_adjacency(center, neighbors_fn, radius):
+    """The former adjacency of ``complexes.materialize_window``: one BFS to
+    the radius, then every vertex's neighbours asked for again and filtered."""
+    depth = {center: 0}
+    queue = deque([center])
+    while queue:
+        v = queue.popleft()
+        if depth[v] == radius:
+            continue
+        for u in neighbors_fn(v):
+            if u not in depth:
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    return {v: [u for u in neighbors_fn(v) if u in depth] for v in depth}

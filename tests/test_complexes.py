@@ -45,6 +45,36 @@ def test_boundary_unsafe_on_untrusted_window():
         distance(c, (6, 0), (0, 6))
 
 
+@pytest.mark.parametrize("radius", [0, 1, 5, 12])
+def test_materialize_window_matches_oracle(radius):
+    # same vertices in the same order, same neighbour sets and margins
+    for center, neighbors_fn in (((1, -2), eplane.neighbors),
+                                 ((0, 0, 0), samples.book_neighbors(4))):
+        c = materialize_window(center, neighbors_fn, radius)
+        expected = oracles.window_adjacency(center, neighbors_fn, radius)
+        assert list(c.vertices()) == list(expected)
+        assert all(c.neighbors(v) == frozenset(nbrs) for v, nbrs in expected.items())
+        assert max(c.margin(v) for v in c.vertices()) == radius
+
+
+def test_interval_margin_rule_reads_the_levels(monkeypatch):
+    # The L-shaped strip: interval refuses the arm tips with the message
+    # distance gives, and finds d(x, y) by its one interval search.
+    arm1 = [(i, 0) for i in range(7)]
+    arm2 = [(0, j) for j in range(1, 7)]
+    keep = set(arm1 + arm2)
+    c = FlagComplex({v: [u for u in eplane.neighbors(v) if u in keep] for v in keep},
+                    margin={v: 0 for v in keep})
+    with pytest.raises(BoundaryUnsafe) as expected:
+        distance(c, (6, 0), (0, 6))
+    monkeypatch.setattr(FlagComplex, "true_distance", None)
+    with pytest.raises(BoundaryUnsafe) as got:
+        interval(c, (6, 0), (0, 6))
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(PreconditionViolated):
+        interval(c, (6, 0), (9, 9))
+
+
 def test_interval_examples(window8):
     assert interval(window8, (0, 0), (2, 0)) == {(0, 0), (1, 0), (2, 0)}
     assert interval(window8, (3, 2), (3, 2)) == {(3, 2)}

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from syslab import eplane
+from syslab import eplane, euclid
 from syslab.complexes import FlagComplex
-from syslab.directed import layers
+from syslab.directed import layers, require_pair_safe
 from syslab.errors import BoundaryUnsafe, PreconditionViolated
 from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
@@ -192,6 +192,34 @@ def test_goodness_memo_keeps_margin_rule_on_cached_difference():
         interval = set().union(*c.interval_levels(g[0], g[-1]))
         touching += any(c.margin(v) == 1 for v in interval)
     assert refused >= 10 and agreed >= 10 and touching >= 5
+
+
+def test_shared_memo_matches_oracle_on_criterion_4_stream(monkeypatch):
+    # Criterion 4's pairs on one window: every goodness_constant call reads
+    # the window's memo, filled by the calls before it.
+    c = eplane.window((0, 0), 18)
+    built = []
+    construct = euclid.euclidean_geodesic
+    monkeypatch.setattr(euclid, "euclidean_geodesic",
+                        lambda *a, **k: built.append(a[1:3]) or construct(*a, **k))
+    rng = random.Random(4)
+    done = 0
+    while done < 200:
+        x = (rng.randint(-8, 8), rng.randint(-8, 8))
+        y = (rng.randint(-8, 8), rng.randint(-8, 8))
+        if not 1 <= eplane.lattice_distance(x, y) <= 16:
+            continue
+        try:
+            require_pair_safe(c, x, y)
+        except BoundaryUnsafe:
+            continue
+        g = select_vertex_geodesic(euclidean_geodesic(c, x, y, check_reversal=False))
+        assert goodness_constant(c, g) == oracles.uncached_goodness_constant(c, g)
+        done += 1
+    # one construction per distinct difference over all 200 calls (2645
+    # with one per sub-pair); the selections above and the oracle's
+    # constructions are not counted
+    assert len(built) == len(c.translation_memo) == 456
 
 
 def test_goodness_rejects_non_geodesic_input(window8):

@@ -1,11 +1,14 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import oracles
 from syslab import cli, eplane, runner
 from syslab.errors import ScenarioParseError
+from syslab.isodyn import PlaneAction, min_set
 from syslab.runner import run_scenario, write_report
 from syslab.scenario import load_scenario, parse_scenario_text
 
@@ -241,7 +244,7 @@ def test_cli_malformed_constants_override_exits_2(tmp_path, capsys):
 
 
 def test_unexpected_handler_error_is_reported(tmp_path, monkeypatch):
-    def explode(scenario, task, record, rng, out_dir):
+    def explode(scenario, task, record, rng, out_dir, c):
         raise ValueError("boom")
 
     monkeypatch.setitem(runner._HANDLERS, "figure-render", explode)
@@ -307,3 +310,48 @@ def test_task_values_are_typed_with_defaults_and_params_stay_raw():
     assert g.values["staircase_map"] == eplane.translation(1, 1)
     assert (g.values["pairs"], g.values["staircase_origin"]) == (20, (0, 0))
     assert "ambient" not in g.values
+
+
+@pytest.mark.parametrize("name", ["contracting", "glide-minset", "goodness"])
+def test_sampler_matches_per_call_sort_oracle(name):
+    # Same draws, same decisions: 50 successive pairs from the task's own
+    # generator, the shared sample space against the per-call sort.
+    scenario = load_scenario(SCENARIOS / f"{name}.scn")
+    task = scenario.tasks[0]
+    c = scenario.complex(task.values["complex"])
+    predicate = None
+    if task.kind == "displacement-study":
+        mset = min_set(PlaneAction(scenario.isometry(task.values["isometry"])), c)
+        predicate = mset.vertices.__contains__
+    max_d = task.values["max_distance"]
+    verts = runner._sample_space(c, task.values["complex"])
+    seed = (scenario.seed, 0, task.name).__repr__()
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert (runner._sample_safe_pair(c, verts, new, max_d, predicate)
+                == oracles.sample_safe_pair(c, old, max_d, predicate))
+        assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("kind", ["goodness-sweep", "contracting-suite"])
+def test_empty_sample_space_is_a_task_failure(tmp_path, kind):
+    text = (f"[complex dot]\nkind = eplane\nradius = 0\n\n"
+            f"[task t]\nkind = {kind}\ncomplex = dot\n")
+    report, code = run_scenario(parse_scenario_text(text), tmp_path)
+    assert code == 1
+    assert report["tasks"][0]["error"] == (
+        "TaskFailed: complex 'dot' (eplane:r0@0,0) has 0 vertices of margin >= 1; "
+        "sampling needs two")
+
+
+def test_each_named_complex_is_built_once_per_run(tmp_path, monkeypatch):
+    scenario = load_scenario(SCENARIOS / "pipeline-42.scn")
+    built = []
+    build = type(scenario).complex
+    monkeypatch.setattr(type(scenario), "complex",
+                        lambda self, name: built.append(name) or build(self, name))
+    for _ in range(2):
+        report, code = run_scenario(scenario, tmp_path)
+        assert code == 0 and len(report["tasks"]) == 2
+    # two tasks on "main" share one build; the next run builds its own
+    assert built == ["main", "main"]
