@@ -24,10 +24,13 @@ The file holds:
 - ``traced``: the per-layer metrics of one traced run (``--trace 1``) per
   side and workload at seed 1; the counts repeat exactly for a seed.
 - ``goodness_curve``: seconds per ``goodness_constant`` call on one selected
-  geodesic at n = 8, 16, 24, 32 (median of ``REPEATS``), and the part of
-  it spent in the three CAT(0) stages (``cat0.modified_disk``,
-  ``shortest_path``, ``euclidean_diagonal``), timed by a wrapper around
-  each stage call.
+  geodesic at n = 8, 16, 24, 32 (median of ``REPEATS``), and the seconds
+  spent in each pipeline stage of ``STAGES`` (``stages``), timed in a
+  separate call by a wrapper around each stage function. A stage whose
+  function a side lacks is left out of that side. ``cat0_seconds`` and
+  ``cat0_share`` sum the three CAT(0) stages (modified disk, shortest path,
+  diagonal); ``staged_seconds`` is the whole wrapped call, wrappers
+  included.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
 - ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
   ``tests/``) on each side, with pytest's closing summary line.
@@ -56,7 +59,19 @@ PAIRS = 10
 FIRST_SEED = 401
 REPEATS = 3
 CURVE_LENGTHS = (8, 16, 24, 32)
-CAT0_STAGES = ("modified_disk", "shortest_path", "euclidean_diagonal")
+# stage name -> (module, function); the stages do not call one another
+STAGES = {
+    "levels": ("directed", "_safe_levels"),
+    "projection": ("directed", "_project"),
+    "thickness": ("directed", "_thickness"),
+    "boundary_cycle": ("chardisk", "boundary_cycle"),
+    "flat_disk": ("chardisk", "extract_flat_disk"),
+    "modified_disk": ("cat0", "modified_disk"),
+    "shortest_path": ("cat0", "shortest_path"),
+    "diagonal": ("cat0", "euclidean_diagonal"),
+    "characteristic_map": ("chardisk", "characteristic_map"),
+}
+CAT0_STAGES = ("modified_disk", "shortest_path", "diagonal")
 STARTUP_REPEATS = 5
 
 
@@ -173,20 +188,26 @@ def curve_worker() -> dict:
     src/ on PYTHONPATH. Every timed call gets a window of its own, built
     untimed, so no call reads constructions an earlier one left in the
     window's translation memo."""
-    from syslab import cat0, eplane, euclid
+    import importlib
 
-    spent = [0.0]
+    from syslab import eplane, euclid
 
-    def timed(fn):
+    spent = dict.fromkeys(STAGES, 0.0)
+
+    def timed(name, fn):
         def wrapper(*args):
             t0 = time.perf_counter()
             try:
                 return fn(*args)
             finally:
-                spent[0] += time.perf_counter() - t0
+                spent[name] += time.perf_counter() - t0
         return wrapper
 
-    originals = {name: getattr(cat0, name) for name in CAT0_STAGES}
+    originals = {}
+    for name, (module, attr) in STAGES.items():
+        owner = importlib.import_module(f"syslab.{module}")
+        if hasattr(owner, attr):
+            originals[name] = (owner, attr, getattr(owner, attr))
     out = {}
     for n in CURVE_LENGTHS:
         q = 3 * n // 8
@@ -195,28 +216,31 @@ def curve_worker() -> dict:
         c = eplane.window((0, 0), 40)
         path = euclid.select_vertex_geodesic(
             euclid.euclidean_geodesic(c, x, y, check_reversal=False))
-        plain, staged, shares = [], [], []
+        plain, staged, stages = [], [], {name: [] for name in originals}
         for _ in range(REPEATS):
             c = eplane.window((0, 0), 40)
             t0 = time.perf_counter()
             euclid.goodness_constant(c, path)
             plain.append(time.perf_counter() - t0)
             c = eplane.window((0, 0), 40)
-            for name, fn in originals.items():
-                setattr(cat0, name, timed(fn))
+            for name, (owner, attr, fn) in originals.items():
+                setattr(owner, attr, timed(name, fn))
             try:
-                spent[0] = 0.0
+                spent.update(dict.fromkeys(spent, 0.0))
                 t0 = time.perf_counter()
                 euclid.goodness_constant(c, path)
-                total = time.perf_counter() - t0
+                staged.append(time.perf_counter() - t0)
             finally:
-                for name, fn in originals.items():
-                    setattr(cat0, name, fn)
-            staged.append(spent[0])
-            shares.append(spent[0] / total)
+                for owner, attr, fn in originals.values():
+                    setattr(owner, attr, fn)
+            for name in originals:
+                stages[name].append(spent[name])
+        medians = {name: statistics.median(t) for name, t in stages.items()}
+        cat0_s = sum(medians[name] for name in CAT0_STAGES)
         out[f"n{n}"] = {"pair": [x, y], "seconds": statistics.median(plain),
-                        "cat0_seconds": statistics.median(staged),
-                        "cat0_share": statistics.median(shares)}
+                        "staged_seconds": statistics.median(staged),
+                        "stages": medians, "cat0_seconds": cat0_s,
+                        "cat0_share": cat0_s / statistics.median(staged)}
     return out
 
 

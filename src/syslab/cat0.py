@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import eplane
@@ -205,10 +204,10 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
     for i, a in zip(range(j + 1, k), alpha.crossings):
         v, w = disk.layer_segment(i)
         t, step = _layer_step(v, w, i)
-        u = _crossing_arc(alpha, a, v, step, i)
-        if u < 0 or u > t:
+        num, den = _crossing_arc(alpha, a, v, step, i)
+        if num < 0 or num > t * den:
             raise NoCrossing(f"crossing with layer {i} lies outside its segment")
-        best = nearest_simplex_on_segment(u, t)
+        best = nearest_simplex_on_segment(num, den, t)
         verts = tuple((v[0] + step[0] * mpos, v[1] + step[1] * mpos) for mpos in best)
         sims.append(Simplex.of(verts))
     diag = Diagonal(disk.interval, tuple(sims))
@@ -216,9 +215,9 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
     return diag
 
 
-def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Fraction:
-    """Arc position u, in unit steps from v, where segment a of alpha meets
-    the line of layer i through v along step.
+def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Tuple[int, int]:
+    """Arc position u = num / den (den > 0), in unit steps from v, where
+    segment a of alpha meets the line of layer i through v along step.
 
     With A, B the segment's ends relative to 2v (doubled axial) and s the
     step, the meeting point is 2u*s, and crossing both sides with B - A
@@ -230,7 +229,8 @@ def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Fraction:
     side_a, side_b = cross(step, A), cross(step, B)
     if side_a == side_b or side_a * side_b > 0:
         raise NoCrossing(f"path segment {a} does not cross the layer {i} line")
-    return Fraction(cross(A, B), 2 * (side_b - side_a))
+    num, den = cross(A, B), 2 * (side_b - side_a)
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def _verify_diagonal(disk: CharDisk, diag: Diagonal):
@@ -261,16 +261,18 @@ def _disk_clique(disk: CharDisk, verts) -> bool:
     return True
 
 
-def nearest_simplex_on_segment(u, segment_length: int):
-    """Decision rule for a crossing at exact arc position u along a segment.
+def nearest_simplex_on_segment(num: int, den: int, segment_length: int):
+    """Decision rule for a crossing at exact arc position u = num / den
+    (den > 0) along a segment.
 
     Returns a 1-tuple (vertex index) or 2-tuple (edge) of integer positions;
     the edge is returned only on an exact barycenter hit, where 2u is an odd
-    integer. Otherwise the vertex is the integer nearest to u.
+    integer. Otherwise the vertex is the integer nearest to u, the floor of
+    u + 1/2, clamped to the segment.
     """
-    double = 2 * Fraction(u)
-    if double.denominator == 1 and double.numerator % 2:
-        lo = (double.numerator - 1) // 2
+    double, rem = divmod(2 * num, den)
+    if rem == 0 and double % 2:
+        lo = (double - 1) // 2
         return (lo, lo + 1)
-    nearest = math.floor((double + 1) / 2)
+    nearest = (2 * num + den) // (2 * den)
     return (min(max(nearest, 0), segment_length),)

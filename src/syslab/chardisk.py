@@ -138,8 +138,9 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     between the realizing pair; an interior vertex whose region link is not
     a 6-cycle fails the flat test and raises NotFlat. The region is then
     developed onto the lattice, which also certifies the embedding is
-    isometric; that check costs one BFS per region vertex. Plane-backed
-    complexes develop by identity, which is isometric by construction.
+    isometric; that check costs one BFS per region vertex, each stopping
+    once the vertex's later partners are found. Plane-backed complexes
+    develop by identity, which is isometric by construction.
     """
     if len(cycle) < 6:
         raise PreconditionViolated(
@@ -151,8 +152,7 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     interior = region - boundary
 
     for v in sorted(interior):
-        inside = sorted(u for u in c.neighbors(v) if u in region)
-        if len(inside) != 6 or not _is_region_hexagon(c, inside):
+        if not _is_hexagon(c, c.neighbors(v) & region):
             raise NotFlat(f"interior vertex {v} is not surrounded by 6 triangles")
 
     coords = _develop(c, cycle, region)
@@ -161,7 +161,7 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     v_labels = tuple(coords[s] for s in cycle.s)
     w_labels = tuple(coords[t] for t in cycle.t)
     _check_layer_geometry(v_labels, w_labels)
-    triangles = sum(1 for tri in _region_triangles(c, region))
+    triangles = _triangle_count(c, region, interior)
     interior_count = len(interior)
     boundary_count = len(region) - interior_count
     if triangles != 2 * interior_count + boundary_count - 2:
@@ -171,22 +171,31 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
                     v_labels, w_labels, (surface,), triangles)
 
 
-def _is_region_hexagon(c, inside):
-    deg = {u: sum(1 for w in inside if w != u and c.adjacent(u, w)) for u in inside}
-    return all(d == 2 for d in deg.values()) and _connected(c, inside)
+def _is_hexagon(c, ring) -> bool:
+    """Whether a vertex's region link is a 6-cycle: six vertices with two
+    ring neighbours each, where the two of one vertex are not adjacent
+    (two triangles are the only other 2-regular graph on six vertices)."""
+    if len(ring) != 6:
+        return False
+    for u in ring:
+        pair = c.neighbors(u) & ring
+        if len(pair) != 2:
+            return False
+    a, b = pair
+    return not c.adjacent(a, b)
 
 
-def _connected(c, verts):
-    verts = set(verts)
-    seen = {next(iter(verts))}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for u in c.neighbors(v):
-            if u in verts and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen == verts
+def _triangle_count(c, region, interior) -> int:
+    """Triangles of the region, counted once at each of their three corners.
+
+    An interior vertex, whose region link the flat test has certified as a
+    hexagon, lies in six; a boundary vertex lies in one per edge of its
+    region link, and each edge is seen from both of its ends."""
+    corners = 6 * len(interior)
+    for v in region - interior:
+        ring = c.neighbors(v) & region
+        corners += sum(len(c.neighbors(u) & ring) for u in ring) // 2
+    return corners // 3
 
 
 def _region_triangles(c, region):
@@ -258,12 +267,13 @@ def _edge_completions(pa, pb):
 
 def _check_isometric(c, region, coords):
     """Compare every pair's lattice and ambient distances, in sorted pair
-    order, with one BFS per vertex reaching as far as its later partners."""
+    order, with one BFS per vertex that stops once its later partners are
+    all discovered or its farthest lattice distance is passed."""
     verts = sorted(region)
     for i, a in enumerate(verts[:-1]):
         later = verts[i + 1:]
         want = [eplane.lattice_distance(coords[a], coords[b]) for b in later]
-        dist = c.bfs_distances(a, budget=max(want))
+        dist = c.bfs_distances(a, budget=max(want), until=later)
         for b, d in zip(later, want):
             if dist.get(b) != d:
                 raise NotFlat(f"development is not isometric on pair ({a}, {b})")

@@ -49,7 +49,7 @@ class Simplex:
         return Simplex.of(self.verts + other.verts)
 
     def isdisjoint(self, other: "Simplex") -> bool:
-        return not set(self.verts) & set(other.verts)
+        return set(self.verts).isdisjoint(other.verts)
 
     def __repr__(self):
         inner = ",".join(map(str, self.verts))
@@ -137,8 +137,13 @@ class FlagComplex:
         return self._margin[v]
 
     def is_clique(self, vertices: Iterable[VertexId]) -> bool:
-        vs = list(vertices)
-        return all(self.adjacent(u, v) for u, v in combinations(vs, 2))
+        """Whether every vertex is adjacent to all of its later partners;
+        a repeated vertex is not adjacent to itself."""
+        vs = tuple(vertices)
+        for i in range(1, len(vs)):
+            if not self._adj[vs[i - 1]].issuperset(vs[i:]):
+                return False
+        return True
 
     def validate_simplex(self, s: Simplex) -> Simplex:
         for v in s:
@@ -151,12 +156,15 @@ class FlagComplex:
     # -- internal metric -------------------------------------------------------
 
     def bfs_distances(self, source, *, budget: Optional[int] = None,
-                      until=None) -> dict:
+                      until: Iterable[VertexId] = ()) -> dict:
         """Distance map from source, truncated at the given radius.
 
-        With ``until`` the search stops as soon as that vertex is discovered;
-        every vertex nearer to source than it then holds its exact distance.
+        With ``until`` the search stops as soon as every vertex in it is
+        discovered; each of them, and every vertex nearer to source than the
+        last of them, then holds its exact distance.
         """
+        pending = set(until)
+        pending.discard(source)
         dist = {source: 0}
         queue = deque([source])
         while queue:
@@ -167,8 +175,10 @@ class FlagComplex:
             for u in self._adj[v]:
                 if u not in dist:
                     dist[u] = dv + 1
-                    if u == until:
-                        return dist
+                    if pending and u in pending:
+                        pending.discard(u)
+                        if not pending:
+                            return dist
                     queue.append(u)
         return dist
 
@@ -221,7 +231,7 @@ class FlagComplex:
             return tuple(map(frozenset, levels))
         if x == y:
             return (frozenset([x]),)
-        from_x = self.bfs_distances(x, until=y)
+        from_x = self.bfs_distances(x, until=(y,))
         if y not in from_x:
             raise Unreachable(f"no path {x} -> {y}")
         level = frozenset([y])
@@ -372,19 +382,13 @@ def _induced_cycle(c, subset):
 def residue(c: FlagComplex, s: Simplex) -> frozenset:
     """Vertex set of Res(s): s plus every vertex adjacent to all of s."""
     c.validate_simplex(s)
-    common = None
-    for v in s:
-        nbrs = c.neighbors(v)
-        common = nbrs if common is None else common & nbrs
-    return frozenset(s.verts) | (common or frozenset())
+    first, *rest = s.verts
+    return c.neighbors(first).intersection(*map(c.neighbors, rest)).union(s.verts)
 
 
 def ball_of_simplex(c: FlagComplex, s: Simplex) -> frozenset:
     """Vertices of B_1(s): s plus everything adjacent to at least one vertex."""
-    out = set(s.verts)
-    for v in s:
-        out |= c.neighbors(v)
-    return frozenset(out)
+    return frozenset(s.verts).union(*map(c.neighbors, s.verts))
 
 
 # -- materialization and file format ----------------------------------------

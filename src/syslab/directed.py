@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .complexes import (FlagComplex, Simplex, ball_of_simplex, residue)
+from .complexes import FlagComplex, Simplex, ball_of_simplex
 from .errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
                      MalformedProfile, PreconditionViolated)
 
@@ -154,14 +154,12 @@ def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
     n = len(levels) - 1
     if n == 0:
         return DirectedGeodesic(x, y, (Simplex.of([x]),))
+    nbrs = c.neighbors
     simplices = [Simplex.of([x])]
     for i in range(n - 1):
-        current = simplices[-1]
-        common = None
-        for v in current:
-            nbrs = c.neighbors(v)
-            common = nbrs if common is None else common & nbrs
-        candidates = sorted(common & levels[i + 1])
+        current = simplices[-1].verts
+        candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
+                                                          levels[i + 1]))
         if not candidates:
             raise ConstructionFailed(
                 f"empty projection at step {i + 1} between {x} and {y}")
@@ -169,7 +167,7 @@ def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
             raise ConstructionFailed(
                 f"projection at step {i + 1} between {x} and {y} "
                 f"is not a simplex: {candidates}")
-        simplices.append(Simplex.of(candidates))
+        simplices.append(Simplex(tuple(candidates)))
     simplices.append(Simplex.of([y]))
     geo = DirectedGeodesic(x, y, tuple(simplices))
     _verify_conditions(c, geo)
@@ -177,17 +175,24 @@ def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
 
 
 def _verify_conditions(c: FlagComplex, geo: DirectedGeodesic):
+    """Consecutive simplices are disjoint and span a simplex, and every
+    interior sigma_i is Res(sigma_{i-1}) meet B_1(sigma_{i+1}).
+
+    A repeated vertex is not adjacent to itself, so two simplices that
+    jointly form a clique are disjoint; disjointness is only tested to name
+    the failure. The spans make every simplex a clique of the complex, so
+    the residue is read off as common neighbours without validating it
+    again."""
     sims = geo.simplices
-    for i in range(len(sims) - 1):
-        a, b = sims[i], sims[i + 1]
-        if not a.isdisjoint(b):
-            raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
+    for a, b in zip(sims, sims[1:]):
         if not c.is_clique(a.verts + b.verts):
+            if not a.isdisjoint(b):
+                raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
             raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
-    for i in range(1, len(sims) - 1):
-        res = residue(c, sims[i - 1])
-        ball = ball_of_simplex(c, sims[i + 1])
-        if res & ball != frozenset(sims[i].verts):
+    nbrs = c.neighbors
+    for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
+        res = nbrs(before.verts[0]).intersection(*map(nbrs, before.verts[1:]))
+        if res.union(before.verts) & ball_of_simplex(c, after) != frozenset(here.verts):
             raise ConditionViolated(
                 f"residue/ball condition fails at index {i} "
                 f"between {geo.source} and {geo.target}")
@@ -212,9 +217,13 @@ def layers(c: FlagComplex, x, y) -> Layers:
     for i, level in enumerate(levels):
         sigma = sigma_geo[i]
         tau = tau_geo[n - i]
-        thickness = max(c.true_distance(s, t) for s in sigma for t in tau)
-        items.append(Layer(i, level, sigma, tau, thickness))
+        items.append(Layer(i, level, sigma, tau, _thickness(c, sigma, tau)))
     return Layers(c, x, y, items, sigma_geo, tau_geo)
+
+
+def _thickness(c: FlagComplex, sigma: Simplex, tau: Simplex) -> int:
+    """Largest ambient distance from a vertex of sigma to one of tau."""
+    return max(c.true_distance(s, t) for s in sigma for t in tau)
 
 
 def thick_intervals(layer_seq: Sequence[Layer]) -> list[ThickInterval]:

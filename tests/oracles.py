@@ -15,15 +15,21 @@ dense tensor form of the same test.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
 with the library, because it checks the translation memo of
 ``euclid.goodness_constant`` against one construction per sub-pair.
-``two_bfs_interval_levels`` and ``pairwise_check_isometric`` are the
-library's former interval walk and disk isometry check, kept on the
+``two_bfs_interval_levels``, ``pairwise_check_isometric`` and
+``bounded_check_isometric`` are the library's former interval walk and its
+two former disk isometry checks, kept on the
 complex's own ``true_distance`` and ``bfs_distances``, because they check
 that the searches which replaced them give the same levels and name the
 same failing pair. ``sample_safe_pair`` is the runner's former pair
 sampler, run with the library's ``require_pair_safe``, because it checks
 that the sampler which replaced it makes the same draws and decisions.
 ``window_adjacency`` is the former window cut of
-``complexes.materialize_window``.
+``complexes.materialize_window``. The certificate kernels at the end
+(``verify_conditions``, ``flat_at``, ``pairwise_triangle_count``,
+``fraction_diagonal`` and the pieces they call) are the library's former
+pair-loop and ``Fraction`` certificates, run on the complex's own adjacency
+and on the library's disks, because they check that the frozenset and
+integer kernels which replaced them accept and reject the same inputs.
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ import numpy as np
 from syslab import cat0, eplane
 from syslab.cat0 import PolyPath
 from syslab.directed import require_pair_safe
-from syslab.errors import (BoundaryUnsafe, DegenerateDomain, NoCrossing, NotFlat,
-                           PreconditionViolated, TaskFailed)
+from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
+                           NoCrossing, NotFlat, PreconditionViolated, TaskFailed)
 from syslab.euclid import GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
+from syslab.exact import cross as exact_cross
 
 
 def bfs_distance(c, x, y, cap=10 ** 9):
@@ -362,7 +369,7 @@ def crossing_mismatches(disk, alpha):
     for i, a in zip(range(j + 1, k), alpha.crossings):
         v, w = disk.layer_segment(i)
         _, step = cat0._layer_step(v, w, i)
-        u = cat0._crossing_arc(alpha, a, v, step, i)
+        u = Fraction(*cat0._crossing_arc(alpha, a, v, step, i))
         library = exact_point(2 * v[0] + 2 * u * step[0], 2 * v[1] + 2 * u * step[1])
         oracle = _line_crossing(path, exact_point(eplane.embed(v)),
                                 exact_point(eplane.embed(w)), i)
@@ -679,6 +686,19 @@ def two_bfs_interval_levels(c, x, y):
     return tuple(levels)
 
 
+def bounded_check_isometric(c, region, coords):
+    """The former ``chardisk._check_isometric``: one BFS per vertex out to
+    the farthest lattice distance of its later partners, run to the end."""
+    verts = sorted(region)
+    for i, a in enumerate(verts[:-1]):
+        later = verts[i + 1:]
+        want = [eplane.lattice_distance(coords[a], coords[b]) for b in later]
+        dist = c.bfs_distances(a, budget=max(want))
+        for b, d in zip(later, want):
+            if dist.get(b) != d:
+                raise NotFlat(f"development is not isometric on pair ({a}, {b})")
+
+
 def pairwise_check_isometric(c, region, coords):
     """The former ``chardisk._check_isometric``: one ``true_distance`` per pair."""
     verts = sorted(region)
@@ -722,3 +742,135 @@ def window_adjacency(center, neighbors_fn, radius):
                 depth[u] = depth[v] + 1
                 queue.append(u)
     return {v: [u for u in neighbors_fn(v) if u in depth] for v in depth}
+
+
+# -- certificate kernels ------------------------------------------------------------
+#
+# The former pair-loop and Fraction kernels of syslab.complexes,
+# syslab.directed, syslab.chardisk and syslab.cat0, kept verbatim except that
+# verify_conditions calls the kernels here (pairwise_is_clique, residue,
+# ball_of_simplex, a set-intersection disjointness test) instead of the
+# frozenset ones that replaced them.
+
+
+def pairwise_is_clique(c, vertices):
+    """The former ``FlagComplex.is_clique``: one adjacency test per pair."""
+    vs = list(vertices)
+    return all(c.adjacent(u, v) for u, v in combinations(vs, 2))
+
+
+def residue(c, s):
+    """The former ``complexes.residue``."""
+    c.validate_simplex(s)
+    common = None
+    for v in s:
+        nbrs = c.neighbors(v)
+        common = nbrs if common is None else common & nbrs
+    return frozenset(s.verts) | (common or frozenset())
+
+
+def ball_of_simplex(c, s):
+    """The former ``complexes.ball_of_simplex``."""
+    out = set(s.verts)
+    for v in s:
+        out |= c.neighbors(v)
+    return frozenset(out)
+
+
+def verify_conditions(c, geo):
+    """The former ``directed._verify_conditions``: disjointness, then the
+    span, per consecutive pair, then residue meet ball per interior index."""
+    sims = geo.simplices
+    for i in range(len(sims) - 1):
+        a, b = sims[i], sims[i + 1]
+        if set(a.verts) & set(b.verts):
+            raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
+        if not pairwise_is_clique(c, a.verts + b.verts):
+            raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
+    for i in range(1, len(sims) - 1):
+        res = residue(c, sims[i - 1])
+        ball = ball_of_simplex(c, sims[i + 1])
+        if res & ball != frozenset(sims[i].verts):
+            raise ConditionViolated(
+                f"residue/ball condition fails at index {i} "
+                f"between {geo.source} and {geo.target}")
+
+
+def is_region_hexagon(c, inside):
+    """The former flat test of ``chardisk.extract_flat_disk`` for the sorted
+    region neighbours of a vertex (it also required six of them): every one
+    has two neighbours among them, and they are connected."""
+    deg = {u: sum(1 for w in inside if w != u and c.adjacent(u, w)) for u in inside}
+    return all(d == 2 for d in deg.values()) and _connected(c, inside)
+
+
+def _connected(c, verts):
+    verts = set(verts)
+    seen = {next(iter(verts))}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for u in c.neighbors(v):
+            if u in verts and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen == verts
+
+
+def flat_at(c, v, region):
+    """Whether the former flat test accepts vertex v of the region."""
+    inside = sorted(u for u in c.neighbors(v) if u in region)
+    return len(inside) == 6 and is_region_hexagon(c, inside)
+
+
+def pairwise_triangle_count(c, region):
+    """The former triangle count of ``chardisk.extract_flat_disk``."""
+    return sum(1 for tri in _region_triangles(c, region))
+
+
+def _region_triangles(c, region):
+    for v in region:
+        for u, w in combinations(sorted(x for x in c.neighbors(v) if x in region and x > v), 2):
+            if c.adjacent(u, w):
+                yield (v, u, w)
+
+
+def crossing_arc(alpha, a, v, step, i):
+    """The former ``cat0._crossing_arc``: the arc position as a Fraction."""
+    A, B = alpha.points[a], alpha.points[a + 1]
+    A = (A.p - 2 * v[0], A.q - 2 * v[1])
+    B = (B.p - 2 * v[0], B.q - 2 * v[1])
+    side_a, side_b = exact_cross(step, A), exact_cross(step, B)
+    if side_a == side_b or side_a * side_b > 0:
+        raise NoCrossing(f"path segment {a} does not cross the layer {i} line")
+    return Fraction(exact_cross(A, B), 2 * (side_b - side_a))
+
+
+def nearest_simplex_on_segment(u, segment_length: int):
+    """The former ``cat0.nearest_simplex_on_segment`` on a Fraction u."""
+    double = 2 * Fraction(u)
+    if double.denominator == 1 and double.numerator % 2:
+        lo = (double.numerator - 1) // 2
+        return (lo, lo + 1)
+    nearest = math.floor((double + 1) / 2)
+    return (min(max(nearest, 0), segment_length),)
+
+
+def fraction_diagonal(disk, alpha):
+    """The simplex vertex tuples the former ``cat0.euclidean_diagonal``
+    chose per inner layer, with its Fraction range test and rule, before
+    its span check."""
+    j, k = disk.interval.j, disk.interval.k
+    if len(alpha.crossings) != k - j - 1:
+        raise NoCrossing(f"path records {len(alpha.crossings)} layer crossings "
+                         f"for {k - j - 1} inner layers")
+    sims = []
+    for i, a in zip(range(j + 1, k), alpha.crossings):
+        v, w = disk.layer_segment(i)
+        t, step = cat0._layer_step(v, w, i)
+        u = crossing_arc(alpha, a, v, step, i)
+        if u < 0 or u > t:
+            raise NoCrossing(f"crossing with layer {i} lies outside its segment")
+        best = nearest_simplex_on_segment(u, t)
+        sims.append(tuple(sorted((v[0] + step[0] * m, v[1] + step[1] * m) for m in best)))
+    return sims

@@ -245,12 +245,17 @@ def test_diagonal_symmetric_diamond():
 
 
 def test_nearest_decision_rule():
-    assert nearest_simplex_on_segment(Fraction(3, 10), 2) == (0,)
-    assert nearest_simplex_on_segment(Fraction(3, 2), 2) == (1, 2)
-    assert nearest_simplex_on_segment(Fraction(1, 2), 2) == (0, 1)
-    assert nearest_simplex_on_segment(Fraction(5, 4), 2) == (1,)
-    assert nearest_simplex_on_segment(Fraction(2), 2) == (2,)
-    assert nearest_simplex_on_segment(Fraction(17, 10), 2) == (2,)
+    """The rule reads u = num / den; the ratio need not be in lowest terms."""
+    assert nearest_simplex_on_segment(3, 10, 2) == (0,)
+    assert nearest_simplex_on_segment(3, 2, 2) == (1, 2)
+    assert nearest_simplex_on_segment(9, 6, 2) == (1, 2)
+    assert nearest_simplex_on_segment(1, 2, 2) == (0, 1)
+    assert nearest_simplex_on_segment(5, 4, 2) == (1,)
+    assert nearest_simplex_on_segment(2, 1, 2) == (2,)
+    assert nearest_simplex_on_segment(8, 4, 2) == (2,)
+    assert nearest_simplex_on_segment(17, 10, 2) == (2,)
+    assert nearest_simplex_on_segment(-1, 10, 2) == (0,)
+    assert nearest_simplex_on_segment(23, 10, 2) == (2,)
 
 
 def test_decisions_stable_under_float_reevaluation(strip_disk):

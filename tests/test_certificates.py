@@ -1,0 +1,257 @@
+"""The frozenset and integer certificate kernels against their former
+pair-loop and Fraction forms in ``oracles``, and one negative case per
+certificate that must still fire with its old exception and message."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from syslab import cat0, chardisk, eplane, euclid, samples
+from syslab.complexes import FlagComplex, Simplex, ball_of_simplex, residue
+from syslab.directed import (DirectedGeodesic, ThickInterval, _verify_conditions,
+                             directed_geodesic, layers, thick_intervals)
+from syslab.errors import BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat
+from syslab.exact import PlanePoint
+
+
+def _outcome(fn, *args):
+    """None when fn passes, else the type and message of what it raised."""
+    try:
+        fn(*args)
+    except (ConditionViolated, NotFlat, NoCrossing) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _corruptions(geo):
+    """The geodesic with one interior simplex repeated from its predecessor,
+    cut down to its first or its last vertex, or swapped with its successor."""
+    sims = geo.simplices
+    for i in range(1, len(sims) - 1):
+        head, here, tail = sims[:i], sims[i], sims[i + 1:]
+        for bad in (head + (sims[i - 1],) + tail,
+                    head + (Simplex(here.verts[:1]),) + tail,
+                    head + (Simplex(here.verts[-1:]),) + tail,
+                    head + (sims[i + 1], here) + sims[i + 2:]):
+            yield DirectedGeodesic(geo.source, geo.target, bad)
+
+
+def _agree_on_geodesic(c, geo):
+    assert _outcome(_verify_conditions, c, geo) is None
+    assert oracles.verify_conditions(c, geo) is None
+    for s in geo.simplices:
+        assert residue(c, s) == oracles.residue(c, s)
+        assert ball_of_simplex(c, s) == oracles.ball_of_simplex(c, s)
+    for a, b in zip(geo.simplices, geo.simplices[1:]):
+        for verts in (a.verts + b.verts, a.verts + b.verts + a.verts[:1],
+                      tuple(geo.simplices[0].verts) + b.verts):
+            assert c.is_clique(verts) == oracles.pairwise_is_clique(c, verts)
+    fired = 0
+    for bad in _corruptions(geo):
+        new = _outcome(_verify_conditions, c, bad)
+        assert new == _outcome(oracles.verify_conditions, c, bad), bad
+        fired += new is not None
+    return fired
+
+
+def _agree_on_disk(c, cycle, disk, alpha):
+    region = set(disk.region)
+    for v in region:
+        assert (chardisk._is_hexagon(c, c.neighbors(v) & region)
+                == oracles.flat_at(c, v, region)), v
+    interior = region - set(cycle.cycle)
+    triangles = oracles.pairwise_triangle_count(c, region)
+    assert chardisk._triangle_count(c, region, interior) == disk.triangle_count == triangles
+    j, k = disk.interval.j, disk.interval.k
+    for i, a in zip(range(j + 1, k), alpha.crossings):
+        v, w = disk.layer_segment(i)
+        _, step = cat0._layer_step(v, w, i)
+        num, den = cat0._crossing_arc(alpha, a, v, step, i)
+        assert den > 0
+        assert Fraction(num, den) == oracles.crossing_arc(alpha, a, v, step, i)
+    diagonal = cat0.euclidean_diagonal(disk, alpha)
+    assert [s.verts for s in diagonal.simplices] == oracles.fraction_diagonal(disk, alpha)
+
+
+def _agree_on_pair(c, x, y):
+    """Every certificate of the pair's construction against its oracle;
+    returns (disks checked, corruptions that fired)."""
+    ls = layers(c, x, y)
+    fired = _agree_on_geodesic(c, ls.sigma_geo) + _agree_on_geodesic(c, ls.tau_geo)
+    disks = 0
+    for interval in thick_intervals(ls):
+        cycle = chardisk.boundary_cycle(c, interval, ls)
+        disk = chardisk.extract_flat_disk(c, cycle)
+        _agree_on_disk(c, cycle, disk, cat0.shortest_path(cat0.modified_disk(disk)))
+        disks += 1
+    return disks, fired
+
+
+def test_kernels_agree_on_criterion_10_disks():
+    """Every pair that acceptance criterion 10 may draw its disks from."""
+    c = eplane.window((0, 0), 16)
+    vectors = [(4, 2), (6, 2), (6, 3), (8, 2), (5, 2), (7, 3), (8, 4), (9, 3),
+               (7, 2), (7, 4), (8, 5), (10, 2), (10, 3), (9, 4), (10, 4),
+               (11, 3), (12, 4), (9, 2), (11, 4), (12, 3), (8, 3)]
+    disks = fired = 0
+    for p, q in vectors:
+        d, f = _agree_on_pair(c, (-(p // 2), -(q // 2)), (p - p // 2, q - q // 2))
+        disks += d
+        fired += f
+    assert disks >= 20 and fired > 0
+
+
+def test_kernels_agree_on_plane_disks():
+    """All thick-interval disks of pairs (0, 0) -> y, 1 <= d <= 12."""
+    c = eplane.window((0, 0), 20)
+    disks = 0
+    for y in sorted(c.vertices()):
+        if 1 <= eplane.lattice_distance((0, 0), y) <= 12:
+            disks += _agree_on_pair(c, (0, 0), y)[0]
+    assert disks == 264
+
+
+def test_kernels_agree_on_non_plane_complexes(non_plane_complexes):
+    disks = pairs = 0
+    for c in non_plane_complexes:
+        for x, y in oracles.pairs_within(c, 6):
+            if x < y:
+                try:
+                    disks += _agree_on_pair(c, x, y)[0]
+                except BoundaryUnsafe:
+                    continue
+                pairs += 1
+    assert pairs >= 4000 and disks >= 200
+
+
+def test_integer_rule_matches_fraction_rule():
+    """Every u = a / b with b <= 12 from -2 to t + 2, on segments t <= 6:
+    the same range test and the same vertex or edge."""
+    for t in range(1, 7):
+        for b in range(1, 13):
+            for a in range(-2 * b, (t + 2) * b + 1):
+                u = Fraction(a, b)
+                assert (a < 0 or a > t * b) == (u < 0 or u > t), (a, b, t)
+                assert (cat0.nearest_simplex_on_segment(a, b, t)
+                        == oracles.nearest_simplex_on_segment(u, t)), (a, b, t)
+
+
+# -- each kept check still fires ---------------------------------------------------
+
+
+def _two_tetrahedra(ring_edges):
+    """Vertex 6 joined to 0..5, whose link is given by ring_edges."""
+    adjacency = {v: {6} for v in range(6)}
+    adjacency[6] = set(range(6))
+    for a, b in ring_edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return FlagComplex(adjacency)
+
+
+def test_two_triangle_link_is_not_flat():
+    """Vertex 6 has six region neighbours of degree two each, but they form
+    two triangles, not a hexagon."""
+    c = _two_tetrahedra([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    cycle = chardisk.BoundaryCycle(ThickInterval(0, 2), (0, 1, 2), (5, 4, 3),
+                                   (0, 1, 2, 3, 4, 5))
+    region = set(range(7))
+    assert not chardisk._is_hexagon(c, c.neighbors(6) & region)
+    assert not oracles.flat_at(c, 6, region)
+    with pytest.raises(NotFlat, match=r"^interior vertex 6 is not surrounded by 6 triangles$"):
+        chardisk.extract_flat_disk(c, cycle)
+    hexagon = _two_tetrahedra([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    assert chardisk._is_hexagon(hexagon, hexagon.neighbors(6) & region)
+    assert oracles.flat_at(hexagon, 6, region)
+
+
+def test_corrupted_directed_geodesic_fails_residue_ball(window42):
+    geo = directed_geodesic(window42, (0, 0), (4, 2))
+    i = next(i for i, s in enumerate(geo.simplices) if len(s) > 1)
+    sims = list(geo.simplices)
+    sims[i] = Simplex(sims[i].verts[:1])
+    bad = DirectedGeodesic(geo.source, geo.target, tuple(sims))
+    message = f"residue/ball condition fails at index {i} between (0, 0) and (4, 2)"
+    with pytest.raises(ConditionViolated) as new:
+        _verify_conditions(window42, bad)
+    with pytest.raises(ConditionViolated) as old:
+        oracles.verify_conditions(window42, bad)
+    assert str(new.value) == str(old.value) == message
+    sims[i] = sims[i - 1]
+    with pytest.raises(ConditionViolated, match=r"are not disjoint$"):
+        _verify_conditions(window42, DirectedGeodesic(geo.source, geo.target, tuple(sims)))
+    sims[i] = Simplex.of([(4, 2)])
+    with pytest.raises(ConditionViolated, match=r"do not span a simplex$"):
+        _verify_conditions(window42, DirectedGeodesic(geo.source, geo.target, tuple(sims)))
+
+
+def test_triangle_count_mismatch_is_not_flat(window42):
+    """Naming the hexagon's centre as a cycle vertex leaves no interior
+    vertex, so 6 triangles on 7 boundary vertices break 2I + B - 2."""
+    ls = layers(window42, (0, 0), (4, 2))
+    cycle = chardisk.boundary_cycle(window42, thick_intervals(ls)[0], ls)
+    region = chardisk.extract_flat_disk(window42, cycle).region
+    bad = chardisk.BoundaryCycle(cycle.interval, cycle.s, cycle.t,
+                                 cycle.cycle + tuple(sorted(region - set(cycle.cycle))))
+    assert len(region) == 7 and oracles.pairwise_triangle_count(window42, region) == 6
+    with pytest.raises(NotFlat,
+                       match=r"^triangle count does not match a disk Euler characteristic$"):
+        chardisk.extract_flat_disk(window42, bad)
+
+
+def test_crossing_outside_segment(window42):
+    """A path from the start that meets the inner layer line of the hexagon
+    disk at arc position 3, beyond its segment of length 2."""
+    ls = layers(window42, (0, 0), (4, 2))
+    disk = chardisk.extract_flat_disk(
+        window42, chardisk.boundary_cycle(window42, thick_intervals(ls)[0], ls))
+    start = cat0.modified_disk(disk).start
+    i = disk.interval.j + 1
+    assert disk.interval.k == i + 1
+    v, w = disk.layer_segment(i)
+    assert eplane.lattice_distance(v, w) == 2
+    step = ((w[0] - v[0]) // 2, (w[1] - v[1]) // 2)
+    hit = (2 * (v[0] + 3 * step[0]), 2 * (v[1] + 3 * step[1]))
+    alpha = cat0.PolyPath((start, PlanePoint(2 * hit[0] - start.p, 2 * hit[1] - start.q)),
+                          (0,))
+    assert oracles.crossing_arc(alpha, 0, v, step, i) == 3
+    message = rf"^crossing with layer {i} lies outside its segment$"
+    with pytest.raises(NoCrossing, match=message):
+        cat0.euclidean_diagonal(disk, alpha)
+    with pytest.raises(NoCrossing, match=message):
+        oracles.fraction_diagonal(disk, alpha)
+
+
+def test_check_isometric_bfs_stops_early(monkeypatch):
+    """On 20 or more disks of Euclidean geodesics between pairs at distance
+    4 to 10 in a 4-page book, the isometry check visits fewer vertices per
+    BFS than the former bounded BFS that ran to its radius, and both accept
+    every disk."""
+    c = samples.book_window(4, 12)
+    rng = random.Random(9)
+    disks = []
+    while len(disks) < 20:
+        x, y, d = oracles.sample_safe_pair(c, rng, 10)
+        if d >= 4:
+            geo = euclid.euclidean_geodesic(c, x, y, check_reversal=False)
+            disks += [m.disk for _, m, _ in geo.disks]
+    visited = []
+    bfs = c.bfs_distances
+
+    def counting(*args, **kwargs):
+        dist = bfs(*args, **kwargs)
+        visited.append(len(dist))
+        return dist
+
+    monkeypatch.setattr(c, "bfs_distances", counting)
+    means = []
+    for check in (oracles.bounded_check_isometric, chardisk._check_isometric):
+        visited.clear()
+        for disk in disks:
+            check(c, disk.region, disk.coords)
+        means.append(sum(visited) / len(visited))
+    old, new = means
+    print(f"mean vertices per BFS: bounded {old:.1f}, early stop {new:.1f}")
+    assert new < old, means
