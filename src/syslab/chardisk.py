@@ -105,10 +105,11 @@ def _extend_chain(c: FlagComplex, options, chain: list, pos: int) -> bool:
 
 @dataclass(frozen=True)
 class CharDisk:
-    """A flat disk with its development into the lattice and surface map(s).
+    """A flat disk with its development into the lattice and surface map.
 
     ``coords`` develops every region vertex of the ambient complex onto
-    axial coordinates; ``surfaces`` hold the inverse direction, disk -> X.
+    axial coordinates; ``surface`` is the inverse direction, disk -> X, so
+    its keys are the vertices of the disk.
     Boundary labels v_i/w_i live in disk coordinates, one per layer of the
     interval.
     """
@@ -118,11 +119,8 @@ class CharDisk:
     coords: Dict[object, eplane.Axial]     # ambient -> disk development
     v_labels: Tuple[eplane.Axial, ...]     # per layer j..k
     w_labels: Tuple[eplane.Axial, ...]
-    surfaces: Tuple[Dict[eplane.Axial, object], ...]
+    surface: Dict[eplane.Axial, object]
     triangle_count: int
-
-    def disk_vertices(self) -> frozenset:
-        return frozenset(self.coords.values())
 
     def layer_segment(self, i: int) -> Tuple[eplane.Axial, eplane.Axial]:
         return self.v_labels[i - self.interval.j], self.w_labels[i - self.interval.j]
@@ -168,7 +166,7 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
         raise NotFlat("triangle count does not match a disk Euler characteristic")
     surface = {coords[v]: v for v in region}
     return CharDisk(cycle.interval, frozenset(region), coords,
-                    v_labels, w_labels, (surface,), triangles)
+                    v_labels, w_labels, surface, triangles)
 
 
 def _is_hexagon(c, ring) -> bool:
@@ -389,21 +387,18 @@ def _canon(walk):
 
 
 def characteristic_map(c: FlagComplex, disk: CharDisk, rho: Simplex) -> Simplex:
-    """Span of the images of a disk simplex under all stored surfaces.
+    """Image of a disk simplex under the disk's surface map.
 
-    rho is given in disk coordinates. With a single stored surface this is
-    just its image; the result is verified to be a simplex of the ambient
-    complex, and the assignment respects inclusions by construction.
+    rho is given in disk coordinates. The image is verified to be a simplex
+    of the ambient complex, and the assignment respects inclusions by
+    construction.
     """
-    disk_verts = disk.disk_vertices()
+    surface = disk.surface
     for v in rho:
-        if v not in disk_verts:
+        if v not in surface:
             raise NotASimplexOfDisk(f"{v} is not a vertex of the disk")
     if not all(disk.disk_adjacent(a, b) for a, b in combinations(rho.verts, 2)):
         raise NotASimplexOfDisk(f"{rho} is not a simplex of the disk")
-    images = set()
-    for surface in disk.surfaces:
-        images.update(surface[v] for v in rho)
-    out = Simplex.of(images)
+    out = Simplex.of(surface[v] for v in rho)
     c.validate_simplex(out)
     return out

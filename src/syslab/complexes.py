@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class Simplex:
     def __contains__(self, v):
         return v in self.verts
 
-    def union(self, other: "Simplex") -> "Simplex":
-        return Simplex.of(self.verts + other.verts)
-
     def isdisjoint(self, other: "Simplex") -> bool:
         return set(self.verts).isdisjoint(other.verts)
 
@@ -66,7 +63,9 @@ class FlagComplex:
     missing from a materialized window; ``None`` marks a complete complex.
     ``convex_window`` asserts the window is a combinatorial ball of a locally
     6-large complex, whose convexity makes every internal BFS distance true.
-    ``metric_hint`` is an exact closed-form metric (used for plane windows).
+    ``plane_backed`` marks a window of the triangulated plane in axial
+    coordinates; its read-only ``metric_hint`` is then the exact closed-form
+    ``eplane.lattice_distance`` (``None`` on every other complex).
 
     ``translation_memo`` is the one mutable cache, and only plane windows
     have it (``None`` elsewhere): ``euclid.goodness_constant`` maps each
@@ -78,7 +77,6 @@ class FlagComplex:
 
     def __init__(self, adjacency: Mapping[VertexId, Iterable[VertexId]], *,
                  margin: Optional[Mapping[VertexId, int]] = None,
-                 metric_hint: Optional[Callable[[VertexId, VertexId], int]] = None,
                  convex_window: bool = False,
                  plane_backed: bool = False,
                  name: str = ""):
@@ -96,12 +94,11 @@ class FlagComplex:
         # kept in results would pin allocator pools
         self._own = {v: v for v in adj} if plane_backed else None
         self._margin = dict(margin) if margin is not None else None
-        self.metric_hint = metric_hint
+        self.metric_hint = eplane.lattice_distance if plane_backed else None
         self.convex_window = convex_window
         self.plane_backed = plane_backed
         self.translation_memo = {} if plane_backed else None
         self.name = name
-        self.degree_bound = max((len(n) for n in adj.values()), default=0)
         self._index = None
         self._dist_matrix = None
 
@@ -395,7 +392,7 @@ def ball_of_simplex(c: FlagComplex, s: Simplex) -> frozenset:
 
 
 def materialize_window(center, neighbors_fn, radius: int, *,
-                       metric_hint=None, convex=True, plane_backed=False,
+                       convex=True, plane_backed=False,
                        name="") -> FlagComplex:
     """Cut the radius-ball around center out of an implicit infinite complex.
 
@@ -421,8 +418,8 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     adjacency = {v: inner[v] if v in inner else [u for u in neighbors_fn(v) if u in depth]
                  for v in depth}
     margin = {v: radius - d for v, d in depth.items()}
-    return FlagComplex(adjacency, margin=margin, metric_hint=metric_hint,
-                       convex_window=convex, plane_backed=plane_backed, name=name)
+    return FlagComplex(adjacency, margin=margin, convex_window=convex,
+                       plane_backed=plane_backed, name=name)
 
 
 def parse_complex_text(text: str, name="") -> FlagComplex:

@@ -99,12 +99,11 @@ def interval_box(x: Axial, y: Axial) -> Iterator[Axial]:
 def window(center: Axial = (0, 0), radius: int = 1) -> complexes.FlagComplex:
     """Materialize the radius-ball around center as a FlagComplex.
 
-    Ball windows are convex, so internal BFS distances are true; the exact
-    lattice metric is attached as a hint.
+    Ball windows are convex, so internal BFS distances are true; being
+    plane-backed, the window answers distances by ``lattice_distance``.
     """
     return complexes.materialize_window(
-        center, neighbors, radius,
-        metric_hint=lattice_distance, convex=True, plane_backed=True,
+        center, neighbors, radius, convex=True, plane_backed=True,
         name=f"eplane:r{radius}@{center[0]},{center[1]}")
 
 
@@ -151,6 +150,10 @@ class PlaneIsometry:
         return (w[0] + self.shift[0], w[1] + self.shift[1])
 
     __call__ = apply
+
+    def displacement(self, v: Axial) -> int:
+        """d(v, h(v)) under the closed-form lattice metric."""
+        return lattice_distance(v, self.apply(v))
 
     def compose(self, other: "PlaneIsometry") -> "PlaneIsometry":
         """self after other: (self.compose(other))(v) == self(other(v))."""

@@ -1,17 +1,22 @@
 """Hyperbolic isometries: translation length, displacement sets, axes.
 
-An isometry is either a closed-form lattice-affine map of the plane or a
-vertex-permutation table on a finite complex. Displacement sets are always
-reported relative to an explicit window; the minimal set is the
-displacement set at the translation length.
+An isometry is either a closed-form lattice-affine map of the plane
+(``eplane.PlaneIsometry``) or a vertex-permutation table on a finite
+complex (``TableAction``, which keeps its complex). Both answer ``apply``,
+``power`` and ``displacement(v)``, the distance d(v, hv): the lattice metric
+for plane maps, the table's own complex for tables. Only hyperbolicity,
+translation length and the truncated-window guard of ``displacement_set``
+tell the two apart. Displacement sets are always reported relative to an
+explicit window; the minimal set is the displacement set at the
+translation length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from . import eplane
 from .complexes import FlagComplex
@@ -23,43 +28,13 @@ from .euclid import euclidean_geodesic, select_vertex_geodesic
 from .exact import cross, norm_sq
 
 
-class Isometry:
-    """Common facade over closed-form plane isometries and permutation tables."""
-
-    def apply(self, v):
-        raise NotImplementedError
-
-    def __call__(self, v):
-        return self.apply(v)
-
-    def displacement(self, c: Optional[FlagComplex], v) -> int:
-        raise NotImplementedError
-
-    def power(self, n: int) -> "Isometry":
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PlaneAction(Isometry):
-    """A lattice-affine isometry acting on axial vertex ids."""
-
-    iso: eplane.PlaneIsometry
-
-    def apply(self, v):
-        return self.iso.apply(v)
-
-    def displacement(self, c, v) -> int:
-        return eplane.lattice_distance(v, self.iso.apply(v))
-
-    def power(self, n: int) -> "PlaneAction":
-        return PlaneAction(self.iso.power(n))
-
-
-@dataclass(frozen=True)
-class TableAction(Isometry):
-    """A vertex permutation of a finite complex, checked for adjacency."""
+class TableAction:
+    """A vertex permutation of a finite complex, checked for adjacency; it
+    measures displacement in that complex, which equality ignores."""
 
     mapping: Tuple[Tuple[object, object], ...]
+    complex: FlagComplex = field(compare=False, repr=False)
 
     @staticmethod
     def from_dict(c: FlagComplex, mapping: Dict) -> "TableAction":
@@ -70,7 +45,7 @@ class TableAction(Isometry):
                 if not c.adjacent(mapping[u], mapping[w]):
                     raise PreconditionViolated(
                         f"table does not preserve adjacency on edge ({u}, {w})")
-        return TableAction(tuple(sorted(mapping.items())))
+        return TableAction(tuple(sorted(mapping.items())), c)
 
     @cached_property
     def _table(self) -> Dict:
@@ -79,10 +54,8 @@ class TableAction(Isometry):
     def apply(self, v):
         return self._table[v]
 
-    def displacement(self, c, v) -> int:
-        if c is None:
-            raise PreconditionViolated("table isometries need their complex")
-        return c.true_distance(v, self.apply(v))
+    def displacement(self, v) -> int:
+        return self.complex.true_distance(v, self.apply(v))
 
     def power(self, n: int) -> "TableAction":
         """The n-th power by repeated squaring: O(|V| log |n|)."""
@@ -96,7 +69,7 @@ class TableAction(Isometry):
                 out = {u: m[w] for u, w in out.items()}
             m = {u: m[w] for u, w in m.items()}
             n >>= 1
-        return TableAction(tuple(sorted(out.items())))
+        return TableAction(tuple(sorted(out.items())), self.complex)
 
 
 def parse_permutation_text(text: str) -> Dict:
@@ -123,18 +96,17 @@ def parse_permutation_text(text: str) -> Dict:
 # -- hyperbolicity and translation length ------------------------------------
 
 
-def is_hyperbolic(h: Isometry, c: Optional[FlagComplex] = None) -> bool:
+def is_hyperbolic(h: eplane.PlaneIsometry | TableAction) -> bool:
     """Whether h fixes no simplex.
 
     Closed-form case: some power of a lattice-affine map is a translation;
     the map fixes a simplex exactly when that translation is trivial. Table
-    case: scan all cliques of the finite complex for a setwise-fixed one;
+    case: scan all cliques of the table's complex for a setwise-fixed one;
     on a window this cannot be certified and is reported as inconclusive.
     """
-    if isinstance(h, PlaneAction):
-        return h.iso.translation_part_of_power() != (0, 0)
-    if c is None:
-        raise PreconditionViolated("table isometries need their complex")
+    if isinstance(h, eplane.PlaneIsometry):
+        return h.translation_part_of_power() != (0, 0)
+    c = h.complex
     if not c.is_complete:
         raise Inconclusive("cannot certify hyperbolicity on a truncated window")
     mapping = h._table
@@ -155,35 +127,36 @@ def _all_cliques(c: FlagComplex):
                           [w for w in ext[i + 1:] if c.adjacent(u, w)]))
 
 
-def translation_length(h: Isometry, c: Optional[FlagComplex] = None) -> int:
+def translation_length(h: eplane.PlaneIsometry | TableAction) -> int:
     """Minimum of the displacement function (always attained).
 
     Closed-form case: the displacement is invariant under a finite-index
     translation sublattice, so scanning a ball whose radius dominates the
-    shift, and confirming the scan has stabilized, is exact.
+    shift, and confirming the scan has stabilized, is exact. Table case:
+    the minimum over the vertices of the table's complex.
     """
-    if isinstance(h, PlaneAction):
+    if isinstance(h, eplane.PlaneIsometry):
         if not is_hyperbolic(h):
             raise PreconditionViolated("translation length needs a hyperbolic isometry")
-        shift = h.iso.shift
+        shift = h.shift
         r = 2 * (abs(shift[0]) + abs(shift[1])) + 8
         best_r = _min_disp_in_ball(h, r)
         best_r2 = _min_disp_in_ball(h, r + 2)
         if best_r != best_r2:
             raise PreconditionViolated("displacement scan did not stabilize")
         return best_r
-    if c is None or not c.is_complete:
+    if not h.complex.is_complete:
         raise BoundaryUnsafe("translation length on tables needs a complete complex")
-    return min(h.displacement(c, v) for v in c.vertices())
+    return min(h.displacement(v) for v in h.complex.vertices())
 
 
-def _min_disp_in_ball(h: PlaneAction, r: int) -> int:
+def _min_disp_in_ball(h: eplane.PlaneIsometry, r: int) -> int:
     best = None
     for a in range(-r, r + 1):
         for b in range(-r, r + 1):
             if eplane.lattice_distance((0, 0), (a, b)) > r:
                 continue
-            d = h.displacement(None, (a, b))
+            d = h.displacement((a, b))
             if best is None or d < best:
                 best = d
     return best
@@ -207,20 +180,22 @@ class DisplacementSet:
         return len(self.vertices)
 
 
-def displacement_set(h: Isometry, K: int, c: FlagComplex) -> DisplacementSet:
+def displacement_set(h: eplane.PlaneIsometry | TableAction, K: int,
+                     c: FlagComplex) -> DisplacementSet:
     """Exact filter of the window by displacement at most K.
 
-    Plane actions evaluate in closed form; table actions need the finite
-    complex itself, whose distances the margin rule already certifies.
+    Plane maps evaluate in closed form; tables measure in their own
+    complex, which must be complete: on a truncated window a table's
+    distances are not certified.
     """
-    if isinstance(h, TableAction) and not c.is_complete:
+    if isinstance(h, TableAction) and not h.complex.is_complete:
         raise BoundaryUnsafe("table displacement on a truncated window")
-    verts = frozenset(v for v in c.vertices() if h.displacement(c, v) <= K)
+    verts = frozenset(v for v in c.vertices() if h.displacement(v) <= K)
     return DisplacementSet(K, verts, c.name or "window")
 
 
-def min_set(h: Isometry, c: FlagComplex) -> DisplacementSet:
-    return displacement_set(h, translation_length(h, c if isinstance(h, TableAction) else None), c)
+def min_set(h: eplane.PlaneIsometry | TableAction, c: FlagComplex) -> DisplacementSet:
+    return displacement_set(h, translation_length(h), c)
 
 
 # -- Euclidean geodesics inside the minimal set ----------------------------------
@@ -244,7 +219,7 @@ class MinProximityReport:
         return self.empirical_max <= self.bound
 
 
-def check_min_proximity(c: FlagComplex, h: Isometry,
+def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
                         pairs: Iterable[Tuple]) -> MinProximityReport:
     """Displacement of Euclidean geodesics between minimally-displaced pairs.
 
@@ -252,19 +227,19 @@ def check_min_proximity(c: FlagComplex, h: Isometry,
     vertices of the minimal set must be displaced at most 9*L(h) + 6; the
     empirical maximum and its witness are recorded alongside the bound.
     """
-    L = translation_length(h, c if isinstance(h, TableAction) else None)
+    L = translation_length(h)
     bound = 9 * L + 6
     entries: List[MinProximityEntry] = []
     top = 0
     for x, y in pairs:
         for v in (x, y):
-            if h.displacement(c, v) != L:
+            if h.displacement(v) != L:
                 raise PreconditionViolated(f"{v} is not minimally displaced")
         worst = 0
         witness = x
         for simplex in euclidean_geodesic(c, x, y, check_reversal=False):
             for v in simplex:
-                d = h.displacement(c, v)
+                d = h.displacement(v)
                 if d > worst:
                     worst, witness = d, v
         entries.append(MinProximityEntry((x, y), worst, witness))
@@ -287,8 +262,6 @@ def invariant_geodesic_on_plane(h: eplane.PlaneIsometry, x: eplane.Axial,
     a geodesic. Distances to the axis line are compared through the axial
     cross product, which is sqrt(3)/2 times the Euclidean one.
     """
-    if isinstance(h, PlaneAction):
-        h = h.iso
     if not h.is_translation or h.shift == (0, 0):
         raise NotTranslationLike(f"{h} does not act as a nonzero translation")
     target = h.apply(x)
@@ -341,8 +314,6 @@ def _assert_line_distance(vertices, x, axis_dir):
 def axis_line_max_distance_sq(vertices, h: eplane.PlaneIsometry, x) -> Fraction:
     """Exact squared CAT(0) distance from the farthest vertex to the axis
     line: (3/4) * cross^2 / |axis|^2 with the axial cross product."""
-    if isinstance(h, PlaneAction):
-        h = h.iso
     axis_dir = _diff(h.apply(x), x)
     top = max((cross(axis_dir, _diff(v, x)) ** 2 for v in vertices), default=0)
     return Fraction(3 * top, 4 * norm_sq(axis_dir))
@@ -362,8 +333,8 @@ class AxisApprox:
     window: str
 
 
-def central_good_geodesic(c: FlagComplex, h: Isometry, x, n: int, *,
-                          stride: int = 1,
+def central_good_geodesic(c: FlagComplex, h: eplane.PlaneIsometry | TableAction, x,
+                          n: int, *, stride: int = 1,
                           stability_window: int = 3) -> AxisApprox:
     """Finite shadow of the limit construction of a central good geodesic.
 
@@ -406,7 +377,7 @@ def central_good_geodesic(c: FlagComplex, h: Isometry, x, n: int, *,
     last, ctr = geos[-1], centers[-1]
     segment = tuple(last[ctr + o] for o in range(lo_off, hi_off + 1)
                     if 0 <= ctr + o < len(last))
-    K = max(h.displacement(c, v) for v in segment)
+    K = max(h.displacement(v) for v in segment)
     return AxisApprox(segment, K, n, stride, c.name or "window")
 
 
@@ -421,7 +392,7 @@ class ConvergenceReport:
         return all(d <= self.bound for d in self.distances)
 
 
-def convergence_diagnostic(c: FlagComplex, h: Isometry, x,
+def convergence_diagnostic(c: FlagComplex, h: eplane.PlaneIsometry | TableAction, x,
                            axis: AxisApprox, n_max: int) -> ConvergenceReport:
     """Distances from the h-orbit of x to the central segment.
 

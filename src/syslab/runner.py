@@ -25,8 +25,8 @@ from .directed import directed_geodesic, require_pair_safe
 from .errors import BoundaryUnsafe, TaskFailed
 from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
-from .isodyn import (PlaneAction, check_min_proximity, displacement_set,
-                     is_hyperbolic, min_set, translation_length)
+from .isodyn import (check_min_proximity, displacement_set, is_hyperbolic,
+                     min_set, translation_length)
 from .scenario import Scenario
 
 SCHEMA = "report/1"
@@ -238,8 +238,7 @@ def _goodness_staircase(scenario, task, record, c):
 
 def _goodness_ambient(scenario, task, record, flat):
     """Goodness measured inside a larger sample degrades by at most 10."""
-    from .scenario import _sample_by_name
-    ambient = _sample_by_name(task.values["ambient"])
+    ambient = samples.BY_NAME[task.values["ambient"]]()
     embed_map = samples.book_flat_embedding
     geodesics = [tuple((i, 0) for i in range(-4, 5)),
                  tuple((i // 2 + i % 2, i // 2) for i in range(-4, 5))]
@@ -258,7 +257,7 @@ def _goodness_ambient(scenario, task, record, flat):
 
 
 def _task_displacement(scenario, task, record, rng, out_dir, c):
-    h = PlaneAction(scenario.isometry(task.values["isometry"]))
+    h = scenario.isometry(task.values["isometry"])
     n_pairs = task.values["pairs"]
     max_d = task.values["max_distance"]
     if not is_hyperbolic(h):
@@ -288,10 +287,10 @@ def _task_displacement(scenario, task, record, rng, out_dir, c):
     ft_ok = True
     ft_worst = (0, None)
     for x, y in pairs:
-        ft_bound = 3 * max(h.displacement(c, x), h.displacement(c, y)) + 1
+        ft_bound = 3 * max(h.displacement(x), h.displacement(y)) + 1
         for simplex in directed_geodesic(c, x, y):
             for s in simplex:
-                d = h.displacement(c, s)
+                d = h.displacement(s)
                 if d > ft_worst[0]:
                     ft_worst = (d, (x, y, s))
                 if d > ft_bound:

@@ -154,3 +154,18 @@ def half_line_vertex(i: int) -> TreeVertex:
 
 def branch_tip(n: int) -> TreeVertex:
     return ("b", n, n)
+
+
+# The samples a scenario file can name (`kind = sample`, `ambient = ...`);
+# each builder looks its function up when called, so a wrapper installed
+# on the module attribute sees the call.
+BY_NAME: Dict[str, Callable[[], FlagComplex]] = {
+    "octahedron": lambda: octahedron(),
+    "triangle": lambda: single_triangle(),
+    "flat-disk-2": lambda: flat_disk(2),
+    "flat-disk-3": lambda: flat_disk(3),
+    "parallelogram": lambda: parallelogram_disk(4, 2),
+    "book-3": lambda: book_window(3, 7),
+    "book-4": lambda: book_window(4, 7),
+    "book-5": lambda: book_window(5, 7),
+}

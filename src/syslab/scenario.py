@@ -32,7 +32,7 @@ TASK_KINDS = {
     "goodness-sweep": {"complex": ("text", REQUIRED), "pairs": ("count", "20"),
                        "max_distance": ("int", "10"), "staircase_map": ("translation", None),
                        "staircase_length": ("int", "16"),
-                       "staircase_origin": ("vertex", "0 0"), "ambient": ("text", None)},
+                       "staircase_origin": ("vertex", "0 0"), "ambient": ("sample", None)},
     "displacement-study": {"complex": ("text", REQUIRED), "isometry": ("text", REQUIRED),
                            "pairs": ("count", "10"), "max_distance": ("int", "20")},
     "contracting-suite": {"complex": ("text", REQUIRED), "pairs": ("count", "50"),
@@ -44,53 +44,37 @@ TASK_KINDS = {
                       "to": ("vertex", REQUIRED), "out": ("text", None)},
 }
 
-# [scenario] and [constants] keys
+# [scenario], [constants] and [isometry NAME] keys
 SCENARIO_KEYS = {"name": ("text", None), "seed": ("int", None)}
 CONSTANTS_KEYS = {"C": ("int", None), "D": ("int", None), "empirical": ("bool", None)}
+ISOMETRY_KEYS = {"map": ("isometry", REQUIRED)}
 
 # complex kind -> {parameter ComplexSpec.build reads: (type, default)}
 COMPLEX_KINDS = {
-    "eplane": {"radius": ("int", None), "center": ("vertex", None)},
+    "eplane": {"radius": ("int", "8"), "center": ("vertex", "0 0")},
     "file": {"path": ("text", REQUIRED)},
-    "tree": {"depth": ("int", None)},
-    "sample": {"name": ("text", REQUIRED)},
+    "tree": {"depth": ("int", "8")},
+    "sample": {"name": ("sample", REQUIRED)},
 }
 
 
 @dataclass
 class ComplexSpec:
+    """A complex section as its builder reads it (typed, defaults filled)."""
+
     name: str
     kind: str               # eplane | file | tree | sample
-    params: Dict[str, str]
+    values: Dict[str, object]
 
     def build(self, base_dir: Path) -> FlagComplex:
+        v = self.values
         if self.kind == "eplane":
-            radius = int(self.params.get("radius", "8"))
-            center = _parse_axial(self.params.get("center", "0 0"))
-            return eplane.window(center, radius)
+            return eplane.window(v["center"], v["radius"])
         if self.kind == "file":
-            return load_complex(base_dir / self.params["path"])
+            return load_complex(base_dir / v["path"])
         if self.kind == "tree":
-            return samples.tree_with_branches(int(self.params.get("depth", "8")))
-        if self.kind == "sample":
-            return _sample_by_name(self.params["name"])
-        raise ScenarioParseError(f"unknown complex kind {self.kind!r}")
-
-
-def _sample_by_name(name: str) -> FlagComplex:
-    builders = {
-        "octahedron": samples.octahedron,
-        "triangle": samples.single_triangle,
-        "flat-disk-2": lambda: samples.flat_disk(2),
-        "flat-disk-3": lambda: samples.flat_disk(3),
-        "parallelogram": lambda: samples.parallelogram_disk(4, 2),
-        "book-3": lambda: samples.book_window(3, 7),
-        "book-4": lambda: samples.book_window(4, 7),
-        "book-5": lambda: samples.book_window(5, 7),
-    }
-    if name not in builders:
-        raise ScenarioParseError(f"unknown sample complex {name!r}")
-    return builders[name]()
+            return samples.tree_with_branches(v["depth"])
+        return samples.BY_NAME[v["name"]]()  # sample
 
 
 @dataclass
@@ -177,9 +161,16 @@ def _parse_translation(text: str) -> eplane.PlaneIsometry:
     return h
 
 
+def _parse_sample(text: str) -> str:
+    if text not in samples.BY_NAME:
+        raise ScenarioParseError(f"unknown sample complex {text!r}")
+    return text
+
+
 _VALUE_PARSERS = {"int": _parse_int, "count": _parse_count, "vertex": _parse_axial,
                   "text": str, "bool": _parse_bool, "unit-fractions": _parse_unit_fractions,
-                  "translation": _parse_translation}
+                  "isometry": eplane.parse_isometry, "translation": _parse_translation,
+                  "sample": _parse_sample}
 
 
 def _parse_value(where: str, key: str, kind: str, value: str):
@@ -243,12 +234,13 @@ def parse_scenario_text(text: str, base_dir: Path = Path(".")) -> Scenario:
                 raise ScenarioParseError(f"complex {words[1]!r} has no kind")
             if kind not in COMPLEX_KINDS:
                 raise ScenarioParseError(f"complex {words[1]!r} has unknown kind {kind!r}")
-            _check_params(f"complex {words[1]!r} ({kind})", COMPLEX_KINDS[kind], items)
-            complexes[words[1]] = ComplexSpec(words[1], kind, items)
+            values = _check_params(f"complex {words[1]!r} ({kind})", COMPLEX_KINDS[kind], items)
+            complexes[words[1]] = ComplexSpec(words[1], kind, values)
         elif head == "isometry":
-            if len(words) != 2 or "map" not in items:
+            if len(words) != 2:
                 raise ScenarioParseError(f"bad section [{section}]")
-            isometries[words[1]] = eplane.parse_isometry(items["map"])
+            isometries[words[1]] = _check_params(
+                f"isometry {words[1]!r}", ISOMETRY_KEYS, items)["map"]
         elif head == "task":
             if len(words) != 2:
                 raise ScenarioParseError(f"bad section [{section}]")

@@ -18,9 +18,8 @@ from syslab.errors import BoundaryUnsafe
 from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
                            verify_contracting)
-from syslab.isodyn import (PlaneAction, axis_line_max_distance_sq,
-                           check_min_proximity, invariant_geodesic_on_plane,
-                           translation_length)
+from syslab.isodyn import (axis_line_max_distance_sq, check_min_proximity,
+                           invariant_geodesic_on_plane, translation_length)
 from syslab.treestudy import plane_control, tree_extendability
 
 
@@ -211,7 +210,7 @@ def test_criterion_06_min_displacement_bound():
     """Euclidean geodesics between Min(glide) pairs stay in disp_24."""
     t0 = time.time()
     c = eplane.window((0, 0), 18)
-    glide = PlaneAction(eplane.glide(1, 1))
+    glide = eplane.glide(1, 1)
     assert translation_length(glide) == 2
     rng = random.Random(6)
     pairs = []

@@ -145,8 +145,8 @@ def test_development_in_book():
             for b in region:
                 assert (eplane.lattice_distance(disk.coords[a], disk.coords[b])
                         == book.true_distance(a, b))
-        # surfaces restricted to a layer segment are isometric embeddings
-        surface = disk.surfaces[0]
+        # the surface restricted to a layer segment is an isometric embedding
+        surface = disk.surface
         for i in range(iv.j, iv.k + 1):
             v, w = disk.layer_segment(i)
             t = eplane.lattice_distance(v, w)

@@ -270,8 +270,8 @@ def test_adjacency_validation():
 
 
 def test_materialize_window_margins():
-    c = materialize_window((0, 0), eplane.neighbors, 4,
-                           metric_hint=eplane.lattice_distance, plane_backed=True)
+    c = materialize_window((0, 0), eplane.neighbors, 4, plane_backed=True)
     assert c.margin((0, 0)) == 4
     assert c.margin((4, 0)) == 0
     assert c.trusts_metric
+    assert c.metric_hint is eplane.lattice_distance

@@ -164,7 +164,7 @@ def _holed_ball():
         {v: [u for u in ball.neighbors(v) if u != hole] for v in ball.vertices() if v != hole},
         margin={v: min(ball.margin(v), eplane.lattice_distance(v, hole) - 1)
                 for v in ball.vertices() if v != hole},
-        metric_hint=eplane.lattice_distance, plane_backed=True)
+        plane_backed=True)
 
 
 def test_goodness_memo_keeps_margin_rule_on_cached_difference():

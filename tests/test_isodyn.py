@@ -4,32 +4,31 @@ import pytest
 
 import oracles
 from syslab import eplane, samples
-from syslab.errors import (Inconclusive, NotTranslationLike,
+from syslab.errors import (BoundaryUnsafe, Inconclusive, NotTranslationLike,
                            PreconditionViolated)
-from syslab.isodyn import (PlaneAction, TableAction,
-                           axis_line_max_distance_sq, central_good_geodesic,
-                           check_min_proximity, convergence_diagnostic,
-                           displacement_set, invariant_geodesic_on_plane,
-                           is_hyperbolic, min_set, parse_permutation_text,
-                           translation_length)
+from syslab.isodyn import (TableAction, axis_line_max_distance_sq,
+                           central_good_geodesic, check_min_proximity,
+                           convergence_diagnostic, displacement_set,
+                           invariant_geodesic_on_plane, is_hyperbolic, min_set,
+                           parse_permutation_text, translation_length)
 
-GLIDE = PlaneAction(eplane.glide(1, 1))
+GLIDE = eplane.glide(1, 1)
 
 
 def test_is_hyperbolic_closed_forms():
-    assert is_hyperbolic(PlaneAction(eplane.translation(1, 0)))
-    assert not is_hyperbolic(PlaneAction(eplane.identity()))
-    assert not is_hyperbolic(PlaneAction(eplane.rotation60(1)))
-    assert not is_hyperbolic(PlaneAction(eplane.rotation60(2, (3, 3))))
+    assert is_hyperbolic(eplane.translation(1, 0))
+    assert not is_hyperbolic(eplane.identity())
+    assert not is_hyperbolic(eplane.rotation60(1))
+    assert not is_hyperbolic(eplane.rotation60(2, (3, 3)))
     assert is_hyperbolic(GLIDE)
 
 
 def test_is_hyperbolic_table():
     octa = samples.octahedron()
     antipodal = TableAction.from_dict(octa, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
-    assert is_hyperbolic(antipodal, octa)
+    assert is_hyperbolic(antipodal)
     identity = TableAction.from_dict(octa, {v: v for v in range(6)})
-    assert not is_hyperbolic(identity, octa)
+    assert not is_hyperbolic(identity)
 
 
 def test_table_validation():
@@ -55,18 +54,40 @@ def test_table_power_matches_repeated_apply():
                 assert start == target
 
 
+def test_table_measures_displacement_in_its_own_complex():
+    w = eplane.window((0, 0), 3)
+    rotation = eplane.rotation60(1)
+    turn = TableAction.from_dict(w, {v: rotation.apply(v) for v in w.vertices()})
+    for v in w.vertices():
+        assert turn.displacement(v) == w.true_distance(v, rotation.apply(v))
+        assert turn.displacement(v) == rotation.displacement(v)
+    assert turn.power(-2).complex is w
+    # equality and hashing read the permutation only
+    again = TableAction(turn.mapping, eplane.window((0, 0), 3))
+    assert again == turn and hash(again) == hash(turn)
+
+
+def test_table_on_truncated_window_is_boundary_unsafe():
+    w = eplane.window((0, 0), 2)
+    table = TableAction.from_dict(w, {v: v for v in w.vertices()})
+    with pytest.raises(BoundaryUnsafe, match="translation length on tables needs a complete"):
+        translation_length(table)
+    with pytest.raises(BoundaryUnsafe, match="table displacement on a truncated window"):
+        displacement_set(table, 1, w)
+
+
 def test_is_hyperbolic_table_window_inconclusive():
     w = eplane.window((0, 0), 2)
     mapping = {v: v for v in w.vertices()}
     table = TableAction.from_dict(w, mapping)
     with pytest.raises(Inconclusive):
-        is_hyperbolic(table, w)
+        is_hyperbolic(table)
 
 
 def test_translation_lengths():
-    assert translation_length(PlaneAction(eplane.translation(1, 0))) == 1
+    assert translation_length(eplane.translation(1, 0)) == 1
     assert translation_length(GLIDE) == 2
-    assert translation_length(PlaneAction(eplane.translation(2, 2))) == 4
+    assert translation_length(eplane.translation(2, 2)) == 4
 
 
 def test_glide_displacement_formula():
@@ -75,7 +96,7 @@ def test_glide_displacement_formula():
         for b in range(-6, 7):
             k = abs(a - b)
             expected = 2 if k <= 1 else k + 1
-            assert GLIDE.displacement(None, (a, b)) == expected
+            assert GLIDE.displacement((a, b)) == expected
 
 
 def test_displacement_sets():
@@ -86,7 +107,7 @@ def test_displacement_sets():
     d3 = displacement_set(GLIDE, 3, c)
     assert d3.vertices == frozenset(v for v in c.vertices() if abs(v[0] - v[1]) <= 2)
     assert mset.vertices <= d3.vertices
-    full = displacement_set(PlaneAction(eplane.translation(1, 0)), 1, c)
+    full = displacement_set(eplane.translation(1, 0), 1, c)
     assert full.vertices == frozenset(c.vertices())
 
 
@@ -125,7 +146,7 @@ def test_check_min_proximity_glide():
 
 def test_check_min_proximity_translation():
     c = eplane.window((0, 0), 12)
-    h = PlaneAction(eplane.translation(2, 0))
+    h = eplane.translation(2, 0)
     report = check_min_proximity(c, h, [((0, 0), (5, 1)), ((0, 0), (0, 0))])
     assert report.ok
     assert report.empirical_max == 2  # translations displace uniformly
@@ -178,7 +199,7 @@ def test_invariant_geodesic_rejects_non_translations():
 
 def test_central_good_geodesic_translation_axis():
     c = eplane.window((0, 0), 14)
-    h = PlaneAction(eplane.translation(2, 0))
+    h = eplane.translation(2, 0)
     axis = central_good_geodesic(c, h, (0, 0), 4)
     assert axis.K == 2
     assert all(v[1] == 0 for v in axis.vertices)
@@ -187,7 +208,7 @@ def test_central_good_geodesic_translation_axis():
 
 def test_central_good_geodesic_base_case():
     c = eplane.window((0, 0), 10)
-    h = PlaneAction(eplane.translation(2, 0))
+    h = eplane.translation(2, 0)
     axis = central_good_geodesic(c, h, (0, 0), 1)
     assert axis.truncation == 1
     assert axis.vertices == tuple((i, 0) for i in range(-2, 3))
@@ -205,7 +226,7 @@ def test_central_good_geodesic_stride():
     # endpoint distances on the plane are always even (h^{2m} is a
     # translation); the stride knob still thins the truncation family
     c = eplane.window((0, 0), 12)
-    h = PlaneAction(eplane.translation(1, 0))
+    h = eplane.translation(1, 0)
     axis = central_good_geodesic(c, h, (0, 0), 2, stride=2)
     assert axis.K == 1
     assert axis.stride == 2
@@ -214,7 +235,7 @@ def test_central_good_geodesic_stride():
 
 def test_convergence_diagnostic_on_axis():
     c = eplane.window((0, 0), 14)
-    h = PlaneAction(eplane.translation(2, 0))
+    h = eplane.translation(2, 0)
     axis = central_good_geodesic(c, h, (0, 0), 4)
     report = convergence_diagnostic(c, h, (0, 0), axis, 4)
     assert report.distances == (0, 0, 0, 0)
@@ -223,7 +244,7 @@ def test_convergence_diagnostic_on_axis():
 
 def test_convergence_diagnostic_off_axis():
     c = eplane.window((0, 0), 14)
-    h = PlaneAction(eplane.translation(2, 0))
+    h = eplane.translation(2, 0)
     axis = central_good_geodesic(c, h, (0, 0), 4)
     report = convergence_diagnostic(c, h, (0, 3), axis, 3)
     assert all(d <= 3 for d in report.distances)
@@ -241,7 +262,7 @@ def test_convergence_diagnostic_glide():
 def test_table_translation_length_and_sets():
     octa = samples.octahedron()
     antipodal = TableAction.from_dict(octa, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
-    assert translation_length(antipodal, octa) == 2
+    assert translation_length(antipodal) == 2
     mset = min_set(antipodal, octa)
     assert mset.K == 2 and mset.vertices == frozenset(range(6))
     assert antipodal.power(2).apply(3) == 3

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from syslab.complexes import parse_complex_text
 from syslab.errors import ScenarioParseError
 from syslab.isodyn import parse_permutation_text
-from syslab.scenario import (COMPLEX_KINDS, CONSTANTS_KEYS, SCENARIO_KEYS, TASK_KINDS,
-                             parse_scenario_text)
+from syslab.scenario import (COMPLEX_KINDS, CONSTANTS_KEYS, ISOMETRY_KEYS,
+                             SCENARIO_KEYS, TASK_KINDS, parse_scenario_text)
 
 
 def _parses_or_rejects(parse, text):
@@ -25,12 +25,12 @@ def _texts(lines, header):
                      listed.map(lambda ls: "\n".join([header, *ls])))
 
 
-_KEYS = sorted({"kind", "map", *SCENARIO_KEYS, *CONSTANTS_KEYS,
+_KEYS = sorted({"kind", *SCENARIO_KEYS, *CONSTANTS_KEYS, *ISOMETRY_KEYS,
                 *(k for schema in TASK_KINDS.values() for k in schema),
                 *(k for schema in COMPLEX_KINDS.values() for k in schema)})
 _VALUES = ["0", "-3", "12", "abc", "4 2", "0, 0", "1 2 3", "yes", "maybe", "main",
            "g", "translate(1,0)", "glide(2, x)", "rot60^2 @ (1,1)", "rot60^",
-           "../nowhere.flag", "octahedron", "1/2 1", *TASK_KINDS, *COMPLEX_KINDS]
+           "../nowhere.flag", "octahedron", "book-9", "1/2 1", *TASK_KINDS, *COMPLEX_KINDS]
 
 
 def _section(headers, keys):
@@ -44,7 +44,7 @@ _SECTIONS = st.one_of(
     _section(st.just("[complex main]"),
              {"kind", *(k for s in COMPLEX_KINDS.values() for k in s)}),
     _section(st.just("[task t]"), {"kind", *(k for s in TASK_KINDS.values() for k in s)}),
-    _section(st.just("[isometry g]"), {"map"}),
+    _section(st.just("[isometry g]"), ISOMETRY_KEYS),
     _section(st.one_of(st.sampled_from(["[ ]", "[DEFAULT]", "[task]", "[scenario x]",
                                         "[complex a b]"]),
                        st.builds("[{}]".format, st.text(max_size=6))), _KEYS),

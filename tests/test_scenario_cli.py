@@ -8,7 +8,7 @@ import pytest
 import oracles
 from syslab import cli, eplane, runner
 from syslab.errors import ScenarioParseError
-from syslab.isodyn import PlaneAction, min_set
+from syslab.isodyn import min_set
 from syslab.runner import run_scenario, write_report
 from syslab.scenario import load_scenario, parse_scenario_text
 
@@ -177,10 +177,12 @@ def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
      "key 'pairs': expected a count of at least 1, got '0'"),
     ("kind = extendability-study\ncontrol_pairs = 0\n",
      "key 'control_pairs': expected a count of at least 1, got '0'"),
+    ("kind = goodness-sweep\ncomplex = main\nambient = book-9\n",
+     "task 't' (goodness-sweep) key 'ambient': unknown sample complex 'book-9'"),
 ], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key",
         "non-fraction", "zero-denominator", "no-fractions", "bad-isometry",
         "fraction-above-1", "fraction-below-0", "glide-staircase", "zero-translation",
-        "negative-pairs", "zero-pairs", "zero-control-pairs"])
+        "negative-pairs", "zero-pairs", "zero-control-pairs", "unknown-ambient"])
 def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     scn = tmp_path / "bad.scn"
     scn.write_text("[complex main]\nkind = eplane\n\n[task t]\n" + task)
@@ -211,9 +213,17 @@ PIPELINE_TASK = "[task p]\nkind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\
     ("[constants extra]\n\n[complex main]\nkind = eplane\n",
      "bad section [constants extra]"),
     ("[ ]\n\n[complex main]\nkind = eplane\n", "unknown section [ ]"),
+    ("[complex main]\nkind = sample\nname = nonsense\n",
+     "complex 'main' (sample) key 'name': unknown sample complex 'nonsense'"),
+    ("[complex main]\nkind = eplane\n\n[isometry g]\nmap = glide(1,1)\nshift = 3 4\n",
+     "isometry 'g' has unknown key 'shift'"),
+    ("[complex main]\nkind = eplane\n\n[isometry g]\n", "isometry 'g' lacks map"),
+    ("[complex main]\nkind = eplane\n\n[isometry g]\nmap = nonsense\n",
+     "isometry 'g' key 'map': bad isometry literal 'nonsense'"),
 ], ids=["scenario-seed", "constant-C", "complex-radius", "complex-misspelt-key",
         "scenario-misspelt-key", "constants-misspelt-key", "constants-empirical",
-        "constants-extra-word", "blank-section"])
+        "constants-extra-word", "blank-section", "complex-unknown-sample",
+        "isometry-unknown-key", "isometry-without-map", "isometry-bad-literal"])
 def test_cli_malformed_section_value_exits_2(tmp_path, capsys, head, message):
     scn = tmp_path / "bad.scn"
     scn.write_text(head + "\n" + PIPELINE_TASK)
@@ -312,6 +322,15 @@ def test_task_values_are_typed_with_defaults_and_params_stay_raw():
     assert "ambient" not in g.values
 
 
+def test_complex_values_are_typed_with_defaults():
+    scenario = parse_scenario_text("[complex a]\nkind = eplane\ncenter = 1, -2\n\n"
+                                   "[complex t]\nkind = tree\n\n"
+                                   "[complex s]\nkind = sample\nname = book-3\n")
+    assert scenario.complexes["a"].values == {"radius": 8, "center": (1, -2)}
+    assert scenario.complexes["t"].values == {"depth": 8}
+    assert scenario.complex("s").name == "book-3:r7"
+
+
 @pytest.mark.parametrize("name", ["contracting", "glide-minset", "goodness"])
 def test_sampler_matches_per_call_sort_oracle(name):
     # Same draws, same decisions: 50 successive pairs from the task's own
@@ -321,7 +340,7 @@ def test_sampler_matches_per_call_sort_oracle(name):
     c = scenario.complex(task.values["complex"])
     predicate = None
     if task.kind == "displacement-study":
-        mset = min_set(PlaneAction(scenario.isometry(task.values["isometry"])), c)
+        mset = min_set(scenario.isometry(task.values["isometry"]), c)
         predicate = mset.vertices.__contains__
     max_d = task.values["max_distance"]
     verts = runner._sample_space(c, task.values["complex"])
