@@ -31,6 +31,13 @@ The file holds:
   ``cat0_share`` sum the three CAT(0) stages (modified disk, shortest path,
   diagonal); ``staged_seconds`` is the whole wrapped call, wrappers
   included.
+- ``construction_curve``: seconds per ``euclidean_geodesic`` call without
+  the reversal check at n = 32, 64, 128 on the same pair family (median of
+  ``CONSTRUCTION_REPEATS``), each call on a fresh radius n/2 + 2 window
+  built untimed and followed by a garbage collection before the clock
+  starts, and ``ratio_128_32`` = t(128) / t(32): about 4 when a
+  construction costs O(n), about 16 when it costs the interval's area.
+  Not gated.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
 - ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
   ``tests/``) on each side, with pytest's closing summary line.
@@ -59,6 +66,8 @@ PAIRS = 10
 FIRST_SEED = 401
 REPEATS = 3
 CURVE_LENGTHS = (8, 16, 24, 32)
+CONSTRUCTION_LENGTHS = (32, 64, 128)
+CONSTRUCTION_REPEATS = 5
 # stage name -> (module, function); the stages do not call one another
 STAGES = {
     "levels": ("directed", "_safe_levels"),
@@ -153,9 +162,9 @@ def side_env(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(tree / "src")}
 
 
-def curve(tree: Path) -> dict:
+def curve(tree: Path, worker: str = "--curve-worker") -> dict:
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--curve-worker"],
+        [sys.executable, str(Path(__file__).resolve()), worker],
         env=side_env(tree), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -210,9 +219,7 @@ def curve_worker() -> dict:
             originals[name] = (owner, attr, getattr(owner, attr))
     out = {}
     for n in CURVE_LENGTHS:
-        q = 3 * n // 8
-        x = (n // 2, -(q // 2))
-        y = (x[0] - n, x[1] + q)
+        x, y = _curve_pair(n)
         c = eplane.window((0, 0), 40)
         path = euclid.select_vertex_geodesic(
             euclid.euclidean_geodesic(c, x, y, check_reversal=False))
@@ -244,6 +251,37 @@ def curve_worker() -> dict:
     return out
 
 
+def _curve_pair(n: int):
+    """The pair from (n/2, -q/2) to (-n/2, q - q/2), q = 3n/8."""
+    q = 3 * n // 8
+    x = (n // 2, -(q // 2))
+    return x, (x[0] - n, x[1] + q)
+
+
+def construction_worker() -> dict:
+    """Time one euclidean_geodesic without the reversal check per call, on
+    the pair family of ``curve_worker``; run with the side's src/ on
+    PYTHONPATH. Each call gets a fresh window, so nothing an earlier call
+    built is reused."""
+    import gc
+
+    from syslab import eplane, euclid
+
+    out = {}
+    for n in CONSTRUCTION_LENGTHS:
+        x, y = _curve_pair(n)
+        times = []
+        for _ in range(CONSTRUCTION_REPEATS):
+            c = eplane.window((0, 0), n // 2 + 2)
+            gc.collect()
+            t0 = time.perf_counter()
+            euclid.euclidean_geodesic(c, x, y, check_reversal=False)
+            times.append(time.perf_counter() - t0)
+        out[f"n{n}"] = {"pair": [x, y], "seconds": statistics.median(times)}
+    out["ratio_128_32"] = out["n128"]["seconds"] / out["n32"]["seconds"]
+    return out
+
+
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in (tree / "src" / "syslab").glob("*.py"))
 
@@ -253,9 +291,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
     parser.add_argument("--curve-worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--construction-worker", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.curve_worker:
         print(json.dumps(curve_worker()))
+        return 0
+    if args.construction_worker:
+        print(json.dumps(construction_worker()))
         return 0
     if args.pr is None:
         parser.error("--pr is required")
@@ -273,6 +316,8 @@ def main(argv=None) -> int:
                  "machine": platform.machine(), "pairs": PAIRS, "seconds": seconds},
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         "goodness_curve": {side: curve(tree) for side, tree in sides.items()},
+        "construction_curve": {side: curve(tree, "--construction-worker")
+                               for side, tree in sides.items()},
         "startup": {side: startup(tree) for side, tree in sides.items()},
         "tier1": {side: pytest_wall(tree) for side, tree in sides.items()},
         "acceptance": {side: pytest_wall(tree, "tests/test_acceptance.py")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
@@ -128,9 +129,104 @@ class CharDisk:
     def disk_adjacent(self, a: eplane.Axial, b: eplane.Axial) -> bool:
         return (b[0] - a[0], b[1] - a[1]) in eplane._OFFSET_SET
 
+    def holds(self, v: eplane.Axial) -> bool:
+        """Whether v is a vertex of the disk."""
+        return v in self.surface
+
+    def image(self, v: eplane.Axial):
+        """The ambient vertex the surface map sends disk vertex v to."""
+        return self.surface[v]
+
+
+class PlaneDisk(CharDisk):
+    """A flat disk of a plane window, certified on its boundary cycle.
+
+    It holds the layer segments [v_i, w_i] only (see ``extract_flat_disk``
+    for why they bound a flat disk). Membership and images are read off the
+    segments: v lies in the disk when it sits on the lattice line of some
+    layer i of the interval, between v_i and w_i, and the development and
+    the surface map are the identity. ``region``, ``coords``, ``surface``
+    and ``triangle_count`` are computed when first read.
+    """
+
+    def __init__(self, c: FlagComplex, interval: ThickInterval,
+                 v_labels: Tuple[eplane.Axial, ...], w_labels: Tuple[eplane.Axial, ...]):
+        step = _unit_step(v_labels[0], w_labels[0])
+        line0 = _line(step, v_labels[0])
+        # the dataclass is frozen; its generated __setattr__ refuses writes
+        self.__dict__.update(interval=interval, v_labels=v_labels, w_labels=w_labels,
+                             _vertex=c.vertex, _step=step, _line0=line0,
+                             _rise=_line(step, v_labels[1]) - line0)
+
+    def image(self, v: eplane.Axial):
+        return self._vertex(v)
+
+    def holds(self, v: eplane.Axial) -> bool:
+        m = (_line(self._step, v) - self._line0) * self._rise
+        if not 0 <= m < len(self.v_labels):
+            return False
+        a, b = self.v_labels[m], self.w_labels[m]
+        axis = 0 if self._step[0] else 1
+        lo, hi = sorted((a[axis], b[axis]))
+        return lo <= v[axis] <= hi
+
+    @cached_property
+    def region(self) -> frozenset:
+        return frozenset(self.image(v) for a, b in zip(self.v_labels, self.w_labels)
+                         for v in eplane.segment(a, b))
+
+    @cached_property
+    def coords(self) -> Dict[object, eplane.Axial]:
+        return {v: v for v in self.region}
+
+    @cached_property
+    def surface(self) -> Dict[eplane.Axial, object]:
+        return {v: v for v in self.region}
+
+    @cached_property
+    def triangle_count(self) -> int:
+        """2I + B - 2 for I interior and B = 2(k - j + 1) boundary vertices."""
+        boundary = 2 * len(self.v_labels)
+        return 2 * (len(self.region) - boundary) + boundary - 2
+
+
+def _unit_step(v: eplane.Axial, w: eplane.Axial) -> eplane.Axial:
+    t = eplane.lattice_distance(v, w)
+    return ((w[0] - v[0]) // t, (w[1] - v[1]) // t)
+
+
+def _line(step: eplane.Axial, v: eplane.Axial) -> int:
+    """Index of the lattice line along step through v: the cross product of
+    step and v, which two vertices share exactly when v - u is a multiple of
+    step, and which changes by at most 1 along an edge."""
+    return step[0] * v[1] - step[1] * v[0]
+
 
 def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     """Fill the boundary cycle with the enclosed flat region.
+
+    On a plane window (``plane_ball`` set) the disk is first certified on
+    its boundary, in O(k - j): the cycle is s_j..s_k followed by t_k..t_j,
+    its vertices are distinct members of the window and consecutive ones
+    adjacent, the segments [s_i, t_i] are parallel lattice segments
+    (``_check_layer_geometry``), and they lie on consecutive lattice lines,
+    each layer's line one further on, in one direction, than the last.
+    That is enough: an endpoint
+    moves half a unit along the lines when it steps to the next line, so
+    consecutive segments keep their orientation and bound a trapezoid (or
+    a triangle) made of lattice triangles, and the trapezoids stack into a
+    polygon P whose boundary is the cycle, the end segments being the unit
+    closing edges. P is a disk; it meets each of its lattice lines in that
+    layer's segment, and no lattice point lies strictly between two
+    consecutive lines, so the lattice points of P are the points of the
+    segments, the window (a convex ball) holds them, and every segment is
+    the interval between its ends. A point of P off the cycle is interior
+    to P, so its six triangles lie in P and its region link is a hexagon,
+    and the triangles on region vertices are those of P, 2I + B - 2 of them
+    by Euler's formula for a triangulated disk. So the checks below cannot
+    fail, and the plane disk (``PlaneDisk``) reads what it needs off the
+    segments. A cycle that fails the boundary certificate, and every cycle
+    off the plane, takes the path below.
 
     The region is the union over layers of the combinatorial interval
     between the realizing pair; an interior vertex whose region link is not
@@ -143,6 +239,8 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     if len(cycle) < 6:
         raise PreconditionViolated(
             f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
+    if c.plane_ball is not None and _bounds_plane_disk(c, cycle):
+        return PlaneDisk(c, cycle.interval, cycle.s, cycle.t)
     region = set()
     for s, t in zip(cycle.s, cycle.t):
         region |= interval(c, s, t)
@@ -167,6 +265,25 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     surface = {coords[v]: v for v in region}
     return CharDisk(cycle.interval, frozenset(region), coords,
                     v_labels, w_labels, surface, triangles)
+
+
+def _bounds_plane_disk(c: FlagComplex, cycle: BoundaryCycle) -> bool:
+    """The boundary certificate of a plane disk (see ``extract_flat_disk``)."""
+    s, t, loop = cycle.s, cycle.t, cycle.cycle
+    if len(s) != len(t) or loop != s + tuple(reversed(t)) or len(set(loop)) != len(loop):
+        return False
+    if not all(v in c for v in loop):
+        return False
+    if not all(c.adjacent(a, b) for a, b in zip(loop, loop[1:] + loop[:1])):
+        return False
+    try:
+        _check_layer_geometry(s, t)
+    except NotFlat:
+        return False
+    step = _unit_step(s[0], t[0])
+    rise = _line(step, s[1]) - _line(step, s[0])
+    return rise in (1, -1) and all(_line(step, b) - _line(step, a) == rise
+                                   for a, b in zip(s, s[1:]))
 
 
 def _is_hexagon(c, ring) -> bool:
@@ -391,14 +508,14 @@ def characteristic_map(c: FlagComplex, disk: CharDisk, rho: Simplex) -> Simplex:
 
     rho is given in disk coordinates. The image is verified to be a simplex
     of the ambient complex, and the assignment respects inclusions by
-    construction.
+    construction. A plane disk tests membership on the layer segments and
+    maps by identity (``PlaneDisk``).
     """
-    surface = disk.surface
     for v in rho:
-        if v not in surface:
+        if not disk.holds(v):
             raise NotASimplexOfDisk(f"{v} is not a vertex of the disk")
     if not all(disk.disk_adjacent(a, b) for a, b in combinations(rho.verts, 2)):
         raise NotASimplexOfDisk(f"{rho} is not a simplex of the disk")
-    out = Simplex.of(surface[v] for v in rho)
+    out = Simplex.of(disk.image(v) for v in rho)
     c.validate_simplex(out)
     return out

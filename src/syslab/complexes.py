@@ -66,6 +66,11 @@ class FlagComplex:
     ``plane_backed`` marks a window of the triangulated plane in axial
     coordinates; its read-only ``metric_hint`` is then the exact closed-form
     ``eplane.lattice_distance`` (``None`` on every other complex).
+    ``plane_ball`` is ``(center, radius)`` on a plane window cut as a ball
+    by ``materialize_window``, where every vertex v is in the window with
+    margin radius - lattice_distance(center, v) exactly when that margin is
+    at least 0; it is ``None`` on every other complex, a hand-built
+    plane-backed one included.
 
     ``translation_memo`` is the one mutable cache, and only plane windows
     have it (``None`` elsewhere): ``euclid.goodness_constant`` maps each
@@ -79,6 +84,7 @@ class FlagComplex:
                  margin: Optional[Mapping[VertexId, int]] = None,
                  convex_window: bool = False,
                  plane_backed: bool = False,
+                 plane_ball: Optional[tuple] = None,
                  name: str = ""):
         adj = {}
         for v, nbrs in adjacency.items():
@@ -97,6 +103,7 @@ class FlagComplex:
         self.metric_hint = eplane.lattice_distance if plane_backed else None
         self.convex_window = convex_window
         self.plane_backed = plane_backed
+        self.plane_ball = plane_ball
         self.translation_memo = {} if plane_backed else None
         self.name = name
         self._index = None
@@ -118,6 +125,11 @@ class FlagComplex:
 
     def adjacent(self, u, v) -> bool:
         return v in self._adj[u]
+
+    def vertex(self, v):
+        """The plane window's own object for vertex v, which results keep
+        instead of an equal fresh tuple (see ``interval_levels``)."""
+        return self._own[v]
 
     @property
     def is_complete(self) -> bool:
@@ -213,19 +225,22 @@ class FlagComplex:
         """The interval [x, y] as its d(x, y) + 1 level sets.
 
         Level i holds the vertices on x-y geodesics at distance i from x.
-        Plane windows read the closed-form interval box and return the
-        window's own vertex objects; other complexes run one BFS from x that
+        On plane-backed complexes level i is the lattice segment between the
+        i-th vertices of the two corner geodesics (``eplane.corner_geodesic``
+        from x and from y), which bound the interval box; only its members
+        of the complex are kept, as the complex's own vertex objects. The
+        plane pipeline reads layers as distance predicates (``directed``)
+        and calls this only to name a margin violation, or when a caller
+        reads ``Layer.vertices``. Other complexes run one BFS from x that
         stops once y is discovered, and walk back from y along edges that
         step one closer to x.
         """
         if self.plane_backed:
-            levels = [set() for _ in range(eplane.lattice_distance(x, y) + 1)]
             own = self._own
-            for v in eplane.interval_box(x, y):
-                v = own.get(v)
-                if v is not None:
-                    levels[eplane.lattice_distance(x, v)].add(v)
-            return tuple(map(frozenset, levels))
+            return tuple(
+                frozenset(own[v] for v in eplane.segment(a, b) if v in own)
+                for a, b in zip(eplane.corner_geodesic(x, y),
+                                reversed(eplane.corner_geodesic(y, x))))
         if x == y:
             return (frozenset([x]),)
         from_x = self.bfs_distances(x, until=(y,))
@@ -277,8 +292,14 @@ def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
 def interval(c: FlagComplex, x, y) -> frozenset:
     """All vertices on geodesics from x to y: { v : d(x,v) + d(v,y) = d(x,y) }.
 
-    Certified like ``distance``, with d(x, y) read off the level count."""
+    Certified like ``distance``. Plane-backed complexes read the closed-form
+    interval box once, keep its members as their own vertex objects, and
+    take d(x, y) from ``lattice_distance``; others read it off the level
+    count of ``interval_levels``."""
     _require_members(c, x, y)
+    if c.plane_backed:
+        _certify(c, x, y, eplane.lattice_distance(x, y))
+        return frozenset(c._own[v] for v in eplane.interval_box(x, y) if v in c._own)
     levels = c.interval_levels(x, y)
     _certify(c, x, y, len(levels) - 1)
     return frozenset().union(*levels)
@@ -419,7 +440,8 @@ def materialize_window(center, neighbors_fn, radius: int, *,
                  for v in depth}
     margin = {v: radius - d for v, d in depth.items()}
     return FlagComplex(adjacency, margin=margin, convex_window=convex,
-                       plane_backed=plane_backed, name=name)
+                       plane_backed=plane_backed,
+                       plane_ball=(center, radius) if plane_backed else None, name=name)
 
 
 def parse_complex_text(text: str, name="") -> FlagComplex:

@@ -14,8 +14,10 @@ producing a quietly wrong sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
+from . import eplane
 from .complexes import FlagComplex, Simplex, ball_of_simplex
 from .errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
                      MalformedProfile, PreconditionViolated)
@@ -39,19 +41,47 @@ class DirectedGeodesic:
         return self.simplices[i]
 
 
-@dataclass(frozen=True)
 class Layer:
     """Layer i between two vertices: the sphere intersection plus thickness.
 
     Thickness is defined relative to the two directed geodesics whose
     simplices the layer stores; thin means thickness at most 1.
+
+    ``vertices`` is level i of the interval [x, y]. It is given either as a
+    frozenset or as a callable that returns one; the callable runs when the
+    level is first read. ``layers`` passes a callable on plane windows, whose
+    construction tests layer membership as the distance predicate
+    d(x, v) == i and d(v, y) == n - i and never reads the level: only
+    ``render`` and tests do.
     """
 
-    index: int
-    vertices: frozenset
-    sigma: Optional[Simplex]
-    tau: Optional[Simplex]
-    thickness: int
+    __slots__ = ("index", "_vertices", "sigma", "tau", "thickness")
+
+    def __init__(self, index: int, vertices, sigma: Optional[Simplex],
+                 tau: Optional[Simplex], thickness: int):
+        self.index = index
+        self._vertices = vertices
+        self.sigma = sigma
+        self.tau = tau
+        self.thickness = thickness
+
+    @property
+    def vertices(self) -> frozenset:
+        if callable(self._vertices):
+            self._vertices = self._vertices()
+        return self._vertices
+
+    def _key(self):
+        return (self.index, self.vertices, self.sigma, self.tau, self.thickness)
+
+    def __eq__(self, other):
+        if not isinstance(other, Layer):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"Layer(index={self.index}, sigma={self.sigma}, tau={self.tau}, "
+                f"thickness={self.thickness})")
 
     @property
     def thin(self) -> bool:
@@ -89,7 +119,7 @@ class Layers(Sequence):
     def reversed(self) -> "Layers":
         """The decomposition of (y, x): layer i becomes layer n - i and the
         two directed geodesics swap roles."""
-        items = [Layer(i, layer.vertices, layer.tau, layer.sigma, layer.thickness)
+        items = [Layer(i, layer._vertices, layer.tau, layer.sigma, layer.thickness)
                  for i, layer in enumerate(self.items[::-1])]
         return Layers(self.complex, self.y, self.x, items, self.tau_geo, self.sigma_geo)
 
@@ -113,18 +143,32 @@ def require_pair_safe(c: FlagComplex, x, y) -> int:
 
     Needs a trusted metric plus a margin of at least 1 on every vertex of
     the combinatorial interval, so links and residues there are complete.
-    Returns d(x, y).
+    On a plane window (``plane_ball`` set) the margin of v is the radius
+    minus lattice_distance(center, v), and a norm is convex, so over the
+    interval box the margin is least at one of the box's four corners
+    (``eplane.interval_corners``): the corners are checked in O(1). When a
+    corner fails, or on any other complex, every level of the interval is
+    scanned, and the least vertex of margin below 1 is named. Returns
+    d(x, y).
     """
-    return len(_safe_levels(c, x, y)) - 1
+    levels = _safe_levels(c, x, y)
+    return c.metric_hint(x, y) if levels is None else len(levels) - 1
 
 
-def _safe_levels(c: FlagComplex, x, y) -> tuple:
-    """The levels of the interval [x, y], once the margin rule allows them."""
+def _safe_levels(c: FlagComplex, x, y) -> Optional[tuple]:
+    """The levels of the interval [x, y], once the margin rule allows them;
+    None on a plane window whose interval corners pass it, where the levels
+    are read as distance predicates instead."""
     if x not in c or y not in c:
         raise PreconditionViolated(f"vertex not in complex: {x if x not in c else y}")
     if not c.trusts_metric:
         raise BoundaryUnsafe(
             "window metric is not trusted; materialize a convex window instead")
+    if c.plane_ball is not None:
+        center, radius = c.plane_ball
+        if all(eplane.lattice_distance(center, v) < radius
+               for v in eplane.interval_corners(x, y)):
+            return None
     levels = c.interval_levels(x, y)
     if not c.is_complete:
         for level in levels:
@@ -150,16 +194,28 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
 
 
 def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
-    """Project from x towards y through the interval levels read from x."""
-    n = len(levels) - 1
+    """Project from x towards y through the interval levels read from x.
+
+    With ``levels`` None (a plane window) a common neighbour lies in level
+    i + 1 exactly when d(x, v) == i + 1 and d(v, y) == n - i - 1 under the
+    closed-form metric, and that test replaces the level. Only its second
+    half is evaluated: v is adjacent to sigma_i, which lies in level i, so
+    d(x, v) <= i + 1, and d(v, y) == n - i - 1 forces d(x, v) >= i + 1."""
+    dist = c.metric_hint
+    n = dist(x, y) if levels is None else len(levels) - 1
     if n == 0:
         return DirectedGeodesic(x, y, (Simplex.of([x]),))
     nbrs = c.neighbors
     simplices = [Simplex.of([x])]
     for i in range(n - 1):
         current = simplices[-1].verts
-        candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
-                                                          levels[i + 1]))
+        if levels is None:
+            candidates = sorted(
+                v for v in nbrs(current[0]).intersection(*map(nbrs, current[1:]))
+                if dist(v, y) == n - i - 1)
+        else:
+            candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
+                                                              levels[i + 1]))
         if not candidates:
             raise ConstructionFailed(
                 f"empty projection at step {i + 1} between {x} and {y}")
@@ -207,11 +263,16 @@ def layers(c: FlagComplex, x, y) -> Layers:
     The geodesic from y to x is reindexed to run in the same direction as
     the one from x to y, so layer i holds sigma_i and tau_i side by side.
     Thickness distances are measured in the ambient complex; layers are
-    convex, so the value is realized inside the layer.
+    convex, so the value is realized inside the layer. On plane windows the
+    levels are not built: each layer's vertices are computed when first read
+    (see ``Layer``).
     """
     levels = _safe_levels(c, x, y)
     sigma_geo = _project(c, x, y, levels)
-    tau_geo = _project(c, y, x, levels[::-1])
+    tau_geo = _project(c, y, x, None if levels is None else levels[::-1])
+    if levels is None:
+        read = _LevelReader(c, x, y)
+        levels = [partial(read, i) for i in range(len(sigma_geo) + 1)]
     n = len(levels) - 1
     items = []
     for i, level in enumerate(levels):
@@ -219,6 +280,19 @@ def layers(c: FlagComplex, x, y) -> Layers:
         tau = tau_geo[n - i]
         items.append(Layer(i, level, sigma, tau, _thickness(c, sigma, tau)))
     return Layers(c, x, y, items, sigma_geo, tau_geo)
+
+
+class _LevelReader:
+    """Level i of [x, y] on call; all levels are built by the first call."""
+
+    def __init__(self, c: FlagComplex, x, y):
+        self.complex, self.x, self.y = c, x, y
+        self.levels = None
+
+    def __call__(self, i: int) -> frozenset:
+        if self.levels is None:
+            self.levels = self.complex.interval_levels(self.x, self.y)
+        return self.levels[i]
 
 
 def _thickness(c: FlagComplex, sigma: Simplex, tau: Simplex) -> int:

@@ -35,9 +35,13 @@ def lattice_distance(u: Axial, v: Axial) -> int:
     """
     p = v[0] - u[0]
     q = v[1] - u[1]
-    if (p >= 0 and q >= 0) or (p <= 0 and q <= 0):
-        return abs(p + q)
-    return max(abs(p), abs(q))
+    if p >= 0:
+        if q >= 0:
+            return p + q
+        return p if p >= -q else -q
+    if q <= 0:
+        return -p - q
+    return q if q >= -p else -p
 
 
 def embed(v: Axial) -> PlanePoint:
@@ -96,11 +100,40 @@ def interval_box(x: Axial, y: Axial) -> Iterator[Axial]:
                 yield (x[0] + t, x[1] - s - t)
 
 
+def interval_corners(x: Axial, y: Axial) -> Tuple[Axial, Axial, Axial, Axial]:
+    """The four corners of ``interval_box(x, y)``, x and y among them.
+
+    The box is the set of lattice points of the parallelogram these corners
+    span (flat when x and y share a lattice line), so a convex function of
+    the vertex, such as the distance from a fixed vertex, takes its largest
+    value on the box at a corner.
+    """
+    p = y[0] - x[0]
+    q = y[1] - x[1]
+    if p * q >= 0:
+        return (x, (x[0] + p, x[1]), (x[0], x[1] + q), y)
+    if abs(p) >= abs(q):
+        return (x, (x[0] + p + q, x[1]), (x[0] - q, x[1] + q), y)
+    return (x, (x[0], x[1] + p + q), (x[0] + p, x[1] - p), y)
+
+
+def segment(a: Axial, b: Axial) -> Tuple[Axial, ...]:
+    """The lattice points from a to b in order, for b - a a multiple of a
+    unit offset: the vertices of the straight lattice segment [a, b]."""
+    t = lattice_distance(a, b)
+    if t == 0:
+        return (a,)
+    da, db = (b[0] - a[0]) // t, (b[1] - a[1]) // t
+    return tuple((a[0] + da * m, a[1] + db * m) for m in range(t + 1))
+
+
 def window(center: Axial = (0, 0), radius: int = 1) -> complexes.FlagComplex:
     """Materialize the radius-ball around center as a FlagComplex.
 
     Ball windows are convex, so internal BFS distances are true; being
-    plane-backed, the window answers distances by ``lattice_distance``.
+    plane-backed, the window answers distances by ``lattice_distance``, and
+    it records ``plane_ball = (center, radius)``: a vertex's margin is then
+    radius - lattice_distance(center, v).
     """
     return complexes.materialize_window(
         center, neighbors, radius, convex=True, plane_backed=True,

@@ -117,10 +117,16 @@ def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
             rho = diagonal.simplex_at(i)
             sims[i] = chardisk.characteristic_map(c, disk, rho)
             tags[i] = "disk"
+    dist = c.metric_hint
     for i in range(n + 1):
         if sims[i] is None:
             raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
-        if not set(sims[i].verts) <= layer_seq[i].vertices:
+        if dist is not None:  # plane: layer i as a distance predicate
+            inside = all(v in c and dist(x, v) == i and dist(v, y) == n - i
+                         for v in sims[i].verts)
+        else:
+            inside = set(sims[i].verts) <= layer_seq[i].vertices
+        if not inside:
             raise ConditionViolated(
                 f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
     return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq, tuple(disks))

@@ -38,7 +38,7 @@ TASK_KINDS = {
     "contracting-suite": {"complex": ("text", REQUIRED), "pairs": ("count", "50"),
                           "doubling": ("int", "20"), "max_distance": ("int", "12"),
                           "cs": ("unit-fractions", "1/4 1/2 3/4"), "origin": ("vertex", "0 0")},
-    "extendability-study": {"depth": ("int", "10"), "control_pairs": ("count", "12"),
+    "extendability-study": {"depth": ("depth", "10"), "control_pairs": ("count", "12"),
                             "control_span": ("int", "6")},
     "figure-render": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
                       "to": ("vertex", REQUIRED), "out": ("text", None)},
@@ -51,9 +51,9 @@ ISOMETRY_KEYS = {"map": ("isometry", REQUIRED)}
 
 # complex kind -> {parameter ComplexSpec.build reads: (type, default)}
 COMPLEX_KINDS = {
-    "eplane": {"radius": ("int", "8"), "center": ("vertex", "0 0")},
+    "eplane": {"radius": ("nonnegative", "8"), "center": ("vertex", "0 0")},
     "file": {"path": ("text", REQUIRED)},
-    "tree": {"depth": ("int", "8")},
+    "tree": {"depth": ("depth", "8")},
     "sample": {"name": ("sample", REQUIRED)},
 }
 
@@ -140,6 +140,21 @@ def _parse_count(text: str) -> int:
     return n
 
 
+def _parse_nonnegative(text: str) -> int:
+    n = _parse_int(text)
+    if n < 0:
+        raise ScenarioParseError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
+def _parse_depth(text: str) -> int:
+    """A tree depth: the branching tree and its study need at least 2."""
+    n = _parse_int(text)
+    if n < 2:
+        raise ScenarioParseError(f"expected an integer of at least 2, got {text!r}")
+    return n
+
+
 def _parse_unit_fractions(text: str) -> List[Fraction]:
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -167,7 +182,9 @@ def _parse_sample(text: str) -> str:
     return text
 
 
-_VALUE_PARSERS = {"int": _parse_int, "count": _parse_count, "vertex": _parse_axial,
+_VALUE_PARSERS = {"int": _parse_int, "count": _parse_count,
+                  "nonnegative": _parse_nonnegative, "depth": _parse_depth,
+                  "vertex": _parse_axial,
                   "text": str, "bool": _parse_bool, "unit-fractions": _parse_unit_fractions,
                   "isometry": eplane.parse_isometry, "translation": _parse_translation,
                   "sample": _parse_sample}

@@ -24,7 +24,15 @@ same failing pair. ``sample_safe_pair`` is the runner's former pair
 sampler, run with the library's ``require_pair_safe``, because it checks
 that the sampler which replaced it makes the same draws and decisions.
 ``window_adjacency`` is the former window cut of
-``complexes.materialize_window``. The certificate kernels at the end
+``complexes.materialize_window``. ``box_interval_levels``,
+``scan_safe_levels`` (with ``scan_require_pair_safe`` and ``area_interval``)
+and ``area_extract_flat_disk`` are the library's former area-bound plane
+forms: the interval box split into levels, the margin scan over every level,
+and the flat disk built from its whole region. They run on the complex's own
+margins and on the library's hexagon, development and triangle-count
+kernels, because they check that the plane's distance predicates, corner
+margin check and boundary certificate give the same levels, refusals and
+disks. The certificate kernels at the end
 (``verify_conditions``, ``flat_at``, ``pairwise_triangle_count``,
 ``fraction_diagonal`` and the pieces they call) are the library's former
 pair-loop and ``Fraction`` certificates, run on the complex's own adjacency
@@ -44,7 +52,7 @@ from typing import List
 
 import numpy as np
 
-from syslab import cat0, eplane
+from syslab import cat0, chardisk, complexes, eplane
 from syslab.cat0 import PolyPath
 from syslab.directed import require_pair_safe
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
@@ -742,6 +750,91 @@ def window_adjacency(center, neighbors_fn, radius):
                 depth[u] = depth[v] + 1
                 queue.append(u)
     return {v: [u for u in neighbors_fn(v) if u in depth] for v in depth}
+
+
+# -- area-based plane forms ---------------------------------------------------------
+#
+# The former plane branch of FlagComplex.interval_levels, the former margin
+# scan of syslab.directed and the former area-based flat disk of
+# syslab.chardisk, which the plane pipeline replaced by distance predicates,
+# a check on the interval's corners and a certificate on the disk boundary.
+
+
+def box_interval_levels(c, x, y):
+    """The former plane branch of ``FlagComplex.interval_levels``: the closed-form
+    interval box, split by ``lattice_distance`` from x, members of c only, as
+    c's own vertex objects."""
+    levels = [set() for _ in range(eplane.lattice_distance(x, y) + 1)]
+    for v in eplane.interval_box(x, y):
+        if v in c:
+            levels[eplane.lattice_distance(x, v)].add(c.vertex(v))
+    return tuple(map(frozenset, levels))
+
+
+def scan_safe_levels(c, x, y):
+    """The former ``directed._safe_levels``: every level of the interval is
+    scanned for a vertex of margin below 1 (box levels on plane-backed
+    complexes, ``interval_levels`` elsewhere)."""
+    if x not in c or y not in c:
+        raise PreconditionViolated(f"vertex not in complex: {x if x not in c else y}")
+    if not c.trusts_metric:
+        raise BoundaryUnsafe(
+            "window metric is not trusted; materialize a convex window instead")
+    levels = box_interval_levels(c, x, y) if c.plane_backed else c.interval_levels(x, y)
+    if not c.is_complete:
+        for level in levels:
+            unsafe = [v for v in level if c.margin(v) < 1]
+            if unsafe:
+                raise BoundaryUnsafe(
+                    f"interval vertex {min(unsafe)} touches the window boundary "
+                    f"(pair {x}, {y})")
+    return levels
+
+
+def scan_require_pair_safe(c, x, y):
+    """The former ``directed.require_pair_safe``."""
+    return len(scan_safe_levels(c, x, y)) - 1
+
+
+def area_interval(c, x, y):
+    """The former ``complexes.interval``: the union of the levels, box levels on
+    plane-backed complexes."""
+    complexes._require_members(c, x, y)
+    levels = box_interval_levels(c, x, y) if c.plane_backed else c.interval_levels(x, y)
+    complexes._certify(c, x, y, len(levels) - 1)
+    return frozenset().union(*levels)
+
+
+def area_extract_flat_disk(c, cycle):
+    """The former ``chardisk.extract_flat_disk``: the region as the union of the
+    layer intervals, the hexagon test on every interior vertex, the
+    development and, off the plane, its isometry check, the layer geometry,
+    and the Euler count of the region's triangles."""
+    if len(cycle) < 6:
+        raise PreconditionViolated(
+            f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
+    region = set()
+    for s, t in zip(cycle.s, cycle.t):
+        region |= area_interval(c, s, t)
+    boundary = set(cycle.cycle)
+    interior = region - boundary
+    for v in sorted(interior):
+        if not chardisk._is_hexagon(c, c.neighbors(v) & region):
+            raise NotFlat(f"interior vertex {v} is not surrounded by 6 triangles")
+    coords = chardisk._develop(c, cycle, region)
+    if not c.plane_backed:
+        chardisk._check_isometric(c, region, coords)
+    v_labels = tuple(coords[s] for s in cycle.s)
+    w_labels = tuple(coords[t] for t in cycle.t)
+    chardisk._check_layer_geometry(v_labels, w_labels)
+    triangles = chardisk._triangle_count(c, region, interior)
+    interior_count = len(interior)
+    boundary_count = len(region) - interior_count
+    if triangles != 2 * interior_count + boundary_count - 2:
+        raise NotFlat("triangle count does not match a disk Euler characteristic")
+    surface = {coords[v]: v for v in region}
+    return chardisk.CharDisk(cycle.interval, frozenset(region), coords,
+                             v_labels, w_labels, surface, triangles)
 
 
 # -- certificate kernels ------------------------------------------------------------

@@ -130,6 +130,29 @@ def test_interval_levels_plane_hold_window_vertices():
             assert levels == tuple(map(frozenset, closed_form))
 
 
+def test_plane_interval_agrees_with_box_levels():
+    """``interval`` and ``interval_levels`` on plane-backed complexes against
+    the former box levels, on every pair of a window and of the same window
+    with a hole (whose box vertices they must drop), as the complex's own
+    vertex objects."""
+    c = eplane.window((0, 0), 4)
+    hole = (1, -1)
+    holed = FlagComplex({v: [u for u in c.neighbors(v) if u != hole]
+                         for v in c.vertices() if v != hole},
+                        margin={v: c.margin(v) for v in c.vertices() if v != hole},
+                        plane_backed=True)
+    for k in (c, holed):
+        own = {v: v for v in k.vertices()}
+        for x in sorted(k.vertices()):
+            for y in sorted(k.vertices()):
+                ivl = interval(k, tuple(list(x)), tuple(list(y)))
+                assert ivl == frozenset().union(*oracles.box_interval_levels(k, x, y))
+                assert ivl == oracles.area_interval(k, x, y)
+                assert k.interval_levels(x, y) == oracles.box_interval_levels(k, x, y)
+                assert all(v is own[v] for v in ivl)
+    assert hole not in interval(holed, (0, 0), (2, -2))
+
+
 def test_interval_levels_book_bfs_walk():
     c = samples.book_window(4, 8)
     verts = sorted(c.vertices())

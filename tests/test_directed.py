@@ -183,3 +183,32 @@ def test_fellow_traveller_bound(window42):
         for simplex in directed_geodesic(big, x, y):
             for s in simplex:
                 assert eplane.lattice_distance(s, h(s)) <= bound
+
+
+def _safety(check, c, x, y):
+    try:
+        return check(c, x, y)
+    except BoundaryUnsafe as exc:
+        return str(exc)
+
+
+def test_margin_corner_rule_matches_scan_oracle():
+    """The four-corner margin check against the former scan of every level,
+    on every pair within distance 12 of a radius-14 window, taken once per
+    unordered pair (the rule reads the interval box, which is symmetric in
+    its ends): the same distance, or the same BoundaryUnsafe text."""
+    c = eplane.window((0, 0), 14)
+    verts = sorted(c.vertices())
+    pairs = refused = near_rim = 0
+    for a, x in enumerate(verts):
+        for y in verts[a:]:
+            if eplane.lattice_distance(x, y) > 12:
+                continue
+            got = _safety(require_pair_safe, c, x, y)
+            assert got == _safety(oracles.scan_require_pair_safe, c, x, y), (x, y)
+            pairs += 1
+            if isinstance(got, str):
+                refused += 1
+            elif min(c.margin(v) for v in eplane.interval_corners(x, y)) == 1:
+                near_rim += 1
+    assert pairs == 94738 and refused > 10000 and near_rim > 10000

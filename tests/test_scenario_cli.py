@@ -179,10 +179,12 @@ def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
      "key 'control_pairs': expected a count of at least 1, got '0'"),
     ("kind = goodness-sweep\ncomplex = main\nambient = book-9\n",
      "task 't' (goodness-sweep) key 'ambient': unknown sample complex 'book-9'"),
+    ("kind = extendability-study\ndepth = 1\n",
+     "task 't' (extendability-study) key 'depth': expected an integer of at least 2, got '1'"),
 ], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key",
         "non-fraction", "zero-denominator", "no-fractions", "bad-isometry",
         "fraction-above-1", "fraction-below-0", "glide-staircase", "zero-translation",
-        "negative-pairs", "zero-pairs", "zero-control-pairs", "unknown-ambient"])
+        "negative-pairs", "zero-pairs", "zero-control-pairs", "unknown-ambient", "study-depth-1"])
 def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     scn = tmp_path / "bad.scn"
     scn.write_text("[complex main]\nkind = eplane\n\n[task t]\n" + task)
@@ -220,10 +222,15 @@ PIPELINE_TASK = "[task p]\nkind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\
     ("[complex main]\nkind = eplane\n\n[isometry g]\n", "isometry 'g' lacks map"),
     ("[complex main]\nkind = eplane\n\n[isometry g]\nmap = nonsense\n",
      "isometry 'g' key 'map': bad isometry literal 'nonsense'"),
+    ("[complex main]\nkind = eplane\nradius = -1\n",
+     "complex 'main' (eplane) key 'radius': expected a nonnegative integer, got '-1'"),
+    ("[complex main]\nkind = eplane\n\n[complex t]\nkind = tree\ndepth = 1\n",
+     "complex 't' (tree) key 'depth': expected an integer of at least 2, got '1'"),
 ], ids=["scenario-seed", "constant-C", "complex-radius", "complex-misspelt-key",
         "scenario-misspelt-key", "constants-misspelt-key", "constants-empirical",
         "constants-extra-word", "blank-section", "complex-unknown-sample",
-        "isometry-unknown-key", "isometry-without-map", "isometry-bad-literal"])
+        "isometry-unknown-key", "isometry-without-map", "isometry-bad-literal",
+        "negative-radius", "tree-depth-1"])
 def test_cli_malformed_section_value_exits_2(tmp_path, capsys, head, message):
     scn = tmp_path / "bad.scn"
     scn.write_text(head + "\n" + PIPELINE_TASK)
