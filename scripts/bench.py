@@ -319,7 +319,7 @@ def main(argv=None) -> int:
         "construction_curve": {side: curve(tree, "--construction-worker")
                                for side, tree in sides.items()},
         "startup": {side: startup(tree) for side, tree in sides.items()},
-        "tier1": {side: pytest_wall(tree) for side, tree in sides.items()},
+        "tier1": {side: pytest_wall(tree, "tests") for side, tree in sides.items()},
         "acceptance": {side: pytest_wall(tree, "tests/test_acceptance.py")
                        for side, tree in sides.items()},
         "traced": traced(sides, workloads),

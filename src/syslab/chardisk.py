@@ -4,8 +4,8 @@ The boundary cycle of a thick interval is built from thickness-realizing
 vertex pairs; the surface it spans is extracted as a flat region and
 developed onto the triangular lattice. General minimal-surface search is
 out of scope: a region that fails the flat interior test is rejected
-loudly, and a tiny exhaustive filling oracle confirms minimality on small
-cycles.
+loudly; the tests confirm minimality on small cycles with an exhaustive
+filling oracle.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from . import eplane
 from .complexes import FlagComplex, Simplex, interval
 from .directed import Layers, ThickInterval
-from .errors import (MinDiskTimeout, NoFilling, NoRealizingChain, NotASimplexOfDisk,
-                     NotFlat, PreconditionViolated)
+from .errors import NoRealizingChain, NotASimplexOfDisk, NotFlat, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def _line(step: eplane.Axial, v: eplane.Axial) -> int:
 def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     """Fill the boundary cycle with the enclosed flat region.
 
-    On a plane window (``plane_ball`` set) the disk is first certified on
+    On a plane window (``plane_backed``) the disk is first certified on
     its boundary, in O(k - j): the cycle is s_j..s_k followed by t_k..t_j,
     its vertices are distinct members of the window and consecutive ones
     adjacent, the segments [s_i, t_i] are parallel lattice segments
@@ -239,7 +238,7 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     if len(cycle) < 6:
         raise PreconditionViolated(
             f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
-    if c.plane_ball is not None and _bounds_plane_disk(c, cycle):
+    if c.plane_backed and _bounds_plane_disk(c, cycle):
         return PlaneDisk(c, cycle.interval, cycle.s, cycle.t)
     region = set()
     for s, t in zip(cycle.s, cycle.t):
@@ -409,95 +408,6 @@ def _check_layer_geometry(v_labels, w_labels):
     for d in directions[1:]:
         if d != first and d != (-first[0], -first[1]):
             raise NotFlat("layer segments are not parallel")
-
-
-# -- minimality oracle -------------------------------------------------------
-
-
-def brute_force_min_disk(c: FlagComplex, cycle: Sequence, max_triangles: int) -> int:
-    """Exhaustive minimal number of triangles filling the cycle.
-
-    Enumerates reduced disk fillings by clipping one triangle per step off
-    the first boundary edge; spur backtracks collapse for free. Intended
-    for |cycle| <= 8 and small budgets only.
-    """
-    cyc = tuple(cycle)
-    if len(cyc) > 8:
-        raise PreconditionViolated("oracle limited to cycles of length <= 8")
-    if max_triangles > 12:
-        raise PreconditionViolated("oracle limited to max_triangles <= 12")
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        if not c.adjacent(a, b):
-            raise PreconditionViolated(f"cycle vertices {a}, {b} not adjacent")
-    state = {"budget_hit": False}
-    memo: dict = {}
-
-    def fill(walk, budget):
-        walk = _despur(walk)
-        m = len(walk)
-        if m == 0:
-            return 0
-        if m == 3:
-            return 1 if budget >= 1 else _budget_miss(state)
-        if budget < max(1, m - 2):
-            return _budget_miss(state)
-        key = (_canon(walk), budget)
-        if key in memo:
-            return memo[key]
-        memo[key] = None  # cycle guard
-        best = None
-        a, b = walk[0], walk[1]
-        rest = walk[1:]
-        for w in sorted(c.neighbors(a) & c.neighbors(b)):
-            if w == a or w == b:
-                continue
-            sub = fill((w,) + rest + (a,), budget - 1)
-            if sub is not None:
-                total = sub + 1
-                if best is None or total < best:
-                    best = total
-        memo[key] = best
-        return best
-
-    result = fill(cyc, max_triangles)
-    if result is None:
-        if state["budget_hit"]:
-            raise MinDiskTimeout(
-                f"no filling with at most {max_triangles} triangles found")
-        raise NoFilling("cycle bounds no disk in this complex")
-    return result
-
-
-def _budget_miss(state):
-    state["budget_hit"] = True
-    return None
-
-
-def _despur(walk):
-    walk = list(walk)
-    changed = True
-    while changed and len(walk) > 2:
-        changed = False
-        m = len(walk)
-        for i in range(m):
-            if walk[(i - 1) % m] == walk[(i + 1) % m]:
-                hi, lo = max(i, (i + 1) % m), min(i, (i + 1) % m)
-                del walk[hi]
-                del walk[lo]
-                changed = True
-                break
-    if len(walk) == 2:
-        return ()
-    return tuple(walk)
-
-
-def _canon(walk):
-    m = len(walk)
-    variants = []
-    for seq in (walk, tuple(reversed(walk))):
-        for r in range(m):
-            variants.append(seq[r:] + seq[:r])
-    return min(variants)
 
 
 # -- the characteristic mapping -------------------------------------------------

@@ -63,14 +63,17 @@ class FlagComplex:
     missing from a materialized window; ``None`` marks a complete complex.
     ``convex_window`` asserts the window is a combinatorial ball of a locally
     6-large complex, whose convexity makes every internal BFS distance true.
-    ``plane_backed`` marks a window of the triangulated plane in axial
-    coordinates; its read-only ``metric_hint`` is then the exact closed-form
-    ``eplane.lattice_distance`` (``None`` on every other complex).
-    ``plane_ball`` is ``(center, radius)`` on a plane window cut as a ball
-    by ``materialize_window``, where every vertex v is in the window with
-    margin radius - lattice_distance(center, v) exactly when that margin is
-    at least 0; it is ``None`` on every other complex, a hand-built
-    plane-backed one included.
+    ``plane_ball`` is the one plane input: ``(center, radius)`` on a ball
+    window of the triangulated plane in axial coordinates, as cut by
+    ``materialize_window``, ``None`` on every other complex. Balls of a
+    systolic complex are convex (Januszkiewicz-Swiatkowski, Simplicial
+    nonpositive curvature, 2006), so the ball settles every metric question:
+    ``plane_backed`` is ``plane_ball is not None``, the read-only
+    ``metric_hint`` is then the exact closed-form ``eplane.lattice_distance``
+    (``None`` elsewhere), and a vertex v is in the window with margin
+    radius - lattice_distance(center, v) exactly when that margin is at
+    least 0; those margins are taken when ``margin`` is not given. A graph
+    whose vertex count is not that of the ball is refused.
 
     ``translation_memo`` is the one mutable cache, and only plane windows
     have it (``None`` elsewhere): ``euclid.goodness_constant`` maps each
@@ -83,7 +86,6 @@ class FlagComplex:
     def __init__(self, adjacency: Mapping[VertexId, Iterable[VertexId]], *,
                  margin: Optional[Mapping[VertexId, int]] = None,
                  convex_window: bool = False,
-                 plane_backed: bool = False,
                  plane_ball: Optional[tuple] = None,
                  name: str = ""):
         adj = {}
@@ -95,6 +97,15 @@ class FlagComplex:
                     raise PreconditionViolated(f"self-loop at {v}")
                 if u not in adj or v not in adj[u]:
                     raise PreconditionViolated(f"asymmetric adjacency {v}-{u}")
+        plane_backed = plane_ball is not None
+        if plane_backed:
+            center, radius = plane_ball
+            if center not in adj or len(adj) != 3 * radius * (radius + 1) + 1:
+                raise PreconditionViolated(
+                    f"{len(adj)} vertices are not the plane ball of radius {radius} "
+                    f"around {center}")
+            if margin is None:
+                margin = {v: radius - eplane.lattice_distance(center, v) for v in adj}
         self._adj = adj
         # interval_levels hands out these on plane windows: fresh vertex tuples
         # kept in results would pin allocator pools
@@ -137,7 +148,7 @@ class FlagComplex:
 
     @property
     def trusts_metric(self) -> bool:
-        return self.is_complete or self.convex_window or self.metric_hint is not None
+        return self.is_complete or self.convex_window or self.plane_backed
 
     def margin(self, v) -> Optional[int]:
         """Hop distance from v to the window boundary; None means unbounded."""
@@ -172,31 +183,16 @@ class FlagComplex:
         discovered; each of them, and every vertex nearer to source than the
         last of them, then holds its exact distance.
         """
-        pending = set(until)
-        pending.discard(source)
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            if budget is not None and dv >= budget:
-                continue
-            for u in self._adj[v]:
-                if u not in dist:
-                    dist[u] = dv + 1
-                    if pending and u in pending:
-                        pending.discard(u)
-                        if not pending:
-                            return dist
-                    queue.append(u)
-        return dist
+        return _bfs(self._adj, source, budget, until)
 
     def true_distance(self, x, y, budget: Optional[int] = None) -> int:
         """Distance trusted to equal the distance in the underlying complex.
 
         Valid on complete complexes, on convex windows (any geodesic between
         window vertices stays inside a ball window), and wherever an exact
-        closed-form metric is attached.
+        closed-form metric is attached. Adjacent vertices are answered
+        without a search: most calls (thickness, goodness) ask for
+        distances of at most 1.
         """
         if x == y:
             return 0
@@ -205,19 +201,11 @@ class FlagComplex:
             if budget is not None and d > budget:
                 raise Unreachable(f"distance {d} exceeds budget {budget}")
             return d
-        dist = {x: 0}
-        queue = deque([x])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            if budget is not None and dv >= budget:
-                continue
-            for u in self._adj[v]:
-                if u == y:
-                    return dv + 1
-                if u not in dist:
-                    dist[u] = dv + 1
-                    queue.append(u)
+        if y in self._adj[x] and (budget is None or budget > 0):
+            return 1
+        dist = _bfs(self._adj, x, budget, (y,))
+        if y in dist:
+            return dist[y]
         raise Unreachable(f"no path {x} -> {y}"
                           + (f" within budget {budget}" if budget is not None else ""))
 
@@ -273,6 +261,30 @@ class FlagComplex:
         return self._dist_matrix
 
 
+def _bfs(adj, source, budget: Optional[int], until: Iterable[VertexId]) -> dict:
+    """The breadth-first search behind ``bfs_distances`` and ``true_distance``:
+    distances from source, no vertex at distance ``budget`` or more expanded,
+    stopping once every vertex of ``until`` is discovered."""
+    pending = set(until)
+    pending.discard(source)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        dv = dist[v]
+        if budget is not None and dv >= budget:
+            continue
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = dv + 1
+                if pending and u in pending:
+                    pending.discard(u)
+                    if not pending:
+                        return dist
+                queue.append(u)
+    return dist
+
+
 # -- public metric operations ----------------------------------------------
 
 
@@ -292,14 +304,8 @@ def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
 def interval(c: FlagComplex, x, y) -> frozenset:
     """All vertices on geodesics from x to y: { v : d(x,v) + d(v,y) = d(x,y) }.
 
-    Certified like ``distance``. Plane-backed complexes read the closed-form
-    interval box once, keep its members as their own vertex objects, and
-    take d(x, y) from ``lattice_distance``; others read it off the level
-    count of ``interval_levels``."""
+    The union of ``interval_levels``, certified like ``distance``."""
     _require_members(c, x, y)
-    if c.plane_backed:
-        _certify(c, x, y, eplane.lattice_distance(x, y))
-        return frozenset(c._own[v] for v in eplane.interval_box(x, y) if v in c._own)
     levels = c.interval_levels(x, y)
     _certify(c, x, y, len(levels) - 1)
     return frozenset().union(*levels)
@@ -418,7 +424,9 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     """Cut the radius-ball around center out of an implicit infinite complex.
 
     Each vertex is tagged with its hop margin to the truncation boundary
-    (radius minus its BFS depth), which the margin rule consults later.
+    (radius minus its BFS depth), which the margin rule consults later. A
+    ``plane_backed`` window (``eplane.neighbors``) records
+    ``plane_ball = (center, radius)``.
     """
     if radius < 0:
         raise PreconditionViolated("radius must be >= 0")
@@ -440,7 +448,6 @@ def materialize_window(center, neighbors_fn, radius: int, *,
                  for v in depth}
     margin = {v: radius - d for v, d in depth.items()}
     return FlagComplex(adjacency, margin=margin, convex_window=convex,
-                       plane_backed=plane_backed,
                        plane_ball=(center, radius) if plane_backed else None, name=name)
 
 

@@ -50,9 +50,8 @@ class Layer:
     ``vertices`` is level i of the interval [x, y]. It is given either as a
     frozenset or as a callable that returns one; the callable runs when the
     level is first read. ``layers`` passes a callable on plane windows, whose
-    construction tests layer membership as the distance predicate
-    d(x, v) == i and d(v, y) == n - i and never reads the level: only
-    ``render`` and tests do.
+    construction tests layer membership with ``Layers.holds`` and never
+    reads the level: only ``render`` and tests do.
     """
 
     __slots__ = ("index", "_vertices", "sigma", "tau", "thickness")
@@ -113,6 +112,15 @@ class Layers(Sequence):
     def __getitem__(self, i):
         return self.items[i]
 
+    def holds(self, i: int, v) -> bool:
+        """Whether v lies in layer i. On a plane window this is the distance
+        predicate d(x, v) == i and d(v, y) == n - i, and no level is built."""
+        c = self.complex
+        if c.plane_backed:
+            dist = c.metric_hint
+            return v in c and dist(self.x, v) == i and dist(v, self.y) == self.n - i
+        return v in self.items[i].vertices
+
     def thickness_profile(self) -> Tuple[int, ...]:
         return tuple(layer.thickness for layer in self.items)
 
@@ -143,13 +151,13 @@ def require_pair_safe(c: FlagComplex, x, y) -> int:
 
     Needs a trusted metric plus a margin of at least 1 on every vertex of
     the combinatorial interval, so links and residues there are complete.
-    On a plane window (``plane_ball`` set) the margin of v is the radius
-    minus lattice_distance(center, v), and a norm is convex, so over the
-    interval box the margin is least at one of the box's four corners
-    (``eplane.interval_corners``): the corners are checked in O(1). When a
-    corner fails, or on any other complex, every level of the interval is
-    scanned, and the least vertex of margin below 1 is named. Returns
-    d(x, y).
+    On a plane window the margin of v is the radius of ``plane_ball`` minus
+    lattice_distance(center, v), and a norm is convex, so over the interval
+    box the margin is least at one of the box's four corners
+    (``eplane.interval_corners``): only the corners are checked, and the
+    first failing one in that order is named. Every other complex scans
+    each level of the interval and names the least vertex of margin below 1
+    in the first level that has one. Returns d(x, y).
     """
     levels = _safe_levels(c, x, y)
     return c.metric_hint(x, y) if levels is None else len(levels) - 1
@@ -157,27 +165,30 @@ def require_pair_safe(c: FlagComplex, x, y) -> int:
 
 def _safe_levels(c: FlagComplex, x, y) -> Optional[tuple]:
     """The levels of the interval [x, y], once the margin rule allows them;
-    None on a plane window whose interval corners pass it, where the levels
-    are read as distance predicates instead."""
+    None on a plane window, where the levels are read as distance
+    predicates instead."""
     if x not in c or y not in c:
         raise PreconditionViolated(f"vertex not in complex: {x if x not in c else y}")
     if not c.trusts_metric:
         raise BoundaryUnsafe(
             "window metric is not trusted; materialize a convex window instead")
-    if c.plane_ball is not None:
+    if c.plane_backed:
         center, radius = c.plane_ball
-        if all(eplane.lattice_distance(center, v) < radius
-               for v in eplane.interval_corners(x, y)):
-            return None
+        for v in eplane.interval_corners(x, y):
+            if eplane.lattice_distance(center, v) >= radius:
+                _refuse(v, x, y)
+        return None
     levels = c.interval_levels(x, y)
     if not c.is_complete:
         for level in levels:
             unsafe = [v for v in level if c.margin(v) < 1]
             if unsafe:
-                raise BoundaryUnsafe(
-                    f"interval vertex {min(unsafe)} touches the window boundary "
-                    f"(pair {x}, {y})")
+                _refuse(min(unsafe), x, y)
     return levels
+
+
+def _refuse(v, x, y):
+    raise BoundaryUnsafe(f"interval vertex {v} touches the window boundary (pair {x}, {y})")
 
 
 # -- construction ---------------------------------------------------------------

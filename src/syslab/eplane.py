@@ -10,7 +10,7 @@ lattice-affine group: the order-12 hexagonal point group plus translations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from . import complexes
 from .errors import PreconditionViolated, ScenarioParseError
@@ -72,41 +72,13 @@ def corner_geodesic(x: Axial, y: Axial) -> Tuple[Axial, ...]:
     return tuple(out)
 
 
-def interval_box(x: Axial, y: Axial) -> Iterator[Axial]:
-    """All lattice vertices on geodesics from x to y (closed form).
-
-    For a same-sign difference (p, q) the interval is the full staircase box
-    {x + (s, t)}; in the mixed-sign regime it is a parallelogram swept along
-    the dominant direction.
-    """
-    p = y[0] - x[0]
-    q = y[1] - x[1]
-    if p < 0 or (p == 0 and q < 0):
-        yield from interval_box(y, x)
-        return
-    if q >= 0:
-        for s in range(p + 1):
-            for t in range(q + 1):
-                yield (x[0] + s, x[1] + t)
-        return
-    q = -q  # difference is (p, -q) with p, q > 0
-    if p >= q:
-        for s in range(p - q + 1):
-            for t in range(q + 1):
-                yield (x[0] + s + t, x[1] - t)
-    else:
-        for s in range(q - p + 1):
-            for t in range(p + 1):
-                yield (x[0] + t, x[1] - s - t)
-
-
 def interval_corners(x: Axial, y: Axial) -> Tuple[Axial, Axial, Axial, Axial]:
-    """The four corners of ``interval_box(x, y)``, x and y among them.
+    """The four corners of the interval box of x and y, x and y among them.
 
-    The box is the set of lattice points of the parallelogram these corners
-    span (flat when x and y share a lattice line), so a convex function of
-    the vertex, such as the distance from a fixed vertex, takes its largest
-    value on the box at a corner.
+    The lattice vertices on geodesics from x to y are the lattice points of
+    the parallelogram these corners span (flat when x and y share a lattice
+    line), so a convex function of the vertex, such as the distance from a
+    fixed vertex, takes its largest value on the interval at a corner.
     """
     p = y[0] - x[0]
     q = y[1] - x[1]
@@ -130,9 +102,8 @@ def segment(a: Axial, b: Axial) -> Tuple[Axial, ...]:
 def window(center: Axial = (0, 0), radius: int = 1) -> complexes.FlagComplex:
     """Materialize the radius-ball around center as a FlagComplex.
 
-    Ball windows are convex, so internal BFS distances are true; being
-    plane-backed, the window answers distances by ``lattice_distance``, and
-    it records ``plane_ball = (center, radius)``: a vertex's margin is then
+    The window records ``plane_ball = (center, radius)``, from which it
+    answers distances by ``lattice_distance`` and reads a vertex's margin as
     radius - lattice_distance(center, v).
     """
     return complexes.materialize_window(

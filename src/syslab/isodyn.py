@@ -322,6 +322,10 @@ def axis_line_max_distance_sq(vertices, h: eplane.PlaneIsometry, x) -> Fraction:
 # -- central good geodesics across truncations ---------------------------------------
 
 
+# how many of the longest truncations must agree on the central segment
+_STABILITY_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class AxisApprox:
     """A finite central segment stable across increasing truncations."""
@@ -334,14 +338,14 @@ class AxisApprox:
 
 
 def central_good_geodesic(c: FlagComplex, h: eplane.PlaneIsometry | TableAction, x,
-                          n: int, *, stride: int = 1,
-                          stability_window: int = 3) -> AxisApprox:
+                          n: int, *, stride: int = 1) -> AxisApprox:
     """Finite shadow of the limit construction of a central good geodesic.
 
     Builds the selected vertex geodesic between h^-m(x) and h^m(x) for
     m = 1..n (times the stride), aligns them at their centers, and returns
-    the longest contiguous run of offsets on which the last few truncations
-    agree. The measured K is the maximal displacement along the segment.
+    the longest contiguous run of offsets on which the last three
+    truncations agree. The measured K is the maximal displacement along the
+    segment.
     """
     if n < 1:
         raise PreconditionViolated("need n >= 1")
@@ -357,8 +361,8 @@ def central_good_geodesic(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
         geos.append(select_vertex_geodesic(euclidean_geodesic(c, lo, hi,
                                                               check_reversal=False)))
     centers = [len(g) // 2 for g in geos]
-    tail = geos[max(0, n - stability_window):]
-    tail_centers = centers[max(0, n - stability_window):]
+    tail = geos[max(0, n - _STABILITY_WINDOW):]
+    tail_centers = centers[max(0, n - _STABILITY_WINDOW):]
 
     def agree(offset: int) -> bool:
         vals = [g[ctr + offset] for g, ctr in zip(tail, tail_centers)

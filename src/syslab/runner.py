@@ -139,8 +139,10 @@ def _sample_space(c: FlagComplex, name: str) -> List:
 def _sample_safe_pair(c: FlagComplex, verts: List, rng, max_distance: int,
                       predicate=None, max_tries: int = 5000):
     """Draw x, y from the sample space until the pair is margin-safe and
-    1 <= d(x, y) <= max_distance. A closed-form metric rejects far pairs
-    before their interval is enumerated; the draws are the same either way."""
+    1 <= d(x, y) <= max_distance. On a plane window the lattice distance
+    rejects far pairs before the margin rule, which there checks only the
+    four corners of the interval box; elsewhere the rule scans the interval.
+    The draws are the same either way."""
     for _ in range(max_tries):
         x = verts[rng.randrange(len(verts))]
         y = verts[rng.randrange(len(verts))]
@@ -148,7 +150,7 @@ def _sample_safe_pair(c: FlagComplex, verts: List, rng, max_distance: int,
             continue
         if predicate is not None and not (predicate(x) and predicate(y)):
             continue
-        if c.metric_hint is not None and c.metric_hint(x, y) > max_distance:
+        if c.plane_backed and c.metric_hint(x, y) > max_distance:
             continue
         try:
             d = require_pair_safe(c, x, y)

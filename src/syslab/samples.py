@@ -38,7 +38,7 @@ def flat_disk(radius: int) -> FlagComplex:
     """
     inside = {v for v in _ball_vertices(radius)}
     adjacency = {v: [u for u in eplane.neighbors(v) if u in inside] for v in inside}
-    return FlagComplex(adjacency, plane_backed=False, name=f"flat-disk-{radius}")
+    return FlagComplex(adjacency, name=f"flat-disk-{radius}")
 
 
 def parallelogram_disk(width: int, height: int) -> FlagComplex:
@@ -96,7 +96,7 @@ def book_window(pages: int, radius: int) -> FlagComplex:
     """Ball window of a book around a spine vertex (convex, so BFS is true)."""
     return complexes.materialize_window(
         (0, 0, 0), book_neighbors(pages), radius,
-        convex=True, plane_backed=False, name=f"book-{pages}:r{radius}")
+        convex=True, name=f"book-{pages}:r{radius}")
 
 
 def book_flat_embedding(v: Axial) -> BookVertex:

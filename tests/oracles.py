@@ -24,7 +24,10 @@ same failing pair. ``sample_safe_pair`` is the runner's former pair
 sampler, run with the library's ``require_pair_safe``, because it checks
 that the sampler which replaced it makes the same draws and decisions.
 ``window_adjacency`` is the former window cut of
-``complexes.materialize_window``. ``box_interval_levels``,
+``complexes.materialize_window``. ``interval_box`` (the closed-form
+interval of two lattice vertices) and ``brute_force_min_disk`` (an
+exhaustive search for the least number of triangles filling a short cycle)
+were library functions that only tests called. ``box_interval_levels``,
 ``scan_safe_levels`` (with ``scan_require_pair_safe`` and ``area_interval``)
 and ``area_extract_flat_disk`` are the library's former area-bound plane
 forms: the interval box split into levels, the margin scan over every level,
@@ -56,7 +59,8 @@ from syslab import cat0, chardisk, complexes, eplane
 from syslab.cat0 import PolyPath
 from syslab.directed import require_pair_safe
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
-                           NoCrossing, NotFlat, PreconditionViolated, TaskFailed)
+                           MinDiskTimeout, NoCrossing, NoFilling, NotFlat,
+                           PreconditionViolated, TaskFailed)
 from syslab.euclid import GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
 from syslab.exact import cross as exact_cross
@@ -760,12 +764,41 @@ def window_adjacency(center, neighbors_fn, radius):
 # a check on the interval's corners and a certificate on the disk boundary.
 
 
+def interval_box(x, y):
+    """All lattice vertices on geodesics from x to y (closed form), the
+    former ``eplane.interval_box``.
+
+    For a same-sign difference (p, q) the interval is the full staircase box
+    {x + (s, t)}; in the mixed-sign regime it is a parallelogram swept along
+    the dominant direction.
+    """
+    p = y[0] - x[0]
+    q = y[1] - x[1]
+    if p < 0 or (p == 0 and q < 0):
+        yield from interval_box(y, x)
+        return
+    if q >= 0:
+        for s in range(p + 1):
+            for t in range(q + 1):
+                yield (x[0] + s, x[1] + t)
+        return
+    q = -q  # difference is (p, -q) with p, q > 0
+    if p >= q:
+        for s in range(p - q + 1):
+            for t in range(q + 1):
+                yield (x[0] + s + t, x[1] - t)
+    else:
+        for s in range(q - p + 1):
+            for t in range(p + 1):
+                yield (x[0] + t, x[1] - s - t)
+
+
 def box_interval_levels(c, x, y):
     """The former plane branch of ``FlagComplex.interval_levels``: the closed-form
     interval box, split by ``lattice_distance`` from x, members of c only, as
     c's own vertex objects."""
     levels = [set() for _ in range(eplane.lattice_distance(x, y) + 1)]
-    for v in eplane.interval_box(x, y):
+    for v in interval_box(x, y):
         if v in c:
             levels[eplane.lattice_distance(x, v)].add(c.vertex(v))
     return tuple(map(frozenset, levels))
@@ -798,7 +831,7 @@ def scan_require_pair_safe(c, x, y):
 
 def area_interval(c, x, y):
     """The former ``complexes.interval``: the union of the levels, box levels on
-    plane-backed complexes."""
+    plane windows."""
     complexes._require_members(c, x, y)
     levels = box_interval_levels(c, x, y) if c.plane_backed else c.interval_levels(x, y)
     complexes._certify(c, x, y, len(levels) - 1)
@@ -967,3 +1000,92 @@ def fraction_diagonal(disk, alpha):
         best = nearest_simplex_on_segment(u, t)
         sims.append(tuple(sorted((v[0] + step[0] * m, v[1] + step[1] * m) for m in best)))
     return sims
+
+
+# -- minimality oracle (formerly syslab.chardisk) -----------------------------
+
+
+def brute_force_min_disk(c, cycle, max_triangles: int) -> int:
+    """Exhaustive minimal number of triangles filling the cycle.
+
+    Enumerates reduced disk fillings by clipping one triangle per step off
+    the first boundary edge; spur backtracks collapse for free. Intended
+    for |cycle| <= 8 and small budgets only.
+    """
+    cyc = tuple(cycle)
+    if len(cyc) > 8:
+        raise PreconditionViolated("oracle limited to cycles of length <= 8")
+    if max_triangles > 12:
+        raise PreconditionViolated("oracle limited to max_triangles <= 12")
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        if not c.adjacent(a, b):
+            raise PreconditionViolated(f"cycle vertices {a}, {b} not adjacent")
+    state = {"budget_hit": False}
+    memo: dict = {}
+
+    def fill(walk, budget):
+        walk = _despur(walk)
+        m = len(walk)
+        if m == 0:
+            return 0
+        if m == 3:
+            return 1 if budget >= 1 else _budget_miss(state)
+        if budget < max(1, m - 2):
+            return _budget_miss(state)
+        key = (_canon(walk), budget)
+        if key in memo:
+            return memo[key]
+        memo[key] = None  # cycle guard
+        best = None
+        a, b = walk[0], walk[1]
+        rest = walk[1:]
+        for w in sorted(c.neighbors(a) & c.neighbors(b)):
+            if w == a or w == b:
+                continue
+            sub = fill((w,) + rest + (a,), budget - 1)
+            if sub is not None:
+                total = sub + 1
+                if best is None or total < best:
+                    best = total
+        memo[key] = best
+        return best
+
+    result = fill(cyc, max_triangles)
+    if result is None:
+        if state["budget_hit"]:
+            raise MinDiskTimeout(
+                f"no filling with at most {max_triangles} triangles found")
+        raise NoFilling("cycle bounds no disk in this complex")
+    return result
+
+
+def _budget_miss(state):
+    state["budget_hit"] = True
+    return None
+
+
+def _despur(walk):
+    walk = list(walk)
+    changed = True
+    while changed and len(walk) > 2:
+        changed = False
+        m = len(walk)
+        for i in range(m):
+            if walk[(i - 1) % m] == walk[(i + 1) % m]:
+                hi, lo = max(i, (i + 1) % m), min(i, (i + 1) % m)
+                del walk[hi]
+                del walk[lo]
+                changed = True
+                break
+    if len(walk) == 2:
+        return ()
+    return tuple(walk)
+
+
+def _canon(walk):
+    m = len(walk)
+    variants = []
+    for seq in (walk, tuple(reversed(walk))):
+        for r in range(m):
+            variants.append(seq[r:] + seq[:r])
+    return min(variants)

@@ -375,12 +375,12 @@ def test_criterion_12_minimal_disk_oracle():
             if len(cycle) > 8:
                 continue
             disk = chardisk.extract_flat_disk(c, cycle)
-            brute = chardisk.brute_force_min_disk(c, cycle.cycle, 12)
+            brute = oracles.brute_force_min_disk(c, cycle.cycle, 12)
             assert disk.triangle_count == brute, (x, y, interval)
             cycles += 1
     # standalone sanity cycles
-    assert chardisk.brute_force_min_disk(c, ((0, 0), (1, 0), (0, 1)), 3) == 1
-    assert chardisk.brute_force_min_disk(
+    assert oracles.brute_force_min_disk(c, ((0, 0), (1, 0), (0, 1)), 3) == 1
+    assert oracles.brute_force_min_disk(
         c, ((0, 0), (1, 0), (1, 1), (0, 1)), 4) == 2
     _report("criterion-12 minimal disk oracle", cycles >= 4,
             time.time() - t0, 120, f"{cycles} pipeline cycles + 2 standalone")

@@ -2,8 +2,8 @@ import pytest
 
 import oracles
 from syslab import chardisk, eplane, samples
-from syslab.chardisk import (boundary_cycle, brute_force_min_disk,
-                             characteristic_map, extract_flat_disk)
+from oracles import brute_force_min_disk
+from syslab.chardisk import boundary_cycle, characteristic_map, extract_flat_disk
 from syslab.complexes import FlagComplex, Simplex
 from syslab.directed import ThickInterval, layers, thick_intervals
 from syslab.errors import (BoundaryUnsafe, MinDiskTimeout, NoFilling, NotASimplexOfDisk,

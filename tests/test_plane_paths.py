@@ -9,7 +9,7 @@ import random
 import oracles
 from syslab import chardisk, directed, eplane
 from syslab.chardisk import BoundaryCycle, PlaneDisk, characteristic_map
-from syslab.complexes import FlagComplex, Simplex
+from syslab.complexes import Simplex
 from syslab.directed import layers, thick_intervals
 from syslab.errors import SyslabError
 
@@ -171,24 +171,3 @@ def test_plane_layers_read_levels_only_when_asked(window42, monkeypatch):
     assert ls[3].vertices == frozenset([(1, 2), (2, 1), (3, 0)])
     assert back[3].vertices == ls[3].vertices and back[0].vertices == ls[6].vertices
     assert calls == [((0, 0), (4, 2))]
-
-
-def test_hand_built_plane_complex_keeps_the_scan(window42):
-    """A plane-backed complex without a recorded ball (a window with a hole)
-    takes the full margin scan and the full flat-disk path."""
-    hole = (6, 6)
-    c = FlagComplex(
-        {v: [u for u in window42.neighbors(v) if u != hole]
-         for v in window42.vertices() if v != hole},
-        margin={v: min(window42.margin(v), eplane.lattice_distance(v, hole) - 1)
-                for v in window42.vertices() if v != hole},
-        plane_backed=True)
-    assert c.plane_ball is None
-    ls = layers(c, (0, 0), (4, 2))
-    cycle = chardisk.boundary_cycle(c, thick_intervals(ls)[0], ls)
-    disk = chardisk.extract_flat_disk(c, cycle)
-    assert not isinstance(disk, PlaneDisk)
-    assert _fields(disk) == _fields(oracles.area_extract_flat_disk(c, cycle))
-    new = _outcome(directed.require_pair_safe, c, (3, 3), (7, 7))
-    assert new == _outcome(oracles.scan_require_pair_safe, c, (3, 3), (7, 7))
-    assert new[0] == "BoundaryUnsafe"
