@@ -64,16 +64,14 @@ class FlagComplex:
     ``convex_window`` asserts the window is a combinatorial ball of a locally
     6-large complex, whose convexity makes every internal BFS distance true.
     ``plane_ball`` is the one plane input: ``(center, radius)`` on a ball
-    window of the triangulated plane in axial coordinates, as cut by
-    ``materialize_window``, ``None`` on every other complex. Balls of a
-    systolic complex are convex (Januszkiewicz-Swiatkowski, Simplicial
-    nonpositive curvature, 2006), so the ball settles every metric question:
-    ``plane_backed`` is ``plane_ball is not None``, the read-only
-    ``metric_hint`` is then the exact closed-form ``eplane.lattice_distance``
-    (``None`` elsewhere), and a vertex v is in the window with margin
-    radius - lattice_distance(center, v) exactly when that margin is at
-    least 0; those margins are taken when ``margin`` is not given. A graph
-    whose vertex count is not that of the ball is refused.
+    window of the triangulated plane in axial coordinates, ``None`` on every
+    other complex. Balls of a systolic complex are convex
+    (Januszkiewicz-Swiatkowski, Simplicial nonpositive curvature, 2006), so
+    the ball settles every metric question: ``plane_backed`` is
+    ``plane_ball is not None``, the read-only ``metric_hint`` is then
+    ``eplane.lattice_distance`` (``None`` elsewhere) and the margin of v is
+    radius - lattice_distance(center, v). Margins given beside the ball, or
+    a graph whose vertex set is not the ball, are refused.
 
     ``translation_memo`` is the one mutable cache, and only plane windows
     have it (``None`` elsewhere): ``euclid.goodness_constant`` maps each
@@ -99,13 +97,15 @@ class FlagComplex:
                     raise PreconditionViolated(f"asymmetric adjacency {v}-{u}")
         plane_backed = plane_ball is not None
         if plane_backed:
+            if margin is not None:
+                raise PreconditionViolated("a plane window takes its margins from plane_ball")
             center, radius = plane_ball
-            if center not in adj or len(adj) != 3 * radius * (radius + 1) + 1:
+            margin = eplane.ball_margins(center, radius, adj)
+            # as many vertices as the ball, none outside it: the ball's vertex set
+            if len(adj) != 3 * radius * (radius + 1) + 1 or min(margin.values()) < 0:
                 raise PreconditionViolated(
                     f"{len(adj)} vertices are not the plane ball of radius {radius} "
                     f"around {center}")
-            if margin is None:
-                margin = {v: radius - eplane.lattice_distance(center, v) for v in adj}
         self._adj = adj
         # interval_levels hands out these on plane windows: fresh vertex tuples
         # kept in results would pin allocator pools
@@ -426,7 +426,8 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     Each vertex is tagged with its hop margin to the truncation boundary
     (radius minus its BFS depth), which the margin rule consults later. A
     ``plane_backed`` window (``eplane.neighbors``) records
-    ``plane_ball = (center, radius)``.
+    ``plane_ball = (center, radius)`` instead, from which the complex reads
+    the same margins.
     """
     if radius < 0:
         raise PreconditionViolated("radius must be >= 0")
@@ -446,9 +447,11 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     # the rim's neighbour lists need filtering
     adjacency = {v: inner[v] if v in inner else [u for u in neighbors_fn(v) if u in depth]
                  for v in depth}
+    if plane_backed:
+        return FlagComplex(adjacency, convex_window=convex, plane_ball=(center, radius),
+                           name=name)
     margin = {v: radius - d for v, d in depth.items()}
-    return FlagComplex(adjacency, margin=margin, convex_window=convex,
-                       plane_ball=(center, radius) if plane_backed else None, name=name)
+    return FlagComplex(adjacency, margin=margin, convex_window=convex, name=name)
 
 
 def parse_complex_text(text: str, name="") -> FlagComplex:

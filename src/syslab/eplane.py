@@ -44,6 +44,24 @@ def lattice_distance(u: Axial, v: Axial) -> int:
     return q if q >= -p else -p
 
 
+def ball_margins(center: Axial, radius: int, vertices) -> dict:
+    """radius - lattice_distance(center, v) for each vertex v, with the case
+    split of ``lattice_distance`` inlined: every window build runs it once
+    per vertex."""
+    a, b = center
+    margins = {}
+    for v in vertices:
+        p, q = v
+        p -= a
+        q -= b
+        if p >= 0:
+            d = p + q if q >= 0 else (p if p >= -q else -q)
+        else:
+            d = -p - q if q <= 0 else (q if q >= -p else -p)
+        margins[v] = radius - d
+    return margins
+
+
 def embed(v: Axial) -> PlanePoint:
     """The vertex as a plane point, in doubled axial coordinates."""
     return PlanePoint(2 * v[0], 2 * v[1])

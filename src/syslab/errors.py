@@ -45,14 +45,6 @@ class NotFlat(SyslabError):
     """The enclosed region is not flat-verifiable (interior vertex test failed)."""
 
 
-class MinDiskTimeout(SyslabError):
-    """Exhaustive disk-filling search ran out of its triangle budget."""
-
-
-class NoFilling(SyslabError):
-    """No simplicial disk fills the cycle; the input is not null-homotopic here."""
-
-
 class NotASimplexOfDisk(SyslabError):
     """The given simplex does not belong to the characteristic disk."""
 

@@ -59,8 +59,8 @@ from syslab import cat0, chardisk, complexes, eplane
 from syslab.cat0 import PolyPath
 from syslab.directed import require_pair_safe
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
-                           MinDiskTimeout, NoCrossing, NoFilling, NotFlat,
-                           PreconditionViolated, TaskFailed)
+                           NoCrossing, NotFlat, PreconditionViolated, SyslabError,
+                           TaskFailed)
 from syslab.euclid import GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
 from syslab.exact import cross as exact_cross
@@ -1003,6 +1003,14 @@ def fraction_diagonal(disk, alpha):
 
 
 # -- minimality oracle (formerly syslab.chardisk) -----------------------------
+
+
+class MinDiskTimeout(SyslabError):
+    """Exhaustive disk-filling search ran out of its triangle budget."""
+
+
+class NoFilling(SyslabError):
+    """No simplicial disk fills the cycle; the input is not null-homotopic here."""
 
 
 def brute_force_min_disk(c, cycle, max_triangles: int) -> int:

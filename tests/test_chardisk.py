@@ -2,12 +2,11 @@ import pytest
 
 import oracles
 from syslab import chardisk, eplane, samples
-from oracles import brute_force_min_disk
+from oracles import MinDiskTimeout, NoFilling, brute_force_min_disk
 from syslab.chardisk import boundary_cycle, characteristic_map, extract_flat_disk
 from syslab.complexes import FlagComplex, Simplex
 from syslab.directed import ThickInterval, layers, thick_intervals
-from syslab.errors import (BoundaryUnsafe, MinDiskTimeout, NoFilling, NotASimplexOfDisk,
-                           NotFlat, PreconditionViolated)
+from syslab.errors import BoundaryUnsafe, NotASimplexOfDisk, NotFlat, PreconditionViolated
 
 
 @pytest.fixture(scope="module")

@@ -236,27 +236,33 @@ def test_margin_corner_rule_matches_scan_oracle():
 
 def test_ball_alone_makes_a_plane_window():
     """``plane_ball`` is the whole plane input: a complex given the window's
-    graph and ball, with or without its margins, answers the margin rule
-    like the window, with the lattice distance; a graph that is not that
-    ball is refused."""
+    graph and ball answers the margin rule like the window, with the
+    lattice distance and the ball's margins; margins given beside the ball,
+    and a graph whose vertex set is not that ball, are refused."""
     w = eplane.window((3, -2), 6)
     adjacency = {v: w.neighbors(v) for v in w.vertices()}
-    margin = {v: w.margin(v) for v in w.vertices()}
-    given = FlagComplex(adjacency, margin=margin, convex_window=True, plane_ball=((3, -2), 6))
-    c = FlagComplex(adjacency, plane_ball=((3, -2), 6))
-    assert all(c.margin(v) == given.margin(v) == w.margin(v) for v in w.vertices())
+    c = FlagComplex(adjacency, convex_window=True, plane_ball=((3, -2), 6))
+    assert all(c.margin(v) == w.margin(v) == 6 - eplane.lattice_distance((3, -2), v)
+               for v in w.vertices())
     assert c.plane_backed and c.metric_hint is eplane.lattice_distance
-    assert given.plane_backed and given.metric_hint is eplane.lattice_distance
     verts = sorted(c.vertices())
     for x in verts[::5]:
         for y in verts[::3]:
             got = _safety(require_pair_safe, c, x, y)
-            assert got == _safety(require_pair_safe, given, x, y)
             assert got == _safety(require_pair_safe, w, x, y)
             assert got == _safety(oracles.scan_require_pair_safe, c, x, y)
             if not isinstance(got, str):
                 assert got == eplane.lattice_distance(x, y)
+    margin = {v: w.margin(v) for v in w.vertices()}
+    with pytest.raises(PreconditionViolated, match="margins from plane_ball"):
+        FlagComplex(adjacency, margin=margin, plane_ball=((3, -2), 6))
     hole = (5, -3)
     holed = {v: [u for u in nbrs if u != hole] for v, nbrs in adjacency.items() if v != hole}
     with pytest.raises(PreconditionViolated, match="not the plane ball"):
-        FlagComplex(holed, margin=margin, convex_window=True, plane_ball=((3, -2), 6))
+        FlagComplex(holed, convex_window=True, plane_ball=((3, -2), 6))
+    # the ball one step over has as many vertices and still holds (3, -2)
+    shifted = eplane.window((4, -2), 6)
+    assert (3, -2) in shifted and len(shifted) == len(w)
+    with pytest.raises(PreconditionViolated, match="not the plane ball"):
+        FlagComplex({v: shifted.neighbors(v) for v in shifted.vertices()},
+                    convex_window=True, plane_ball=((3, -2), 6))

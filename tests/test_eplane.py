@@ -34,6 +34,13 @@ def test_lattice_distance_agrees_with_bfs():
     assert checked >= 10000
 
 
+def test_ball_margins_are_radius_minus_distance():
+    square = [(a, b) for a in range(-9, 10) for b in range(-9, 10)]
+    for center in ((0, 0), (3, -2), (-5, 7)):
+        margins = eplane.ball_margins(center, 4, square)
+        assert margins == {v: 4 - eplane.lattice_distance(center, v) for v in square}
+
+
 @given(coords, coords, coords, coords, coords, coords)
 @settings(max_examples=120, deadline=None)
 def test_triangle_inequality(ax, ay, bx, by, cx, cy):
