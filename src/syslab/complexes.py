@@ -63,15 +63,17 @@ class FlagComplex:
     missing from a materialized window; ``None`` marks a complete complex.
     ``convex_window`` asserts the window is a combinatorial ball of a locally
     6-large complex, whose convexity makes every internal BFS distance true.
-    ``plane_ball`` is the one plane input: ``(center, radius)`` on a ball
-    window of the triangulated plane in axial coordinates, ``None`` on every
-    other complex. Balls of a systolic complex are convex
-    (Januszkiewicz-Swiatkowski, Simplicial nonpositive curvature, 2006), so
-    the ball settles every metric question: ``plane_backed`` is
-    ``plane_ball is not None``, the read-only ``metric_hint`` is then
+    ``plane_ball = (center, radius)`` is the whole input of a ball window of
+    the triangulated plane in axial coordinates: the complex generates its
+    graph, each vertex of ``eplane.ball_margins`` joined to its lattice
+    neighbours in the ball, and refuses ``adjacency`` or ``margin`` beside
+    it. Balls of a systolic complex are convex (Januszkiewicz-Swiatkowski,
+    Simplicial nonpositive curvature, 2006), so the ball settles every
+    metric question: the window is a ``convex_window``, ``plane_backed`` is
+    ``plane_ball is not None``, ``metric_hint`` is then
     ``eplane.lattice_distance`` (``None`` elsewhere) and the margin of v is
-    radius - lattice_distance(center, v). Margins given beside the ball, or
-    a graph whose vertex set is not the ball, are refused.
+    radius - lattice_distance(center, v). A given graph is checked for
+    self-loops and symmetry.
 
     ``translation_memo`` is the one mutable cache, and only plane windows
     have it (``None`` elsewhere): ``euclid.goodness_constant`` maps each
@@ -81,35 +83,34 @@ class FlagComplex:
     differences that fit in the window and lives as long as the window.
     """
 
-    def __init__(self, adjacency: Mapping[VertexId, Iterable[VertexId]], *,
+    def __init__(self, adjacency: Optional[Mapping[VertexId, Iterable[VertexId]]] = None, *,
                  margin: Optional[Mapping[VertexId, int]] = None,
                  convex_window: bool = False,
                  plane_ball: Optional[tuple] = None,
                  name: str = ""):
-        adj = {}
-        for v, nbrs in adjacency.items():
-            adj[v] = frozenset(nbrs)
-        for v, nbrs in adj.items():
-            for u in nbrs:
-                if u == v:
-                    raise PreconditionViolated(f"self-loop at {v}")
-                if u not in adj or v not in adj[u]:
-                    raise PreconditionViolated(f"asymmetric adjacency {v}-{u}")
         plane_backed = plane_ball is not None
         if plane_backed:
-            if margin is not None:
-                raise PreconditionViolated("a plane window takes its margins from plane_ball")
-            center, radius = plane_ball
-            margin = eplane.ball_margins(center, radius, adj)
-            # as many vertices as the ball, none outside it: the ball's vertex set
-            if len(adj) != 3 * radius * (radius + 1) + 1 or min(margin.values()) < 0:
-                raise PreconditionViolated(
-                    f"{len(adj)} vertices are not the plane ball of radius {radius} "
-                    f"around {center}")
+            if adjacency is not None or margin is not None:
+                raise PreconditionViolated("a plane window is generated from plane_ball alone")
+            margin = eplane.ball_margins(*plane_ball)
+            # neighbour sets and interval levels hold the window's own vertex
+            # objects: fresh tuples kept in them would pin allocator pools.
+            # A lattice neighbour outside the ball maps to None.
+            own = {v: v for v in margin}
+            adj = {v: frozenset(filter(None, map(own.get, eplane.neighbors(v))))
+                   for v in margin}
+            convex_window = True
+        else:
+            own = None
+            adj = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
+            for v, nbrs in adj.items():
+                for u in nbrs:
+                    if u == v:
+                        raise PreconditionViolated(f"self-loop at {v}")
+                    if u not in adj or v not in adj[u]:
+                        raise PreconditionViolated(f"asymmetric adjacency {v}-{u}")
         self._adj = adj
-        # interval_levels hands out these on plane windows: fresh vertex tuples
-        # kept in results would pin allocator pools
-        self._own = {v: v for v in adj} if plane_backed else None
+        self._own = own
         self._margin = dict(margin) if margin is not None else None
         self.metric_hint = eplane.lattice_distance if plane_backed else None
         self.convex_window = convex_window
@@ -419,16 +420,12 @@ def ball_of_simplex(c: FlagComplex, s: Simplex) -> frozenset:
 
 
 def materialize_window(center, neighbors_fn, radius: int, *,
-                       convex=True, plane_backed=False,
-                       name="") -> FlagComplex:
-    """Cut the radius-ball around center out of an implicit infinite complex.
-
-    Each vertex is tagged with its hop margin to the truncation boundary
-    (radius minus its BFS depth), which the margin rule consults later. A
-    ``plane_backed`` window (``eplane.neighbors``) records
-    ``plane_ball = (center, radius)`` instead, from which the complex reads
-    the same margins.
-    """
+                       convex=True, name="") -> FlagComplex:
+    """Cut the radius-ball around center out of an implicit infinite complex,
+    such as a book, given by its neighbour function: one BFS to the radius,
+    each vertex tagged with its hop margin to the truncation boundary (radius
+    minus its BFS depth), which the margin rule consults later. Plane windows
+    are generated from their ball instead (``eplane.window``)."""
     if radius < 0:
         raise PreconditionViolated("radius must be >= 0")
     depth = {center: 0}
@@ -447,9 +444,6 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     # the rim's neighbour lists need filtering
     adjacency = {v: inner[v] if v in inner else [u for u in neighbors_fn(v) if u in depth]
                  for v in depth}
-    if plane_backed:
-        return FlagComplex(adjacency, convex_window=convex, plane_ball=(center, radius),
-                           name=name)
     margin = {v: radius - d for v, d in depth.items()}
     return FlagComplex(adjacency, margin=margin, convex_window=convex, name=name)
 

@@ -44,21 +44,22 @@ def lattice_distance(u: Axial, v: Axial) -> int:
     return q if q >= -p else -p
 
 
-def ball_margins(center: Axial, radius: int, vertices) -> dict:
-    """radius - lattice_distance(center, v) for each vertex v, with the case
-    split of ``lattice_distance`` inlined: every window build runs it once
-    per vertex."""
+def ball_margins(center: Axial, radius: int) -> dict:
+    """The radius-ball around center as {v: radius - lattice_distance(center, v)},
+    row by row: with (p, q) = v - center the distance is max(|p|, |q|, |p + q|),
+    so row q runs over p from max(-r, -r - q) to min(r, r - q). The case split
+    of ``lattice_distance`` is inlined, as every plane window build runs it."""
+    if radius < 0:
+        raise PreconditionViolated("radius must be >= 0")
     a, b = center
     margins = {}
-    for v in vertices:
-        p, q = v
-        p -= a
-        q -= b
-        if p >= 0:
-            d = p + q if q >= 0 else (p if p >= -q else -q)
-        else:
-            d = -p - q if q <= 0 else (q if q >= -p else -p)
-        margins[v] = radius - d
+    for q in range(-radius, radius + 1):
+        for p in range(max(-radius, -radius - q), min(radius, radius - q) + 1):
+            if p >= 0:
+                d = p + q if q >= 0 else (p if p >= -q else -q)
+            else:
+                d = -p - q if q <= 0 else (q if q >= -p else -p)
+            margins[(a + p, b + q)] = radius - d
     return margins
 
 
@@ -118,15 +119,12 @@ def segment(a: Axial, b: Axial) -> Tuple[Axial, ...]:
 
 
 def window(center: Axial = (0, 0), radius: int = 1) -> complexes.FlagComplex:
-    """Materialize the radius-ball around center as a FlagComplex.
-
-    The window records ``plane_ball = (center, radius)``, from which it
-    answers distances by ``lattice_distance`` and reads a vertex's margin as
-    radius - lattice_distance(center, v).
-    """
-    return complexes.materialize_window(
-        center, neighbors, radius, convex=True, plane_backed=True,
-        name=f"eplane:r{radius}@{center[0]},{center[1]}")
+    """The radius-ball around center as a FlagComplex generated from
+    ``plane_ball = (center, radius)`` alone: the vertices of ``ball_margins``,
+    each joined to its lattice neighbours in the ball; distances by
+    ``lattice_distance``."""
+    return complexes.FlagComplex(plane_ball=(center, radius),
+                                 name=f"eplane:r{radius}@{center[0]},{center[1]}")
 
 
 # -- isometries ---------------------------------------------------------------

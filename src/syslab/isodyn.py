@@ -5,10 +5,11 @@ An isometry is either a closed-form lattice-affine map of the plane
 complex (``TableAction``, which keeps its complex). Both answer ``apply``,
 ``power`` and ``displacement(v)``, the distance d(v, hv): the lattice metric
 for plane maps, the table's own complex for tables. Only hyperbolicity,
-translation length and the truncated-window guard of ``displacement_set``
-tell the two apart. Displacement sets are always reported relative to an
-explicit window; the minimal set is the displacement set at the
-translation length.
+translation length and the window guards of ``displacement_set`` and
+``check_min_proximity`` (a plane map needs a plane window, a table a
+complete complex) tell the two apart. Displacement sets are always
+reported relative to an explicit window; the minimal set is the
+displacement set at the translation length.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import eplane
 from .complexes import FlagComplex
 from .directed import require_pair_safe
 from .errors import (BoundaryUnsafe, Inconclusive, NoStableSegment,
-                     NotTranslationLike, PreconditionViolated,
+                     NotPlaneBacked, NotTranslationLike, PreconditionViolated,
                      ScenarioParseError)
 from .euclid import euclidean_geodesic, select_vertex_geodesic
 from .exact import cross, norm_sq
@@ -140,26 +141,14 @@ def translation_length(h: eplane.PlaneIsometry | TableAction) -> int:
             raise PreconditionViolated("translation length needs a hyperbolic isometry")
         shift = h.shift
         r = 2 * (abs(shift[0]) + abs(shift[1])) + 8
-        best_r = _min_disp_in_ball(h, r)
-        best_r2 = _min_disp_in_ball(h, r + 2)
+        best_r, best_r2 = (min(h.displacement(v) for v in eplane.ball_margins((0, 0), s))
+                           for s in (r, r + 2))
         if best_r != best_r2:
             raise PreconditionViolated("displacement scan did not stabilize")
         return best_r
     if not h.complex.is_complete:
         raise BoundaryUnsafe("translation length on tables needs a complete complex")
     return min(h.displacement(v) for v in h.complex.vertices())
-
-
-def _min_disp_in_ball(h: eplane.PlaneIsometry, r: int) -> int:
-    best = None
-    for a in range(-r, r + 1):
-        for b in range(-r, r + 1):
-            if eplane.lattice_distance((0, 0), (a, b)) > r:
-                continue
-            d = h.displacement((a, b))
-            if best is None or d < best:
-                best = d
-    return best
 
 
 # -- displacement sets ----------------------------------------------------------
@@ -184,14 +173,23 @@ def displacement_set(h: eplane.PlaneIsometry | TableAction, K: int,
                      c: FlagComplex) -> DisplacementSet:
     """Exact filter of the window by displacement at most K.
 
-    Plane maps evaluate in closed form; tables measure in their own
-    complex, which must be complete: on a truncated window a table's
-    distances are not certified.
+    Plane maps evaluate in closed form and need a plane window
+    (``NotPlaneBacked`` elsewhere: a book vertex has no lattice image);
+    tables measure in their own complex, which must be complete: on a
+    truncated window a table's distances are not certified.
     """
     if isinstance(h, TableAction) and not h.complex.is_complete:
         raise BoundaryUnsafe("table displacement on a truncated window")
+    _require_plane_window(h, c)
     verts = frozenset(v for v in c.vertices() if h.displacement(v) <= K)
     return DisplacementSet(K, verts, c.name or "window")
+
+
+def _require_plane_window(h: eplane.PlaneIsometry | TableAction, c: FlagComplex):
+    """A plane map acts on the lattice, so only a plane window holds its images."""
+    if isinstance(h, eplane.PlaneIsometry) and not c.plane_backed:
+        raise NotPlaneBacked(f"plane isometry {h} on {c.name or 'a complex'}, "
+                             f"which is not a plane window")
 
 
 def min_set(h: eplane.PlaneIsometry | TableAction, c: FlagComplex) -> DisplacementSet:
@@ -227,6 +225,7 @@ def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
     vertices of the minimal set must be displaced at most 9*L(h) + 6; the
     empirical maximum and its witness are recorded alongside the bound.
     """
+    _require_plane_window(h, c)
     L = translation_length(h)
     bound = 9 * L + 6
     entries: List[MinProximityEntry] = []

@@ -345,6 +345,9 @@ def _task_contracting(scenario, task, record, rng, out_dir, c):
         seen.add(target)
         rays.append(select_vertex_geodesic(
             euclidean_geodesic(c, origin, target, check_reversal=False)))
+    if not rays:
+        raise TaskFailed(f"no margin-safe ray from origin {origin} "
+                         f"after {attempts} attempts")
     max_slack = Fraction(-10 ** 9)
     violations = 0
     for _ in range(n_pairs):

@@ -9,7 +9,7 @@ embedded copy of the plane), and the half-line tree with growing branches.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Tuple
 
 from . import complexes, eplane
 from .complexes import FlagComplex
@@ -34,9 +34,10 @@ def flat_disk(radius: int) -> FlagComplex:
     """The radius-ball of the plane as a standalone finite complex.
 
     Links of boundary vertices are paths, so the disk is systolic on its
-    own; no margins are attached because nothing was truncated away.
+    own; no margins are attached because nothing was truncated away. The
+    vertices are those of ``eplane.ball_margins((0, 0), radius)``.
     """
-    inside = {v for v in _ball_vertices(radius)}
+    inside = eplane.ball_margins((0, 0), radius)
     adjacency = {v: [u for u in eplane.neighbors(v) if u in inside] for v in inside}
     return FlagComplex(adjacency, name=f"flat-disk-{radius}")
 
@@ -50,13 +51,6 @@ def parallelogram_disk(width: int, height: int) -> FlagComplex:
 
 def flat_disk_samples() -> Tuple[FlagComplex, ...]:
     return (flat_disk(2), flat_disk(3), parallelogram_disk(4, 2))
-
-
-def _ball_vertices(radius: int) -> Iterable[Axial]:
-    for a in range(-radius, radius + 1):
-        for b in range(-radius, radius + 1):
-            if eplane.lattice_distance((0, 0), (a, b)) <= radius:
-                yield (a, b)
 
 
 # -- books of half-planes ------------------------------------------------------

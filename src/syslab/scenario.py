@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Dict, List, Tuple
 
 from . import eplane, samples
@@ -41,7 +41,7 @@ TASK_KINDS = {
     "extendability-study": {"depth": ("depth", "10"), "control_pairs": ("count", "12"),
                             "control_span": ("int", "6")},
     "figure-render": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
-                      "to": ("vertex", REQUIRED), "out": ("text", None)},
+                      "to": ("vertex", REQUIRED), "out": ("relative-path", None)},
 }
 
 # [scenario], [constants] and [isometry NAME] keys
@@ -176,6 +176,15 @@ def _parse_translation(text: str) -> eplane.PlaneIsometry:
     return h
 
 
+def _parse_relative_path(text: str) -> str:
+    """A file path inside the output directory: relative, with no '..' part."""
+    path = PurePath(text)
+    if not path.parts or path.is_absolute() or ".." in path.parts:
+        raise ScenarioParseError(
+            f"expected a relative path with no '..' part, got {text!r}")
+    return text
+
+
 def _parse_sample(text: str) -> str:
     if text not in samples.BY_NAME:
         raise ScenarioParseError(f"unknown sample complex {text!r}")
@@ -187,7 +196,7 @@ _VALUE_PARSERS = {"int": _parse_int, "count": _parse_count,
                   "vertex": _parse_axial,
                   "text": str, "bool": _parse_bool, "unit-fractions": _parse_unit_fractions,
                   "isometry": eplane.parse_isometry, "translation": _parse_translation,
-                  "sample": _parse_sample}
+                  "relative-path": _parse_relative_path, "sample": _parse_sample}
 
 
 def _parse_value(where: str, key: str, kind: str, value: str):

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -287,8 +288,13 @@ def test_adjacency_validation():
 
 
 def test_materialize_window_margins():
-    c = materialize_window((0, 0), eplane.neighbors, 4, plane_backed=True)
-    assert c.margin((0, 0)) == 4
-    assert c.margin((4, 0)) == 0
-    assert c.trusts_metric
-    assert c.metric_hint is eplane.lattice_distance
+    # the BFS cut serves implicit complexes such as books and has no plane
+    # flag: a plane window comes only from its ball
+    c = materialize_window((0, 0, 0), samples.book_neighbors(4), 4)
+    assert c.margin((0, 0, 0)) == 4
+    assert c.margin((4, 0, 0)) == 0 and c.margin((0, 4, 3)) == 0
+    assert c.trusts_metric and not c.plane_backed
+    assert c.metric_hint is None and c.plane_ball is None
+    assert "plane_backed" not in inspect.signature(materialize_window).parameters
+    with pytest.raises(TypeError):
+        materialize_window((0, 0), eplane.neighbors, 4, plane_backed=True)

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from syslab import eplane, samples
-from syslab.complexes import FlagComplex
+from syslab.complexes import FlagComplex, materialize_window
 from syslab.directed import (Layer, directed_geodesic, layers, map_geodesic,
                              require_pair_safe, thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile,
@@ -235,34 +235,36 @@ def test_margin_corner_rule_matches_scan_oracle():
 
 
 def test_ball_alone_makes_a_plane_window():
-    """``plane_ball`` is the whole plane input: a complex given the window's
-    graph and ball answers the margin rule like the window, with the
-    lattice distance and the ball's margins; margins given beside the ball,
-    and a graph whose vertex set is not that ball, are refused."""
-    w = eplane.window((3, -2), 6)
-    adjacency = {v: w.neighbors(v) for v in w.vertices()}
-    c = FlagComplex(adjacency, convex_window=True, plane_ball=((3, -2), 6))
-    assert all(c.margin(v) == w.margin(v) == 6 - eplane.lattice_distance((3, -2), v)
-               for v in w.vertices())
-    assert c.plane_backed and c.metric_hint is eplane.lattice_distance
+    """``plane_ball`` is the whole plane input: the complex generated from
+    the ball is the BFS cut of the lattice, answers the margin rule with
+    the lattice distance and the ball's margins, and refuses a graph or
+    margins given beside the ball, so no graph is ever trusted with the
+    lattice metric."""
+    c = FlagComplex(plane_ball=((3, -2), 6), name="ball")
+    bfs = materialize_window((3, -2), eplane.neighbors, 6)
+    assert c.plane_backed and c.convex_window and c.metric_hint is eplane.lattice_distance
+    assert {v: c.neighbors(v) for v in c.vertices()} == {
+        v: bfs.neighbors(v) for v in bfs.vertices()}
+    assert all(c.margin(v) == bfs.margin(v) == 6 - eplane.lattice_distance((3, -2), v)
+               for v in bfs.vertices())
     verts = sorted(c.vertices())
     for x in verts[::5]:
         for y in verts[::3]:
             got = _safety(require_pair_safe, c, x, y)
-            assert got == _safety(require_pair_safe, w, x, y)
-            assert got == _safety(oracles.scan_require_pair_safe, c, x, y)
+            assert got == _safety(oracles.scan_require_pair_safe, bfs, x, y)
             if not isinstance(got, str):
                 assert got == eplane.lattice_distance(x, y)
-    margin = {v: w.margin(v) for v in w.vertices()}
-    with pytest.raises(PreconditionViolated, match="margins from plane_ball"):
-        FlagComplex(adjacency, margin=margin, plane_ball=((3, -2), 6))
-    hole = (5, -3)
-    holed = {v: [u for u in nbrs if u != hole] for v, nbrs in adjacency.items() if v != hole}
-    with pytest.raises(PreconditionViolated, match="not the plane ball"):
-        FlagComplex(holed, convex_window=True, plane_ball=((3, -2), 6))
-    # the ball one step over has as many vertices and still holds (3, -2)
-    shifted = eplane.window((4, -2), 6)
-    assert (3, -2) in shifted and len(shifted) == len(w)
-    with pytest.raises(PreconditionViolated, match="not the plane ball"):
-        FlagComplex({v: shifted.neighbors(v) for v in shifted.vertices()},
-                    convex_window=True, plane_ball=((3, -2), 6))
+    adjacency = {v: bfs.neighbors(v) for v in bfs.vertices()}
+    margin = {v: bfs.margin(v) for v in bfs.vertices()}
+    with pytest.raises(PreconditionViolated, match="from plane_ball alone"):
+        FlagComplex(plane_ball=((3, -2), 6), margin=margin)
+    with pytest.raises(PreconditionViolated, match="from plane_ball alone"):
+        FlagComplex(adjacency, plane_ball=((3, -2), 6))
+    # a graph with a missing edge: formerly accepted beside its ball, and
+    # then answered d((1, 0), (1, -1)) = 1 where its own BFS says 2
+    w = eplane.window((0, 0), 6)
+    cut = {v: w.neighbors(v) - {(1, 0), (1, -1)} if v in ((1, 0), (1, -1))
+           else w.neighbors(v) for v in w.vertices()}
+    with pytest.raises(PreconditionViolated, match="from plane_ball alone"):
+        FlagComplex(cut, convex_window=True, plane_ball=((0, 0), 6))
+    assert FlagComplex(cut).bfs_distances((1, 0))[(1, -1)] == 2

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from syslab import cat0, eplane
-from syslab.errors import ScenarioParseError
+from syslab.complexes import materialize_window
+from syslab.errors import PreconditionViolated, ScenarioParseError
 from syslab.exact import ExactScalar, PlanePoint
 
 coords = st.integers(min_value=-20, max_value=20)
@@ -35,10 +36,36 @@ def test_lattice_distance_agrees_with_bfs():
 
 
 def test_ball_margins_are_radius_minus_distance():
-    square = [(a, b) for a in range(-9, 10) for b in range(-9, 10)]
+    # the row-by-row enumeration against a square scan filtered by the metric
     for center in ((0, 0), (3, -2), (-5, 7)):
-        margins = eplane.ball_margins(center, 4, square)
-        assert margins == {v: 4 - eplane.lattice_distance(center, v) for v in square}
+        for radius in range(0, 9):
+            square = [(center[0] + p, center[1] + q)
+                      for p in range(-radius - 2, radius + 3)
+                      for q in range(-radius - 2, radius + 3)]
+            expected = {v: radius - eplane.lattice_distance(center, v) for v in square
+                        if eplane.lattice_distance(center, v) <= radius}
+            margins = eplane.ball_margins(center, radius)
+            assert margins == expected
+            assert len(margins) == 3 * radius * (radius + 1) + 1
+    with pytest.raises(PreconditionViolated, match="radius must be >= 0"):
+        eplane.ball_margins((0, 0), -1)
+    with pytest.raises(PreconditionViolated, match="radius must be >= 0"):
+        eplane.window((0, 0), -1)
+
+
+@pytest.mark.parametrize("center", [(0, 0), (3, -2), (-5, 7)])
+def test_window_matches_bfs_materialization(center):
+    """The window generated from its ball against the generic BFS cut of
+    the lattice graph: same vertices, neighbour sets and margins."""
+    for radius in range(0, 13):
+        c = eplane.window(center, radius)
+        bfs = materialize_window(center, eplane.neighbors, radius)
+        assert set(c.vertices()) == set(bfs.vertices())
+        for v in bfs.vertices():
+            assert c.neighbors(v) == bfs.neighbors(v)
+            assert c.margin(v) == bfs.margin(v)
+        assert c.plane_ball == (center, radius) and c.convex_window
+        assert not bfs.plane_backed and bfs.plane_ball is None
 
 
 @given(coords, coords, coords, coords, coords, coords)

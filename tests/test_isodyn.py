@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 from syslab import eplane, samples
-from syslab.errors import (BoundaryUnsafe, Inconclusive, NotTranslationLike,
-                           PreconditionViolated)
+from syslab.errors import (BoundaryUnsafe, Inconclusive, NotPlaneBacked,
+                           NotTranslationLike, PreconditionViolated)
 from syslab.isodyn import (TableAction, axis_line_max_distance_sq,
                            central_good_geodesic, check_min_proximity,
                            convergence_diagnostic, displacement_set,
@@ -150,6 +150,20 @@ def test_check_min_proximity_translation():
     report = check_min_proximity(c, h, [((0, 0), (5, 1)), ((0, 0), (0, 0))])
     assert report.ok
     assert report.empirical_max == 2  # translations displace uniformly
+
+
+def test_plane_isometry_needs_a_plane_window():
+    # the glide sends the book vertex (3, 2, 4) to (3, 4), no vertex of the book
+    book = samples.book_window(4, 7)
+    assert GLIDE.apply((3, 2, 4)) not in book
+    with pytest.raises(NotPlaneBacked, match="book-4:r7, which is not a plane window"):
+        displacement_set(GLIDE, 3, book)
+    with pytest.raises(NotPlaneBacked):
+        min_set(GLIDE, book)
+    with pytest.raises(NotPlaneBacked):
+        check_min_proximity(book, GLIDE, [((0, 0, 0), (2, 0, 0))])
+    with pytest.raises(NotPlaneBacked):
+        displacement_set(eplane.translation(1, 0), 1, samples.flat_disk(3))
 
 
 def test_check_min_proximity_rejects_non_minimal():

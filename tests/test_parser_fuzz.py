@@ -30,7 +30,7 @@ _KEYS = sorted({"kind", *SCENARIO_KEYS, *CONSTANTS_KEYS, *ISOMETRY_KEYS,
                 *(k for schema in COMPLEX_KINDS.values() for k in schema)})
 _VALUES = ["0", "-3", "12", "-1", "1", "2", "abc", "4 2", "0, 0", "1 2 3", "yes", "maybe", "main",
            "g", "translate(1,0)", "glide(2, x)", "rot60^2 @ (1,1)", "rot60^",
-           "../nowhere.flag", "octahedron", "book-9", "1/2 1", *TASK_KINDS, *COMPLEX_KINDS]
+           "../nowhere.flag", "../x.svg", "/tmp/x.svg", "fig/x.svg", "octahedron", "book-9", "1/2 1", *TASK_KINDS, *COMPLEX_KINDS]
 
 
 def _section(headers, keys):

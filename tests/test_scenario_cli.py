@@ -181,10 +181,15 @@ def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
      "task 't' (goodness-sweep) key 'ambient': unknown sample complex 'book-9'"),
     ("kind = extendability-study\ndepth = 1\n",
      "task 't' (extendability-study) key 'depth': expected an integer of at least 2, got '1'"),
+    ("kind = figure-render\ncomplex = main\nfrom = 0 0\nto = 4 2\nout = ../x.svg\n",
+     "key 'out': expected a relative path with no '..' part, got '../x.svg'"),
+    ("kind = figure-render\ncomplex = main\nfrom = 0 0\nto = 4 2\nout = /tmp/x.svg\n",
+     "key 'out': expected a relative path with no '..' part, got '/tmp/x.svg'"),
 ], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key",
         "non-fraction", "zero-denominator", "no-fractions", "bad-isometry",
         "fraction-above-1", "fraction-below-0", "glide-staircase", "zero-translation",
-        "negative-pairs", "zero-pairs", "zero-control-pairs", "unknown-ambient", "study-depth-1"])
+        "negative-pairs", "zero-pairs", "zero-control-pairs", "unknown-ambient", "study-depth-1",
+        "render-out-parent", "render-out-absolute"])
 def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     scn = tmp_path / "bad.scn"
     scn.write_text("[complex main]\nkind = eplane\n\n[task t]\n" + task)
@@ -192,6 +197,43 @@ def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     assert cli.main(["run", str(scn), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out_value", ["../escaped.svg", "{abs}"])
+def test_render_out_stays_inside_the_report_directory(tmp_path, out_value):
+    reports = tmp_path / "reports"
+    escaped = tmp_path / "escaped.svg"
+    scn = tmp_path / "fig.scn"
+    scn.write_text("[complex main]\nkind = eplane\n\n[task f]\nkind = figure-render\n"
+                   "complex = main\nfrom = 0 0\nto = 4 2\n"
+                   f"out = {out_value.format(abs=escaped)}\n")
+    assert cli.main(["run", str(scn), "--out", str(reports / "r.json")]) == 2
+    assert cli.main(["render", str(scn), "--out", str(reports)]) == 2
+    assert not escaped.exists() and not reports.exists()
+
+
+def test_plane_map_on_a_book_is_a_task_failure(tmp_path):
+    scn = tmp_path / "glide-book.scn"
+    scn.write_text("[complex main]\nkind = sample\nname = book-4\n\n"
+                   "[isometry g]\nmap = glide(1,1)\n\n"
+                   "[task d]\nkind = displacement-study\ncomplex = main\nisometry = g\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 1
+    task = json.loads(out.read_text())["tasks"][0]
+    assert task["error"].startswith("NotPlaneBacked: plane isometry")
+    assert task["assertions"] == []
+
+
+@pytest.mark.parametrize("radius, origin", [(2, "2 0"), (4, "40 0")],
+                         ids=["rim-origin", "origin-outside"])
+def test_contracting_suite_without_rays_is_a_task_failure(tmp_path, radius, origin):
+    text = (f"[complex main]\nkind = eplane\nradius = {radius}\n\n"
+            f"[task c]\nkind = contracting-suite\ncomplex = main\norigin = {origin}\n")
+    report, code = run_scenario(parse_scenario_text(text), tmp_path)
+    assert code == 1
+    a, b = origin.split()
+    assert report["tasks"][0]["error"] == (
+        f"TaskFailed: no margin-safe ray from origin ({a}, {b}) after 2000 attempts")
 
 
 PIPELINE_TASK = "[task p]\nkind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\nto = 4 2\n"
