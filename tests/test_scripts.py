@@ -40,7 +40,7 @@ def test_render_figure_writes_the_pipeline_figure(tmp_path):
     proc = _run("render_figure.py", "--out", out, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     svg = out.read_bytes()
-    assert svg.startswith(b"<svg") or b"<svg" in svg[:200]
+    assert b"<svg" in svg[:200]
     assert proc.stdout.strip() == f"wrote {out} ({len(svg.decode())} bytes)"
     # the same instance as the bundled pipeline-42 figure, on the same window
     assert hashlib.sha256(svg).hexdigest().startswith("6b809efb")
