@@ -38,6 +38,13 @@ The file holds:
   starts, and ``ratio_128_32`` = t(128) / t(32): about 4 when a
   construction costs O(n), about 16 when it costs the interval's area.
   Not gated.
+- ``convexity_curve``: seconds per ``is_convex`` call on the ball of
+  radius r = 2, 4, 6, 8 around the spine vertex (0, 0, 0) of
+  ``book_window(4, 12)`` (median of ``CONVEXITY_REPEATS``), with the
+  window's ``distance_matrix`` warmed untimed on both sides and a garbage
+  collection before each call, and ``ratio_8_2`` = t(8) / t(2). The ball
+  grows with r, so the curve shows how a kernel scales with |A|, which the
+  book-metric workload's balls of radius 2-6 cannot. Not gated.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
 - ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
   ``tests/``) on each side, with pytest's closing summary line.
@@ -68,6 +75,8 @@ REPEATS = 3
 CURVE_LENGTHS = (8, 16, 24, 32)
 CONSTRUCTION_LENGTHS = (32, 64, 128)
 CONSTRUCTION_REPEATS = 5
+CONVEXITY_RADII = (2, 4, 6, 8)
+CONVEXITY_REPEATS = 5
 # stage name -> (module, function); the stages do not call one another
 STAGES = {
     "levels": ("directed", "_safe_levels"),
@@ -282,6 +291,31 @@ def construction_worker() -> dict:
     return out
 
 
+def convexity_worker() -> dict:
+    """Time is_convex on spine balls of book_window(4, 12); run with the
+    side's src/ on PYTHONPATH."""
+    import gc
+
+    from syslab import complexes, samples
+
+    c = samples.book_window(4, 12)
+    c.distance_matrix()
+    out = {}
+    for r in CONVEXITY_RADII:
+        ball = tuple(sorted(c.bfs_distances((0, 0, 0), budget=r)))
+        times = []
+        for _ in range(CONVEXITY_REPEATS):
+            gc.collect()
+            t0 = time.perf_counter()
+            convex = complexes.is_convex(c, ball, 2 * r)
+            times.append(time.perf_counter() - t0)
+        if convex is not True:
+            raise SystemExit(f"spine ball of radius {r} read as not convex")
+        out[f"r{r}"] = {"ball_size": len(ball), "seconds": statistics.median(times)}
+    out["ratio_8_2"] = out["r8"]["seconds"] / out["r2"]["seconds"]
+    return out
+
+
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in (tree / "src" / "syslab").glob("*.py"))
 
@@ -293,12 +327,16 @@ def main(argv=None) -> int:
     parser.add_argument("--curve-worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--construction-worker", action="store_true",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--convexity-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.curve_worker:
         print(json.dumps(curve_worker()))
         return 0
     if args.construction_worker:
         print(json.dumps(construction_worker()))
+        return 0
+    if args.convexity_worker:
+        print(json.dumps(convexity_worker()))
         return 0
     if args.pr is None:
         parser.error("--pr is required")
@@ -318,6 +356,8 @@ def main(argv=None) -> int:
         "goodness_curve": {side: curve(tree) for side, tree in sides.items()},
         "construction_curve": {side: curve(tree, "--construction-worker")
                                for side, tree in sides.items()},
+        "convexity_curve": {side: curve(tree, "--convexity-worker")
+                            for side, tree in sides.items()},
         "startup": {side: startup(tree) for side, tree in sides.items()},
         "tier1": {side: pytest_wall(tree, "tests") for side, tree in sides.items()},
         "acceptance": {side: pytest_wall(tree, "tests/test_acceptance.py")

@@ -63,13 +63,18 @@ class FlagComplex:
     missing from a materialized window; ``None`` marks a complete complex.
     ``convex_window`` asserts the window is a combinatorial ball of a locally
     6-large complex, whose convexity makes every internal BFS distance true.
+    ``systolic`` attests that the complex is systolic (connected, simply
+    connected, locally 6-large), which ``is_convex`` needs; it is taken on
+    trust, never verified, and only constructors that hold it by
+    construction pass it.
     ``plane_ball = (center, radius)`` is the whole input of a ball window of
     the triangulated plane in axial coordinates: the complex generates its
     graph, each vertex of ``eplane.ball_margins`` joined to its lattice
     neighbours in the ball, and refuses ``adjacency`` or ``margin`` beside
     it. Balls of a systolic complex are convex (Januszkiewicz-Swiatkowski,
     Simplicial nonpositive curvature, 2006), so the ball settles every
-    metric question: the window is a ``convex_window``, ``plane_backed`` is
+    metric question: the window is a ``convex_window`` and ``systolic``
+    (a convex subcomplex of the systolic plane), ``plane_backed`` is
     ``plane_ball is not None``, ``metric_hint`` is then
     ``eplane.lattice_distance`` (``None`` elsewhere) and the margin of v is
     radius - lattice_distance(center, v). A given graph is checked for
@@ -86,6 +91,7 @@ class FlagComplex:
     def __init__(self, adjacency: Optional[Mapping[VertexId, Iterable[VertexId]]] = None, *,
                  margin: Optional[Mapping[VertexId, int]] = None,
                  convex_window: bool = False,
+                 systolic: bool = False,
                  plane_ball: Optional[tuple] = None,
                  name: str = ""):
         plane_backed = plane_ball is not None
@@ -99,7 +105,7 @@ class FlagComplex:
             own = {v: v for v in margin}
             adj = {v: frozenset(filter(None, map(own.get, eplane.neighbors(v))))
                    for v in margin}
-            convex_window = True
+            convex_window = systolic = True
         else:
             own = None
             adj = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
@@ -114,6 +120,7 @@ class FlagComplex:
         self._margin = dict(margin) if margin is not None else None
         self.metric_hint = eplane.lattice_distance if plane_backed else None
         self.convex_window = convex_window
+        self.systolic = systolic
         self.plane_backed = plane_backed
         self.plane_ball = plane_ball
         self.translation_memo = {} if plane_backed else None
@@ -243,13 +250,19 @@ class FlagComplex:
         return tuple(levels[::-1])
 
     def _vertex_index(self):
+        """Sorted vertices and their positions, the index of ``distance_matrix``;
+        only its readers use it."""
         if self._index is None:
             order = sorted(self._adj)
             self._index = (order, {v: i for i, v in enumerate(order)})
         return self._index
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs distance matrix (int32, -1 for unreachable); cached."""
+        """All-pairs distance matrix (int32, -1 for unreachable); cached.
+
+        No library code reads it: only the benchmark's ``BookMetric.setup``
+        (which warms it) and the test oracles ``dense_is_convex`` and
+        ``streamed_is_convex`` still do."""
         if self._dist_matrix is None:
             order, pos = self._vertex_index()
             n = len(order)
@@ -326,27 +339,58 @@ def _certify(c: FlagComplex, x, y, d: int):
                 f"distance {d} between {x} and {y} exceeds both margins ({mx}, {my})")
 
 
-def is_convex(c: FlagComplex, vertices: Iterable[VertexId], radius_cap: int) -> bool:
-    """Whether every geodesic between members stays inside the vertex set."""
-    A = sorted(set(vertices))
+def is_convex(c: FlagComplex, vertices: Iterable[VertexId],
+              radius_cap: Optional[int] = None) -> bool:
+    """Whether every geodesic between members stays inside the vertex set A.
+
+    The local criterion, which reads only A and its neighbours: in a
+    systolic complex A is convex exactly when it is connected and no vertex
+    outside A is adjacent to two non-adjacent members. Necessity is plain:
+    such a vertex is the middle of a geodesic between the two. Sufficiency
+    is Januszkiewicz-Swiatkowski, Simplicial nonpositive curvature, Publ.
+    IHES 104 (2006), Section 7: the criterion makes the full subcomplex
+    spanned by A 3-convex, hence locally 3-convex, and by their Lemma 7.2 a
+    connected, locally 3-convex subcomplex of a systolic complex is convex
+    (their Corollary 7.5 derives the convexity of balls from it). Elsewhere
+    the criterion can be wrong: in a hexagon 0-1-2-3-4-5 the path 0-1-2-3
+    passes it, yet 0-5-4-3 is a second geodesic. So a complex not attested
+    ``systolic`` raises ``PreconditionViolated``. On a convex ball window no
+    margin condition is needed: a common neighbour of two window vertices
+    at distance 2 lies on a geodesic between them, so inside the window.
+
+    ``radius_cap`` is unread. It bounded the memory of the former all-pairs
+    kernel (now ``tests/oracles.streamed_is_convex``) and stays a third
+    positional parameter while the benchmark's ``BookMetric.run`` passes it.
+    """
+    if not c.systolic:
+        raise PreconditionViolated(
+            f"convexity by the local criterion needs a systolic complex; "
+            f"{c.name or 'this complex'} is not attested systolic")
+    A = set()
+    for v in vertices:
+        if v not in c:
+            raise PreconditionViolated(f"vertex not in complex: {v}")
+        A.add(v)
     if len(A) <= 1:
         return True
-    order, pos = c._vertex_index()
-    mat = c.distance_matrix()
-    idx = np.array([pos[v] for v in A])
-    sub = mat[np.ix_(idx, idx)]
-    if sub.max() > radius_cap:
-        raise PreconditionViolated(
-            f"pairs exceed radius_cap={radius_cap} (max {int(sub.max())})")
-    outside = np.ones(len(order), dtype=bool)
-    outside[idx] = False
-    da = mat[np.ix_(idx, outside)]                    # |A| x |V - A|
-    # v lies on a geodesic a->b iff d(a,v) + d(v,b) == d(a,b); one source a
-    # at a time keeps memory at |A| x |V|
-    for row, to_targets in zip(da, sub):
-        if ((row[None, :] + da) == to_targets[:, None]).any():
-            return False
-    return True
+    start = next(iter(A))
+    reached = {start}
+    stack = [start]
+    ring = {}       # vertex outside A -> its members of A walked so far
+    while stack:
+        a = stack.pop()
+        around = c.neighbors(a)
+        for u in around:
+            if u in A:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+            else:
+                met = ring.setdefault(u, [])
+                if not around.issuperset(met):
+                    return False
+                met.append(a)
+    return len(reached) == len(A)
 
 
 @dataclass(frozen=True)
@@ -420,12 +464,14 @@ def ball_of_simplex(c: FlagComplex, s: Simplex) -> frozenset:
 
 
 def materialize_window(center, neighbors_fn, radius: int, *,
-                       convex=True, name="") -> FlagComplex:
+                       convex=True, systolic=False, name="") -> FlagComplex:
     """Cut the radius-ball around center out of an implicit infinite complex,
     such as a book, given by its neighbour function: one BFS to the radius,
     each vertex tagged with its hop margin to the truncation boundary (radius
     minus its BFS depth), which the margin rule consults later. Plane windows
-    are generated from their ball instead (``eplane.window``)."""
+    are generated from their ball instead (``eplane.window``). ``systolic``
+    passes on the caller's attestation that the ambient complex is systolic;
+    its balls are convex subcomplexes and so systolic too."""
     if radius < 0:
         raise PreconditionViolated("radius must be >= 0")
     depth = {center: 0}
@@ -445,7 +491,8 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     adjacency = {v: inner[v] if v in inner else [u for u in neighbors_fn(v) if u in depth]
                  for v in depth}
     margin = {v: radius - d for v, d in depth.items()}
-    return FlagComplex(adjacency, margin=margin, convex_window=convex, name=name)
+    return FlagComplex(adjacency, margin=margin, convex_window=convex,
+                       systolic=systolic, name=name)
 
 
 def parse_complex_text(text: str, name="") -> FlagComplex:

@@ -7,7 +7,8 @@ complex (``TableAction``, which keeps its complex). Both answer ``apply``,
 for plane maps, the table's own complex for tables. Only hyperbolicity,
 translation length and the window guards of ``displacement_set`` and
 ``check_min_proximity`` (a plane map needs a plane window, a table a
-complete complex) tell the two apart. Displacement sets are always
+complete complex and a window whose every vertex it maps) tell the two
+apart. Displacement sets are always
 reported relative to an explicit window; the minimal set is the
 displacement set at the translation length.
 """
@@ -176,20 +177,31 @@ def displacement_set(h: eplane.PlaneIsometry | TableAction, K: int,
     Plane maps evaluate in closed form and need a plane window
     (``NotPlaneBacked`` elsewhere: a book vertex has no lattice image);
     tables measure in their own complex, which must be complete: on a
-    truncated window a table's distances are not certified.
+    truncated window a table's distances are not certified. A window with
+    a vertex the table does not map is ``PreconditionViolated``.
     """
     if isinstance(h, TableAction) and not h.complex.is_complete:
         raise BoundaryUnsafe("table displacement on a truncated window")
-    _require_plane_window(h, c)
+    _require_window(h, c)
     verts = frozenset(v for v in c.vertices() if h.displacement(v) <= K)
     return DisplacementSet(K, verts, c.name or "window")
 
 
-def _require_plane_window(h: eplane.PlaneIsometry | TableAction, c: FlagComplex):
-    """A plane map acts on the lattice, so only a plane window holds its images."""
-    if isinstance(h, eplane.PlaneIsometry) and not c.plane_backed:
-        raise NotPlaneBacked(f"plane isometry {h} on {c.name or 'a complex'}, "
-                             f"which is not a plane window")
+def _require_window(h: eplane.PlaneIsometry | TableAction, c: FlagComplex):
+    """A plane map acts on the lattice, so only a plane window holds its
+    images; a table maps only the vertices it lists, so every vertex of c
+    must be one of them."""
+    if isinstance(h, eplane.PlaneIsometry):
+        if not c.plane_backed:
+            raise NotPlaneBacked(f"plane isometry {h} on {c.name or 'a complex'}, "
+                                 f"which is not a plane window")
+        return
+    table = h._table
+    for v in c.vertices():
+        if v not in table:
+            raise PreconditionViolated(
+                f"table of {h.complex.name or 'its complex'} has no image of "
+                f"vertex {v} of {c.name or 'the complex'}")
 
 
 def min_set(h: eplane.PlaneIsometry | TableAction, c: FlagComplex) -> DisplacementSet:
@@ -225,7 +237,7 @@ def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
     vertices of the minimal set must be displaced at most 9*L(h) + 6; the
     empirical maximum and its witness are recorded alongside the bound.
     """
-    _require_plane_window(h, c)
+    _require_window(h, c)
     L = translation_length(h)
     bound = 9 * L + 6
     entries: List[MinProximityEntry] = []

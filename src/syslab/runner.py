@@ -332,11 +332,14 @@ def _task_contracting(scenario, task, record, rng, out_dir, c):
     seen = set()
     want = max(8, min(40, n_pairs))
     attempts = 0
+    # a ray needs both ends in the window, so an origin outside it, near or
+    # far, fails every attempt and ends in the one TaskFailed below
+    origin_inside = origin in c
     while len(rays) < want and attempts < 50 * want:
         attempts += 1
         x, y, d = _sample_safe_pair(c, verts, rng, max_d)
         target = (origin[0] + (y[0] - x[0]), origin[1] + (y[1] - x[1]))
-        if target in seen or target not in c:
+        if not origin_inside or target in seen or target not in c:
             continue
         try:
             require_pair_safe(c, origin, target)

@@ -39,14 +39,15 @@ def flat_disk(radius: int) -> FlagComplex:
     """
     inside = eplane.ball_margins((0, 0), radius)
     adjacency = {v: [u for u in eplane.neighbors(v) if u in inside] for v in inside}
-    return FlagComplex(adjacency, name=f"flat-disk-{radius}")
+    return FlagComplex(adjacency, systolic=True, name=f"flat-disk-{radius}")
 
 
 def parallelogram_disk(width: int, height: int) -> FlagComplex:
-    """A lattice parallelogram, another standalone flat disk shape."""
+    """A lattice parallelogram, another standalone flat disk shape (systolic
+    like the disk: its boundary links are paths)."""
     inside = {(a, b) for a in range(width + 1) for b in range(height + 1)}
     adjacency = {v: [u for u in eplane.neighbors(v) if u in inside] for v in inside}
-    return FlagComplex(adjacency, name=f"parallelogram-{width}x{height}")
+    return FlagComplex(adjacency, systolic=True, name=f"parallelogram-{width}x{height}")
 
 
 def flat_disk_samples() -> Tuple[FlagComplex, ...]:
@@ -87,10 +88,15 @@ def book_neighbors(pages: int) -> Callable[[BookVertex], Tuple[BookVertex, ...]]
 
 
 def book_window(pages: int, radius: int) -> FlagComplex:
-    """Ball window of a book around a spine vertex (convex, so BFS is true)."""
+    """Ball window of a book around a spine vertex.
+
+    The book is systolic: it is simply connected, and the link of a spine
+    vertex is a theta graph whose cycles all have length 6. The window is a
+    ball, so it is convex (BFS distances are true) and systolic itself.
+    """
     return complexes.materialize_window(
         (0, 0, 0), book_neighbors(pages), radius,
-        convex=True, name=f"book-{pages}:r{radius}")
+        convex=True, systolic=True, name=f"book-{pages}:r{radius}")
 
 
 def book_flat_embedding(v: Axial) -> BookVertex:
@@ -122,7 +128,8 @@ def tree_with_branches(depth: int) -> FlagComplex:
 
     The canonical example of a systolic complex that is not almost
     extendable: every geodesic in a tree is good, yet reaching the tip of
-    branch n from the origin forces a detour of size n.
+    branch n from the origin forces a detour of size n. Trees are
+    systolic: no cycles, so no short ones.
     """
     if depth < 2:
         raise PreconditionViolated("need depth >= 2")
@@ -139,7 +146,7 @@ def tree_with_branches(depth: int) -> FlagComplex:
         for j in range(1, n + 1):
             link(prev, ("b", n, j))
             prev = ("b", n, j)
-    return FlagComplex(adjacency, name=f"tree-T:{depth}")
+    return FlagComplex(adjacency, systolic=True, name=f"tree-T:{depth}")
 
 
 def half_line_vertex(i: int) -> TreeVertex:

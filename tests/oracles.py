@@ -9,9 +9,10 @@ integer doubled-axial predicates that replaced it. There are three
 exceptions. ``visibility_shortest_path`` and ``line_crossing_point`` take the
 library's ``ModifiedDisk`` and ``PolyPath`` values, because they check the
 portal funnel of ``syslab.cat0`` point for point; they convert every point
-to Q[sqrt(3)] first. ``dense_is_convex`` reads the complex's own distance
-matrix, because it checks the streamed ``complexes.is_convex`` against the
-dense tensor form of the same test.
+to Q[sqrt(3)] first. ``dense_is_convex`` and ``streamed_is_convex`` (the
+library's former convexity kernel) read the complex's own distance matrix,
+because they check the local criterion of ``complexes.is_convex`` against
+the all-pairs definition of convexity.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
 with the library, because it checks the translation memo of
 ``euclid.goodness_constant`` against one construction per sub-pair.
@@ -642,8 +643,8 @@ def _exact_visibility_path(m):
 
 
 def dense_is_convex(c, vertices, radius_cap):
-    """The dense |A| x |A| x |V| convexity test that ``complexes.is_convex``
-    replaced; kept verbatim as its oracle."""
+    """The dense |A| x |A| x |V| convexity test that the streamed kernel
+    (``streamed_is_convex``) replaced; kept verbatim as its oracle."""
     A = sorted(set(vertices))
     if len(A) <= 1:
         return True
@@ -661,6 +662,30 @@ def dense_is_convex(c, vertices, radius_cap):
     through = da[:, None, :] + da[None, :, :]         # |A| x |A| x V
     on_geo = (through == sub[:, :, None]).any(axis=(0, 1))
     return not bool((on_geo & ~inside).any())
+
+
+def streamed_is_convex(c, vertices, radius_cap):
+    """The streamed |A| x |V| convexity test that ``complexes.is_convex``
+    replaced with the local criterion; kept verbatim as its oracle."""
+    A = sorted(set(vertices))
+    if len(A) <= 1:
+        return True
+    order, pos = c._vertex_index()
+    mat = c.distance_matrix()
+    idx = np.array([pos[v] for v in A])
+    sub = mat[np.ix_(idx, idx)]
+    if sub.max() > radius_cap:
+        raise PreconditionViolated(
+            f"pairs exceed radius_cap={radius_cap} (max {int(sub.max())})")
+    outside = np.ones(len(order), dtype=bool)
+    outside[idx] = False
+    da = mat[np.ix_(idx, outside)]                    # |A| x |V - A|
+    # v lies on a geodesic a->b iff d(a,v) + d(v,b) == d(a,b); one source a
+    # at a time keeps memory at |A| x |V|
+    for row, to_targets in zip(da, sub):
+        if ((row[None, :] + da) == to_targets[:, None]).any():
+            return False
+    return True
 
 
 def uncached_goodness_constant(c, geodesic):

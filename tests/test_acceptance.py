@@ -76,7 +76,8 @@ def test_criterion_01_directed_uniqueness():
 
 
 def test_criterion_02_ball_convexity():
-    """All balls of radius <= 4 around sample vertices are convex."""
+    """All balls of radius <= 4 around sample vertices are convex, by the
+    local criterion and by the dense all-pairs oracle."""
     t0 = time.time()
     balls = 0
     for c in (eplane.window((0, 0), 8),) + samples.flat_disk_samples() + (
@@ -85,8 +86,9 @@ def test_criterion_02_ball_convexity():
             for r in range(1, 5):
                 if not c.is_complete and c.margin(v) < r:
                     continue
-                dmap = c.bfs_distances(v, budget=r)
-                assert is_convex(c, list(dmap), radius_cap=2 * r), (c.name, v, r)
+                ball = list(c.bfs_distances(v, budget=r))
+                assert is_convex(c, ball), (c.name, v, r)
+                assert oracles.dense_is_convex(c, ball, 2 * r), (c.name, v, r)
                 balls += 1
     _report("criterion-2 ball convexity", balls > 700, time.time() - t0, 30,
             f"{balls} balls convex")

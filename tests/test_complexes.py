@@ -1,5 +1,7 @@
+import importlib.util
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -188,9 +190,91 @@ def test_is_convex_examples(window8):
     assert is_convex(window8, [(1, 1)], radius_cap=0)
 
 
-def test_is_convex_radius_cap(window8):
-    with pytest.raises(PreconditionViolated):
-        is_convex(window8, [(0, 0), (4, 0)], radius_cap=2)
+def test_is_convex_disconnected_pair(window8):
+    # radius_cap is unread: the local criterion forms no distance to bound
+    assert not is_convex(window8, [(0, 0), (4, 0)], radius_cap=2)
+
+
+def _convexity_sets(c, rng, count):
+    """Perturbed balls and random connected sets of c, alternately: a ball
+    of radius 1-3 with up to three members dropped or ring vertices added,
+    and a set grown from one vertex by up to 20 random ring vertices."""
+    verts = sorted(c.vertices())
+    out = []
+    for i in range(count):
+        A = {verts[rng.randrange(len(verts))]}
+        if i % 2 == 0:
+            A.update(c.bfs_distances(min(A), budget=rng.randint(1, 3)))
+            steps = rng.randint(0, 3)
+        else:
+            steps = rng.randint(1, 20)
+        for _ in range(steps):
+            if i % 2 == 0 and len(A) > 1 and rng.random() < 0.5:
+                A.discard(sorted(A)[rng.randrange(len(A))])
+                continue
+            ring = sorted(set().union(*map(c.neighbors, A)) - A)
+            if ring:
+                A.add(ring[rng.randrange(len(ring))])
+        out.append(sorted(A))
+    return out
+
+
+def test_is_convex_matches_oracles_on_random_sets():
+    rng = random.Random(1414)
+    seen = {True: 0, False: 0}
+    margin0 = 0
+    for c in (eplane.window((0, 0), 6), samples.book_window(4, 7), samples.book_window(3, 5),
+              samples.flat_disk(3), samples.parallelogram_disk(4, 2),
+              samples.tree_with_branches(6)):
+        cap = len(c)
+        for verts in _convexity_sets(c, rng, 260):
+            got = is_convex(c, verts)
+            assert got == oracles.streamed_is_convex(c, verts, cap), (c.name, verts)
+            assert got == oracles.dense_is_convex(c, verts, cap), (c.name, verts)
+            seen[got] += 1
+            margin0 += not c.is_complete and any(c.margin(v) == 0 for v in verts)
+    assert seen[True] >= 400 and seen[False] >= 400, seen
+    assert margin0 >= 100, margin0
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_is_convex_matches_oracles_on_benchmark_balls():
+    """Every ball the book-metric workload draws at seed 401 in passes 0-9,
+    balls that reach the window's rim included."""
+    book = _benchmark_workloads().BookMetric()
+    state = book.setup(401)
+    c = state["c"]
+    drawn = [item.args for p in range(10) for item in book.items(state, p)
+             if item.group == "convexity"]
+    radius = {ball: r for _, r, ball in drawn}     # a ball drawn twice is checked once
+    for ball, r in radius.items():
+        assert is_convex(c, ball, 2 * r), (ball[0], r)
+        assert oracles.streamed_is_convex(c, ball, 2 * r), (ball[0], r)
+        assert oracles.dense_is_convex(c, ball, 2 * r), (ball[0], r)
+    rim = sum(any(c.margin(v) == 0 for v in ball) for ball in radius)
+    assert len(drawn) == 100 and rim > 0, (len(drawn), len(radius), rim)
+
+
+@pytest.mark.parametrize("c", [
+    samples.octahedron(),
+    parse_complex_text("flagcomplex v1\n0 1\n1 2\n2 0\n"),
+    FlagComplex({i: [(i - 1) % 6, (i + 1) % 6] for i in range(6)}),
+], ids=["octahedron", "flagcomplex-v1", "hexagon"])
+def test_is_convex_needs_a_systolic_complex(c):
+    with pytest.raises(PreconditionViolated, match="not attested systolic"):
+        is_convex(c, [0, 1])
+
+
+def test_is_convex_rejects_foreign_vertices(window8):
+    with pytest.raises(PreconditionViolated, match=r"^vertex not in complex: \(9, 0\)$"):
+        is_convex(window8, [(0, 0), (9, 0)])
 
 
 def test_is_convex_matches_dense_oracle_on_book_balls():

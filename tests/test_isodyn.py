@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,23 @@ def test_plane_isometry_needs_a_plane_window():
         check_min_proximity(book, GLIDE, [((0, 0, 0), (2, 0, 0))])
     with pytest.raises(NotPlaneBacked):
         displacement_set(eplane.translation(1, 0), 1, samples.flat_disk(3))
+
+
+@pytest.mark.parametrize("window, missing", [
+    (samples.flat_disk(2), "(0, -2) of flat-disk-2"),
+    (samples.tree_with_branches(3), "('h', 0, 0) of tree-T:3"),
+])
+def test_table_needs_a_window_it_maps(window, missing):
+    octahedron = samples.octahedron()
+    antipode = TableAction.from_dict(octahedron, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
+    message = re.escape(f"table of octahedron has no image of vertex {missing}")
+    with pytest.raises(PreconditionViolated, match=message):
+        displacement_set(antipode, 2, window)
+    with pytest.raises(PreconditionViolated, match=message):
+        min_set(antipode, window)
+    pair = sorted(window.vertices())[:2]
+    with pytest.raises(PreconditionViolated, match=message):
+        check_min_proximity(window, antipode, [tuple(pair)])
 
 
 def test_check_min_proximity_rejects_non_minimal():

@@ -224,8 +224,8 @@ def test_plane_map_on_a_book_is_a_task_failure(tmp_path):
     assert task["assertions"] == []
 
 
-@pytest.mark.parametrize("radius, origin", [(2, "2 0"), (4, "40 0")],
-                         ids=["rim-origin", "origin-outside"])
+@pytest.mark.parametrize("radius, origin", [(2, "2 0"), (4, "40 0"), (4, "5 0")],
+                         ids=["rim-origin", "origin-outside", "origin-next-to-window"])
 def test_contracting_suite_without_rays_is_a_task_failure(tmp_path, radius, origin):
     text = (f"[complex main]\nkind = eplane\nradius = {radius}\n\n"
             f"[task c]\nkind = contracting-suite\ncomplex = main\norigin = {origin}\n")
