@@ -349,9 +349,11 @@ def is_convex(c: FlagComplex, vertices: Iterable[VertexId],
     such a vertex is the middle of a geodesic between the two. Sufficiency
     is Januszkiewicz-Swiatkowski, Simplicial nonpositive curvature, Publ.
     IHES 104 (2006), Section 7: the criterion makes the full subcomplex
-    spanned by A 3-convex, hence locally 3-convex, and by their Lemma 7.2 a
-    connected, locally 3-convex subcomplex of a systolic complex is convex
-    (their Corollary 7.5 derives the convexity of balls from it). Elsewhere
+    spanned by A 3-convex, hence locally 3-convex, and a connected, locally
+    3-convex subcomplex of a systolic complex is convex (the same section
+    derives the convexity of balls from it; the lemma numbers are not
+    cited here because they were not checked against the published text,
+    and the criterion is tested against the all-pairs oracles). Elsewhere
     the criterion can be wrong: in a hexagon 0-1-2-3-4-5 the path 0-1-2-3
     passes it, yet 0-5-4-3 is a second geodesic. So a complex not attested
     ``systolic`` raises ``PreconditionViolated``. On a convex ball window no
@@ -464,14 +466,15 @@ def ball_of_simplex(c: FlagComplex, s: Simplex) -> frozenset:
 
 
 def materialize_window(center, neighbors_fn, radius: int, *,
-                       convex=True, systolic=False, name="") -> FlagComplex:
+                       convex=True, name="") -> FlagComplex:
     """Cut the radius-ball around center out of an implicit infinite complex,
     such as a book, given by its neighbour function: one BFS to the radius,
     each vertex tagged with its hop margin to the truncation boundary (radius
     minus its BFS depth), which the margin rule consults later. Plane windows
-    are generated from their ball instead (``eplane.window``). ``systolic``
-    passes on the caller's attestation that the ambient complex is systolic;
-    its balls are convex subcomplexes and so systolic too."""
+    are generated from their ball instead (``eplane.window``). ``convex``
+    asserts that the ball is convex, which holds because the ambient complex
+    is systolic; so a convex window is attested ``systolic`` too (a convex
+    subcomplex of a systolic complex is systolic)."""
     if radius < 0:
         raise PreconditionViolated("radius must be >= 0")
     depth = {center: 0}
@@ -492,7 +495,7 @@ def materialize_window(center, neighbors_fn, radius: int, *,
                  for v in depth}
     margin = {v: radius - d for v, d in depth.items()}
     return FlagComplex(adjacency, margin=margin, convex_window=convex,
-                       systolic=systolic, name=name)
+                       systolic=convex, name=name)
 
 
 def parse_complex_text(text: str, name="") -> FlagComplex:

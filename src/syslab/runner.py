@@ -333,13 +333,15 @@ def _task_contracting(scenario, task, record, rng, out_dir, c):
     want = max(8, min(40, n_pairs))
     attempts = 0
     # a ray needs both ends in the window, so an origin outside it, near or
-    # far, fails every attempt and ends in the one TaskFailed below
-    origin_inside = origin in c
+    # far, fails at once with one TaskFailed
+    if origin not in c:
+        raise TaskFailed(f"no margin-safe ray from origin {origin} "
+                         f"(origin not in the window)")
     while len(rays) < want and attempts < 50 * want:
         attempts += 1
         x, y, d = _sample_safe_pair(c, verts, rng, max_d)
         target = (origin[0] + (y[0] - x[0]), origin[1] + (y[1] - x[1]))
-        if not origin_inside or target in seen or target not in c:
+        if target in seen or target not in c:
             continue
         try:
             require_pair_safe(c, origin, target)

@@ -96,7 +96,7 @@ def book_window(pages: int, radius: int) -> FlagComplex:
     """
     return complexes.materialize_window(
         (0, 0, 0), book_neighbors(pages), radius,
-        convex=True, systolic=True, name=f"book-{pages}:r{radius}")
+        convex=True, name=f"book-{pages}:r{radius}")
 
 
 def book_flat_embedding(v: Axial) -> BookVertex:
