@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from . import eplane
 from .chardisk import CharDisk
 from .complexes import Simplex
 from .directed import ThickInterval
@@ -88,7 +87,7 @@ def modified_disk(disk: CharDisk) -> ModifiedDisk:
     w_prime: List[PlanePoint] = []
     for i in range(j, k + 1):
         v, w = disk.layer_segment(i)
-        _, (sp, sq) = _layer_step(v, w, i)
+        _, (sp, sq) = disk.layer_step(i)
         v_prime.append(PlanePoint(2 * v[0] + sp, 2 * v[1] + sq))
         w_prime.append(PlanePoint(2 * w[0] - sp, 2 * w[1] - sq))
     if v_prime[0] != w_prime[0] or v_prime[-1] != w_prime[-1]:
@@ -104,16 +103,6 @@ def _all_collinear(points) -> bool:
         return True
     a, b = points[0], points[1]
     return all(orient(a, b, p) == 0 for p in points[2:])
-
-
-def _layer_step(v, w, i: int) -> Tuple[int, Tuple[int, int]]:
-    """Length t of the straight layer segment i from v to w, and the unit
-    lattice step from v toward w."""
-    t = eplane.lattice_distance(v, w)
-    dp, dq = w[0] - v[0], w[1] - v[1]
-    if t == 0 or dp % t or dq % t:
-        raise PreconditionViolated(f"layer {i} segment {v}-{w} is not a lattice segment")
-    return t, (dp // t, dq // t)
 
 
 # -- shortest paths --------------------------------------------------------------
@@ -202,8 +191,8 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
                          f"for {k - j - 1} inner layers")
     sims: List[Simplex] = []
     for i, a in zip(range(j + 1, k), alpha.crossings):
-        v, w = disk.layer_segment(i)
-        t, step = _layer_step(v, w, i)
+        v, _ = disk.layer_segment(i)
+        t, step = disk.layer_step(i)
         num, den = _crossing_arc(alpha, a, v, step, i)
         if num < 0 or num > t * den:
             raise NoCrossing(f"crossing with layer {i} lies outside its segment")

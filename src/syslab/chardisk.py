@@ -11,10 +11,10 @@ filling oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from . import eplane
 from .complexes import FlagComplex, Simplex, interval
@@ -105,82 +105,66 @@ def _extend_chain(c: FlagComplex, options, chain: list, pos: int) -> bool:
 
 @dataclass(frozen=True)
 class CharDisk:
-    """A flat disk with its development into the lattice and surface map.
+    """A flat disk, held as its layer segments and its surface map.
 
-    ``coords`` develops every region vertex of the ambient complex onto
-    axial coordinates; ``surface`` is the inverse direction, disk -> X, so
-    its keys are the vertices of the disk.
-    Boundary labels v_i/w_i live in disk coordinates, one per layer of the
-    interval.
+    The layers [v_i, w_i], in disk coordinates, form a stack: parallel
+    lattice segments of positive length on consecutive lattice lines, in
+    one direction (``_layer_stack``, certified once at construction). Every
+    read below comes from the segments: a disk vertex is a lattice point of
+    one of them, and ``image`` sends it to its ambient vertex (the identity
+    of a plane window, a developed surface elsewhere).
     """
 
     interval: ThickInterval
-    region: frozenset                      # ambient vertices
-    coords: Dict[object, eplane.Axial]     # ambient -> disk development
     v_labels: Tuple[eplane.Axial, ...]     # per layer j..k
     w_labels: Tuple[eplane.Axial, ...]
-    surface: Dict[eplane.Axial, object]
-    triangle_count: int
+    image: Callable[[eplane.Axial], object] = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        self._stack  # certify the stack once; it raises NotFlat otherwise
+
+    @cached_property
+    def _stack(self):
+        return _layer_stack(self.v_labels, self.w_labels)
 
     def layer_segment(self, i: int) -> Tuple[eplane.Axial, eplane.Axial]:
         return self.v_labels[i - self.interval.j], self.w_labels[i - self.interval.j]
+
+    def layer_step(self, i: int) -> Tuple[int, eplane.Axial]:
+        """Length t of layer i's segment and the unit step from v_i toward w_i."""
+        return self._stack[0][i - self.interval.j]
 
     def disk_adjacent(self, a: eplane.Axial, b: eplane.Axial) -> bool:
         return (b[0] - a[0], b[1] - a[1]) in eplane._OFFSET_SET
 
     def holds(self, v: eplane.Axial) -> bool:
-        """Whether v is a vertex of the disk."""
-        return v in self.surface
-
-    def image(self, v: eplane.Axial):
-        """The ambient vertex the surface map sends disk vertex v to."""
-        return self.surface[v]
-
-
-class PlaneDisk(CharDisk):
-    """A flat disk of a plane window, certified on its boundary cycle.
-
-    It holds the layer segments [v_i, w_i] only (see ``extract_flat_disk``
-    for why they bound a flat disk). Membership and images are read off the
-    segments: v lies in the disk when it sits on the lattice line of some
-    layer i of the interval, between v_i and w_i, and the development and
-    the surface map are the identity. ``region``, ``coords``, ``surface``
-    and ``triangle_count`` are computed when first read.
-    """
-
-    def __init__(self, c: FlagComplex, interval: ThickInterval,
-                 v_labels: Tuple[eplane.Axial, ...], w_labels: Tuple[eplane.Axial, ...]):
-        step = _unit_step(v_labels[0], w_labels[0])
-        line0 = _line(step, v_labels[0])
-        # the dataclass is frozen; its generated __setattr__ refuses writes
-        self.__dict__.update(interval=interval, v_labels=v_labels, w_labels=w_labels,
-                             _vertex=c.vertex, _step=step, _line0=line0,
-                             _rise=_line(step, v_labels[1]) - line0)
-
-    def image(self, v: eplane.Axial):
-        return self._vertex(v)
-
-    def holds(self, v: eplane.Axial) -> bool:
-        m = (_line(self._step, v) - self._line0) * self._rise
+        """Whether v is a vertex of the disk: it sits on the lattice line of
+        some layer i, between v_i and w_i."""
+        steps, line0, rise = self._stack
+        step = steps[0][1]
+        m = (step[0] * v[1] - step[1] * v[0] - line0) * rise
         if not 0 <= m < len(self.v_labels):
             return False
         a, b = self.v_labels[m], self.w_labels[m]
-        axis = 0 if self._step[0] else 1
+        axis = 0 if step[0] else 1
         lo, hi = sorted((a[axis], b[axis]))
         return lo <= v[axis] <= hi
 
     @cached_property
+    def surface(self) -> Dict[eplane.Axial, object]:
+        """disk -> X on every disk vertex."""
+        return {v: self.image(v) for a, b in zip(self.v_labels, self.w_labels)
+                for v in eplane.segment(a, b)}
+
+    @cached_property
     def region(self) -> frozenset:
-        return frozenset(self.image(v) for a, b in zip(self.v_labels, self.w_labels)
-                         for v in eplane.segment(a, b))
+        """The ambient vertices of the disk."""
+        return frozenset(self.surface.values())
 
     @cached_property
     def coords(self) -> Dict[object, eplane.Axial]:
-        return {v: v for v in self.region}
-
-    @cached_property
-    def surface(self) -> Dict[eplane.Axial, object]:
-        return {v: v for v in self.region}
+        """The development X -> disk of the region."""
+        return {x: v for v, x in self.surface.items()}
 
     @cached_property
     def triangle_count(self) -> int:
@@ -189,27 +173,15 @@ class PlaneDisk(CharDisk):
         return 2 * (len(self.region) - boundary) + boundary - 2
 
 
-def _unit_step(v: eplane.Axial, w: eplane.Axial) -> eplane.Axial:
-    t = eplane.lattice_distance(v, w)
-    return ((w[0] - v[0]) // t, (w[1] - v[1]) // t)
-
-
-def _line(step: eplane.Axial, v: eplane.Axial) -> int:
-    """Index of the lattice line along step through v: the cross product of
-    step and v, which two vertices share exactly when v - u is a multiple of
-    step, and which changes by at most 1 along an edge."""
-    return step[0] * v[1] - step[1] * v[0]
-
-
 def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     """Fill the boundary cycle with the enclosed flat region.
 
     On a plane window (``plane_backed``) the disk is first certified on
     its boundary, in O(k - j): the cycle is s_j..s_k followed by t_k..t_j,
     its vertices are distinct members of the window and consecutive ones
-    adjacent, the segments [s_i, t_i] are parallel lattice segments
-    (``_check_layer_geometry``), and they lie on consecutive lattice lines,
-    each layer's line one further on, in one direction, than the last.
+    adjacent, and the segments [s_i, t_i] form a stack (``_layer_stack``):
+    parallel lattice segments on consecutive lattice lines, each layer's
+    line one further on, in one direction, than the last.
     That is enough: an endpoint
     moves half a unit along the lines when it steps to the next line, so
     consecutive segments keep their orientation and bound a trapezoid (or
@@ -223,9 +195,9 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     to P, so its six triangles lie in P and its region link is a hexagon,
     and the triangles on region vertices are those of P, 2I + B - 2 of them
     by Euler's formula for a triangulated disk. So the checks below cannot
-    fail, and the plane disk (``PlaneDisk``) reads what it needs off the
-    segments. A cycle that fails the boundary certificate, and every cycle
-    off the plane, takes the path below.
+    fail, and the disk maps its segments by identity. A cycle that fails
+    the boundary certificate, and every cycle off the plane, takes the path
+    below.
 
     The region is the union over layers of the combinatorial interval
     between the realizing pair; an interior vertex whose region link is not
@@ -233,13 +205,16 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     developed onto the lattice, which also certifies the embedding is
     isometric; that check costs one BFS per region vertex, each stopping
     once the vertex's later partners are found. Plane-backed complexes
-    develop by identity, which is isometric by construction.
+    develop by identity, which is isometric by construction. The layer
+    geometry and the Euler count follow, and the disk, built last, adds
+    the stack's consecutive-lines rule; its segment points are then the
+    developed region, and its surface map the inverse development.
     """
     if len(cycle) < 6:
         raise PreconditionViolated(
             f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
-    if c.plane_backed and _bounds_plane_disk(c, cycle):
-        return PlaneDisk(c, cycle.interval, cycle.s, cycle.t)
+    if c.plane_backed and (disk := _plane_disk(c, cycle)):
+        return disk
     region = set()
     for s, t in zip(cycle.s, cycle.t):
         region |= interval(c, s, t)
@@ -262,27 +237,24 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     if triangles != 2 * interior_count + boundary_count - 2:
         raise NotFlat("triangle count does not match a disk Euler characteristic")
     surface = {coords[v]: v for v in region}
-    return CharDisk(cycle.interval, frozenset(region), coords,
-                    v_labels, w_labels, surface, triangles)
+    return CharDisk(cycle.interval, v_labels, w_labels, surface.__getitem__)
 
 
-def _bounds_plane_disk(c: FlagComplex, cycle: BoundaryCycle) -> bool:
-    """The boundary certificate of a plane disk (see ``extract_flat_disk``)."""
+def _plane_disk(c: FlagComplex, cycle: BoundaryCycle) -> Optional[CharDisk]:
+    """The disk a cycle of a plane window bounds when it passes the boundary
+    certificate (see ``extract_flat_disk``), whose stack rule the disk
+    checks as it is built; None when it fails."""
     s, t, loop = cycle.s, cycle.t, cycle.cycle
     if len(s) != len(t) or loop != s + tuple(reversed(t)) or len(set(loop)) != len(loop):
-        return False
+        return None
     if not all(v in c for v in loop):
-        return False
+        return None
     if not all(c.adjacent(a, b) for a, b in zip(loop, loop[1:] + loop[:1])):
-        return False
+        return None
     try:
-        _check_layer_geometry(s, t)
+        return CharDisk(cycle.interval, s, t, c.vertex)
     except NotFlat:
-        return False
-    step = _unit_step(s[0], t[0])
-    rise = _line(step, s[1]) - _line(step, s[0])
-    return rise in (1, -1) and all(_line(step, b) - _line(step, a) == rise
-                                   for a, b in zip(s, s[1:]))
+        return None
 
 
 def _is_hexagon(c, ring) -> bool:
@@ -394,8 +366,9 @@ def _check_isometric(c, region, coords):
 
 
 def _check_layer_geometry(v_labels, w_labels):
-    """Layer segments are collinear lattice lines, all mutually parallel."""
-    directions = []
+    """Layer segments are collinear lattice lines, all mutually parallel;
+    returns each one's length and unit step from v_i toward w_i."""
+    steps = []
     for v, w in zip(v_labels, w_labels):
         d = (w[0] - v[0], w[1] - v[1])
         t = eplane.lattice_distance(v, w)
@@ -403,11 +376,34 @@ def _check_layer_geometry(v_labels, w_labels):
             raise NotFlat("zero-length layer segment")
         if d[0] % t or d[1] % t:
             raise NotFlat(f"layer segment {v}-{w} is not a lattice line segment")
-        directions.append((d[0] // t, d[1] // t))
-    first = directions[0]
-    for d in directions[1:]:
+        steps.append((t, (d[0] // t, d[1] // t)))
+    first = steps[0][1]
+    for _, d in steps[1:]:
         if d != first and d != (-first[0], -first[1]):
             raise NotFlat("layer segments are not parallel")
+    return steps
+
+
+def _layer_stack(v_labels, w_labels):
+    """The stack the layer segments form: each layer's (length, unit step),
+    the index of layer j's lattice line along the first step, and the rise
+    (1 or -1) of that index from each layer to the next.
+
+    The index of v is the cross product of the step and v, which two
+    vertices share exactly when their difference is a multiple of the step,
+    and which changes by at most 1 along an edge. Raises NotFlat unless the
+    segments pass ``_check_layer_geometry`` and lie on consecutive lattice
+    lines in one direction. The area path of ``extract_flat_disk`` runs
+    ``_check_layer_geometry`` alone before its Euler count, and the lines
+    rule after it, when it builds the disk.
+    """
+    steps = _check_layer_geometry(v_labels, w_labels)
+    step = steps[0][1]
+    lines = [step[0] * v[1] - step[1] * v[0] for v in v_labels]
+    rise = lines[1] - lines[0]
+    if rise not in (1, -1) or any(b - a != rise for a, b in zip(lines, lines[1:])):
+        raise NotFlat("layer segments do not lie on consecutive lattice lines")
+    return tuple(steps), lines[0], rise
 
 
 # -- the characteristic mapping -------------------------------------------------
@@ -418,8 +414,8 @@ def characteristic_map(c: FlagComplex, disk: CharDisk, rho: Simplex) -> Simplex:
 
     rho is given in disk coordinates. The image is verified to be a simplex
     of the ambient complex, and the assignment respects inclusions by
-    construction. A plane disk tests membership on the layer segments and
-    maps by identity (``PlaneDisk``).
+    construction. Membership is tested on the disk's layer segments
+    (``CharDisk.holds``).
     """
     for v in rho:
         if not disk.holds(v):

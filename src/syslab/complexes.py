@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Optional
 
-import numpy as np
-
 from . import eplane
 from .errors import (BoundaryUnsafe, NotASimplex, PreconditionViolated,
                      ScenarioParseError, Unreachable)
@@ -257,12 +255,15 @@ class FlagComplex:
             self._index = (order, {v: i for i, v in enumerate(order)})
         return self._index
 
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs distance matrix (int32, -1 for unreachable); cached.
+    def distance_matrix(self):
+        """All-pairs distance matrix (numpy int32, -1 for unreachable); cached.
 
         No library code reads it: only the benchmark's ``BookMetric.setup``
         (which warms it) and the test oracles ``dense_is_convex`` and
-        ``streamed_is_convex`` still do."""
+        ``streamed_is_convex`` still do, so numpy is imported here and not
+        when the package loads."""
+        import numpy as np
+
         if self._dist_matrix is None:
             order, pos = self._vertex_index()
             n = len(order)

@@ -405,6 +405,9 @@ def _task_extendability(scenario, task, record, rng, out_dir, c):
         y = (rng.randint(-span, span), rng.randint(-span, span))
         if x != y:
             pairs.append((x, y))
+    if not pairs:
+        raise TaskFailed(f"every control draw has x == y ({n_control} draws, "
+                         f"control_span {span})")
     control = treestudy.plane_control(pairs)
     record.outputs["control_max_E"] = control.max_E()
     record.assertions.append(Assertion(

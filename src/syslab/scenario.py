@@ -30,16 +30,16 @@ TASK_KINDS = {
     "geodesic-pipeline": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
                           "to": ("vertex", REQUIRED)},
     "goodness-sweep": {"complex": ("text", REQUIRED), "pairs": ("count", "20"),
-                       "max_distance": ("int", "10"), "staircase_map": ("translation", None),
-                       "staircase_length": ("int", "16"),
+                       "max_distance": ("count", "10"), "staircase_map": ("translation", None),
+                       "staircase_length": ("count", "16"),
                        "staircase_origin": ("vertex", "0 0"), "ambient": ("sample", None)},
     "displacement-study": {"complex": ("text", REQUIRED), "isometry": ("text", REQUIRED),
-                           "pairs": ("count", "10"), "max_distance": ("int", "20")},
+                           "pairs": ("count", "10"), "max_distance": ("count", "20")},
     "contracting-suite": {"complex": ("text", REQUIRED), "pairs": ("count", "50"),
-                          "doubling": ("int", "20"), "max_distance": ("int", "12"),
+                          "doubling": ("nonnegative", "20"), "max_distance": ("count", "12"),
                           "cs": ("unit-fractions", "1/4 1/2 3/4"), "origin": ("vertex", "0 0")},
     "extendability-study": {"depth": ("depth", "10"), "control_pairs": ("count", "12"),
-                            "control_span": ("int", "6")},
+                            "control_span": ("count", "6")},
     "figure-render": {"complex": ("text", REQUIRED), "from": ("vertex", REQUIRED),
                       "to": ("vertex", REQUIRED), "out": ("relative-path", None)},
 }

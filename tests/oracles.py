@@ -36,9 +36,12 @@ and the flat disk built from its whole region. They run on the complex's own
 margins and on the library's hexagon, development and triangle-count
 kernels, because they check that the plane's distance predicates, corner
 margin check and boundary certificate give the same levels, refusals and
-disks. The certificate kernels at the end
-(``verify_conditions``, ``flat_at``, ``pairwise_triangle_count``,
-``fraction_diagonal`` and the pieces they call) are the library's former
+disks. ``area_extract_flat_disk`` returns an ``AreaDisk``, the library's
+former seven-field disk, whose membership is its surface dict, because it
+checks the layer-segment reads of ``chardisk.CharDisk``. The certificate
+kernels at the end (``verify_conditions``, ``flat_at``,
+``pairwise_triangle_count``, ``fraction_diagonal``, ``layer_step`` and the
+pieces they call) are the library's former
 pair-loop and ``Fraction`` certificates, run on the complex's own adjacency
 and on the library's disks, because they check that the frozenset and
 integer kernels which replaced them accept and reject the same inputs.
@@ -49,16 +52,16 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from syslab import cat0, chardisk, complexes, eplane
 from syslab.cat0 import PolyPath
-from syslab.directed import require_pair_safe
+from syslab.directed import ThickInterval, require_pair_safe
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
                            NoCrossing, NotFlat, PreconditionViolated, SyslabError,
                            TaskFailed)
@@ -381,7 +384,7 @@ def crossing_mismatches(disk, alpha):
     bad = []
     for i, a in zip(range(j + 1, k), alpha.crossings):
         v, w = disk.layer_segment(i)
-        _, step = cat0._layer_step(v, w, i)
+        _, step = layer_step(v, w, i)
         u = Fraction(*cat0._crossing_arc(alpha, a, v, step, i))
         library = exact_point(2 * v[0] + 2 * u * step[0], 2 * v[1] + 2 * u * step[1])
         oracle = _line_crossing(path, exact_point(eplane.embed(v)),
@@ -644,7 +647,9 @@ def _exact_visibility_path(m):
 
 def dense_is_convex(c, vertices, radius_cap):
     """The dense |A| x |A| x |V| convexity test that the streamed kernel
-    (``streamed_is_convex``) replaced; kept verbatim as its oracle."""
+    (``streamed_is_convex``) replaced; kept as its oracle, with the same
+    broadcast formula evaluated over blocks of 16 sources, so the tensor is
+    at most 16 x |A| x |V|."""
     A = sorted(set(vertices))
     if len(A) <= 1:
         return True
@@ -659,8 +664,10 @@ def dense_is_convex(c, vertices, radius_cap):
     inside[idx] = True
     # v lies on a geodesic a->b iff d(a,v) + d(v,b) == d(a,b)
     da = mat[idx]                                     # |A| x V
-    through = da[:, None, :] + da[None, :, :]         # |A| x |A| x V
-    on_geo = (through == sub[:, :, None]).any(axis=(0, 1))
+    on_geo = np.zeros(len(order), dtype=bool)
+    for lo in range(0, len(A), 16):
+        through = da[lo:lo + 16, None, :] + da[None, :, :]   # 16 x |A| x V
+        on_geo |= (through == sub[lo:lo + 16, :, None]).any(axis=(0, 1))
     return not bool((on_geo & ~inside).any())
 
 
@@ -863,6 +870,41 @@ def area_interval(c, x, y):
     return frozenset().union(*levels)
 
 
+@dataclass(frozen=True)
+class AreaDisk:
+    """The former ``chardisk.CharDisk``: a flat disk with its development
+    into the lattice and surface map.
+
+    ``coords`` develops every region vertex of the ambient complex onto
+    axial coordinates; ``surface`` is the inverse direction, disk -> X, so
+    its keys are the vertices of the disk.
+    Boundary labels v_i/w_i live in disk coordinates, one per layer of the
+    interval.
+    """
+
+    interval: ThickInterval
+    region: frozenset                      # ambient vertices
+    coords: Dict[object, eplane.Axial]     # ambient -> disk development
+    v_labels: Tuple[eplane.Axial, ...]     # per layer j..k
+    w_labels: Tuple[eplane.Axial, ...]
+    surface: Dict[eplane.Axial, object]
+    triangle_count: int
+
+    def layer_segment(self, i: int) -> Tuple[eplane.Axial, eplane.Axial]:
+        return self.v_labels[i - self.interval.j], self.w_labels[i - self.interval.j]
+
+    def disk_adjacent(self, a: eplane.Axial, b: eplane.Axial) -> bool:
+        return (b[0] - a[0], b[1] - a[1]) in eplane._OFFSET_SET
+
+    def holds(self, v: eplane.Axial) -> bool:
+        """Whether v is a vertex of the disk."""
+        return v in self.surface
+
+    def image(self, v: eplane.Axial):
+        """The ambient vertex the surface map sends disk vertex v to."""
+        return self.surface[v]
+
+
 def area_extract_flat_disk(c, cycle):
     """The former ``chardisk.extract_flat_disk``: the region as the union of the
     layer intervals, the hexagon test on every interior vertex, the
@@ -891,8 +933,8 @@ def area_extract_flat_disk(c, cycle):
     if triangles != 2 * interior_count + boundary_count - 2:
         raise NotFlat("triangle count does not match a disk Euler characteristic")
     surface = {coords[v]: v for v in region}
-    return chardisk.CharDisk(cycle.interval, frozenset(region), coords,
-                             v_labels, w_labels, surface, triangles)
+    return AreaDisk(cycle.interval, frozenset(region), coords,
+                    v_labels, w_labels, surface, triangles)
 
 
 # -- certificate kernels ------------------------------------------------------------
@@ -986,6 +1028,16 @@ def _region_triangles(c, region):
                 yield (v, u, w)
 
 
+def layer_step(v, w, i: int) -> Tuple[int, Tuple[int, int]]:
+    """The former ``cat0._layer_step``: length t of the straight layer
+    segment i from v to w, and the unit lattice step from v toward w."""
+    t = eplane.lattice_distance(v, w)
+    dp, dq = w[0] - v[0], w[1] - v[1]
+    if t == 0 or dp % t or dq % t:
+        raise PreconditionViolated(f"layer {i} segment {v}-{w} is not a lattice segment")
+    return t, (dp // t, dq // t)
+
+
 def crossing_arc(alpha, a, v, step, i):
     """The former ``cat0._crossing_arc``: the arc position as a Fraction."""
     A, B = alpha.points[a], alpha.points[a + 1]
@@ -1018,7 +1070,7 @@ def fraction_diagonal(disk, alpha):
     sims = []
     for i, a in zip(range(j + 1, k), alpha.crossings):
         v, w = disk.layer_segment(i)
-        t, step = cat0._layer_step(v, w, i)
+        t, step = layer_step(v, w, i)
         u = crossing_arc(alpha, a, v, step, i)
         if u < 0 or u > t:
             raise NoCrossing(f"crossing with layer {i} lies outside its segment")

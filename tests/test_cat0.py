@@ -212,14 +212,11 @@ def test_diagonal_no_crossing(hexagon_disk):
 
 
 def _diamond_disk():
-    """Hand-built flat disk with layer thickness up to 4 (profile 1,2,3,4,3,2,1)."""
-    region = frozenset((a, b) for a in range(5) for b in range(5)
-                       if 1 <= a + b <= 7)
+    """Hand-built flat disk with layer thickness up to 4 (profile 1,2,3,4,3,2,1),
+    mapped by identity."""
     v_labels = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4))
     w_labels = ((1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3))
-    surface = {v: v for v in region}
-    return CharDisk(ThickInterval(0, 6), region, {v: v for v in region},
-                    v_labels, w_labels, (surface,), 0)
+    return CharDisk(ThickInterval(0, 6), v_labels, w_labels, lambda v: v)
 
 
 def test_diagonal_barycenter_hit_yields_edge():

@@ -67,7 +67,8 @@ def _agree_on_disk(c, cycle, disk, alpha):
     j, k = disk.interval.j, disk.interval.k
     for i, a in zip(range(j + 1, k), alpha.crossings):
         v, w = disk.layer_segment(i)
-        _, step = cat0._layer_step(v, w, i)
+        assert disk.layer_step(i) == oracles.layer_step(v, w, i)
+        _, step = disk.layer_step(i)
         num, den = cat0._crossing_arc(alpha, a, v, step, i)
         assert den > 0
         assert Fraction(num, den) == oracles.crossing_arc(alpha, a, v, step, i)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -241,3 +243,51 @@ def test_layer_segments_parallel(hexagon_setup):
         t = eplane.lattice_distance(v, w)
         dirs.add(((w[0] - v[0]) // t, (w[1] - v[1]) // t))
     assert len(dirs) == 1
+
+
+def _disks_with_area_oracle(c, pairs):
+    """The library's disk and the former area disk of every thick interval
+    of the pairs that the margin rule allows."""
+    for x, y in pairs:
+        try:
+            ls = layers(c, x, y)
+        except BoundaryUnsafe:
+            continue
+        for iv in thick_intervals(ls):
+            cycle = boundary_cycle(c, iv, ls)
+            yield extract_flat_disk(c, cycle), oracles.area_extract_flat_disk(c, cycle)
+
+
+def test_segment_reads_agree_with_area_disk(non_plane_complexes):
+    """On every disk of the non-plane pairs within 6 and of 300 random pairs
+    of a 3-page book, membership read off the layer segments agrees with the
+    former disk's surface dict on the segment points and their lattice
+    neighbours, and the characteristic map sends every disk vertex and edge
+    to the same simplex."""
+    book = samples.book_window(3, 12)
+    rng = random.Random(15)
+    drawn = [oracles.sample_safe_pair(book, rng, 10)[:2] for _ in range(300)]
+    cases = [(c, oracles.pairs_within(c, 6)) for c in non_plane_complexes]
+    checked = 0
+    for c, pairs in cases + [(book, drawn)]:
+        for new, old in _disks_with_area_oracle(c, pairs):
+            points = {v for a, b in zip(new.v_labels, new.w_labels)
+                      for v in eplane.segment(a, b)}
+            near = {u for v in points for u in eplane.neighbors(v)}
+            for v in sorted(points | near):
+                assert new.holds(v) == old.holds(v), (c.name, v)
+            for v in sorted(points):
+                for u in [v] + sorted(points.intersection(eplane.neighbors(v))):
+                    rho = Simplex.of({v, u})
+                    assert (characteristic_map(c, new, rho)
+                            == characteristic_map(c, old, rho)), (c.name, rho)
+            checked += 1
+    print(f"disks checked: {checked}")
+    assert checked >= 600
+
+
+def test_disk_layers_must_stack():
+    """Parallel layer segments on lattice lines 1, 3 and 4 are not a stack."""
+    with pytest.raises(NotFlat, match="^layer segments do not lie on consecutive lattice lines$"):
+        chardisk.CharDisk(ThickInterval(0, 2), ((0, 1), (0, 3), (0, 4)),
+                          ((1, 0), (3, 0), (4, 0)), lambda v: v)

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,11 +188,26 @@ def test_cli_missing_task_parameter_exits_2(tmp_path, capsys):
      "key 'out': expected a relative path with no '..' part, got '../x.svg'"),
     ("kind = figure-render\ncomplex = main\nfrom = 0 0\nto = 4 2\nout = /tmp/x.svg\n",
      "key 'out': expected a relative path with no '..' part, got '/tmp/x.svg'"),
+    ("kind = goodness-sweep\ncomplex = main\nstaircase_length = -3\n",
+     "key 'staircase_length': expected a count of at least 1, got '-3'"),
+    ("kind = goodness-sweep\ncomplex = main\nmax_distance = 0\n",
+     "key 'max_distance': expected a count of at least 1, got '0'"),
+    ("kind = displacement-study\ncomplex = main\nisometry = g\nmax_distance = 0\n"
+     "\n[isometry g]\nmap = translate(1, 0)\n",
+     "key 'max_distance': expected a count of at least 1, got '0'"),
+    ("kind = contracting-suite\ncomplex = main\nmax_distance = 0\n",
+     "key 'max_distance': expected a count of at least 1, got '0'"),
+    ("kind = contracting-suite\ncomplex = main\ndoubling = -1\n",
+     "key 'doubling': expected a nonnegative integer, got '-1'"),
+    ("kind = extendability-study\ncontrol_span = -1\n",
+     "key 'control_span': expected a count of at least 1, got '-1'"),
 ], ids=["non-integer", "one-number-vertex", "non-integer-vertex", "misspelt-key",
         "non-fraction", "zero-denominator", "no-fractions", "bad-isometry",
         "fraction-above-1", "fraction-below-0", "glide-staircase", "zero-translation",
         "negative-pairs", "zero-pairs", "zero-control-pairs", "unknown-ambient", "study-depth-1",
-        "render-out-parent", "render-out-absolute"])
+        "render-out-parent", "render-out-absolute", "negative-staircase-length",
+        "zero-sweep-distance", "zero-study-distance", "zero-suite-distance",
+        "negative-doubling", "negative-control-span"])
 def test_cli_malformed_task_value_exits_2(tmp_path, capsys, task, message):
     scn = tmp_path / "bad.scn"
     scn.write_text("[complex main]\nkind = eplane\n\n[task t]\n" + task)
@@ -237,6 +255,18 @@ def test_contracting_suite_without_rays_is_a_task_failure(tmp_path, radius, orig
     a, b = origin.split()
     assert report["tasks"][0]["error"] == (
         f"TaskFailed: no margin-safe ray from origin ({a}, {b}) {why}")
+
+
+def test_extendability_study_without_distinct_control_pair_is_a_task_failure(tmp_path):
+    """At seed 5 the one control draw in [-1, 1]^2 has x == y."""
+    text = ("[scenario]\nseed = 5\n\n[task t]\nkind = extendability-study\n"
+            "control_pairs = 1\ncontrol_span = 1\n")
+    report, code = run_scenario(parse_scenario_text(text), tmp_path)
+    assert code == 1
+    task = report["tasks"][0]
+    assert task["error"] == ("TaskFailed: every control draw has x == y "
+                             "(1 draws, control_span 1)")
+    assert [a["name"] for a in task["assertions"]] == ["tree-unbounded-E"]
 
 
 PIPELINE_TASK = "[task p]\nkind = geodesic-pipeline\ncomplex = main\nfrom = 0 0\nto = 4 2\n"
@@ -426,3 +456,16 @@ def test_each_named_complex_is_built_once_per_run(tmp_path, monkeypatch):
         assert code == 0 and len(report["tasks"]) == 2
     # two tasks on "main" share one build; the next run builds its own
     assert built == ["main", "main"]
+
+
+def test_cli_import_leaves_numpy_out():
+    """Only ``FlagComplex.distance_matrix`` needs numpy, and it imports it
+    itself, so a fresh ``import syslab.cli`` does not load it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, syslab.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
