@@ -23,11 +23,21 @@ The file holds:
   two sides matched are kept per pair.
 - ``traced``: the per-layer metrics of one traced run (``--trace 1``) per
   side and workload at seed 1; the counts repeat exactly for a seed.
+
+The three curves below run in ``CURVE_PROCESSES`` fresh processes per side,
+base first in even rounds and change first in odd ones. Each number a
+process measures is stored as the median and quartiles of its values over
+the processes, with the values themselves (``runs``); a count such as
+``ball_size`` and each ``pair`` is the first process's.
+
 - ``goodness_curve``: seconds per ``goodness_constant`` call on one selected
-  geodesic at n = 8, 16, 24, 32 (median of ``REPEATS``), and the seconds
-  spent in each pipeline stage of ``STAGES`` (``stages``), timed in a
-  separate call by a wrapper around each stage function. A stage whose
-  function a side lacks is left out of that side. ``cat0_seconds`` and
+  geodesic at n = 8, 16, 24, 32 (median of ``REPEATS`` within a process),
+  and the seconds spent in each pipeline stage of ``STAGES`` (``stages``),
+  timed in a separate call by a wrapper around each stage function. A stage
+  names candidate functions in order and wraps the first one the side has;
+  a stage whose candidates a side lacks is left out of that side.
+  ``projection`` is ``directed._closed_form`` where it exists and
+  ``directed._project`` before it. ``cat0_seconds`` and
   ``cat0_share`` sum the three CAT(0) stages (modified disk, shortest path,
   diagonal); ``staged_seconds`` is the whole wrapped call, wrappers
   included.
@@ -72,15 +82,17 @@ BUILD = ROOT / ".bench_build"
 PAIRS = 10
 FIRST_SEED = 401
 REPEATS = 3
+CURVE_PROCESSES = 5
 CURVE_LENGTHS = (8, 16, 24, 32)
 CONSTRUCTION_LENGTHS = (32, 64, 128)
 CONSTRUCTION_REPEATS = 5
 CONVEXITY_RADII = (2, 4, 6, 8)
 CONVEXITY_REPEATS = 5
-# stage name -> (module, function); the stages do not call one another
+# stage name -> (module, candidate functions, first found wins); the stages
+# do not call one another
 STAGES = {
     "levels": ("directed", "_safe_levels"),
-    "projection": ("directed", "_project"),
+    "projection": ("directed", "_closed_form", "_project"),
     "thickness": ("directed", "_thickness"),
     "boundary_cycle": ("chardisk", "boundary_cycle"),
     "flat_disk": ("chardisk", "extract_flat_disk"),
@@ -171,11 +183,32 @@ def side_env(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(tree / "src")}
 
 
-def curve(tree: Path, worker: str = "--curve-worker") -> dict:
+def curve(tree: Path, worker: str) -> dict:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), worker],
         env=side_env(tree), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def curves(sides: dict, worker: str) -> dict:
+    """One curve worker in CURVE_PROCESSES fresh processes per side,
+    alternating which side runs first, summarised by ``across``."""
+    runs = {side: [] for side in sides}
+    for i in range(CURVE_PROCESSES):
+        for side in list(sides) if i % 2 == 0 else list(reversed(sides)):
+            runs[side].append(curve(sides[side], worker))
+    return {side: across(r) for side, r in runs.items()}
+
+
+def across(runs: list):
+    """The processes' results merged: every float becomes the summary of
+    its values over the runs, and any other leaf is the first run's."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: across([r[key] for r in runs]) for key in first}
+    if isinstance(first, float):
+        return summary(runs)
+    return first
 
 
 def pytest_wall(tree: Path, *paths: str) -> dict:
@@ -222,9 +255,10 @@ def curve_worker() -> dict:
         return wrapper
 
     originals = {}
-    for name, (module, attr) in STAGES.items():
+    for name, (module, *candidates) in STAGES.items():
         owner = importlib.import_module(f"syslab.{module}")
-        if hasattr(owner, attr):
+        attr = next((a for a in candidates if hasattr(owner, a)), None)
+        if attr is not None:
             originals[name] = (owner, attr, getattr(owner, attr))
     out = {}
     for n in CURVE_LENGTHS:
@@ -353,11 +387,9 @@ def main(argv=None) -> int:
         "meta": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "machine": platform.machine(), "pairs": PAIRS, "seconds": seconds},
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
-        "goodness_curve": {side: curve(tree) for side, tree in sides.items()},
-        "construction_curve": {side: curve(tree, "--construction-worker")
-                               for side, tree in sides.items()},
-        "convexity_curve": {side: curve(tree, "--convexity-worker")
-                            for side, tree in sides.items()},
+        "goodness_curve": curves(sides, "--curve-worker"),
+        "construction_curve": curves(sides, "--construction-worker"),
+        "convexity_curve": curves(sides, "--convexity-worker"),
         "startup": {side: startup(tree) for side, tree in sides.items()},
         "tier1": {side: pytest_wall(tree, "tests") for side, tree in sides.items()},
         "acceptance": {side: pytest_wall(tree, "tests/test_acceptance.py")

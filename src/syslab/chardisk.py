@@ -11,7 +11,7 @@ filling oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Dict, Optional, Tuple
@@ -112,20 +112,21 @@ class CharDisk:
     one direction (``_layer_stack``, certified once at construction). Every
     read below comes from the segments: a disk vertex is a lattice point of
     one of them, and ``image`` sends it to its ambient vertex (the identity
-    of a plane window, a developed surface elsewhere).
+    of a plane window, a developed surface elsewhere). ``steps`` passes the
+    segments' lengths and unit steps when ``_check_layer_geometry`` has
+    already returned them, so the stack does not check them again.
     """
 
     interval: ThickInterval
     v_labels: Tuple[eplane.Axial, ...]     # per layer j..k
     w_labels: Tuple[eplane.Axial, ...]
     image: Callable[[eplane.Axial], object] = field(compare=False, repr=False)
+    steps: InitVar[Optional[list]] = None
+    _stack: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        self._stack  # certify the stack once; it raises NotFlat otherwise
-
-    @cached_property
-    def _stack(self):
-        return _layer_stack(self.v_labels, self.w_labels)
+    def __post_init__(self, steps):
+        # certify the stack once; it raises NotFlat otherwise
+        object.__setattr__(self, "_stack", _layer_stack(self.v_labels, self.w_labels, steps))
 
     def layer_segment(self, i: int) -> Tuple[eplane.Axial, eplane.Axial]:
         return self.v_labels[i - self.interval.j], self.w_labels[i - self.interval.j]
@@ -206,9 +207,10 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     isometric; that check costs one BFS per region vertex, each stopping
     once the vertex's later partners are found. Plane-backed complexes
     develop by identity, which is isometric by construction. The layer
-    geometry and the Euler count follow, and the disk, built last, adds
-    the stack's consecutive-lines rule; its segment points are then the
-    developed region, and its surface map the inverse development.
+    geometry and the Euler count follow, and the disk, built last from the
+    checked layer steps, adds the stack's consecutive-lines rule; its
+    segment points are then the developed region, and its surface map the
+    inverse development.
     """
     if len(cycle) < 6:
         raise PreconditionViolated(
@@ -230,14 +232,14 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
         _check_isometric(c, region, coords)
     v_labels = tuple(coords[s] for s in cycle.s)
     w_labels = tuple(coords[t] for t in cycle.t)
-    _check_layer_geometry(v_labels, w_labels)
+    steps = _check_layer_geometry(v_labels, w_labels)
     triangles = _triangle_count(c, region, interior)
     interior_count = len(interior)
     boundary_count = len(region) - interior_count
     if triangles != 2 * interior_count + boundary_count - 2:
         raise NotFlat("triangle count does not match a disk Euler characteristic")
     surface = {coords[v]: v for v in region}
-    return CharDisk(cycle.interval, v_labels, w_labels, surface.__getitem__)
+    return CharDisk(cycle.interval, v_labels, w_labels, surface.__getitem__, steps)
 
 
 def _plane_disk(c: FlagComplex, cycle: BoundaryCycle) -> Optional[CharDisk]:
@@ -384,7 +386,7 @@ def _check_layer_geometry(v_labels, w_labels):
     return steps
 
 
-def _layer_stack(v_labels, w_labels):
+def _layer_stack(v_labels, w_labels, steps):
     """The stack the layer segments form: each layer's (length, unit step),
     the index of layer j's lattice line along the first step, and the rise
     (1 or -1) of that index from each layer to the next.
@@ -393,11 +395,13 @@ def _layer_stack(v_labels, w_labels):
     vertices share exactly when their difference is a multiple of the step,
     and which changes by at most 1 along an edge. Raises NotFlat unless the
     segments pass ``_check_layer_geometry`` and lie on consecutive lattice
-    lines in one direction. The area path of ``extract_flat_disk`` runs
-    ``_check_layer_geometry`` alone before its Euler count, and the lines
+    lines in one direction. ``steps`` is what ``_check_layer_geometry``
+    returned for these segments, or None when it has not run: the area path
+    of ``extract_flat_disk`` runs it before its Euler count, and the lines
     rule after it, when it builds the disk.
     """
-    steps = _check_layer_geometry(v_labels, w_labels)
+    if steps is None:
+        steps = _check_layer_geometry(v_labels, w_labels)
     step = steps[0][1]
     lines = [step[0] * v[1] - step[1] * v[0] for v in v_labels]
     rise = lines[1] - lines[0]

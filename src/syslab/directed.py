@@ -6,9 +6,14 @@ jointly span a simplex, and every interior sigma_i equals
 Res(sigma_{i-1}) meet B_1(sigma_{i+1}). The constructive reading used here
 is the iterated sphere projection
     sigma_{i+1} = span{ v in S_{n-i-1}(y) : v adjacent to all of sigma_i },
-with both defining conditions re-verified as a mandatory postcondition, so
-a non-systolic input or a truncation artifact fails loudly rather than
-producing a quietly wrong sequence.
+with both defining conditions re-verified as a postcondition, so a
+non-systolic input or a truncation artifact fails loudly rather than
+producing a quietly wrong sequence. On a plane window the sequence has a
+closed form (``eplane.directed_simplices``) and is certified in O(n) by
+lattice arithmetic instead: it runs from x to y, and consecutive simplices
+are disjoint and span a simplex. The residue/ball condition is not checked
+there at run time; the projection with its full postcondition is the
+closed form's test oracle.
 """
 
 from __future__ import annotations
@@ -197,36 +202,58 @@ def _refuse(v, x, y):
 def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
     """The unique directed geodesic from x to y.
 
-    Raises ConstructionFailed when a projection step is empty or not a
-    clique, and ConditionViolated when the finished sequence fails either
-    defining condition on re-verification.
+    On a plane window it is the closed form of ``eplane.directed_simplices``,
+    certified by ``_certify_chain``; elsewhere it is the projection of
+    ``_project``, re-verified by ``_verify_conditions``. Raises
+    ConstructionFailed when a projection step is empty or not a clique, and
+    ConditionViolated when the finished sequence fails its check.
     """
-    return _project(c, x, y, _safe_levels(c, x, y))
+    levels = _safe_levels(c, x, y)
+    if levels is None:
+        return _closed_form(c, x, y)
+    return _project(c, x, y, levels)
+
+
+def _closed_form(c: FlagComplex, x, y) -> DirectedGeodesic:
+    """The directed geodesic from x to y on a plane window, built from
+    ``eplane.directed_simplices`` on the window's own vertex objects once
+    the margin rule has passed the pair, and certified by ``_certify_chain``."""
+    own = c.vertex
+    geo = DirectedGeodesic(x, y, tuple(Simplex(tuple(map(own, verts)))
+                                       for verts in eplane.directed_simplices(x, y)))
+    _certify_chain(geo)
+    return geo
+
+
+def _certify_chain(geo: DirectedGeodesic):
+    """The O(n) certificate of a plane directed geodesic: every two vertices
+    of consecutive simplices differ by a unit lattice offset, so consecutive
+    simplices are disjoint and span a simplex, with the texts of
+    ``_verify_conditions``; then sigma_0 = x and sigma_n = y. The
+    residue/ball condition of ``_verify_conditions`` is not checked."""
+    sims = geo.simplices
+    for a, b in zip(sims, sims[1:]):
+        if not eplane.is_lattice_clique(a.verts + b.verts):
+            if not a.isdisjoint(b):
+                raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
+            raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
+    if sims[0].verts != (geo.source,) or sims[-1].verts != (geo.target,):
+        raise ConditionViolated(
+            f"simplices do not run from {geo.source} to {geo.target}")
 
 
 def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
-    """Project from x towards y through the interval levels read from x.
-
-    With ``levels`` None (a plane window) a common neighbour lies in level
-    i + 1 exactly when d(x, v) == i + 1 and d(v, y) == n - i - 1 under the
-    closed-form metric, and that test replaces the level. Only its second
-    half is evaluated: v is adjacent to sigma_i, which lies in level i, so
-    d(x, v) <= i + 1, and d(v, y) == n - i - 1 forces d(x, v) >= i + 1."""
-    dist = c.metric_hint
-    n = dist(x, y) if levels is None else len(levels) - 1
+    """Project from x towards y through the interval levels read from x,
+    and re-verify the result with ``_verify_conditions``."""
+    n = len(levels) - 1
     if n == 0:
         return DirectedGeodesic(x, y, (Simplex.of([x]),))
     nbrs = c.neighbors
     simplices = [Simplex.of([x])]
     for i in range(n - 1):
         current = simplices[-1].verts
-        if levels is None:
-            candidates = sorted(
-                v for v in nbrs(current[0]).intersection(*map(nbrs, current[1:]))
-                if dist(v, y) == n - i - 1)
-        else:
-            candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
-                                                              levels[i + 1]))
+        candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
+                                                          levels[i + 1]))
         if not candidates:
             raise ConstructionFailed(
                 f"empty projection at step {i + 1} between {x} and {y}")
@@ -274,16 +301,20 @@ def layers(c: FlagComplex, x, y) -> Layers:
     The geodesic from y to x is reindexed to run in the same direction as
     the one from x to y, so layer i holds sigma_i and tau_i side by side.
     Thickness distances are measured in the ambient complex; layers are
-    convex, so the value is realized inside the layer. On plane windows the
+    convex, so the value is realized inside the layer. On plane windows both
+    geodesics take the closed form (see ``directed_geodesic``) and the
     levels are not built: each layer's vertices are computed when first read
     (see ``Layer``).
     """
     levels = _safe_levels(c, x, y)
-    sigma_geo = _project(c, x, y, levels)
-    tau_geo = _project(c, y, x, None if levels is None else levels[::-1])
     if levels is None:
+        sigma_geo = _closed_form(c, x, y)
+        tau_geo = _closed_form(c, y, x)
         read = _LevelReader(c, x, y)
         levels = [partial(read, i) for i in range(len(sigma_geo) + 1)]
+    else:
+        sigma_geo = _project(c, x, y, levels)
+        tau_geo = _project(c, y, x, levels[::-1])
     n = len(levels) - 1
     items = []
     for i, level in enumerate(levels):

@@ -108,6 +108,58 @@ def interval_corners(x: Axial, y: Axial) -> Tuple[Axial, Axial, Axial, Axial]:
     return (x, (x[0], x[1] + p + q), (x[0] + p, x[1] - p), y)
 
 
+def directed_simplices(x: Axial, y: Axial) -> Tuple[Tuple[Axial, ...], ...]:
+    """The simplices of the directed geodesic from x to y, as sorted vertex
+    tuples from (x,) to (y,).
+
+    Write the interval box (``interval_corners``) as x, x + a*d1, x + b*d2
+    and y, with d1 and d2 unit offsets 60 degrees apart. For k < min(a, b),
+    sigma_2k = x + k(d1 + d2) and sigma_2k+1 = {sigma_2k + d1, sigma_2k + d2};
+    after that, single vertices run along the longer side to y. Each step
+    is the projection of ``directed._project``: the common neighbours of
+    sigma_i one level nearer to y are the two vertices one offset further
+    on while the box has width in both directions, and one vertex after.
+    """
+    p = y[0] - x[0]
+    q = y[1] - x[1]
+    if p * q >= 0:
+        d1, a = (1 if p > 0 else -1, 0), abs(p)
+        d2, b = (0, 1 if q > 0 else -1), abs(q)
+    elif abs(p) >= abs(q):
+        s = 1 if p > 0 else -1
+        d1, a = (s, 0), abs(p + q)
+        d2, b = (s, -s), abs(q)
+    else:
+        s = 1 if q > 0 else -1
+        d1, a = (0, s), abs(p + q)
+        d2, b = (-s, s), abs(p)
+    u, v = x
+    out = []
+    for _ in range(min(a, b)):
+        out.append(((u, v),))
+        e, f = (u + d1[0], v + d1[1]), (u + d2[0], v + d2[1])
+        out.append((e, f) if e < f else (f, e))
+        u += d1[0] + d2[0]
+        v += d1[1] + d2[1]
+    du, dv = d1 if a > b else d2
+    for _ in range(abs(a - b)):
+        out.append(((u, v),))
+        u += du
+        v += dv
+    out.append(((u, v),))
+    return tuple(out)
+
+
+def is_lattice_clique(verts) -> bool:
+    """Whether every two of the vertices differ by a unit offset: they span
+    a simplex of the lattice, and none is repeated."""
+    for i, (a, b) in enumerate(verts):
+        for c, d in verts[i + 1:]:
+            if (c - a, d - b) not in _OFFSET_SET:
+                return False
+    return True
+
+
 def segment(a: Axial, b: Axial) -> Tuple[Axial, ...]:
     """The lattice points from a to b in order, for b - a a multiple of a
     unit offset: the vertices of the straight lattice segment [a, b]."""

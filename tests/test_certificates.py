@@ -3,15 +3,18 @@ pair-loop and Fraction forms in ``oracles``, and one negative case per
 certificate that must still fire with its old exception and message."""
 
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import oracles
 from syslab import cat0, chardisk, eplane, euclid, samples
 from syslab.complexes import FlagComplex, Simplex, ball_of_simplex, residue
-from syslab.directed import (DirectedGeodesic, ThickInterval, _verify_conditions,
-                             directed_geodesic, layers, thick_intervals)
+from syslab.directed import (DirectedGeodesic, ThickInterval, _certify_chain,
+                             _verify_conditions, directed_geodesic, layers,
+                             thick_intervals)
 from syslab.errors import BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat
 from syslab.exact import PlanePoint
 
@@ -39,8 +42,14 @@ def _corruptions(geo):
 
 
 def _agree_on_geodesic(c, geo):
+    """The postcondition and its oracle on the geodesic and its corruptions;
+    on a plane window also the lattice certificate, which must pass the
+    geodesic and, whenever it refuses a corruption, give the oracle's text.
+    Returns how many corruptions the postcondition refused."""
     assert _outcome(_verify_conditions, c, geo) is None
     assert oracles.verify_conditions(c, geo) is None
+    if c.plane_backed:
+        assert _outcome(_certify_chain, geo) is None
     for s in geo.simplices:
         assert residue(c, s) == oracles.residue(c, s)
         assert ball_of_simplex(c, s) == oracles.ball_of_simplex(c, s)
@@ -53,6 +62,9 @@ def _agree_on_geodesic(c, geo):
         new = _outcome(_verify_conditions, c, bad)
         assert new == _outcome(oracles.verify_conditions, c, bad), bad
         fired += new is not None
+        if c.plane_backed:
+            certified = _outcome(_certify_chain, bad)
+            assert certified is None or certified == new, bad
     return fired
 
 
@@ -180,12 +192,29 @@ def test_corrupted_directed_geodesic_fails_residue_ball(window42):
     with pytest.raises(ConditionViolated) as old:
         oracles.verify_conditions(window42, bad)
     assert str(new.value) == str(old.value) == message
+    # Only the residue/ball condition catches an edge cut down to one of its
+    # ends: the chain still runs from x to y through simplices that pairwise
+    # span simplices. The plane certificate does not check that condition,
+    # so it passes this corruption; the closed form never builds it.
+    _certify_chain(bad)
     sims[i] = sims[i - 1]
-    with pytest.raises(ConditionViolated, match=r"are not disjoint$"):
-        _verify_conditions(window42, DirectedGeodesic(geo.source, geo.target, tuple(sims)))
+    for check in (partial(_verify_conditions, window42), _certify_chain):
+        with pytest.raises(ConditionViolated, match=r"are not disjoint$"):
+            check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
     sims[i] = Simplex.of([(4, 2)])
-    with pytest.raises(ConditionViolated, match=r"do not span a simplex$"):
-        _verify_conditions(window42, DirectedGeodesic(geo.source, geo.target, tuple(sims)))
+    for check in (partial(_verify_conditions, window42), _certify_chain):
+        with pytest.raises(ConditionViolated, match=r"do not span a simplex$"):
+            check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
+
+
+def test_plane_certificate_needs_the_pair_as_ends(window42):
+    """A chain that starts or ends elsewhere fails the certificate, though
+    its consecutive simplices span simplices."""
+    geo = directed_geodesic(window42, (0, 0), (4, 2))
+    for source, target in (((1, 0), (4, 2)), ((0, 0), (3, 2))):
+        message = f"simplices do not run from {source} to {target}"
+        with pytest.raises(ConditionViolated, match=f"^{re.escape(message)}$"):
+            _certify_chain(DirectedGeodesic(source, target, geo.simplices))
 
 
 def test_triangle_count_mismatch_is_not_flat(window42):

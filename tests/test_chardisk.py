@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -131,7 +132,8 @@ def test_characteristic_map_monotone(hexagon_setup):
 
 
 def test_development_in_book():
-    """Disk extraction away from the plane exercises the real development."""
+    """Disk extraction away from the plane exercises the real development,
+    and checks each disk's layer geometry once."""
     book = samples.book_window(3, 12)
     bf = samples.book_flat_embedding
     ls = layers(book, bf((-3, 1)), bf((5, -2)))
@@ -139,7 +141,10 @@ def test_development_in_book():
     assert ivs
     for iv in ivs:
         cyc = boundary_cycle(book, iv, ls)
-        disk = extract_flat_disk(book, cyc)
+        with mock.patch.object(chardisk, "_check_layer_geometry",
+                               wraps=chardisk._check_layer_geometry) as geometry:
+            disk = extract_flat_disk(book, cyc)
+        assert geometry.call_count == 1
         # the development is isometric: check a sample of pairs explicitly
         region = sorted(disk.region)
         for a in region:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from syslab import eplane, samples
+from syslab import directed, eplane, samples
 from syslab.complexes import FlagComplex, materialize_window
 from syslab.directed import (Layer, directed_geodesic, layers, map_geodesic,
                              require_pair_safe, thick_intervals)
@@ -43,6 +43,25 @@ def test_uniqueness_oracle_sample(window42):
         constructed = tuple(frozenset(s.verts)
                             for s in directed_geodesic(window42, x, y))
         assert found[0] == constructed
+
+
+def test_closed_form_matches_projection_on_bfs_levels():
+    """The plane closed form against the projection with its full
+    postcondition on the BFS levels of the window's BFS twin, and on the
+    window's own levels, for every difference of length 1 to 12 in both
+    directions; the window is translation-equivariant, so this is every
+    plane pair within distance 12."""
+    c = eplane.window((0, 0), 14)
+    twin = materialize_window((0, 0), eplane.neighbors, 14)
+    pairs = 0
+    for y in sorted(c.vertices()):
+        if 1 <= eplane.lattice_distance((0, 0), y) <= 12:
+            for a, b in (((0, 0), y), (y, (0, 0))):
+                geo = directed_geodesic(c, a, b)
+                assert geo == directed._project(twin, a, b, twin.interval_levels(a, b)), (a, b)
+                assert geo == directed._project(c, a, b, c.interval_levels(a, b)), (a, b)
+                pairs += 1
+    assert pairs == 2 * 468
 
 
 def test_construction_fails_on_octahedron():
