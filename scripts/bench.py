@@ -50,11 +50,13 @@ the processes, with the values themselves (``runs``); a count such as
   Not gated.
 - ``convexity_curve``: seconds per ``is_convex`` call on the ball of
   radius r = 2, 4, 6, 8 around the spine vertex (0, 0, 0) of
-  ``book_window(4, 12)`` (median of ``CONVEXITY_REPEATS``), with the
-  window's ``distance_matrix`` warmed untimed on both sides and a garbage
-  collection before each call, and ``ratio_8_2`` = t(8) / t(2). The ball
-  grows with r, so the curve shows how a kernel scales with |A|, which the
-  book-metric workload's balls of radius 2-6 cannot. Not gated.
+  ``book_window(4, 12)``, and ``ratio_8_2`` = t(8) / t(2). Each sample
+  times a loop of ``calls`` calls, doubled from 1 until one loop lasts at
+  least ``CONVEXITY_SAMPLE_S``, after a garbage collection, and the value
+  is the median of ``CONVEXITY_REPEATS`` samples divided by ``calls``; a
+  single sub-millisecond call is too short to time on a shared machine.
+  The ball grows with r, so the curve shows how a kernel scales with |A|,
+  which the book-metric workload's balls of radius 2-6 cannot. Not gated.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
 - ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
   ``tests/``) on each side, with pytest's closing summary line.
@@ -88,6 +90,7 @@ CONSTRUCTION_LENGTHS = (32, 64, 128)
 CONSTRUCTION_REPEATS = 5
 CONVEXITY_RADII = (2, 4, 6, 8)
 CONVEXITY_REPEATS = 5
+CONVEXITY_SAMPLE_S = 0.02
 # stage name -> (module, candidate functions, first found wins); the stages
 # do not call one another
 STAGES = {
@@ -326,26 +329,32 @@ def construction_worker() -> dict:
 
 
 def convexity_worker() -> dict:
-    """Time is_convex on spine balls of book_window(4, 12); run with the
-    side's src/ on PYTHONPATH."""
+    """Time is_convex on spine balls of book_window(4, 12), a loop of calls
+    per sample; run with the side's src/ on PYTHONPATH."""
     import gc
 
     from syslab import complexes, samples
 
     c = samples.book_window(4, 12)
-    c.distance_matrix()
+
+    def loop(ball, calls):
+        gc.collect()
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            convex = complexes.is_convex(c, ball)
+        if convex is not True:
+            raise SystemExit(f"spine ball of {len(ball)} vertices read as not convex")
+        return time.perf_counter() - t0
+
     out = {}
     for r in CONVEXITY_RADII:
         ball = tuple(sorted(c.bfs_distances((0, 0, 0), budget=r)))
-        times = []
-        for _ in range(CONVEXITY_REPEATS):
-            gc.collect()
-            t0 = time.perf_counter()
-            convex = complexes.is_convex(c, ball, 2 * r)
-            times.append(time.perf_counter() - t0)
-        if convex is not True:
-            raise SystemExit(f"spine ball of radius {r} read as not convex")
-        out[f"r{r}"] = {"ball_size": len(ball), "seconds": statistics.median(times)}
+        calls = 1
+        while loop(ball, calls) < CONVEXITY_SAMPLE_S:
+            calls *= 2
+        times = [loop(ball, calls) / calls for _ in range(CONVEXITY_REPEATS)]
+        out[f"r{r}"] = {"ball_size": len(ball), "calls": calls,
+                        "seconds": statistics.median(times)}
     out["ratio_8_2"] = out["r8"]["seconds"] / out["r2"]["seconds"]
     return out
 

@@ -38,16 +38,14 @@ def _apply_overrides(scenario, args):
         scenario.seed = args.seed
     constants = getattr(args, "constants", None)
     if constants:
-        kwargs = {"empirical": True}
+        values = {"C": scenario.constants.C, "D": scenario.constants.D}
         for chunk in constants.split(","):
             key, _, value = chunk.partition("=")
             key = key.strip()
-            if key not in ("C", "D"):
+            if key not in values:
                 raise ScenarioParseError(f"unknown constant {key!r}")
-            kwargs[key] = _parse_value("--constants", key, "int", value)
-        base = dict(C=scenario.constants.C, D=scenario.constants.D)
-        base.update({k: v for k, v in kwargs.items() if k != "empirical"})
-        scenario.constants = GoodnessConstants(empirical=True, **base)
+            values[key] = _parse_value("--constants", key, "nonnegative", value)
+        scenario.constants = GoodnessConstants(empirical=True, **values)
 
 
 def main(argv=None) -> int:

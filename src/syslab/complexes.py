@@ -59,20 +59,20 @@ class FlagComplex:
 
     ``margin`` maps each vertex to its hop distance to the nearest vertex
     missing from a materialized window; ``None`` marks a complete complex.
-    ``convex_window`` asserts the window is a combinatorial ball of a locally
-    6-large complex, whose convexity makes every internal BFS distance true.
     ``systolic`` attests that the complex is systolic (connected, simply
-    connected, locally 6-large), which ``is_convex`` needs; it is taken on
-    trust, never verified, and only constructors that hold it by
-    construction pass it.
+    connected, locally 6-large), which ``is_convex`` needs; on a window it
+    attests a ball of a systolic complex, hence convex, so every internal
+    BFS distance is true and the metric is trusted. It is taken on trust,
+    never verified, and only constructors that hold it by construction
+    pass it.
     ``plane_ball = (center, radius)`` is the whole input of a ball window of
     the triangulated plane in axial coordinates: the complex generates its
     graph, each vertex of ``eplane.ball_margins`` joined to its lattice
     neighbours in the ball, and refuses ``adjacency`` or ``margin`` beside
     it. Balls of a systolic complex are convex (Januszkiewicz-Swiatkowski,
     Simplicial nonpositive curvature, 2006), so the ball settles every
-    metric question: the window is a ``convex_window`` and ``systolic``
-    (a convex subcomplex of the systolic plane), ``plane_backed`` is
+    metric question: the window is ``systolic`` (a convex subcomplex of the
+    systolic plane), ``plane_backed`` is
     ``plane_ball is not None``, ``metric_hint`` is then
     ``eplane.lattice_distance`` (``None`` elsewhere) and the margin of v is
     radius - lattice_distance(center, v). A given graph is checked for
@@ -88,7 +88,6 @@ class FlagComplex:
 
     def __init__(self, adjacency: Optional[Mapping[VertexId, Iterable[VertexId]]] = None, *,
                  margin: Optional[Mapping[VertexId, int]] = None,
-                 convex_window: bool = False,
                  systolic: bool = False,
                  plane_ball: Optional[tuple] = None,
                  name: str = ""):
@@ -103,7 +102,7 @@ class FlagComplex:
             own = {v: v for v in margin}
             adj = {v: frozenset(filter(None, map(own.get, eplane.neighbors(v))))
                    for v in margin}
-            convex_window = systolic = True
+            systolic = True
         else:
             own = None
             adj = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
@@ -117,7 +116,6 @@ class FlagComplex:
         self._own = own
         self._margin = dict(margin) if margin is not None else None
         self.metric_hint = eplane.lattice_distance if plane_backed else None
-        self.convex_window = convex_window
         self.systolic = systolic
         self.plane_backed = plane_backed
         self.plane_ball = plane_ball
@@ -154,7 +152,7 @@ class FlagComplex:
 
     @property
     def trusts_metric(self) -> bool:
-        return self.is_complete or self.convex_window or self.plane_backed
+        return self.is_complete or self.systolic
 
     def margin(self, v) -> Optional[int]:
         """Hop distance from v to the window boundary; None means unbounded."""
@@ -218,23 +216,16 @@ class FlagComplex:
     def interval_levels(self, x, y) -> tuple:
         """The interval [x, y] as its d(x, y) + 1 level sets.
 
-        Level i holds the vertices on x-y geodesics at distance i from x.
-        On plane-backed complexes level i is the lattice segment between the
-        i-th vertices of the two corner geodesics (``eplane.corner_geodesic``
-        from x and from y), which bound the interval box; only its members
-        of the complex are kept, as the complex's own vertex objects. The
-        plane pipeline reads layers as distance predicates (``directed``)
-        and calls this only to name a margin violation, or when a caller
-        reads ``Layer.vertices``. Other complexes run one BFS from x that
-        stops once y is discovered, and walk back from y along edges that
-        step one closer to x.
+        Level i holds the vertices on x-y geodesics at distance i from x. One
+        BFS from x stops once y is discovered, and the walk back from y keeps
+        the edges that step one closer to x. On a plane window x and y are
+        first mapped to the window's own vertex objects, so the levels hold
+        only those. The plane pipeline reads layers as distance predicates
+        (``directed``) and calls this only when a caller reads
+        ``Layer.vertices``.
         """
-        if self.plane_backed:
-            own = self._own
-            return tuple(
-                frozenset(own[v] for v in eplane.segment(a, b) if v in own)
-                for a, b in zip(eplane.corner_geodesic(x, y),
-                                reversed(eplane.corner_geodesic(y, x))))
+        if self._own is not None:
+            x, y = self._own[x], self._own[y]
         if x == y:
             return (frozenset([x]),)
         from_x = self.bfs_distances(x, until=(y,))
@@ -495,8 +486,7 @@ def materialize_window(center, neighbors_fn, radius: int, *,
     adjacency = {v: inner[v] if v in inner else [u for u in neighbors_fn(v) if u in depth]
                  for v in depth}
     margin = {v: radius - d for v, d in depth.items()}
-    return FlagComplex(adjacency, margin=margin, convex_window=convex,
-                       systolic=convex, name=name)
+    return FlagComplex(adjacency, margin=margin, systolic=convex, name=name)
 
 
 def parse_complex_text(text: str, name="") -> FlagComplex:

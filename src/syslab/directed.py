@@ -9,11 +9,11 @@ is the iterated sphere projection
 with both defining conditions re-verified as a postcondition, so a
 non-systolic input or a truncation artifact fails loudly rather than
 producing a quietly wrong sequence. On a plane window the sequence has a
-closed form (``eplane.directed_simplices``) and is certified in O(n) by
-lattice arithmetic instead: it runs from x to y, and consecutive simplices
-are disjoint and span a simplex. The residue/ball condition is not checked
-there at run time; the projection with its full postcondition is the
-closed form's test oracle.
+closed form (``eplane.directed_simplices``) and is certified in O(n) on
+the window's neighbour sets instead: it runs from x to y, and consecutive
+simplices are disjoint and span a simplex (``_check_spans``). The
+residue/ball condition is not checked there at run time; the projection
+with its full postcondition is the closed form's test oracle.
 """
 
 from __future__ import annotations
@@ -221,25 +221,31 @@ def _closed_form(c: FlagComplex, x, y) -> DirectedGeodesic:
     own = c.vertex
     geo = DirectedGeodesic(x, y, tuple(Simplex(tuple(map(own, verts)))
                                        for verts in eplane.directed_simplices(x, y)))
-    _certify_chain(geo)
+    _certify_chain(c, geo)
     return geo
 
 
-def _certify_chain(geo: DirectedGeodesic):
-    """The O(n) certificate of a plane directed geodesic: every two vertices
-    of consecutive simplices differ by a unit lattice offset, so consecutive
-    simplices are disjoint and span a simplex, with the texts of
-    ``_verify_conditions``; then sigma_0 = x and sigma_n = y. The
-    residue/ball condition of ``_verify_conditions`` is not checked."""
+def _certify_chain(c: FlagComplex, geo: DirectedGeodesic):
+    """The O(n) certificate of a plane directed geodesic: the spans of
+    ``_check_spans``, then sigma_0 = x and sigma_n = y. The residue/ball
+    condition of ``_verify_conditions`` is not checked."""
     sims = geo.simplices
-    for a, b in zip(sims, sims[1:]):
-        if not eplane.is_lattice_clique(a.verts + b.verts):
-            if not a.isdisjoint(b):
-                raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
-            raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
+    _check_spans(c, sims)
     if sims[0].verts != (geo.source,) or sims[-1].verts != (geo.target,):
         raise ConditionViolated(
             f"simplices do not run from {geo.source} to {geo.target}")
+
+
+def _check_spans(c: FlagComplex, sims):
+    """Consecutive simplices are disjoint and jointly span a simplex. A
+    repeated vertex is not adjacent to itself, so two simplices that jointly
+    form a clique are disjoint; disjointness is only tested to name the
+    failure."""
+    for a, b in zip(sims, sims[1:]):
+        if not c.is_clique(a.verts + b.verts):
+            if not a.isdisjoint(b):
+                raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
+            raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
 
 
 def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
@@ -269,20 +275,12 @@ def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
 
 
 def _verify_conditions(c: FlagComplex, geo: DirectedGeodesic):
-    """Consecutive simplices are disjoint and span a simplex, and every
-    interior sigma_i is Res(sigma_{i-1}) meet B_1(sigma_{i+1}).
-
-    A repeated vertex is not adjacent to itself, so two simplices that
-    jointly form a clique are disjoint; disjointness is only tested to name
-    the failure. The spans make every simplex a clique of the complex, so
-    the residue is read off as common neighbours without validating it
-    again."""
+    """The spans of ``_check_spans``, and every interior sigma_i is
+    Res(sigma_{i-1}) meet B_1(sigma_{i+1}). The spans make every simplex a
+    clique of the complex, so the residue is read off as common neighbours
+    without validating it again."""
     sims = geo.simplices
-    for a, b in zip(sims, sims[1:]):
-        if not c.is_clique(a.verts + b.verts):
-            if not a.isdisjoint(b):
-                raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
-            raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
+    _check_spans(c, sims)
     nbrs = c.neighbors
     for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
         res = nbrs(before.verts[0]).intersection(*map(nbrs, before.verts[1:]))

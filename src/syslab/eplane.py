@@ -68,23 +68,31 @@ def embed(v: Axial) -> PlanePoint:
     return PlanePoint(2 * v[0], 2 * v[1])
 
 
+def _box(x: Axial, y: Axial) -> Tuple[Axial, int, Axial, int]:
+    """The interval box of x and y as (d1, a, d2, b), with d1 and d2 unit
+    offsets 60 degrees apart: its corners are x, x + a*d1, x + b*d2 and y.
+    The box's one sign case split; the other plane functions read it here."""
+    p = y[0] - x[0]
+    q = y[1] - x[1]
+    if p * q >= 0:
+        return (1 if p > 0 else -1, 0), abs(p), (0, 1 if q > 0 else -1), abs(q)
+    if abs(p) >= abs(q):
+        s = 1 if p > 0 else -1
+        return (s, 0), abs(p + q), (s, -s), abs(q)
+    s = 1 if q > 0 else -1
+    return (0, s), abs(p + q), (-s, s), abs(p)
+
+
 def corner_geodesic(x: Axial, y: Axial) -> Tuple[Axial, ...]:
-    """The extreme monotone geodesic: one lattice direction, then the other.
+    """The extreme monotone geodesic: along one side of the interval box,
+    then the other (d1 first when d2 is the vertical offset, d2 first
+    otherwise).
 
     The farthest geodesic from the straight segment between the endpoints;
     useful as the empirical contrast to pipeline-selected geodesics.
     """
-    p, q = y[0] - x[0], y[1] - x[1]
-    if p * q >= 0:
-        sa = 1 if p > 0 else -1
-        sb = 1 if q > 0 else -1
-        steps = [(sa, 0)] * abs(p) + [(0, sb)] * abs(q)
-    elif abs(p) >= abs(q):
-        sa = 1 if p > 0 else -1
-        steps = [(sa, -sa)] * abs(q) + [(sa, 0)] * (abs(p) - abs(q))
-    else:
-        sb = 1 if q > 0 else -1
-        steps = [(-sb, sb)] * abs(p) + [(0, sb)] * (abs(q) - abs(p))
+    d1, a, d2, b = _box(x, y)
+    steps = [d1] * a + [d2] * b if d2[0] == 0 else [d2] * b + [d1] * a
     out = [x]
     for da, db in steps:
         out.append((out[-1][0] + da, out[-1][1] + db))
@@ -92,27 +100,23 @@ def corner_geodesic(x: Axial, y: Axial) -> Tuple[Axial, ...]:
 
 
 def interval_corners(x: Axial, y: Axial) -> Tuple[Axial, Axial, Axial, Axial]:
-    """The four corners of the interval box of x and y, x and y among them.
+    """The four corners of the interval box of x and y, in the order x,
+    x + a*d1, x + b*d2, y of ``_box``.
 
     The lattice vertices on geodesics from x to y are the lattice points of
     the parallelogram these corners span (flat when x and y share a lattice
     line), so a convex function of the vertex, such as the distance from a
     fixed vertex, takes its largest value on the interval at a corner.
     """
-    p = y[0] - x[0]
-    q = y[1] - x[1]
-    if p * q >= 0:
-        return (x, (x[0] + p, x[1]), (x[0], x[1] + q), y)
-    if abs(p) >= abs(q):
-        return (x, (x[0] + p + q, x[1]), (x[0] - q, x[1] + q), y)
-    return (x, (x[0], x[1] + p + q), (x[0] + p, x[1] - p), y)
+    (e, f), a, (g, h), b = _box(x, y)
+    return (x, (x[0] + a * e, x[1] + a * f), (x[0] + b * g, x[1] + b * h), y)
 
 
 def directed_simplices(x: Axial, y: Axial) -> Tuple[Tuple[Axial, ...], ...]:
     """The simplices of the directed geodesic from x to y, as sorted vertex
     tuples from (x,) to (y,).
 
-    Write the interval box (``interval_corners``) as x, x + a*d1, x + b*d2
+    Write the interval box (``_box``) as x, x + a*d1, x + b*d2
     and y, with d1 and d2 unit offsets 60 degrees apart. For k < min(a, b),
     sigma_2k = x + k(d1 + d2) and sigma_2k+1 = {sigma_2k + d1, sigma_2k + d2};
     after that, single vertices run along the longer side to y. Each step
@@ -120,19 +124,7 @@ def directed_simplices(x: Axial, y: Axial) -> Tuple[Tuple[Axial, ...], ...]:
     sigma_i one level nearer to y are the two vertices one offset further
     on while the box has width in both directions, and one vertex after.
     """
-    p = y[0] - x[0]
-    q = y[1] - x[1]
-    if p * q >= 0:
-        d1, a = (1 if p > 0 else -1, 0), abs(p)
-        d2, b = (0, 1 if q > 0 else -1), abs(q)
-    elif abs(p) >= abs(q):
-        s = 1 if p > 0 else -1
-        d1, a = (s, 0), abs(p + q)
-        d2, b = (s, -s), abs(q)
-    else:
-        s = 1 if q > 0 else -1
-        d1, a = (0, s), abs(p + q)
-        d2, b = (-s, s), abs(p)
+    d1, a, d2, b = _box(x, y)
     u, v = x
     out = []
     for _ in range(min(a, b)):
@@ -148,16 +140,6 @@ def directed_simplices(x: Axial, y: Axial) -> Tuple[Tuple[Axial, ...], ...]:
         v += dv
     out.append(((u, v),))
     return tuple(out)
-
-
-def is_lattice_clique(verts) -> bool:
-    """Whether every two of the vertices differ by a unit offset: they span
-    a simplex of the lattice, and none is repeated."""
-    for i, (a, b) in enumerate(verts):
-        for c, d in verts[i + 1:]:
-            if (c - a, d - b) not in _OFFSET_SET:
-                return False
-    return True
 
 
 def segment(a: Axial, b: Axial) -> Tuple[Axial, ...]:

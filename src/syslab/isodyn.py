@@ -303,11 +303,13 @@ def invariant_geodesic_on_plane(h: eplane.PlaneIsometry, x: eplane.Axial,
 
 
 def _assert_geodesic(vertices):
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            if eplane.lattice_distance(vertices[i], vertices[j]) != j - i:
-                raise PreconditionViolated(
-                    f"constructed sequence is not a geodesic at ({i}, {j})")
+    """Unit steps and ends n steps apart, so every sub-path is a geodesic as
+    well (the argument of ``euclid._require_vertex_geodesic``)."""
+    n = len(vertices) - 1
+    pairs = [(i, i + 1) for i in range(n)] + ([(0, n)] if n > 1 else [])
+    for i, j in pairs:
+        if eplane.lattice_distance(vertices[i], vertices[j]) != j - i:
+            raise PreconditionViolated(f"constructed sequence is not a geodesic at ({i}, {j})")
 
 
 def _diff(u, v):

@@ -46,7 +46,8 @@ TASK_KINDS = {
 
 # [scenario], [constants] and [isometry NAME] keys
 SCENARIO_KEYS = {"name": ("text", None), "seed": ("int", None)}
-CONSTANTS_KEYS = {"C": ("int", None), "D": ("int", None), "empirical": ("bool", None)}
+CONSTANTS_KEYS = {"C": ("nonnegative", None), "D": ("nonnegative", None),
+                  "empirical": ("bool", None)}
 ISOMETRY_KEYS = {"map": ("isometry", REQUIRED)}
 
 # complex kind -> {parameter ComplexSpec.build reads: (type, default)}

@@ -28,7 +28,9 @@ that the sampler which replaced it makes the same draws and decisions.
 ``complexes.materialize_window``. ``interval_box`` (the closed-form
 interval of two lattice vertices) and ``brute_force_min_disk`` (an
 exhaustive search for the least number of triangles filling a short cycle)
-were library functions that only tests called. ``box_interval_levels``,
+were library functions that only tests called. ``corner_geodesic`` is the
+library's former corner walk, with its own sign case split, because it
+checks the walk that now reads the interval box. ``box_interval_levels``,
 ``scan_safe_levels`` (with ``scan_require_pair_safe`` and ``area_interval``)
 and ``area_extract_flat_disk`` are the library's former area-bound plane
 forms: the interval box split into levels, the margin scan over every level,
@@ -823,6 +825,26 @@ def interval_box(x, y):
         for s in range(q - p + 1):
             for t in range(p + 1):
                 yield (x[0] + t, x[1] - s - t)
+
+
+def corner_geodesic(x, y):
+    """The former ``eplane.corner_geodesic``, with its own sign case split:
+    the extreme monotone geodesic, one lattice direction, then the other."""
+    p, q = y[0] - x[0], y[1] - x[1]
+    if p * q >= 0:
+        sa = 1 if p > 0 else -1
+        sb = 1 if q > 0 else -1
+        steps = [(sa, 0)] * abs(p) + [(0, sb)] * abs(q)
+    elif abs(p) >= abs(q):
+        sa = 1 if p > 0 else -1
+        steps = [(sa, -sa)] * abs(q) + [(sa, 0)] * (abs(p) - abs(q))
+    else:
+        sb = 1 if q > 0 else -1
+        steps = [(-sb, sb)] * abs(p) + [(0, sb)] * (abs(q) - abs(p))
+    out = [x]
+    for da, db in steps:
+        out.append((out[-1][0] + da, out[-1][1] + db))
+    return tuple(out)
 
 
 def box_interval_levels(c, x, y):

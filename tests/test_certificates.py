@@ -49,7 +49,7 @@ def _agree_on_geodesic(c, geo):
     assert _outcome(_verify_conditions, c, geo) is None
     assert oracles.verify_conditions(c, geo) is None
     if c.plane_backed:
-        assert _outcome(_certify_chain, geo) is None
+        assert _outcome(_certify_chain, c, geo) is None
     for s in geo.simplices:
         assert residue(c, s) == oracles.residue(c, s)
         assert ball_of_simplex(c, s) == oracles.ball_of_simplex(c, s)
@@ -63,7 +63,7 @@ def _agree_on_geodesic(c, geo):
         assert new == _outcome(oracles.verify_conditions, c, bad), bad
         fired += new is not None
         if c.plane_backed:
-            certified = _outcome(_certify_chain, bad)
+            certified = _outcome(_certify_chain, c, bad)
             assert certified is None or certified == new, bad
     return fired
 
@@ -196,13 +196,13 @@ def test_corrupted_directed_geodesic_fails_residue_ball(window42):
     # ends: the chain still runs from x to y through simplices that pairwise
     # span simplices. The plane certificate does not check that condition,
     # so it passes this corruption; the closed form never builds it.
-    _certify_chain(bad)
+    _certify_chain(window42, bad)
     sims[i] = sims[i - 1]
-    for check in (partial(_verify_conditions, window42), _certify_chain):
+    for check in (partial(_verify_conditions, window42), partial(_certify_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"are not disjoint$"):
             check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
     sims[i] = Simplex.of([(4, 2)])
-    for check in (partial(_verify_conditions, window42), _certify_chain):
+    for check in (partial(_verify_conditions, window42), partial(_certify_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"do not span a simplex$"):
             check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
 
@@ -214,7 +214,7 @@ def test_plane_certificate_needs_the_pair_as_ends(window42):
     for source, target in (((1, 0), (4, 2)), ((0, 0), (3, 2))):
         message = f"simplices do not run from {source} to {target}"
         with pytest.raises(ConditionViolated, match=f"^{re.escape(message)}$"):
-            _certify_chain(DirectedGeodesic(source, target, geo.simplices))
+            _certify_chain(window42, DirectedGeodesic(source, target, geo.simplices))
 
 
 def test_triangle_count_mismatch_is_not_flat(window42):

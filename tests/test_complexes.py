@@ -382,3 +382,22 @@ def test_materialize_window_margins():
     assert "plane_backed" not in inspect.signature(materialize_window).parameters
     with pytest.raises(TypeError):
         materialize_window((0, 0), eplane.neighbors, 4, plane_backed=True)
+
+
+def test_window_not_asserted_convex_is_neither_systolic_nor_trusted():
+    """``convex=False`` attests nothing: the margin rule refuses every pair,
+    a distance must fit inside a margin, and the local convexity criterion
+    refuses to run. The same cut asserted convex is trusted."""
+    book = samples.book_neighbors(4)
+    c = materialize_window((0, 0, 0), book, 4, convex=False)
+    assert not c.systolic and not c.trusts_metric and not c.is_complete
+    with pytest.raises(BoundaryUnsafe, match="^window metric is not trusted"):
+        require_pair_safe(c, (0, 0, 0), (1, 0, 0))
+    with pytest.raises(BoundaryUnsafe, match="exceeds both margins"):
+        distance(c, (4, 0, 0), (0, 4, 3))
+    with pytest.raises(PreconditionViolated, match="is not attested systolic$"):
+        is_convex(c, [(0, 0, 0), (1, 0, 0)])
+    trusted = materialize_window((0, 0, 0), book, 4)
+    assert trusted.systolic and trusted.trusts_metric
+    assert require_pair_safe(trusted, (0, 0, 0), (1, 0, 0)) == 1
+    assert is_convex(trusted, [(0, 0, 0), (1, 0, 0)])

@@ -261,7 +261,7 @@ def test_ball_alone_makes_a_plane_window():
     lattice metric."""
     c = FlagComplex(plane_ball=((3, -2), 6), name="ball")
     bfs = materialize_window((3, -2), eplane.neighbors, 6)
-    assert c.plane_backed and c.convex_window and c.metric_hint is eplane.lattice_distance
+    assert c.plane_backed and c.systolic and c.metric_hint is eplane.lattice_distance
     assert {v: c.neighbors(v) for v in c.vertices()} == {
         v: bfs.neighbors(v) for v in bfs.vertices()}
     assert all(c.margin(v) == bfs.margin(v) == 6 - eplane.lattice_distance((3, -2), v)
@@ -285,5 +285,5 @@ def test_ball_alone_makes_a_plane_window():
     cut = {v: w.neighbors(v) - {(1, 0), (1, -1)} if v in ((1, 0), (1, -1))
            else w.neighbors(v) for v in w.vertices()}
     with pytest.raises(PreconditionViolated, match="from plane_ball alone"):
-        FlagComplex(cut, convex_window=True, plane_ball=((0, 0), 6))
+        FlagComplex(cut, systolic=True, plane_ball=((0, 0), 6))
     assert FlagComplex(cut).bfs_distances((1, 0))[(1, -1)] == 2

@@ -64,7 +64,7 @@ def test_window_matches_bfs_materialization(center):
         for v in bfs.vertices():
             assert c.neighbors(v) == bfs.neighbors(v)
             assert c.margin(v) == bfs.margin(v)
-        assert c.plane_ball == (center, radius) and c.convex_window
+        assert c.plane_ball == (center, radius) and c.systolic
         assert not bfs.plane_backed and bfs.plane_ball is None
 
 
@@ -127,7 +127,7 @@ def test_window_margins():
     assert w.margin((0, 0)) == 3
     assert w.margin((2, 0)) == 1
     assert w.margin((3, 0)) == 0
-    assert not w.is_complete and w.convex_window
+    assert not w.is_complete and w.systolic
 
 
 def test_isometry_examples():
@@ -184,3 +184,24 @@ def test_interval_box_matches_scan():
         y = (rng.randint(-3, 3), rng.randint(-3, 3))
         box = set(oracles.interval_box(x, y))
         assert box == oracles.interval_scan(c, x, y)
+
+
+def test_corner_geodesic_matches_former_walk():
+    """The walk read from the interval box takes the former walk's exact
+    path (the goodness sweep's ``corner_max`` depends on it). The box's
+    corners, read from the same box, lie in the interval, and the walk turns
+    at one of the two middle ones."""
+    for x in ((0, 0), (3, -5)):
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                y = (x[0] + p, x[1] + q)
+                if eplane.lattice_distance(x, y) > 12:
+                    continue
+                walk = eplane.corner_geodesic(x, y)
+                assert walk == oracles.corner_geodesic(x, y), (x, y)
+                corners = eplane.interval_corners(x, y)
+                assert corners[0] == x and corners[3] == y
+                n = len(walk) - 1
+                assert all(eplane.lattice_distance(x, v) + eplane.lattice_distance(v, y)
+                           == n for v in corners), (x, y)
+                assert corners[1] in walk or corners[2] in walk, (x, y)

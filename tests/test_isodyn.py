@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import oracles
 from syslab import eplane, samples
 from syslab.errors import (BoundaryUnsafe, Inconclusive, NotPlaneBacked,
                            NotTranslationLike, PreconditionViolated)
-from syslab.isodyn import (TableAction, axis_line_max_distance_sq,
+from syslab.isodyn import (TableAction, _assert_geodesic, axis_line_max_distance_sq,
                            central_good_geodesic, check_min_proximity,
                            convergence_diagnostic, displacement_set,
                            invariant_geodesic_on_plane, is_hyperbolic, min_set,
@@ -196,6 +197,31 @@ def test_invariant_geodesic_staircase():
                      (4, 3), (4, 4))
     assert axis_line_max_distance_sq(stair, eplane.translation(1, 1), (0, 0)) \
         == Fraction(1, 4)
+
+
+def test_assert_geodesic_checks_steps_and_ends():
+    """Unit steps plus ends n apart: a U-turn, a detour and a jump are
+    refused, a geodesic passes, and random walks get the all-pairs verdict
+    of ``oracles.is_geodesic``."""
+    _assert_geodesic(((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)))
+    _assert_geodesic(((0, 0),))
+    for bad in (((0, 0), (1, 0), (0, 0)),
+                ((0, 0), (1, 0), (1, 1), (0, 1)),
+                ((0, 0), (1, 0), (3, 0))):
+        with pytest.raises(PreconditionViolated, match="is not a geodesic at"):
+            _assert_geodesic(bad)
+    c = eplane.window((0, 0), 8)
+    rng = random.Random(11)
+    for _ in range(300):
+        walk = [(0, 0)]
+        for _ in range(rng.randint(1, 6)):
+            walk.append(rng.choice(eplane.neighbors(walk[-1])))
+        try:
+            _assert_geodesic(walk)
+            passed = True
+        except PreconditionViolated:
+            passed = False
+        assert passed == oracles.is_geodesic(c, walk), walk
 
 
 def test_invariant_geodesic_axis_line():

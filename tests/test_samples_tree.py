@@ -28,7 +28,7 @@ def test_flat_disk_counts():
 def test_book_spine_degree():
     b = samples.book_window(3, 4)
     assert len(b.neighbors((0, 0, 0))) == 2 + 2 * 3
-    assert b.convex_window and not b.plane_backed
+    assert b.systolic and not b.plane_backed
 
 
 def test_book_flat_embedding_isometric():

@@ -335,6 +335,29 @@ def test_cli_malformed_constants_override_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("head, constants, message", [
+    ("[constants]\nC = -5\nempirical = true\n\n[complex main]\nkind = eplane\n", None,
+     "[constants] key 'C': expected a nonnegative integer, got '-5'"),
+    ("[constants]\nD = -1\nempirical = true\n\n[complex main]\nkind = eplane\n", None,
+     "[constants] key 'D': expected a nonnegative integer, got '-1'"),
+    ("[complex main]\nkind = eplane\n", "C=-3",
+     "--constants key 'C': expected a nonnegative integer, got '-3'"),
+    ("[complex main]\nkind = eplane\n", "C=10,D=-30",
+     "--constants key 'D': expected a nonnegative integer, got '-30'"),
+], ids=["section-C", "section-D", "override-C", "override-D"])
+def test_cli_negative_constants_exit_2(tmp_path, capsys, head, constants, message):
+    scn = tmp_path / "neg.scn"
+    scn.write_text(head + "\n" + PIPELINE_TASK)
+    out = tmp_path / "r.json"
+    argv = ["run", str(scn), "--out", str(out)]
+    if constants is not None:
+        argv += ["--constants", constants]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unexpected_handler_error_is_reported(tmp_path, monkeypatch):
     def explode(scenario, task, record, rng, out_dir, c):
         raise ValueError("boom")
