@@ -50,11 +50,15 @@ the processes, with the values themselves (``runs``); a count such as
   Not gated.
 - ``convexity_curve``: seconds per ``is_convex`` call on the ball of
   radius r = 2, 4, 6, 8 around the spine vertex (0, 0, 0) of
-  ``book_window(4, 12)``, and ``ratio_8_2`` = t(8) / t(2). Each sample
-  times a loop of ``calls`` calls, doubled from 1 until one loop lasts at
-  least ``CONVEXITY_SAMPLE_S``, after a garbage collection, and the value
-  is the median of ``CONVEXITY_REPEATS`` samples divided by ``calls``; a
-  single sub-millisecond call is too short to time on a shared machine.
+  ``book_window(4, 12)``, and ``ratio_8_2`` = t(8) / t(2), read from
+  ``ref`` (below). Each sample times a loop of ``calls`` calls, doubled
+  from 1 until one loop lasts at least ``CONVEXITY_SAMPLE_S``, after a
+  garbage collection, and the value is the median of ``CONVEXITY_REPEATS``
+  samples divided by ``calls``; a single sub-millisecond call is too short
+  to time on a shared machine. ``ref`` is the median of the same samples,
+  each divided by the mean of ``perfbench/run.py``'s ``python_reference``
+  timed just before and just after it, as ``item_cost`` is: the machine's
+  speed moves from one process to the next, and the ratio cancels it.
   The ball grows with r, so the curve shows how a kernel scales with |A|,
   which the book-metric workload's balls of radius 2-6 cannot. Not gated.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
@@ -69,6 +73,7 @@ the processes, with the values themselves (``runs``); a count such as
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -328,14 +333,26 @@ def construction_worker() -> dict:
     return out
 
 
+def python_reference():
+    """``perfbench/run.py``'s plain-Python reference timing, loaded from its
+    file: ``perfbench/`` is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.python_reference
+
+
 def convexity_worker() -> dict:
     """Time is_convex on spine balls of book_window(4, 12), a loop of calls
-    per sample; run with the side's src/ on PYTHONPATH."""
+    per sample, in seconds and in units of the plain-Python reference timed
+    beside each sample; run with the side's src/ on PYTHONPATH."""
     import gc
 
     from syslab import complexes, samples
 
     c = samples.book_window(4, 12)
+    reference = python_reference()
 
     def loop(ball, calls):
         gc.collect()
@@ -352,10 +369,14 @@ def convexity_worker() -> dict:
         calls = 1
         while loop(ball, calls) < CONVEXITY_SAMPLE_S:
             calls *= 2
-        times = [loop(ball, calls) / calls for _ in range(CONVEXITY_REPEATS)]
+        times, costs = [], []
+        for _ in range(CONVEXITY_REPEATS):
+            before = reference()
+            times.append(loop(ball, calls) / calls)
+            costs.append(times[-1] / ((before + reference()) / 2))
         out[f"r{r}"] = {"ball_size": len(ball), "calls": calls,
-                        "seconds": statistics.median(times)}
-    out["ratio_8_2"] = out["r8"]["seconds"] / out["r2"]["seconds"]
+                        "seconds": statistics.median(times), "ref": statistics.median(costs)}
+    out["ratio_8_2"] = out["r8"]["ref"] / out["r2"]["ref"]
     return out
 
 

@@ -82,10 +82,7 @@ def main(argv=None) -> int:
             print(f"FAIL: link of {result.witness_vertex} contains the induced "
                   f"cycle {result.witness_cycle}")
             return 1
-    except ScenarioParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioParseError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except SyslabError as exc:

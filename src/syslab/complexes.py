@@ -220,9 +220,9 @@ class FlagComplex:
         BFS from x stops once y is discovered, and the walk back from y keeps
         the edges that step one closer to x. On a plane window x and y are
         first mapped to the window's own vertex objects, so the levels hold
-        only those. The plane pipeline reads layers as distance predicates
-        (``directed``) and calls this only when a caller reads
-        ``Layer.vertices``.
+        only those. The plane pipeline decides layer membership by distance
+        predicates (``directed.Layers.holds``) and never calls this; ``render``
+        does, to draw the layers.
         """
         if self._own is not None:
             x, y = self._own[x], self._own[y]

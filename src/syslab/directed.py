@@ -19,8 +19,7 @@ with its full postcondition is the closed form's test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import eplane
 from .complexes import FlagComplex, Simplex, ball_of_simplex
@@ -46,46 +45,16 @@ class DirectedGeodesic:
         return self.simplices[i]
 
 
-class Layer:
-    """Layer i between two vertices: the sphere intersection plus thickness.
+class Layer(NamedTuple):
+    """Layer i between two vertices: sigma_i and tau_i of the two directed
+    geodesics, side by side, and the thickness they realize; thin means
+    thickness at most 1. The layer's vertices, level i of the interval
+    [x, y], are the decomposition's (``Layers.levels``)."""
 
-    Thickness is defined relative to the two directed geodesics whose
-    simplices the layer stores; thin means thickness at most 1.
-
-    ``vertices`` is level i of the interval [x, y]. It is given either as a
-    frozenset or as a callable that returns one; the callable runs when the
-    level is first read. ``layers`` passes a callable on plane windows, whose
-    construction tests layer membership with ``Layers.holds`` and never
-    reads the level: only ``render`` and tests do.
-    """
-
-    __slots__ = ("index", "_vertices", "sigma", "tau", "thickness")
-
-    def __init__(self, index: int, vertices, sigma: Optional[Simplex],
-                 tau: Optional[Simplex], thickness: int):
-        self.index = index
-        self._vertices = vertices
-        self.sigma = sigma
-        self.tau = tau
-        self.thickness = thickness
-
-    @property
-    def vertices(self) -> frozenset:
-        if callable(self._vertices):
-            self._vertices = self._vertices()
-        return self._vertices
-
-    def _key(self):
-        return (self.index, self.vertices, self.sigma, self.tau, self.thickness)
-
-    def __eq__(self, other):
-        if not isinstance(other, Layer):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"Layer(index={self.index}, sigma={self.sigma}, tau={self.tau}, "
-                f"thickness={self.thickness})")
+    index: int
+    sigma: Optional[Simplex]
+    tau: Optional[Simplex]
+    thickness: int
 
     @property
     def thin(self) -> bool:
@@ -97,19 +66,21 @@ class Layer:
 
 
 class Layers(Sequence):
-    """The full layer decomposition of a vertex pair, indexable by layer."""
+    """The full layer decomposition of a vertex pair, indexable by layer.
 
-    def __init__(self, c, x, y, items, sigma_geo, tau_geo):
+    ``levels`` is the tuple of interval levels the decomposition was built
+    on, as ``_safe_levels`` returned it, or None on a plane window, which
+    never builds them."""
+
+    def __init__(self, c, x, y, items, sigma_geo, tau_geo, levels):
         self.complex = c
         self.x = x
         self.y = y
         self.items = tuple(items)
+        self.n = len(self.items) - 1
         self.sigma_geo = sigma_geo
         self.tau_geo = tau_geo
-
-    @property
-    def n(self):
-        return len(self.items) - 1
+        self.levels = levels
 
     def __len__(self):
         return len(self.items)
@@ -118,13 +89,13 @@ class Layers(Sequence):
         return self.items[i]
 
     def holds(self, i: int, v) -> bool:
-        """Whether v lies in layer i. On a plane window this is the distance
-        predicate d(x, v) == i and d(v, y) == n - i, and no level is built."""
+        """Whether v lies in layer i: v in level i, or without levels the
+        distance predicate d(x, v) == i and d(v, y) == n - i."""
+        if self.levels is not None:
+            return v in self.levels[i]
         c = self.complex
-        if c.plane_backed:
-            dist = c.metric_hint
-            return v in c and dist(self.x, v) == i and dist(v, self.y) == self.n - i
-        return v in self.items[i].vertices
+        return (v in c and c.true_distance(self.x, v) == i
+                and c.true_distance(v, self.y) == self.n - i)
 
     def thickness_profile(self) -> Tuple[int, ...]:
         return tuple(layer.thickness for layer in self.items)
@@ -132,9 +103,10 @@ class Layers(Sequence):
     def reversed(self) -> "Layers":
         """The decomposition of (y, x): layer i becomes layer n - i and the
         two directed geodesics swap roles."""
-        items = [Layer(i, layer._vertices, layer.tau, layer.sigma, layer.thickness)
+        items = [Layer(i, layer.tau, layer.sigma, layer.thickness)
                  for i, layer in enumerate(self.items[::-1])]
-        return Layers(self.complex, self.y, self.x, items, self.tau_geo, self.sigma_geo)
+        return Layers(self.complex, self.y, self.x, items, self.tau_geo, self.sigma_geo,
+                      None if self.levels is None else self.levels[::-1])
 
 
 @dataclass(frozen=True)
@@ -165,7 +137,7 @@ def require_pair_safe(c: FlagComplex, x, y) -> int:
     in the first level that has one. Returns d(x, y).
     """
     levels = _safe_levels(c, x, y)
-    return c.metric_hint(x, y) if levels is None else len(levels) - 1
+    return c.true_distance(x, y) if levels is None else len(levels) - 1
 
 
 def _safe_levels(c: FlagComplex, x, y) -> Optional[tuple]:
@@ -299,40 +271,21 @@ def layers(c: FlagComplex, x, y) -> Layers:
     The geodesic from y to x is reindexed to run in the same direction as
     the one from x to y, so layer i holds sigma_i and tau_i side by side.
     Thickness distances are measured in the ambient complex; layers are
-    convex, so the value is realized inside the layer. On plane windows both
-    geodesics take the closed form (see ``directed_geodesic``) and the
-    levels are not built: each layer's vertices are computed when first read
-    (see ``Layer``).
+    convex, so the value is realized inside the layer. The decomposition
+    keeps the levels it was built on (``Layers.levels``); on plane windows
+    both geodesics take the closed form (see ``directed_geodesic``) and no
+    level is built.
     """
     levels = _safe_levels(c, x, y)
     if levels is None:
         sigma_geo = _closed_form(c, x, y)
         tau_geo = _closed_form(c, y, x)
-        read = _LevelReader(c, x, y)
-        levels = [partial(read, i) for i in range(len(sigma_geo) + 1)]
     else:
         sigma_geo = _project(c, x, y, levels)
         tau_geo = _project(c, y, x, levels[::-1])
-    n = len(levels) - 1
-    items = []
-    for i, level in enumerate(levels):
-        sigma = sigma_geo[i]
-        tau = tau_geo[n - i]
-        items.append(Layer(i, level, sigma, tau, _thickness(c, sigma, tau)))
-    return Layers(c, x, y, items, sigma_geo, tau_geo)
-
-
-class _LevelReader:
-    """Level i of [x, y] on call; all levels are built by the first call."""
-
-    def __init__(self, c: FlagComplex, x, y):
-        self.complex, self.x, self.y = c, x, y
-        self.levels = None
-
-    def __call__(self, i: int) -> frozenset:
-        if self.levels is None:
-            self.levels = self.complex.interval_levels(self.x, self.y)
-        return self.levels[i]
+    items = [Layer(i, sigma, tau, _thickness(c, sigma, tau))
+             for i, (sigma, tau) in enumerate(zip(sigma_geo, tau_geo.simplices[::-1]))]
+    return Layers(c, x, y, items, sigma_geo, tau_geo, levels)
 
 
 def _thickness(c: FlagComplex, sigma: Simplex, tau: Simplex) -> int:

@@ -210,6 +210,9 @@ def _require_vertex_geodesic(c: FlagComplex, verts: Tuple):
         if u not in c or v not in c or not c.adjacent(u, v):
             raise PreconditionViolated(
                 f"not a vertex geodesic: step {a} from {u} to {v} is not an edge")
+    if not verts or verts[0] not in c:  # longer sequences fail a step above
+        raise PreconditionViolated(
+            f"not a vertex geodesic: {verts} has no vertex in the complex")
     n = len(verts) - 1
     if n > 1:
         d = c.true_distance(verts[0], verts[-1])

@@ -67,9 +67,9 @@ def render_pipeline_svg(c: FlagComplex, x, y) -> str:
     parts.append('</g>')
 
     parts.append('<g id="layers">')
-    for layer in layer_seq:
+    for layer, level in zip(layer_seq, c.interval_levels(x, y)):
         color = "#f5a623" if layer.thick else "#9b9b9b"
-        for v in sorted(layer.vertices):
+        for v in sorted(level):
             parts.append('<circle cx="{}" cy="{}" r="4" fill="{}"/>'.format(
                 _fmt(pos[v][0]), _fmt(pos[v][1]), color))
     parts.append('</g>')

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -22,10 +23,11 @@ from typing import Dict, List, Optional, Tuple
 from . import eplane, render, samples, treestudy
 from .complexes import FlagComplex
 from .directed import directed_geodesic, require_pair_safe
-from .errors import BoundaryUnsafe, TaskFailed
+from .errors import BoundaryUnsafe, ScenarioParseError, TaskFailed
 from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
-from .isodyn import (check_min_proximity, displacement_set, is_hyperbolic,
+from .isodyn import (axis_line_max_distance_sq, check_min_proximity,
+                     displacement_set, invariant_geodesic_on_plane, is_hyperbolic,
                      min_set, translation_length)
 from .scenario import Scenario
 
@@ -88,7 +90,8 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> Tuple[Dict, int]:
     """Execute all tasks in order; write partial results even on failure.
 
     Each named complex is built on first use and shared by the later tasks
-    of this run; none outlives it.
+    of this run; none outlives it. A ``ScenarioParseError``, such as a
+    complex file that cannot be read or parsed, ends the run instead.
     """
     records: List[TaskRecord] = []
     built: Dict[str, FlagComplex] = {}
@@ -101,6 +104,8 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> Tuple[Dict, int]:
             if name is not None and name not in built:
                 built[name] = scenario.complex(name)
             _HANDLERS[task.kind](scenario, task, record, rng, out_dir, built.get(name))
+        except ScenarioParseError:
+            raise  # input that cannot be read or parsed ends the run: no report
         except Exception as exc:  # recorded, so the report is still written
             record.error = f"{type(exc).__name__}: {exc}"
         record.wall_clock_s = time.perf_counter() - start
@@ -150,7 +155,7 @@ def _sample_safe_pair(c: FlagComplex, verts: List, rng, max_distance: int,
             continue
         if predicate is not None and not (predicate(x) and predicate(y)):
             continue
-        if c.plane_backed and c.metric_hint(x, y) > max_distance:
+        if c.plane_backed and c.true_distance(x, y) > max_distance:
             continue
         try:
             d = require_pair_safe(c, x, y)
@@ -222,9 +227,6 @@ def _task_goodness(scenario, task, record, rng, out_dir, c):
 
 def _goodness_staircase(scenario, task, record, c):
     """Line-hugging invariant geodesics obey the Hausdorff-distance bound."""
-    import math
-
-    from .isodyn import axis_line_max_distance_sq, invariant_geodesic_on_plane
     h = task.values["staircase_map"]
     length = task.values["staircase_length"]
     origin = task.values["staircase_origin"]

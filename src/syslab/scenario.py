@@ -72,7 +72,11 @@ class ComplexSpec:
         if self.kind == "eplane":
             return eplane.window(v["center"], v["radius"])
         if self.kind == "file":
-            return load_complex(base_dir / v["path"])
+            path = base_dir / v["path"]
+            try:
+                return load_complex(path)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
         if self.kind == "tree":
             return samples.tree_with_branches(v["depth"])
         return samples.BY_NAME[v["name"]]()  # sample
@@ -305,6 +309,6 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     return parse_scenario_text(text, base_dir=path.parent)

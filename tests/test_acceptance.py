@@ -114,9 +114,9 @@ def test_criterion_03_euclidean_structure():
             x = (-(p // 2), -(q // 2))
             y = (x[0] + p, x[1] + q)
             e = euclidean_geodesic(c, x, y, check_reversal=True)  # reversal inside
-            ls = layers(c, x, y)
+            levels = c.interval_levels(x, y)
             for i, s in enumerate(e):
-                assert set(s.verts) <= ls[i].vertices, (x, y, i)
+                assert set(s.verts) <= levels[i], (x, y, i)
             count += 1
     # translation equivariance backing the representative-pair reduction
     rng = random.Random(99)

@@ -228,11 +228,11 @@ def test_no_realizing_chain_on_degenerate_bracket():
     from syslab.directed import Layer
     c = eplane.window((2, 1), 10)
     fake = [
-        Layer(0, frozenset(), Simplex.of([(0, 0)]), Simplex.of([(0, 0)]), 0),
-        Layer(1, frozenset(), Simplex.of([(1, 0)]), Simplex.of([(1, 0)]), 0),
-        Layer(2, frozenset(), Simplex.of([(1, 1)]), Simplex.of([(3, -1)]), 2),
-        Layer(3, frozenset(), Simplex.of([(2, 1)]), Simplex.of([(2, 1)]), 0),
-        Layer(4, frozenset(), Simplex.of([(3, 1)]), Simplex.of([(3, 1)]), 0),
+        Layer(0, Simplex.of([(0, 0)]), Simplex.of([(0, 0)]), 0),
+        Layer(1, Simplex.of([(1, 0)]), Simplex.of([(1, 0)]), 0),
+        Layer(2, Simplex.of([(1, 1)]), Simplex.of([(3, -1)]), 2),
+        Layer(3, Simplex.of([(2, 1)]), Simplex.of([(2, 1)]), 0),
+        Layer(4, Simplex.of([(3, 1)]), Simplex.of([(3, 1)]), 0),
     ]
     from syslab.errors import NoRealizingChain
     with pytest.raises(NoRealizingChain):

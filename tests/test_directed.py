@@ -94,9 +94,9 @@ def test_layers_42(window42):
     assert ls.thickness_profile() == (0, 1, 1, 2, 1, 1, 0)
     assert [layer.thin for layer in ls] == [True, True, True, False, True, True, True]
     # sphere intersections contain the directed simplices
-    for layer in ls:
-        assert set(layer.sigma.verts) <= layer.vertices
-        assert set(layer.tau.verts) <= layer.vertices
+    for layer, level in zip(ls, window42.interval_levels((0, 0), (4, 2))):
+        assert set(layer.sigma.verts) <= level
+        assert set(layer.tau.verts) <= level
 
 
 def test_layers_collinear_all_thin(window42):
@@ -112,9 +112,11 @@ def test_layers_diagonal_thin(window42):
 def test_layer_symmetry(window42):
     fwd = layers(window42, (0, 0), (4, 2))
     bwd = layers(window42, (4, 2), (0, 0))
+    levels = window42.interval_levels((0, 0), (4, 2))
     n = fwd.n
     for i in range(n + 1):
-        assert fwd[i].vertices == bwd[n - i].vertices
+        assert {v for v in window42.vertices() if fwd.holds(i, v)} == levels[i]
+        assert {v for v in window42.vertices() if bwd.holds(n - i, v)} == levels[i]
 
 
 def _assert_reversed_layers(c, x, y):
@@ -124,6 +126,8 @@ def _assert_reversed_layers(c, x, y):
     assert list(flipped) == list(back), (x, y)
     assert flipped.sigma_geo == back.sigma_geo
     assert flipped.tau_geo == back.tau_geo
+    assert flipped.levels == back.levels
+    assert back.levels == (None if c.plane_backed else c.interval_levels(y, x))
 
 
 def test_reversed_layers_match_plane_pairs():
@@ -156,7 +160,7 @@ def test_reversed_layers_match_book_pairs():
 
 
 def _profile(thicknesses):
-    return [Layer(i, frozenset(), None, None, t) for i, t in enumerate(thicknesses)]
+    return [Layer(i, None, None, t) for i, t in enumerate(thicknesses)]
 
 
 def test_thick_intervals_from_profiles():

@@ -44,9 +44,9 @@ def test_delta_in_layers_and_reversal(window12):
         if x == y:
             continue
         e = euclidean_geodesic(window12, x, y, check_reversal=True)
-        ls = layers(window12, x, y)
+        levels = window12.interval_levels(x, y)
         for i, s in enumerate(e):
-            assert set(s.verts) <= ls[i].vertices
+            assert set(s.verts) <= levels[i]
 
 
 def test_select_vertex_geodesic_42(window42):
@@ -220,6 +220,10 @@ def test_goodness_rejects_non_geodesic_input(window8):
         goodness_constant(window8, [(0, 0), (0, 0)])
     with pytest.raises(PreconditionViolated, match="not an edge"):
         goodness_constant(window8, [(0, 0), (99, 0)])
+    with pytest.raises(PreconditionViolated, match=r"\(\) has no vertex in the complex"):
+        goodness_constant(window8, [])
+    with pytest.raises(PreconditionViolated, match=r"\(\(99, 99\),\) has no vertex in the complex"):
+        goodness_constant(window8, [(99, 99)])
 
 
 def test_contracting_equal_rays(window12):

@@ -8,7 +8,7 @@ import random
 from unittest import mock
 
 import oracles
-from syslab import chardisk, directed, eplane
+from syslab import chardisk, directed, eplane, euclid
 from syslab.chardisk import BoundaryCycle, characteristic_map
 from syslab.complexes import Simplex
 from syslab.directed import layers, thick_intervals
@@ -109,7 +109,10 @@ def _agree_on_pair(c, x, y, corrupt=True):
         assert got == want and got[0] == "BoundaryUnsafe", (x, y)
         return None
     ls, levels = got, want
-    assert [layer.vertices for layer in ls] == list(levels)
+    assert ls.levels is None
+    for i, level in enumerate(levels):
+        near = level.union(*map(c.neighbors, level))
+        assert {v for v in near if ls.holds(i, v)} == level, (x, y, i)
     assert ls.sigma_geo == directed._project(c, x, y, levels)
     assert ls.tau_geo == directed._project(c, y, x, levels[::-1])
     disks = refused = 0
@@ -162,16 +165,15 @@ def test_plane_paths_agree_on_random_pairs_up_to_64():
     assert disks >= 12
 
 
-def test_plane_layers_read_levels_only_when_asked(window42, monkeypatch):
-    """The plane construction never builds a level; reading one builds all
-    of them once, and the reversed decomposition shares them."""
+def test_plane_construction_never_builds_levels(window42, monkeypatch):
+    """Neither the plane layers nor the Euclidean geodesic with its reversal
+    check builds a level; membership is the distance predicate."""
     calls = []
     levels = window42.interval_levels
     monkeypatch.setattr(window42, "interval_levels",
                         lambda *a: calls.append(a) or levels(*a))
     ls = layers(window42, (0, 0), (4, 2))
-    back = ls.reversed()
+    euclid.euclidean_geodesic(window42, (0, 0), (4, 2), check_reversal=True)
     assert calls == []
-    assert ls[3].vertices == frozenset([(1, 2), (2, 1), (3, 0)])
-    assert back[3].vertices == ls[3].vertices and back[0].vertices == ls[6].vertices
-    assert calls == [((0, 0), (4, 2))]
+    assert ls.levels is None and ls.reversed().levels is None
+    assert {v for v in window42.vertices() if ls.holds(3, v)} == {(1, 2), (2, 1), (3, 0)}

@@ -12,13 +12,17 @@ only: the plane margin rule names the first failing corner of the interval
 box, the scan the least unsafe vertex of the first unsafe level."""
 
 import random
+from pathlib import Path
 from unittest import mock
 
-from syslab import directed, eplane, euclid
+from syslab import directed, eplane, euclid, runner
 from syslab.complexes import materialize_window
 from syslab.errors import SyslabError
+from syslab.scenario import Scenario, load_scenario
 
 from test_plane_paths import CRITERION_10
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def _twins(center, radius):
@@ -86,3 +90,45 @@ def test_twin_agrees_on_rim_pairs():
             refused += 1
         else:
             built += 1
+
+
+def _reports(scenario, tmp_path):
+    """The scenario's report on its plane windows and on their BFS twins,
+    without wall-clock fields. The plane windows never project; the twins
+    do."""
+    twins = []
+
+    def twin(self, name):
+        values = self.complexes[name].values
+        twins.append(materialize_window(values["center"], eplane.neighbors,
+                                        values["radius"], convex=True))
+        return twins[-1]
+
+    with mock.patch.object(directed, "_project", wraps=directed._project) as projected:
+        plane, code = runner.run_scenario(scenario, tmp_path)
+        with mock.patch.object(Scenario, "complex", twin):
+            bfs, _ = runner.run_scenario(scenario, tmp_path)
+    on = [call.args[0] for call in projected.call_args_list]
+    assert code == 0 and not any(c.plane_backed for c in on)
+    assert twins and all(any(c is t for c in on) for t in twins)
+    for report in (plane, bfs):
+        for task in report["tasks"]:
+            task.pop("wall_clock_s")
+    return plane, bfs
+
+
+def test_twin_runs_the_bundled_pipeline_task(tmp_path):
+    scenario = load_scenario(SCENARIOS / "pipeline-42.scn")
+    scenario.tasks = [t for t in scenario.tasks if t.kind == "geodesic-pipeline"]
+    plane, bfs = _reports(scenario, tmp_path)
+    assert plane == bfs
+
+
+def test_twin_runs_the_bundled_goodness_sweep(tmp_path):
+    """The goodness sweep draws the same pairs on both windows: the plane
+    window's distance prefilter rejects no pair the margin rule would pass."""
+    scenario = load_scenario(SCENARIOS / "goodness.scn")
+    (task,) = scenario.tasks
+    task.values.pop("staircase_map")
+    plane, bfs = _reports(scenario, tmp_path)
+    assert plane == bfs

@@ -101,6 +101,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad.write_text("[task t]\nkind = explode\n")
     assert cli.main(["run", str(bad)]) == 2
 
+    bad.write_bytes(b"[scenario]\nname = \xff\n")
+    assert cli.main(["run", str(bad)]) == 2
+
 
 def test_cli_constants_override_fails_goodness(tmp_path):
     out = tmp_path / "r.json"
@@ -130,6 +133,9 @@ def test_cli_check(tmp_path):
     assert cli.main(["check", str(octa)]) == 1
 
     assert cli.main(["check", str(tmp_path / "none.fc")]) == 2
+    binary = tmp_path / "binary.fc"
+    binary.write_bytes(b"flagcomplex v1\n0 1\n\xff 2\n")
+    assert cli.main(["check", str(binary)]) == 2
 
 
 def test_cli_render(tmp_path):
@@ -356,6 +362,31 @@ def test_cli_negative_constants_exit_2(tmp_path, capsys, head, constants, messag
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data, code, message", [
+    (b"flagcomplex v1\n0 1\n1 2\n2 0\n", 1,
+     "TaskFailed: no margin-safe ray from origin (0, 0) (origin not in the window)"),
+    (b"flagcomplex v1\n1 x\n", 2, "input error: non-integer vertex in '1 x'"),
+    (None, 2, "input error: cannot read "),
+    (b"flagcomplex v1\n0 1\n\xff 2\n", 2, "codec can't decode byte 0xff"),
+], ids=["good", "malformed", "missing", "not-utf8"])
+def test_cli_file_complex(tmp_path, capsys, data, code, message):
+    """A readable complex file is built and its task runs; one that cannot
+    be read or parsed ends the run with exit 2 and writes no report."""
+    if data is not None:
+        (tmp_path / "c.fc").write_bytes(data)
+    scn = tmp_path / "file.scn"
+    scn.write_text("[complex main]\nkind = file\npath = c.fc\n\n"
+                   "[task t]\nkind = contracting-suite\ncomplex = main\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(scn), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
+        assert json.loads(out.read_text())["tasks"][0]["error"] == message
+    else:
+        assert message in err and not out.exists()
 
 
 def test_unexpected_handler_error_is_reported(tmp_path, monkeypatch):
