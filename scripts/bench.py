@@ -24,7 +24,7 @@ The file holds:
 - ``traced``: the per-layer metrics of one traced run (``--trace 1``) per
   side and workload at seed 1; the counts repeat exactly for a seed.
 
-The three curves below run in ``CURVE_PROCESSES`` fresh processes per side,
+The four curves below run in ``CURVE_PROCESSES`` fresh processes per side,
 base first in even rounds and change first in odd ones. Each number a
 process measures is stored as the median and quartiles of its values over
 the processes, with the values themselves (``runs``); a count such as
@@ -51,16 +51,27 @@ the processes, with the values themselves (``runs``); a count such as
 - ``convexity_curve``: seconds per ``is_convex`` call on the ball of
   radius r = 2, 4, 6, 8 around the spine vertex (0, 0, 0) of
   ``book_window(4, 12)``, and ``ratio_8_2`` = t(8) / t(2), read from
-  ``ref`` (below). Each sample times a loop of ``calls`` calls, doubled
-  from 1 until one loop lasts at least ``CONVEXITY_SAMPLE_S``, after a
-  garbage collection, and the value is the median of ``CONVEXITY_REPEATS``
-  samples divided by ``calls``; a single sub-millisecond call is too short
-  to time on a shared machine. ``ref`` is the median of the same samples,
-  each divided by the mean of ``perfbench/run.py``'s ``python_reference``
-  timed just before and just after it, as ``item_cost`` is: the machine's
-  speed moves from one process to the next, and the ratio cancels it.
-  The ball grows with r, so the curve shows how a kernel scales with |A|,
-  which the book-metric workload's balls of radius 2-6 cannot. Not gated.
+  ``ref``. Both are sampled as below. The ball grows with r, so the curve
+  shows how a kernel scales with |A|, which the book-metric workload's
+  balls of radius 2-6 cannot. Not gated.
+- ``book_goodness_curve``: seconds and ``ref`` per ``goodness_constant``
+  call on the selected geodesics of ``BOOK_GOODNESS_PAIRS`` seeded pairs at
+  each distance n = 4, 8, 12 of ``book_window(4, 12)``, a window without a
+  closed-form metric, where every distance is a search; and, on a side
+  whose complexes share search rows within a call, the vertices those
+  rows settled in each pair's call (``rows_settled``). Not gated; unlike
+  perfbench's ``complexes.bfs_runs``, which counts every off-plane
+  ``true_distance`` call as a search, it reads what the rows did.
+
+The last two curves are sampled alike. Each sample times a loop of
+``calls`` calls, doubled from 1 until one loop lasts at least
+``SAMPLE_S``, after a garbage collection, and ``seconds`` is the median of
+``SAMPLE_REPEATS`` samples divided by ``calls``; a single sub-millisecond
+call is too short to time on a shared machine. ``ref`` is the median of the
+same samples, each divided by the mean of ``perfbench/run.py``'s
+``python_reference`` timed just before and just after it, as ``item_cost``
+is: the machine's speed moves from one process to the next, and the ratio
+cancels it.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
 - ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
   ``tests/``) on each side, with pytest's closing summary line.
@@ -94,8 +105,10 @@ CURVE_LENGTHS = (8, 16, 24, 32)
 CONSTRUCTION_LENGTHS = (32, 64, 128)
 CONSTRUCTION_REPEATS = 5
 CONVEXITY_RADII = (2, 4, 6, 8)
-CONVEXITY_REPEATS = 5
-CONVEXITY_SAMPLE_S = 0.02
+BOOK_GOODNESS_LENGTHS = (4, 8, 12)
+BOOK_GOODNESS_PAIRS = 4
+SAMPLE_REPEATS = 5
+SAMPLE_S = 0.02
 # stage name -> (module, candidate functions, first found wins); the stages
 # do not call one another
 STAGES = {
@@ -343,40 +356,94 @@ def python_reference():
     return module.python_reference
 
 
+def sampled(call, reference) -> dict:
+    """Seconds and ``ref`` per call of ``call``, sampled as the module
+    docstring describes."""
+    import gc
+
+    def loop(calls):
+        gc.collect()
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            call()
+        return time.perf_counter() - t0
+
+    calls = 1
+    while loop(calls) < SAMPLE_S:
+        calls *= 2
+    times, costs = [], []
+    for _ in range(SAMPLE_REPEATS):
+        before = reference()
+        times.append(loop(calls) / calls)
+        costs.append(times[-1] / ((before + reference()) / 2))
+    return {"calls": calls, "seconds": statistics.median(times),
+            "ref": statistics.median(costs)}
+
+
 def convexity_worker() -> dict:
     """Time is_convex on spine balls of book_window(4, 12), a loop of calls
     per sample, in seconds and in units of the plain-Python reference timed
     beside each sample; run with the side's src/ on PYTHONPATH."""
-    import gc
-
     from syslab import complexes, samples
 
     c = samples.book_window(4, 12)
     reference = python_reference()
-
-    def loop(ball, calls):
-        gc.collect()
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            convex = complexes.is_convex(c, ball)
-        if convex is not True:
-            raise SystemExit(f"spine ball of {len(ball)} vertices read as not convex")
-        return time.perf_counter() - t0
-
     out = {}
     for r in CONVEXITY_RADII:
         ball = tuple(sorted(c.bfs_distances((0, 0, 0), budget=r)))
-        calls = 1
-        while loop(ball, calls) < CONVEXITY_SAMPLE_S:
-            calls *= 2
-        times, costs = [], []
-        for _ in range(CONVEXITY_REPEATS):
-            before = reference()
-            times.append(loop(ball, calls) / calls)
-            costs.append(times[-1] / ((before + reference()) / 2))
-        out[f"r{r}"] = {"ball_size": len(ball), "calls": calls,
-                        "seconds": statistics.median(times), "ref": statistics.median(costs)}
+        if complexes.is_convex(c, ball) is not True:
+            raise SystemExit(f"spine ball of {len(ball)} vertices read as not convex")
+        out[f"r{r}"] = {"ball_size": len(ball),
+                        **sampled(lambda: complexes.is_convex(c, ball), reference)}
     out["ratio_8_2"] = out["r8"]["ref"] / out["r2"]["ref"]
+    return out
+
+
+def book_goodness_worker() -> dict:
+    """Time goodness_constant on selected geodesics of seeded pairs of
+    book_window(4, 12), a loop over the pairs of one length per call, in
+    seconds and reference units per goodness_constant; run with the side's
+    src/ on PYTHONPATH."""
+    import random
+
+    from syslab import directed, euclid, samples
+    from syslab.errors import BoundaryUnsafe
+
+    c = samples.book_window(4, 12)
+    reference = python_reference()
+    rng = random.Random("book-goodness")
+    inner = sorted(v for v in c.vertices() if c.margin(v) >= 1)
+    out = {}
+    for n in BOOK_GOODNESS_LENGTHS:
+        paths = []
+        while len(paths) < BOOK_GOODNESS_PAIRS:
+            x = inner[rng.randrange(len(inner))]
+            sphere = sorted(v for v, d in c.bfs_distances(x, budget=n).items() if d == n)
+            if not sphere:
+                continue
+            y = sphere[rng.randrange(len(sphere))]
+            try:
+                directed.require_pair_safe(c, x, y)
+            except BoundaryUnsafe:
+                continue
+            paths.append(euclid.select_vertex_geodesic(
+                euclid.euclidean_geodesic(c, x, y, check_reversal=False)))
+
+        def call():
+            for path in paths:
+                euclid.goodness_constant(c, path)
+
+        entry = sampled(call, reference)
+        entry["seconds"] /= len(paths)
+        entry["ref"] /= len(paths)
+        if hasattr(c, "_shared_rows"):
+            entry["rows_settled"] = []
+            for path in paths:
+                with c._shared_rows:
+                    euclid.goodness_constant(c, path)
+                    entry["rows_settled"].append(
+                        sum(len(row.dist) for row in c._shared_rows.rows.values()))
+        out[f"n{n}"] = {"pairs": [[p[0], p[-1]] for p in paths], **entry}
     return out
 
 
@@ -392,6 +459,8 @@ def main(argv=None) -> int:
     parser.add_argument("--construction-worker", action="store_true",
                         help=argparse.SUPPRESS)
     parser.add_argument("--convexity-worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--book-goodness-worker", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.curve_worker:
         print(json.dumps(curve_worker()))
@@ -401,6 +470,9 @@ def main(argv=None) -> int:
         return 0
     if args.convexity_worker:
         print(json.dumps(convexity_worker()))
+        return 0
+    if args.book_goodness_worker:
+        print(json.dumps(book_goodness_worker()))
         return 0
     if args.pr is None:
         parser.error("--pr is required")
@@ -420,6 +492,7 @@ def main(argv=None) -> int:
         "goodness_curve": curves(sides, "--curve-worker"),
         "construction_curve": curves(sides, "--construction-worker"),
         "convexity_curve": curves(sides, "--convexity-worker"),
+        "book_goodness_curve": curves(sides, "--book-goodness-worker"),
         "startup": {side: startup(tree) for side, tree in sides.items()},
         "tier1": {side: pytest_wall(tree, "tests") for side, tree in sides.items()},
         "acceptance": {side: pytest_wall(tree, "tests/test_acceptance.py")

@@ -204,8 +204,8 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     between the realizing pair; an interior vertex whose region link is not
     a 6-cycle fails the flat test and raises NotFlat. The region is then
     developed onto the lattice, which also certifies the embedding is
-    isometric; that check costs one BFS per region vertex, each stopping
-    once the vertex's later partners are found. Plane-backed complexes
+    isometric; that check reads one search row per region vertex, grown
+    to its farthest lattice distance. Plane-backed complexes
     develop by identity, which is isometric by construction. The layer
     geometry and the Euler count follow, and the disk, built last from the
     checked layer steps, adds the stack's consecutive-lines rule; its
@@ -355,13 +355,15 @@ def _edge_completions(pa, pb):
 
 def _check_isometric(c, region, coords):
     """Compare every pair's lattice and ambient distances, in sorted pair
-    order, with one BFS per vertex that stops once its later partners are
-    all discovered or its farthest lattice distance is passed."""
+    order, reading each vertex's search row grown out to its farthest
+    lattice distance. A later partner missing from the row, or found
+    beyond that radius by a row grown further before, is farther away than
+    its lattice distance."""
     verts = sorted(region)
     for i, a in enumerate(verts[:-1]):
         later = verts[i + 1:]
         want = [eplane.lattice_distance(coords[a], coords[b]) for b in later]
-        dist = c.bfs_distances(a, budget=max(want), until=later)
+        dist = c._search(a, budget=max(want))
         for b, d in zip(later, want):
             if dist.get(b) != d:
                 raise NotFlat(f"development is not isometric on pair ({a}, {b})")

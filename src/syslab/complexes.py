@@ -78,12 +78,22 @@ class FlagComplex:
     radius - lattice_distance(center, v). A given graph is checked for
     self-loops and symmetry.
 
-    ``translation_memo`` is the one mutable cache, and only plane windows
-    have it (``None`` elsewhere): ``euclid.goodness_constant`` maps each
-    difference y - x to ``(x0, simplex vertex tuples)`` of the Euclidean
-    geodesic it built from x0 to x0 + (y - x), so every call on the window
-    shares one construction per difference. It is bounded by the
-    differences that fit in the window and lives as long as the window.
+    Two caches change under these read-only queries. ``translation_memo``
+    exists on plane windows only (``None`` elsewhere):
+    ``euclid.goodness_constant`` maps each difference y - x to ``(x0,
+    simplex vertex tuples)`` of the Euclidean geodesic it built from x0 to
+    x0 + (y - x), so every call on the window shares one construction per
+    difference. It is bounded by the differences that fit in the window and
+    lives as long as the window. Search rows exist only inside
+    ``_shared_rows``, which ``euclid.euclidean_geodesic`` and
+    ``goodness_constant`` enter: there ``true_distance``,
+    ``interval_levels`` and the isometry check of ``chardisk`` grow one
+    breadth-first row per source, whole levels at a time and only as far as
+    a query needs, and every later query from that source reads it on.
+    They hold at most the vertices the construction's queries reached,
+    each source's row no more than its ball out to the farthest query, and
+    are dropped when the outermost scope exits; outside a scope every query
+    grows a row of its own.
     """
 
     def __init__(self, adjacency: Optional[Mapping[VertexId, Iterable[VertexId]]] = None, *,
@@ -123,6 +133,7 @@ class FlagComplex:
         self.name = name
         self._index = None
         self._dist_matrix = None
+        self._shared_rows = _SharedRows()
 
     # -- basic structure ------------------------------------------------------
 
@@ -179,15 +190,27 @@ class FlagComplex:
 
     # -- internal metric -------------------------------------------------------
 
-    def bfs_distances(self, source, *, budget: Optional[int] = None,
-                      until: Iterable[VertexId] = ()) -> dict:
+    def bfs_distances(self, source, *, budget: Optional[int] = None) -> dict:
         """Distance map from source, truncated at the given radius.
 
-        With ``until`` the search stops as soon as every vertex in it is
-        discovered; each of them, and every vertex nearer to source than the
-        last of them, then holds its exact distance.
+        Always a row of its own, never one of ``_shared_rows``: its callers
+        take whole balls (``distance_matrix`` takes every vertex's), which
+        would fill the scope's rows with vertices no query asked for.
         """
-        return _bfs(self._adj, source, budget, until)
+        return _Row(source).grow(self._adj, budget=budget)
+
+    def _search(self, source, target=None, budget: Optional[int] = None) -> dict:
+        """Distances from source, grown whole levels at a time until target
+        is settled, every vertex within the budget is, or the component is
+        exhausted. The map holds every vertex within the radius reached,
+        each at its exact distance; inside ``_shared_rows`` an earlier query
+        may have grown it beyond what this one needs."""
+        rows = self._shared_rows.rows
+        if rows is None:
+            row = _Row(source)
+        elif (row := rows.get(source)) is None:
+            row = rows[source] = _Row(source)
+        return row.grow(self._adj, target, budget)
 
     def true_distance(self, x, y, budget: Optional[int] = None) -> int:
         """Distance trusted to equal the distance in the underlying complex.
@@ -207,28 +230,28 @@ class FlagComplex:
             return d
         if y in self._adj[x] and (budget is None or budget > 0):
             return 1
-        dist = _bfs(self._adj, x, budget, (y,))
-        if y in dist:
-            return dist[y]
+        d = self._search(x, y, budget).get(y)
+        if d is not None and (budget is None or d <= budget):
+            return d
         raise Unreachable(f"no path {x} -> {y}"
                           + (f" within budget {budget}" if budget is not None else ""))
 
     def interval_levels(self, x, y) -> tuple:
         """The interval [x, y] as its d(x, y) + 1 level sets.
 
-        Level i holds the vertices on x-y geodesics at distance i from x. One
-        BFS from x stops once y is discovered, and the walk back from y keeps
-        the edges that step one closer to x. On a plane window x and y are
-        first mapped to the window's own vertex objects, so the levels hold
-        only those. The plane pipeline decides layer membership by distance
-        predicates (``directed.Layers.holds``) and never calls this; ``render``
-        does, to draw the layers.
+        Level i holds the vertices on x-y geodesics at distance i from x.
+        The search row from x grows until y is settled, and the walk back
+        from y keeps the edges that step one closer to x. On a plane window
+        x and y are first mapped to the window's own vertex objects, so the
+        levels hold only those. The plane pipeline decides layer membership
+        by distance predicates (``directed.Layers.holds``) and never calls
+        this; ``render`` does, to draw the layers.
         """
         if self._own is not None:
             x, y = self._own[x], self._own[y]
         if x == y:
             return (frozenset([x]),)
-        from_x = self.bfs_distances(x, until=(y,))
+        from_x = self._search(x, y)
         if y not in from_x:
             raise Unreachable(f"no path {x} -> {y}")
         level = frozenset([y])
@@ -267,28 +290,57 @@ class FlagComplex:
         return self._dist_matrix
 
 
-def _bfs(adj, source, budget: Optional[int], until: Iterable[VertexId]) -> dict:
-    """The breadth-first search behind ``bfs_distances`` and ``true_distance``:
-    distances from source, no vertex at distance ``budget`` or more expanded,
-    stopping once every vertex of ``until`` is discovered."""
-    pending = set(until)
-    pending.discard(source)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        if budget is not None and dv >= budget:
-            continue
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = dv + 1
-                if pending and u in pending:
-                    pending.discard(u)
-                    if not pending:
-                        return dist
-                queue.append(u)
-    return dist
+class _SharedRows:
+    """The reentrant scope in which a complex's queries share one search
+    row per source (``with c._shared_rows:``). ``rows`` maps each source
+    to its row inside the scope and is None outside; the rows are dropped
+    when the outermost entry exits. One object per complex, so entering
+    costs no allocation: plane windows enter it on every construction."""
+
+    __slots__ = ("rows", "depth")
+
+    def __init__(self):
+        self.rows = None
+        self.depth = 0
+
+    def __enter__(self):
+        if not self.depth:
+            self.rows = {}
+        self.depth += 1
+
+    def __exit__(self, *exc):
+        self.depth -= 1
+        if not self.depth:
+            self.rows = None
+
+
+class _Row:
+    """A breadth-first search that can be resumed: the distance map, the
+    frontier (the vertices of the last complete level) and its radius."""
+
+    __slots__ = ("dist", "frontier", "radius")
+
+    def __init__(self, source):
+        self.dist = {source: 0}
+        self.frontier = [source]
+        self.radius = 0
+
+    def grow(self, adj, target=None, budget: Optional[int] = None) -> dict:
+        """Settle whole levels until target is in the map, the level at
+        radius ``budget`` is complete, or the frontier is empty. Vertices
+        enter the map in the order a FIFO search discovers them."""
+        dist, frontier, r = self.dist, self.frontier, self.radius
+        while frontier and target not in dist and (budget is None or r < budget):
+            r += 1
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if u not in dist:
+                        dist[u] = r
+                        nxt.append(u)
+            frontier = nxt
+        self.frontier, self.radius = frontier, r
+        return dist
 
 
 # -- public metric operations ----------------------------------------------

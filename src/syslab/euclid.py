@@ -75,17 +75,19 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     Verifies delta_i stays inside layer i, and (unless disabled for bulk
     sweeps) that assembling from the other endpoint, on the same layers
     read backwards, yields the reversed sequence. The reversed pass rebuilds
-    every thick-interval stage from its own boundary cycle.
+    every thick-interval stage from its own boundary cycle. Off the plane
+    every search of the construction reads the complex's shared rows.
     """
-    layer_seq = layers(c, x, y)
-    geo = _assemble(c, layer_seq)
-    if check_reversal:
-        back = _assemble(c, layer_seq.reversed())
-        forward = [frozenset(s.verts) for s in geo.simplices]
-        reverse = [frozenset(s.verts) for s in reversed(back.simplices)]
-        if forward != reverse:
-            raise ConditionViolated(
-                f"euclidean geodesic between {x} and {y} is not reversal-symmetric")
+    with c._shared_rows:
+        layer_seq = layers(c, x, y)
+        geo = _assemble(c, layer_seq)
+        if check_reversal:
+            back = _assemble(c, layer_seq.reversed())
+            forward = [frozenset(s.verts) for s in geo.simplices]
+            reverse = [frozenset(s.verts) for s in reversed(back.simplices)]
+            if forward != reverse:
+                raise ConditionViolated(
+                    f"euclidean geodesic between {x} and {y} is not reversal-symmetric")
     return geo
 
 
@@ -182,24 +184,26 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     built per distinct difference v_k - v_j, kept in the window's
     ``translation_memo`` and shifted onto every later sub-pair with that
     difference, in this call or a later one; other complexes build one
-    Euclidean geodesic per sub-pair. Quadratic in the length either way.
+    Euclidean geodesic per sub-pair, all of them reading one shared search
+    row per source. Quadratic in the length either way.
     The input must be a vertex geodesic; that is checked first, in O(n).
     """
     verts = tuple(geodesic)
-    _require_vertex_geodesic(c, verts)
     best = 0
     witness = None
     pairs = 0
-    for j in range(len(verts)):
-        for k in range(j + 1, len(verts)):
-            pairs += 1
-            sub = _sub_simplices(c, verts[j], verts[k], j == 0)
-            for i in range(j, k + 1):
-                for u in sub[i - j]:
-                    d = c.true_distance(verts[i], u)
-                    if d > best:
-                        best = d
-                        witness = (j, k, i, u, d)
+    with c._shared_rows:
+        _require_vertex_geodesic(c, verts)
+        for j in range(len(verts)):
+            for k in range(j + 1, len(verts)):
+                pairs += 1
+                sub = _sub_simplices(c, verts[j], verts[k], j == 0)
+                for i in range(j, k + 1):
+                    for u in sub[i - j]:
+                        d = c.true_distance(verts[i], u)
+                        if d > best:
+                            best = d
+                            witness = (j, k, i, u, d)
     return GoodnessReport(verts, best, witness, pairs)
 
 

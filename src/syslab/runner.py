@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from . import eplane, render, samples, treestudy
 from .complexes import FlagComplex
 from .directed import directed_geodesic, require_pair_safe
-from .errors import BoundaryUnsafe, ScenarioParseError, TaskFailed
+from .errors import BoundaryUnsafe, NotPlaneBacked, ScenarioParseError, TaskFailed
 from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
 from .isodyn import (axis_line_max_distance_sq, check_min_proximity,
@@ -194,6 +194,9 @@ def _task_pipeline(scenario, task, record, rng, out_dir, c):
 
 
 def _task_goodness(scenario, task, record, rng, out_dir, c):
+    if not _is_plane_subcomplex(c):  # the corner contrast walks lattice offsets
+        raise NotPlaneBacked(f"goodness sweep on {c.name or 'a complex'}, "
+                             f"which is not a subcomplex of the plane")
     n_pairs = task.values["pairs"]
     max_d = task.values["max_distance"]
     verts = _sample_space(c, task.values["complex"])
@@ -223,6 +226,21 @@ def _task_goodness(scenario, task, record, rng, out_dir, c):
         _goodness_staircase(scenario, task, record, c)
     if "ambient" in task.values:
         _goodness_ambient(scenario, task, record, c)
+
+
+def _is_plane_subcomplex(c: FlagComplex) -> bool:
+    """Whether c is a plane window, or a complex built some other way (such
+    as a lattice ball cut by ``materialize_window``) whose vertices are
+    lattice points joined exactly when they are lattice neighbours."""
+    if c.plane_backed:
+        return True
+    for v in c.vertices():
+        if not (isinstance(v, tuple) and len(v) == 2
+                and all(isinstance(a, int) for a in v)):
+            return False
+        if c.neighbors(v) != {u for u in eplane.neighbors(v) if u in c}:
+            return False
+    return True
 
 
 def _goodness_staircase(scenario, task, record, c):

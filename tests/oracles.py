@@ -16,10 +16,14 @@ the all-pairs definition of convexity.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
 with the library, because it checks the translation memo of
 ``euclid.goodness_constant`` against one construction per sub-pair.
-``two_bfs_interval_levels``, ``pairwise_check_isometric`` and
-``bounded_check_isometric`` are the library's former interval walk and its
-two former disk isometry checks, kept on the
-complex's own ``true_distance`` and ``bfs_distances``, because they check
+``early_exit_bfs`` is the library's former search, which stopped as soon
+as the vertices it was asked for were discovered; ``early_exit_distance``,
+``early_exit_interval_levels`` and ``early_exit_check_isometric`` are the
+former ``true_distance``, ``interval_levels`` and disk isometry check on
+it, because they check the resumable search rows that replaced it.
+``two_bfs_interval_levels`` and ``pairwise_check_isometric`` are the
+library's former interval walk and its first disk isometry check, kept on
+the complex's own ``true_distance`` and ``bfs_distances``, because they check
 that the searches which replaced them give the same levels and name the
 same failing pair. ``sample_safe_pair`` is the runner's former pair
 sampler, run with the library's ``require_pair_safe``, because it checks
@@ -66,7 +70,7 @@ from syslab.cat0 import PolyPath
 from syslab.directed import ThickInterval, require_pair_safe
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
                            NoCrossing, NotFlat, PreconditionViolated, SyslabError,
-                           TaskFailed)
+                           TaskFailed, Unreachable)
 from syslab.euclid import GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
 from syslab.exact import cross as exact_cross
@@ -697,6 +701,69 @@ def streamed_is_convex(c, vertices, radius_cap):
     return True
 
 
+def early_exit_bfs(c, source, budget=None, until=()):
+    """The former ``complexes._bfs``: distances from source, no vertex at
+    distance ``budget`` or more expanded, stopping once every vertex of
+    ``until`` is discovered."""
+    pending = set(until)
+    pending.discard(source)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        dv = dist[v]
+        if budget is not None and dv >= budget:
+            continue
+        for u in c.neighbors(v):
+            if u not in dist:
+                dist[u] = dv + 1
+                if pending and u in pending:
+                    pending.discard(u)
+                    if not pending:
+                        return dist
+                queue.append(u)
+    return dist
+
+
+def early_exit_distance(c, x, y, budget=None):
+    """The former ``FlagComplex.true_distance`` of a complex without a
+    closed-form metric: one early-exit search per call."""
+    dist = early_exit_bfs(c, x, budget, (y,))
+    if y in dist:
+        return dist[y]
+    raise Unreachable(f"no path {x} -> {y}"
+                      + (f" within budget {budget}" if budget is not None else ""))
+
+
+def early_exit_interval_levels(c, x, y):
+    """The former ``FlagComplex.interval_levels``: one early-exit search
+    from x, then the walk back from y along edges one step closer to x."""
+    if x == y:
+        return (frozenset([x]),)
+    from_x = early_exit_bfs(c, x, None, (y,))
+    if y not in from_x:
+        raise Unreachable(f"no path {x} -> {y}")
+    level = frozenset([y])
+    levels = [level]
+    for d in range(from_x[y] - 1, -1, -1):
+        level = frozenset(u for v in level for u in c.neighbors(v) if from_x.get(u) == d)
+        levels.append(level)
+    return tuple(levels[::-1])
+
+
+def early_exit_check_isometric(c, region, coords):
+    """The former ``chardisk._check_isometric``: one early-exit search per
+    vertex, stopping once its later partners are discovered."""
+    verts = sorted(region)
+    for i, a in enumerate(verts[:-1]):
+        later = verts[i + 1:]
+        want = [eplane.lattice_distance(coords[a], coords[b]) for b in later]
+        dist = early_exit_bfs(c, a, max(want), later)
+        for b, d in zip(later, want):
+            if dist.get(b) != d:
+                raise NotFlat(f"development is not isometric on pair ({a}, {b})")
+
+
 def uncached_goodness_constant(c, geodesic):
     """The one-construction-per-sub-pair loop that ``euclid.goodness_constant``
     replaced with a translation memo on plane windows; kept verbatim as its
@@ -730,19 +797,6 @@ def two_bfs_interval_levels(c, x, y):
         level = frozenset(u for v in level for u in c.neighbors(v) if to_y.get(u) == d)
         levels.append(level)
     return tuple(levels)
-
-
-def bounded_check_isometric(c, region, coords):
-    """The former ``chardisk._check_isometric``: one BFS per vertex out to
-    the farthest lattice distance of its later partners, run to the end."""
-    verts = sorted(region)
-    for i, a in enumerate(verts[:-1]):
-        later = verts[i + 1:]
-        want = [eplane.lattice_distance(coords[a], coords[b]) for b in later]
-        dist = c.bfs_distances(a, budget=max(want))
-        for b, d in zip(later, want):
-            if dist.get(b) != d:
-                raise NotFlat(f"development is not isometric on pair ({a}, {b})")
 
 
 def pairwise_check_isometric(c, region, coords):

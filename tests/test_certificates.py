@@ -15,7 +15,8 @@ from syslab.complexes import FlagComplex, Simplex, ball_of_simplex, residue
 from syslab.directed import (DirectedGeodesic, ThickInterval, _certify_chain,
                              _verify_conditions, directed_geodesic, layers,
                              thick_intervals)
-from syslab.errors import BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat
+from syslab.errors import (BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat,
+                           PreconditionViolated)
 from syslab.exact import PlanePoint
 
 
@@ -254,34 +255,59 @@ def test_crossing_outside_segment(window42):
         oracles.fraction_diagonal(disk, alpha)
 
 
-def test_check_isometric_bfs_stops_early(monkeypatch):
-    """On 20 or more disks of Euclidean geodesics between pairs at distance
-    4 to 10 in a 4-page book, the isometry check visits fewer vertices per
-    BFS than the former bounded BFS that ran to its radius, and both accept
-    every disk."""
+def test_goodness_shares_rows_within_one_call(monkeypatch):
+    """On the selected geodesics of the pairs that give 20 or more disks at
+    distance 4 to 10 in a 4-page book: the shared rows of one
+    goodness_constant call settle fewer vertices than its queries' former
+    early-exit searches together; a scope entered around the call keeps
+    the rows the call's own scope grew; and without it the window holds no
+    rows once the call returns, or once it fails after a search."""
     c = samples.book_window(4, 12)
     rng = random.Random(9)
-    disks = []
-    while len(disks) < 20:
+    paths, disks = [], 0
+    while disks < 20:
         x, y, d = oracles.sample_safe_pair(c, rng, 10)
         if d >= 4:
             geo = euclid.euclidean_geodesic(c, x, y, check_reversal=False)
-            disks += [m.disk for _, m, _ in geo.disks]
-    visited = []
-    bfs = c.bfs_distances
+            disks += len(geo.disks)
+            paths.append(euclid.select_vertex_geodesic(geo))
+    former = []
+    true_distance, interval_levels = c.true_distance, c.interval_levels
+    check_isometric = chardisk._check_isometric
 
-    def counting(*args, **kwargs):
-        dist = bfs(*args, **kwargs)
-        visited.append(len(dist))
-        return dist
+    def counted_distance(x, y, budget=None):
+        if x != y and not (c.adjacent(x, y) and (budget is None or budget > 0)):
+            former.append(len(oracles.early_exit_bfs(c, x, budget, (y,))))
+        return true_distance(x, y, budget)
 
-    monkeypatch.setattr(c, "bfs_distances", counting)
-    means = []
-    for check in (oracles.bounded_check_isometric, chardisk._check_isometric):
-        visited.clear()
-        for disk in disks:
-            check(c, disk.region, disk.coords)
-        means.append(sum(visited) / len(visited))
-    old, new = means
-    print(f"mean vertices per BFS: bounded {old:.1f}, early stop {new:.1f}")
-    assert new < old, means
+    def counted_levels(x, y):
+        if x != y:
+            former.append(len(oracles.early_exit_bfs(c, x, None, (y,))))
+        return interval_levels(x, y)
+
+    def counted_isometry(c, region, coords):
+        verts = sorted(region)
+        for i, a in enumerate(verts[:-1]):
+            want = [eplane.lattice_distance(coords[a], coords[b]) for b in verts[i + 1:]]
+            former.append(len(oracles.early_exit_bfs(c, a, max(want), verts[i + 1:])))
+        return check_isometric(c, region, coords)
+
+    monkeypatch.setattr(c, "true_distance", counted_distance)
+    monkeypatch.setattr(c, "interval_levels", counted_levels)
+    monkeypatch.setattr(chardisk, "_check_isometric", counted_isometry)
+    totals = [0, 0]
+    for path in paths:
+        former.clear()
+        with c._shared_rows:
+            report = euclid.goodness_constant(c, path)
+            settled = sum(len(row.dist) for row in c._shared_rows.rows.values())
+        assert c._shared_rows.rows is None
+        assert settled < sum(former), (path, settled, sum(former))
+        totals[0] += settled
+        totals[1] += sum(former)
+        assert euclid.goodness_constant(c, path) == report
+        assert c._shared_rows.rows is None
+    print(f"settled by shared rows {totals[0]}, by former searches {totals[1]}")
+    with pytest.raises(PreconditionViolated, match="^not a vertex geodesic: d"):
+        euclid.goodness_constant(c, paths[0][:-1] + paths[0][-3:-2])
+    assert c._shared_rows.rows is None

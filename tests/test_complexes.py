@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syslab import eplane, samples
+from syslab import chardisk, eplane, samples
 from syslab.complexes import (FlagComplex, Simplex, check_local_6_large, distance,
                               dump_complex, interval, is_convex, load_complex,
                               materialize_window, parse_complex_text, residue)
-from syslab.directed import require_pair_safe
-from syslab.errors import (BoundaryUnsafe, NotASimplex, PreconditionViolated,
+from syslab.directed import layers, require_pair_safe, thick_intervals
+from syslab.errors import (BoundaryUnsafe, NotASimplex, NotFlat, PreconditionViolated,
                            ScenarioParseError, Unreachable)
 
 
@@ -181,6 +182,77 @@ def test_interval_levels_disconnected_pair(non_plane_complexes):
         oracles.two_bfs_interval_levels(c, 0, 100)
     with pytest.raises(Unreachable, match=r"^no path 0 -> 100$"):
         require_pair_safe(c, 0, 100)
+
+
+def _result(fn, *args):
+    """What fn returns, or the type and message of the refusal it raises."""
+    try:
+        return fn(*args)
+    except (Unreachable, NotFlat) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_shared_rows_agree_with_early_exit_oracle(non_plane_complexes):
+    """Every pair within distance 6, shuffled, inside one scope, so most
+    queries read a row that an earlier one grew past their target: the
+    distance without a budget and at budgets d - 1, d and d + 1, the
+    interval levels, and the isometry verdict on each disk of the pair,
+    intact and with two region vertices' coordinates swapped, agree with
+    the former early-exit search; so does the file complex's disconnected
+    pair, asked before and after its rows grew. The rows are gone when the
+    scope exits."""
+    rng = random.Random(20)
+    disks = 0
+    for c in non_plane_complexes:
+        pairs = list(oracles.pairs_within(c, 6))
+        rng.shuffle(pairs)
+        if 100 in c:
+            pairs = [(0, 100)] + pairs + [(0, 100), (100, 0)]
+        with c._shared_rows:
+            for x, y in pairs:
+                d = _result(oracles.early_exit_distance, c, x, y)
+                assert _result(c.true_distance, x, y) == d, (c.name, x, y)
+                for budget in ((d - 1, d, d + 1) if isinstance(d, int) else (0, 6)):
+                    assert (_result(c.true_distance, x, y, budget)
+                            == _result(oracles.early_exit_distance, c, x, y, budget)), \
+                        (c.name, x, y, budget)
+                assert (_result(c.interval_levels, x, y)
+                        == _result(oracles.early_exit_interval_levels, c, x, y))
+                if not isinstance(d, int) or not x < y:
+                    continue
+                try:
+                    ls = layers(c, x, y)
+                except BoundaryUnsafe:
+                    continue
+                for iv in thick_intervals(ls):
+                    disk = chardisk.extract_flat_disk(c, chardisk.boundary_cycle(c, iv, ls))
+                    verts = sorted(disk.region)
+                    swapped = dict(disk.coords)
+                    swapped[verts[1]], swapped[verts[-2]] = disk.coords[verts[-2]], \
+                        disk.coords[verts[1]]
+                    for coords in (disk.coords, swapped):
+                        assert (_result(chardisk._check_isometric, c, disk.region, coords)
+                                == _result(oracles.early_exit_check_isometric, c,
+                                           disk.region, coords))
+                    disks += 1
+        assert c._shared_rows.rows is None
+    assert disks >= 200
+
+
+def test_grown_row_keeps_the_budget(non_plane_complexes):
+    """A row that already holds y beyond a smaller budget still refuses the
+    query with the budget's text, and answers it at the budget."""
+    c = non_plane_complexes[0]
+    x = (0, 0, 0)
+    y = next(v for v, d in oracles.bfs_map(c, x).items() if d == 4)
+    with c._shared_rows:
+        assert c.true_distance(x, y) == 4
+        assert c._shared_rows.rows[x].dist[y] == 4
+        with pytest.raises(Unreachable, match=rf"^no path {re.escape(str(x))} -> "
+                                              rf"{re.escape(str(y))} within budget 3$"):
+            c.true_distance(x, y, 3)
+        assert c.true_distance(x, y, 4) == 4
+    assert c._shared_rows.rows is None
 
 
 def test_is_convex_examples(window8):

@@ -248,6 +248,26 @@ def test_plane_map_on_a_book_is_a_task_failure(tmp_path):
     assert task["assertions"] == []
 
 
+@pytest.mark.parametrize("section", [
+    "kind = sample\nname = book-3\n",
+    "kind = file\npath = c.fc\n",
+], ids=["book-3", "file"])
+def test_goodness_sweep_off_the_plane_is_refused(tmp_path, section):
+    """The sweep contrasts lattice corner walks, so a complex that is not a
+    subcomplex of the plane is refused before any pair is drawn (the BFS
+    twin of a plane window runs it: see ``test_plane_twin``)."""
+    (tmp_path / "c.fc").write_text("flagcomplex v1\n0 1\n1 2\n2 0\n2 3\n")
+    scn = tmp_path / "sweep.scn"
+    scn.write_text(f"[complex main]\n{section}\n"
+                   "[task g]\nkind = goodness-sweep\ncomplex = main\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 1
+    task = json.loads(out.read_text())["tasks"][0]
+    assert task["error"].startswith("NotPlaneBacked: goodness sweep on ")
+    assert task["error"].endswith(", which is not a subcomplex of the plane")
+    assert task["assertions"] == [] and "TypeError" not in task["error"]
+
+
 @pytest.mark.parametrize("radius, origin, why", [
     (2, "2 0", "after 2000 attempts"),
     (4, "40 0", "(origin not in the window)"),
