@@ -31,16 +31,17 @@ the processes, with the values themselves (``runs``); a count such as
 ``ball_size`` and each ``pair`` is the first process's.
 
 - ``goodness_curve``: seconds per ``goodness_constant`` call on one selected
-  geodesic at n = 8, 16, 24, 32 (median of ``REPEATS`` within a process),
+  geodesic at n = 8, 16, 24, 32, 64 (median of ``REPEATS`` within a process),
   and the seconds spent in each pipeline stage of ``STAGES`` (``stages``),
   timed in a separate call by a wrapper around each stage function. A stage
   names candidate functions in order and wraps the first one the side has;
   a stage whose candidates a side lacks is left out of that side.
   ``projection`` is ``directed._closed_form`` where it exists and
-  ``directed._project`` before it. ``cat0_seconds`` and
-  ``cat0_share`` sum the three CAT(0) stages (modified disk, shortest path,
-  diagonal); ``staged_seconds`` is the whole wrapped call, wrappers
-  included.
+  ``directed._project`` before it. ``straight_diagonal`` is the plane's
+  thick-interval path, ``cat0.straight_diagonal``, where it exists.
+  ``cat0_seconds`` and ``cat0_share`` sum the CAT(0) stages a side has
+  (modified disk, shortest path, diagonal, straight diagonal);
+  ``staged_seconds`` is the whole wrapped call, wrappers included.
 - ``construction_curve``: seconds per ``euclidean_geodesic`` call without
   the reversal check at n = 32, 64, 128 on the same pair family (median of
   ``CONSTRUCTION_REPEATS``), each call on a fresh radius n/2 + 2 window
@@ -101,7 +102,7 @@ PAIRS = 10
 FIRST_SEED = 401
 REPEATS = 3
 CURVE_PROCESSES = 5
-CURVE_LENGTHS = (8, 16, 24, 32)
+CURVE_LENGTHS = (8, 16, 24, 32, 64)
 CONSTRUCTION_LENGTHS = (32, 64, 128)
 CONSTRUCTION_REPEATS = 5
 CONVEXITY_RADII = (2, 4, 6, 8)
@@ -121,8 +122,9 @@ STAGES = {
     "shortest_path": ("cat0", "shortest_path"),
     "diagonal": ("cat0", "euclidean_diagonal"),
     "characteristic_map": ("chardisk", "characteristic_map"),
+    "straight_diagonal": ("cat0", "straight_diagonal"),
 }
-CAT0_STAGES = ("modified_disk", "shortest_path", "diagonal")
+CAT0_STAGES = ("modified_disk", "shortest_path", "diagonal", "straight_diagonal")
 STARTUP_REPEATS = 5
 
 
@@ -307,7 +309,7 @@ def curve_worker() -> dict:
             for name in originals:
                 stages[name].append(spent[name])
         medians = {name: statistics.median(t) for name, t in stages.items()}
-        cat0_s = sum(medians[name] for name in CAT0_STAGES)
+        cat0_s = sum(medians.get(name, 0.0) for name in CAT0_STAGES)
         out[f"n{n}"] = {"pair": [x, y], "seconds": statistics.median(plain),
                         "staged_seconds": statistics.median(staged),
                         "stages": medians, "cat0_seconds": cat0_s,

@@ -6,6 +6,14 @@ layer segments are portals, and shortest paths are funnel shortest paths
 through the layer portals. Every point lives in integer doubled axial
 coordinates (``syslab.exact``), so each decision is an integer cross
 product and the diagonal's arc positions are ratios of them.
+
+On a plane window no disk is built: ``straight_diagonal`` reads the layer
+segments off the two directed geodesics, certifies that the straight
+segment between the bracket midpoints crosses every portal, which makes
+it the funnel's path, and reads the diagonal off its crossings with the
+same tie rule (``nearest_simplex_on_segment``). The modified disk and the
+funnel still run off the plane, and on the plane when a Euclidean
+geodesic's ``disks`` are read.
 """
 
 from __future__ import annotations
@@ -14,10 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from . import eplane
 from .chardisk import CharDisk
-from .complexes import Simplex
-from .directed import ThickInterval
-from .errors import DegenerateDomain, NoCrossing, PreconditionViolated
+from .complexes import FlagComplex, Simplex
+from .directed import Layers, ThickInterval
+from .errors import ConditionViolated, DegenerateDomain, NoCrossing, PreconditionViolated
 from .exact import PlanePoint, cross, norm_sq, orient
 
 
@@ -199,53 +208,145 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
         best = nearest_simplex_on_segment(num, den, t)
         verts = tuple((v[0] + step[0] * mpos, v[1] + step[1] * mpos) for mpos in best)
         sims.append(Simplex.of(verts))
-    diag = Diagonal(disk.interval, tuple(sims))
-    _verify_diagonal(disk, diag)
-    return diag
+    _verify_diagonal(sims, disk.layer_segment(j), disk.layer_segment(k))
+    return Diagonal(disk.interval, tuple(sims))
+
+
+def straight_diagonal(c: FlagComplex, layer_seq: Layers,
+                      interval: ThickInterval) -> List[Simplex]:
+    """The Euclidean simplices of the inner layers j+1..k-1 of a thick
+    interval of a plane window, from lattice arithmetic alone: no boundary
+    cycle, disk, modified disk or funnel is built.
+
+    Layer i is the lattice segment [v_i, w_i] from the vertex of sigma_i to
+    the vertex of tau_i farthest from it, the hull of the two simplices on
+    the layer's level line. The two brackets are unit edges, and the start
+    S and goal G of the modified disk are their midpoints. The segment S ->
+    G meets each inner layer line at an exact arc position u = num / den
+    (``_line_crossing``). When every u lies in the shrunk portal
+    1/2 <= u <= t - 1/2 of its layer, each piece of S -> G between two
+    consecutive layer lines has its ends in their two portals, so it lies
+    in the convex trapezoid they bound (a triangle at either end). The
+    segment then lies in the modified disk, so it is the disk's shortest
+    path: the funnel of ``shortest_path`` could only return it. The
+    simplices are chosen by ``nearest_simplex_on_segment``, checked by the
+    span conditions of ``euclidean_diagonal``, and sent to the window's own
+    vertices, which is the characteristic map of a plane disk.
+
+    Certified in O(k - j): each segment's length is the layer's thickness
+    (1 at the brackets), the segments are parallel lattice segments on
+    consecutive lattice lines, as the layers of a ``CharDisk`` stack, and
+    every crossing lies in its shrunk portal. A failure raises
+    ConditionViolated naming the layer, and for a crossing its num / den
+    and the portal's ends in doubled axial coordinates.
+    """
+    j, k = interval.j, interval.k
+    distance = eplane.lattice_distance
+    segments = []
+    for i in range(j, k + 1):
+        layer = layer_seq[i]
+        t = -1
+        for s in layer.sigma.verts:
+            for u in layer.tau.verts:
+                d = distance(s, u)
+                if d > t:
+                    t, v, w = d, s, u
+        if t != layer.thickness:
+            raise ConditionViolated(
+                f"layer {i} segment {v}-{w} has length {t}, thickness {layer.thickness}")
+        if t != 1 and i in (j, k):
+            raise ConditionViolated(f"bracket layer {i} segment {v}-{w} is not a unit edge")
+        dp, dq = w[0] - v[0], w[1] - v[1]
+        if dp % t or dq % t:
+            raise ConditionViolated(f"layer {i} segment {v}-{w} is not a lattice segment")
+        segments.append((v, w, t, (dp // t, dq // t)))
+    first = segments[0][3]
+    back = (-first[0], -first[1])
+    lines = [first[0] * v[1] - first[1] * v[0] for v, _, _, _ in segments]
+    rise = lines[1] - lines[0]
+    for i, (v, w, _, step), line in zip(range(j, k + 1), segments, lines):
+        if step != first and step != back:
+            raise ConditionViolated(f"layer {i} segment {v}-{w} is not parallel to layer {j}")
+        if i > j and (rise not in (1, -1) or line != lines[0] + rise * (i - j)):
+            raise ConditionViolated(
+                f"layer {i} segment {v}-{w} is not on the lattice line after layer {i - 1}")
+    (vj, wj, _, _), (vk, wk, _, _) = segments[0], segments[-1]
+    start = (vj[0] + wj[0], vj[1] + wj[1])
+    goal = (vk[0] + wk[0], vk[1] + wk[1])
+    sims = []
+    for i, (v, w, t, step) in zip(interval.interior(), segments[1:-1]):
+        arc = _line_crossing(start, goal, v, step)
+        if arc is None:
+            raise ConditionViolated(f"segment {start}->{goal} does not cross layer {i}")
+        num, den = arc
+        if not den <= 2 * num <= (2 * t - 1) * den:
+            raise ConditionViolated(
+                f"segment {start}->{goal} meets layer {i} at u = {num}/{den}, outside "
+                f"the portal {(2 * v[0] + step[0], 2 * v[1] + step[1])}-"
+                f"{(2 * w[0] - step[0], 2 * w[1] - step[1])}")
+        m = nearest_simplex_on_segment(num, den, t)
+        a = (v[0] + step[0] * m[0], v[1] + step[1] * m[0])
+        if len(m) == 1:
+            sims.append(Simplex((a,)))
+        else:
+            b = (a[0] + step[0], a[1] + step[1])
+            sims.append(Simplex((a, b) if a < b else (b, a)))
+    _verify_diagonal(sims, (vj, wj), (vk, wk))
+    own = c.vertex
+    return [Simplex(tuple(map(own, c.validate_simplex(s).verts))) for s in sims]
 
 
 def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Tuple[int, int]:
-    """Arc position u = num / den (den > 0), in unit steps from v, where
-    segment a of alpha meets the line of layer i through v along step.
-
-    With A, B the segment's ends relative to 2v (doubled axial) and s the
-    step, the meeting point is 2u*s, and crossing both sides with B - A
-    gives 2u = cross(A, B) / (cross(s, B) - cross(s, A)).
-    """
+    """Arc position (``_line_crossing``) where segment a of alpha meets the
+    line of layer i through v along step."""
     A, B = alpha.points[a], alpha.points[a + 1]
-    A = (A.p - 2 * v[0], A.q - 2 * v[1])
-    B = (B.p - 2 * v[0], B.q - 2 * v[1])
+    arc = _line_crossing((A.p, A.q), (B.p, B.q), v, step)
+    if arc is None:
+        raise NoCrossing(f"path segment {a} does not cross the layer {i} line")
+    return arc
+
+
+def _line_crossing(a, b, v, step) -> Optional[Tuple[int, int]]:
+    """Arc position u = num / den (den > 0), in unit steps from v, where the
+    segment from a to b (doubled axial pairs) meets the lattice line through
+    v along step; None when the segment does not cross that line.
+
+    With A, B the ends relative to 2v and s the step, the meeting point is
+    2u*s, and crossing both sides with B - A gives
+    2u = cross(A, B) / (cross(s, B) - cross(s, A)).
+    """
+    A = (a[0] - 2 * v[0], a[1] - 2 * v[1])
+    B = (b[0] - 2 * v[0], b[1] - 2 * v[1])
     side_a, side_b = cross(step, A), cross(step, B)
     if side_a == side_b or side_a * side_b > 0:
-        raise NoCrossing(f"path segment {a} does not cross the layer {i} line")
+        return None
     num, den = cross(A, B), 2 * (side_b - side_a)
     return (num, den) if den > 0 else (-num, -den)
 
 
-def _verify_diagonal(disk: CharDisk, diag: Diagonal):
-    sims = diag.simplices
+def _verify_diagonal(sims, start, end):
+    """The span conditions of a diagonal, in lattice coordinates:
+    consecutive simplices span a simplex, and the end simplices are
+    vertices that span with the bracket edges ``start`` and ``end``."""
     if not sims:
         return
     for a, b in zip(sims, sims[1:]):
-        union = set(a.verts) | set(b.verts)
-        if not _disk_clique(disk, union):
+        if not _lattice_clique(a.verts + b.verts):
             raise NoCrossing(f"diagonal simplices {a} and {b} do not span a simplex")
-    j, k = disk.interval.j, disk.interval.k
     if len(sims[0]) != 1 or len(sims[-1]) != 1:
         raise NoCrossing("diagonal simplices at the interval ends must be vertices")
-    vj, wj = disk.layer_segment(j)
-    vk, wk = disk.layer_segment(k)
-    if not _disk_clique(disk, {vj, wj, sims[0].verts[0]}):
+    if not _lattice_clique((*start, sims[0].verts[0])):
         raise NoCrossing("first diagonal vertex does not span with the start edge")
-    if not _disk_clique(disk, {vk, wk, sims[-1].verts[0]}):
+    if not _lattice_clique((*end, sims[-1].verts[0])):
         raise NoCrossing("last diagonal vertex does not span with the end edge")
 
 
-def _disk_clique(disk: CharDisk, verts) -> bool:
-    verts = list(verts)
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            if verts[a] != verts[b] and not disk.disk_adjacent(verts[a], verts[b]):
+def _lattice_clique(verts) -> bool:
+    """Whether the distinct points of verts are pairwise lattice neighbours."""
+    offsets = eplane._OFFSET_SET
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            if a != b and (b[0] - a[0], b[1] - a[1]) not in offsets:
                 return False
     return True
 

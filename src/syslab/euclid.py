@@ -2,15 +2,21 @@
 
 A Euclidean geodesic assigns one simplex per layer of a vertex pair: the
 span of the two directed geodesics on thin layers, and the characteristic
-image of the disk diagonal on thick layers. The goodness constant of a
-vertex geodesic is the exact maximal deviation between its vertices and the
-Euclidean geodesics of all of its sub-pairs.
+image of the disk diagonal on thick layers. Off the plane each thick
+interval runs the stage chain: boundary cycle, flat disk, modified disk,
+CAT(0) path, diagonal and characteristic map. On a plane window the CAT(0)
+path of a thick interval is the straight segment between its brackets,
+certified in O(k - j) by ``cat0.straight_diagonal``, and the disk stages
+run only when ``EuclideanGeodesic.disks`` is read. The goodness constant
+of a vertex geodesic is the exact maximal deviation between its vertices
+and the Euclidean geodesics of all of its sub-pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import cat0, chardisk
@@ -47,7 +53,11 @@ class EuclideanGeodesic:
     """Per-layer simplices delta_0..delta_n between two vertices.
 
     Also carries the layers it was built on and, per thick interval in
-    order, the (boundary cycle, modified disk, CAT(0) path) stages.
+    order, the (boundary cycle, modified disk, CAT(0) path) stages in
+    ``disks``. Off the plane the simplices are read from those stages, so
+    they are built with them. On a plane window the simplices come from
+    ``cat0.straight_diagonal`` and the stages are built from the layers
+    only when ``disks`` is first read.
     """
 
     complex: FlagComplex = field(repr=False, compare=False)
@@ -56,7 +66,24 @@ class EuclideanGeodesic:
     simplices: Tuple[Simplex, ...]
     provenance: Tuple[str, ...]   # endpoint | thin | disk
     layers: Optional[Layers] = field(default=None, repr=False, compare=False)
-    disks: Tuple[tuple, ...] = field(default=(), repr=False, compare=False)
+    _disks: Optional[Tuple[tuple, ...]] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def disks(self) -> Tuple[tuple, ...]:
+        """The stages per thick interval. Built here on a plane window, where
+        the CAT(0) path must be the straight segment from the modified
+        disk's start to its goal that ``cat0.straight_diagonal`` read."""
+        if self._disks is not None:
+            return self._disks
+        out = []
+        for interval in thick_intervals(self.layers):
+            cycle, _, mdisk, alpha = _disk_stages(self.complex, self.layers, interval)
+            if alpha.points != (mdisk.start, mdisk.goal):
+                raise ConditionViolated(
+                    f"CAT(0) path of interval ({interval.j}, {interval.k}) between "
+                    f"{self.x} and {self.y} bends: {alpha.points}")
+            out.append((cycle, mdisk, alpha))
+        return tuple(out)
 
     def __len__(self):
         return len(self.simplices) - 1
@@ -75,8 +102,9 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     Verifies delta_i stays inside layer i, and (unless disabled for bulk
     sweeps) that assembling from the other endpoint, on the same layers
     read backwards, yields the reversed sequence. The reversed pass rebuilds
-    every thick-interval stage from its own boundary cycle. Off the plane
-    every search of the construction reads the complex's shared rows.
+    every thick interval from the reversed layers: its own boundary cycle
+    and stages off the plane, its own straight segment on it. Off the
+    plane every search of the construction reads the complex's shared rows.
     """
     with c._shared_rows:
         layer_seq = layers(c, x, y)
@@ -107,25 +135,35 @@ def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
                 raise ConditionViolated(
                     f"thin layer {i} of ({x}, {y}) does not span a simplex")
             sims[i], tags[i] = Simplex.of(union), "thin"
+    plane = c.plane_backed
     disks = []
     for interval in thick_intervals(layer_seq):
-        cycle = chardisk.boundary_cycle(c, interval, layer_seq)
-        disk = chardisk.extract_flat_disk(c, cycle)
-        mdisk = cat0.modified_disk(disk)
-        alpha = cat0.shortest_path(mdisk)
-        disks.append((cycle, mdisk, alpha))
-        diagonal = cat0.euclidean_diagonal(disk, alpha)
-        for i in interval.interior():
-            rho = diagonal.simplex_at(i)
-            sims[i] = chardisk.characteristic_map(c, disk, rho)
-            tags[i] = "disk"
+        if plane:
+            images = cat0.straight_diagonal(c, layer_seq, interval)
+        else:
+            cycle, disk, mdisk, alpha = _disk_stages(c, layer_seq, interval)
+            disks.append((cycle, mdisk, alpha))
+            images = [chardisk.characteristic_map(c, disk, rho)
+                      for rho in cat0.euclidean_diagonal(disk, alpha).simplices]
+        for i, image in zip(interval.interior(), images):
+            sims[i], tags[i] = image, "disk"
     for i in range(n + 1):
         if sims[i] is None:
             raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
         if not all(layer_seq.holds(i, v) for v in sims[i].verts):
             raise ConditionViolated(
                 f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
-    return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq, tuple(disks))
+    return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq,
+                             None if plane else tuple(disks))
+
+
+def _disk_stages(c, layer_seq: Layers, interval):
+    """The stage chain of a thick interval: its boundary cycle, flat disk,
+    modified disk and CAT(0) path."""
+    cycle = chardisk.boundary_cycle(c, interval, layer_seq)
+    disk = chardisk.extract_flat_disk(c, cycle)
+    mdisk = cat0.modified_disk(disk)
+    return cycle, disk, mdisk, cat0.shortest_path(mdisk)
 
 
 def select_vertex_geodesic(e: EuclideanGeodesic) -> Tuple:
@@ -185,7 +223,9 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     ``translation_memo`` and shifted onto every later sub-pair with that
     difference, in this call or a later one; other complexes build one
     Euclidean geodesic per sub-pair, all of them reading one shared search
-    row per source. Quadratic in the length either way.
+    row per source. The constructions are quadratic in the length either
+    way, but the distance loop is cubic: it measures
+    sum over j < k of (k - j + 1) * |delta| = Theta(n^3) distances.
     The input must be a vertex geodesic; that is checked first, in O(n).
     """
     verts = tuple(geodesic)

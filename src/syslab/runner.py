@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import eplane, render, samples, treestudy
 from .complexes import FlagComplex
-from .directed import directed_geodesic, require_pair_safe
+from .directed import directed_geodesic, require_pair_safe, thick_intervals
 from .errors import BoundaryUnsafe, NotPlaneBacked, ScenarioParseError, TaskFailed
 from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
@@ -178,8 +178,7 @@ def _task_pipeline(scenario, task, record, rng, out_dir, c):
     record.outputs.update({
         "distance": layer_seq.n,
         "thickness_profile": layer_seq.thickness_profile(),
-        "thick_intervals": [(cycle.interval.j, cycle.interval.k)
-                            for cycle, _, _ in euclid.disks],
+        "thick_intervals": [(iv.j, iv.k) for iv in thick_intervals(layer_seq)],
         "euclidean_geodesic": [list(s.verts) for s in euclid],
         "selected_geodesic": list(selected),
         "goodness": report.c_star,

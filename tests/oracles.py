@@ -42,7 +42,9 @@ and the flat disk built from its whole region. They run on the complex's own
 margins and on the library's hexagon, development and triangle-count
 kernels, because they check that the plane's distance predicates, corner
 margin check and boundary certificate give the same levels, refusals and
-disks. ``area_extract_flat_disk`` returns an ``AreaDisk``, the library's
+disks. ``chain_diagonal`` is the former plane path of a thick interval, the
+library's whole stage chain from boundary cycle to characteristic map,
+because it checks the straight segment that replaced it on the plane. ``area_extract_flat_disk`` returns an ``AreaDisk``, the library's
 former seven-field disk, whose membership is its surface dict, because it
 checks the layer-segment reads of ``chardisk.CharDisk``. The certificate
 kernels at the end (``verify_conditions``, ``flat_at``,
@@ -1011,6 +1013,18 @@ def area_extract_flat_disk(c, cycle):
     surface = {coords[v]: v for v in region}
     return AreaDisk(cycle.interval, frozenset(region), coords,
                     v_labels, w_labels, surface, triangles)
+
+
+def chain_diagonal(c, layer_seq, interval):
+    """The former plane path of ``euclid._assemble`` for one thick interval:
+    the boundary cycle, flat disk, modified disk, funnel path, diagonal and
+    characteristic map of the library's stage chain. Returns the simplices
+    of the inner layers and the funnel path."""
+    cycle = chardisk.boundary_cycle(c, interval, layer_seq)
+    disk = chardisk.extract_flat_disk(c, cycle)
+    alpha = cat0.shortest_path(cat0.modified_disk(disk))
+    diagonal = cat0.euclidean_diagonal(disk, alpha)
+    return [chardisk.characteristic_map(c, disk, rho) for rho in diagonal.simplices], alpha
 
 
 # -- certificate kernels ------------------------------------------------------------
