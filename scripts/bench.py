@@ -24,7 +24,7 @@ The file holds:
 - ``traced``: the per-layer metrics of one traced run (``--trace 1``) per
   side and workload at seed 1; the counts repeat exactly for a seed.
 
-The four curves below run in ``CURVE_PROCESSES`` fresh processes per side,
+The five curves below run in ``CURVE_PROCESSES`` fresh processes per side,
 base first in even rounds and change first in odd ones. Each number a
 process measures is stored as the median and quartiles of its values over
 the processes, with the values themselves (``runs``); a count such as
@@ -63,8 +63,14 @@ the processes, with the values themselves (``runs``); a count such as
   rows settled in each pair's call (``rows_settled``). Not gated; unlike
   perfbench's ``complexes.bfs_runs``, which counts every off-plane
   ``true_distance`` call as a search, it reads what the rows did.
+- ``scenario_curve``: seconds and ``ref`` per ``runner.run_scenario`` of
+  each bundled scenario file of the side (``scenarios/*.scn``) at the
+  file's own seed, the run ``syslab run`` makes, reports written to a
+  temporary directory. A file whose run does not pass stops the worker.
+  The scenarios workload of perfbench times the files together; this
+  curve gives each its own wall time. Not gated.
 
-The last two curves are sampled alike. Each sample times a loop of
+The last three curves are sampled alike. Each sample times a loop of
 ``calls`` calls, doubled from 1 until one loop lasts at least
 ``SAMPLE_S``, after a garbage collection, and ``seconds`` is the median of
 ``SAMPLE_REPEATS`` samples divided by ``calls``; a single sub-millisecond
@@ -449,6 +455,28 @@ def book_goodness_worker() -> dict:
     return out
 
 
+def scenario_worker() -> dict:
+    """Time run_scenario on each bundled scenario file of the side, a loop
+    of runs per sample, in seconds and reference units per run; run with
+    the side's src/ on PYTHONPATH."""
+    import tempfile
+
+    from syslab import runner
+    from syslab.scenario import load_scenario
+
+    files = Path(runner.__file__).resolve().parents[2] / "scenarios"
+    reference = python_reference()
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(files.glob("*.scn")):
+            scenario = load_scenario(path)
+            if runner.run_scenario(scenario, Path(tmp))[1] != 0:
+                raise SystemExit(f"scenario {path.name} does not pass")
+            out[path.stem] = sampled(lambda: runner.run_scenario(scenario, Path(tmp)),
+                                     reference)
+    return out
+
+
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in (tree / "src" / "syslab").glob("*.py"))
 
@@ -463,6 +491,7 @@ def main(argv=None) -> int:
     parser.add_argument("--convexity-worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--book-goodness-worker", action="store_true",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--scenario-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.curve_worker:
         print(json.dumps(curve_worker()))
@@ -475,6 +504,9 @@ def main(argv=None) -> int:
         return 0
     if args.book_goodness_worker:
         print(json.dumps(book_goodness_worker()))
+        return 0
+    if args.scenario_worker:
+        print(json.dumps(scenario_worker()))
         return 0
     if args.pr is None:
         parser.error("--pr is required")
@@ -495,6 +527,7 @@ def main(argv=None) -> int:
         "construction_curve": curves(sides, "--construction-worker"),
         "convexity_curve": curves(sides, "--convexity-worker"),
         "book_goodness_curve": curves(sides, "--book-goodness-worker"),
+        "scenario_curve": curves(sides, "--scenario-worker"),
         "startup": {side: startup(tree) for side, tree in sides.items()},
         "tier1": {side: pytest_wall(tree, "tests") for side, tree in sides.items()},
         "acceptance": {side: pytest_wall(tree, "tests/test_acceptance.py")

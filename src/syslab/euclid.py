@@ -220,8 +220,10 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     This is exactly the least C' for which the geodesic is C'-good. Plane
     windows are translation-equivariant, so there one Euclidean geodesic is
     built per distinct difference v_k - v_j, kept in the window's
-    ``translation_memo`` and shifted onto every later sub-pair with that
-    difference, in this call or a later one; other complexes build one
+    ``translation_memo`` and reused for every later sub-pair with that
+    difference, in this call or a later one, by measuring from the
+    sub-pair's vertices shifted back onto it (only a new witness is
+    shifted forward); other complexes build one
     Euclidean geodesic per sub-pair, all of them reading one shared search
     row per source. The constructions are quadratic in the length either
     way, but the distance loop is cubic: it measures
@@ -237,12 +239,17 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
         for j in range(len(verts)):
             for k in range(j + 1, len(verts)):
                 pairs += 1
-                sub = _sub_simplices(c, verts[j], verts[k], j == 0)
+                sub, t = _sub_simplices(c, verts[j], verts[k], j == 0)
                 for i in range(j, k + 1):
+                    v = verts[i]
+                    if t is not None:
+                        v = (v[0] - t[0], v[1] - t[1])
                     for u in sub[i - j]:
-                        d = c.true_distance(verts[i], u)
+                        d = c.true_distance(v, u)
                         if d > best:
                             best = d
+                            if t is not None:
+                                u = (u[0] + t[0], u[1] + t[1])
                             witness = (j, k, i, u, d)
     return GoodnessReport(verts, best, witness, pairs)
 
@@ -266,11 +273,16 @@ def _require_vertex_geodesic(c: FlagComplex, verts: Tuple):
                 f"but the sequence takes {n} steps")
 
 
-def _sub_simplices(c: FlagComplex, x, y, check: bool) -> Sequence:
+def _sub_simplices(c: FlagComplex, x, y, check: bool) -> Tuple[Sequence, Optional[Tuple]]:
     """The simplices of the Euclidean geodesic from x to y, each iterable in
-    sorted vertex order. With a memo (plane windows) a pair reuses the
-    vertex tuples built for the first pair x0 with difference y - x,
-    shifted by x - x0; a translation keeps every sorted tuple sorted.
+    sorted vertex order, and the shift t that carries them onto x-y. With a
+    memo (plane windows) a pair reuses the vertex tuples built for the first
+    pair x0 with difference y - x, unshifted, with t = x - x0: the caller
+    measures from v - t instead of building shifted copies, which gives the
+    same distances because the window's metric is the lattice's. A
+    translation keeps every sorted tuple sorted, so the first vertex to
+    reach a distance is the same either way. t is None where the simplices
+    are x-y's own: off the plane, and on the pair that filled the memo.
 
     A reused pair is still held to the margin rule when ``check`` is set,
     which goodness_constant sets for the sub-pairs (0, k). The later
@@ -278,18 +290,17 @@ def _sub_simplices(c: FlagComplex, x, y, check: bool) -> Sequence:
     lies inside the I(v_0, v_k) that was checked just before."""
     memo = c.translation_memo
     if memo is None:
-        return euclidean_geodesic(c, x, y, check_reversal=False)
+        return euclidean_geodesic(c, x, y, check_reversal=False), None
     diff = (y[0] - x[0], y[1] - x[1])
     hit = memo.get(diff)
     if hit is None:
         sims = tuple(s.verts for s in euclidean_geodesic(c, x, y, check_reversal=False))
         memo[diff] = (x, sims)
-        return sims
+        return sims, None
     if check:
         require_pair_safe(c, x, y)
     x0, sims = hit
-    dx, dy = x[0] - x0[0], x[1] - x0[1]
-    return [tuple((a + dx, b + dy) for a, b in s) for s in sims]
+    return sims, (x[0] - x0[0], x[1] - x0[1])
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
 from .isodyn import (axis_line_max_distance_sq, check_min_proximity,
                      displacement_set, invariant_geodesic_on_plane, is_hyperbolic,
-                     min_set, translation_length)
+                     translation_length)
 from .scenario import Scenario
 
 SCHEMA = "report/1"
@@ -132,28 +132,52 @@ def write_report(report: Dict, path: Path):
 # -- samplers -------------------------------------------------------------------
 
 
-def _sample_space(c: FlagComplex, name: str) -> List:
-    """The vertices pairs are drawn from, sorted: those of margin >= 1."""
+def _sample_space(c: FlagComplex, name: str, admissible=None) -> List:
+    """The vertices pairs are drawn from, sorted: those of margin >= 1.
+
+    With ``admissible``, each vertex it rejects is left in the list as a
+    hole (``None``) rather than removed. The list keeps its length, so
+    ``_sample_safe_pair``, whose draws are ``randrange(len(verts))``'s own,
+    draws the same indices, and so the same pairs, as it would on the whole
+    space with the predicate tested on each try; the predicate is applied
+    once here instead of twice per try."""
     verts = sorted(v for v in c.vertices() if c.is_complete or c.margin(v) >= 1)
     if len(verts) < 2:
         raise TaskFailed(f"complex {name!r} ({c.name}) has {len(verts)} vertices "
                          f"of margin >= 1; sampling needs two")
+    if admissible is not None:
+        verts = [v if admissible(v) else None for v in verts]
     return verts
 
 
 def _sample_safe_pair(c: FlagComplex, verts: List, rng, max_distance: int,
-                      predicate=None, max_tries: int = 5000):
-    """Draw x, y from the sample space until the pair is margin-safe and
-    1 <= d(x, y) <= max_distance. On a plane window the lattice distance
-    rejects far pairs before the margin rule, which there checks only the
-    four corners of the interval box; elsewhere the rule scans the interval.
-    The draws are the same either way."""
+                      max_tries: int = 5000):
+    """Draw x, y from the sample space until both are admissible (not holes),
+    the pair is margin-safe and 1 <= d(x, y) <= max_distance. On a plane
+    window the lattice distance rejects far pairs before the margin rule,
+    which there checks only the four corners of the interval box; elsewhere
+    the rule scans the interval. The draws are the same either way.
+
+    Each index is drawn by the loop ``Random.randrange(n)`` runs itself
+    (``_randbelow_with_getrandbits``, CPython 3.10-3.13): k = n.bit_length()
+    bits, redrawn while they read n or more. So every try consumes the
+    generator exactly as two ``randrange`` calls would, for a few C calls
+    rather than two Python frames. The space is sorted without repeats, so
+    equal indices are equal vertices."""
+    n = len(verts)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(max_tries):
-        x = verts[rng.randrange(len(verts))]
-        y = verts[rng.randrange(len(verts))]
-        if x == y:
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        if i == j:
             continue
-        if predicate is not None and not (predicate(x) and predicate(y)):
+        x, y = verts[i], verts[j]
+        if x is None or y is None:
             continue
         if c.plane_backed and c.true_distance(x, y) > max_distance:
             continue
@@ -284,14 +308,10 @@ def _task_displacement(scenario, task, record, rng, out_dir, c):
     if not is_hyperbolic(h):
         raise TaskFailed(f"{task.values['isometry']} is not hyperbolic")
     L = translation_length(h)
-    mset = min_set(h, c)
+    mset = displacement_set(h, L, c)  # the min set, without a second scan for L
     bound = 9 * L + 6
-    verts = _sample_space(c, task.values["complex"])
-    pairs = []
-    for _ in range(n_pairs):
-        x, y, _ = _sample_safe_pair(c, verts, rng, max_d,
-                                    predicate=lambda v: v in mset.vertices)
-        pairs.append((x, y))
+    verts = _sample_space(c, task.values["complex"], mset.vertices.__contains__)
+    pairs = [_sample_safe_pair(c, verts, rng, max_d)[:2] for _ in range(n_pairs)]
     prox = check_min_proximity(c, h, pairs)
     record.outputs.update({
         "translation_length": L,
