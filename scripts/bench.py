@@ -36,19 +36,24 @@ the processes, with the values themselves (``runs``); a count such as
   timed in a separate call by a wrapper around each stage function. A stage
   names candidate functions in order and wraps the first one the side has;
   a stage whose candidates a side lacks is left out of that side.
-  ``projection`` is ``directed._closed_form`` where it exists and
-  ``directed._project`` before it. ``straight_diagonal`` is the plane's
-  thick-interval path, ``cat0.straight_diagonal``, where it exists.
+  ``projection`` is the first of ``directed._plane_chain`` (the certified
+  closed-form tuples of the one-pass plane construction),
+  ``directed._closed_form`` and ``directed._project`` that the side has;
+  ``thickness`` is ``directed._layer_segments`` (the pass's segment scan)
+  or ``directed._thickness``; ``straight_diagonal`` is the plane's
+  thick-interval path, ``cat0._straight_segment`` or
+  ``cat0.straight_diagonal``, where either exists.
   ``cat0_seconds`` and ``cat0_share`` sum the CAT(0) stages a side has
   (modified disk, shortest path, diagonal, straight diagonal);
   ``staged_seconds`` is the whole wrapped call, wrappers included.
-- ``construction_curve``: seconds per ``euclidean_geodesic`` call without
-  the reversal check at n = 32, 64, 128 on the same pair family (median of
-  ``CONSTRUCTION_REPEATS``), each call on a fresh radius n/2 + 2 window
-  built untimed and followed by a garbage collection before the clock
-  starts, and ``ratio_128_32`` = t(128) / t(32): about 4 when a
-  construction costs O(n), about 16 when it costs the interval's area.
-  Not gated.
+- ``construction_curve``: seconds and ``ref`` per ``euclidean_geodesic``
+  call without the reversal check on the same pair family at n = 8, 16,
+  24 (the lengths of perfbench's plane-goodness workload) and 32, 64,
+  128, sampled as below on one radius n/2 + 2 window per length, built
+  untimed (a plane construction stores nothing in its window, so every
+  call builds the whole geodesic), and ``ratio_128_32`` = ref(128) /
+  ref(32): about 4 when a construction costs O(n), about 16 when it costs
+  the interval's area. Not gated.
 - ``convexity_curve``: seconds per ``is_convex`` call on the ball of
   radius r = 2, 4, 6, 8 around the spine vertex (0, 0, 0) of
   ``book_window(4, 12)``, and ``ratio_8_2`` = t(8) / t(2), read from
@@ -70,15 +75,15 @@ the processes, with the values themselves (``runs``); a count such as
   The scenarios workload of perfbench times the files together; this
   curve gives each its own wall time. Not gated.
 
-The last three curves are sampled alike. Each sample times a loop of
-``calls`` calls, doubled from 1 until one loop lasts at least
-``SAMPLE_S``, after a garbage collection, and ``seconds`` is the median of
-``SAMPLE_REPEATS`` samples divided by ``calls``; a single sub-millisecond
-call is too short to time on a shared machine. ``ref`` is the median of the
-same samples, each divided by the mean of ``perfbench/run.py``'s
-``python_reference`` timed just before and just after it, as ``item_cost``
-is: the machine's speed moves from one process to the next, and the ratio
-cancels it.
+``construction_curve`` and the last three curves are sampled alike. Each
+sample times a loop of ``calls`` calls, doubled from 1 until one loop
+lasts at least ``SAMPLE_S``, after a garbage collection, and ``seconds``
+is the median of ``SAMPLE_REPEATS`` samples divided by ``calls``; a
+single sub-millisecond call is too short to time on a shared machine.
+``ref`` is the median of the same samples, each divided by the mean of
+``perfbench/run.py``'s ``python_reference`` timed just before and just
+after it, as ``item_cost`` is: the machine's speed moves from one process
+to the next, and the ratio cancels it.
 - ``src_lines``: lines of ``src/syslab/*.py`` on each side.
 - ``tier1``: wall seconds of one run of the Tier-1 suite (``pytest -q`` over
   ``tests/``) on each side, with pytest's closing summary line.
@@ -109,8 +114,7 @@ FIRST_SEED = 401
 REPEATS = 3
 CURVE_PROCESSES = 5
 CURVE_LENGTHS = (8, 16, 24, 32, 64)
-CONSTRUCTION_LENGTHS = (32, 64, 128)
-CONSTRUCTION_REPEATS = 5
+CONSTRUCTION_LENGTHS = (8, 16, 24, 32, 64, 128)
 CONVEXITY_RADII = (2, 4, 6, 8)
 BOOK_GOODNESS_LENGTHS = (4, 8, 12)
 BOOK_GOODNESS_PAIRS = 4
@@ -120,15 +124,15 @@ SAMPLE_S = 0.02
 # do not call one another
 STAGES = {
     "levels": ("directed", "_safe_levels"),
-    "projection": ("directed", "_closed_form", "_project"),
-    "thickness": ("directed", "_thickness"),
+    "projection": ("directed", "_plane_chain", "_closed_form", "_project"),
+    "thickness": ("directed", "_layer_segments", "_thickness"),
     "boundary_cycle": ("chardisk", "boundary_cycle"),
     "flat_disk": ("chardisk", "extract_flat_disk"),
     "modified_disk": ("cat0", "modified_disk"),
     "shortest_path": ("cat0", "shortest_path"),
     "diagonal": ("cat0", "euclidean_diagonal"),
     "characteristic_map": ("chardisk", "characteristic_map"),
-    "straight_diagonal": ("cat0", "straight_diagonal"),
+    "straight_diagonal": ("cat0", "_straight_segment", "straight_diagonal"),
 }
 CAT0_STAGES = ("modified_disk", "shortest_path", "diagonal", "straight_diagonal")
 STARTUP_REPEATS = 5
@@ -331,26 +335,19 @@ def _curve_pair(n: int):
 
 
 def construction_worker() -> dict:
-    """Time one euclidean_geodesic without the reversal check per call, on
-    the pair family of ``curve_worker``; run with the side's src/ on
-    PYTHONPATH. Each call gets a fresh window, so nothing an earlier call
-    built is reused."""
-    import gc
-
+    """Time euclidean_geodesic without the reversal check on the pair family
+    of ``curve_worker``, a loop of calls per sample, in seconds and
+    reference units per call; run with the side's src/ on PYTHONPATH."""
     from syslab import eplane, euclid
 
+    reference = python_reference()
     out = {}
     for n in CONSTRUCTION_LENGTHS:
         x, y = _curve_pair(n)
-        times = []
-        for _ in range(CONSTRUCTION_REPEATS):
-            c = eplane.window((0, 0), n // 2 + 2)
-            gc.collect()
-            t0 = time.perf_counter()
-            euclid.euclidean_geodesic(c, x, y, check_reversal=False)
-            times.append(time.perf_counter() - t0)
-        out[f"n{n}"] = {"pair": [x, y], "seconds": statistics.median(times)}
-    out["ratio_128_32"] = out["n128"]["seconds"] / out["n32"]["seconds"]
+        c = eplane.window((0, 0), n // 2 + 2)
+        out[f"n{n}"] = {"pair": [x, y], **sampled(
+            lambda: euclid.euclidean_geodesic(c, x, y, check_reversal=False), reference)}
+    out["ratio_128_32"] = out["n128"]["ref"] / out["n32"]["ref"]
     return out
 
 

@@ -7,13 +7,14 @@ through the layer portals. Every point lives in integer doubled axial
 coordinates (``syslab.exact``), so each decision is an integer cross
 product and the diagonal's arc positions are ratios of them.
 
-On a plane window no disk is built: ``straight_diagonal`` reads the layer
-segments off the two directed geodesics, certifies that the straight
-segment between the bracket midpoints crosses every portal, which makes
-it the funnel's path, and reads the diagonal off its crossings with the
-same tie rule (``nearest_simplex_on_segment``). The modified disk and the
-funnel still run off the plane, and on the plane when a Euclidean
-geodesic's ``disks`` are read.
+On a plane window no disk is built: ``_straight_segment`` takes the layer
+segments of a thick interval, certifies that the straight segment between
+the bracket midpoints crosses every portal, which makes it the funnel's
+path, and reads the diagonal off its crossings with the same tie rule
+(``nearest_simplex_on_segment``). ``euclid``'s plane construction feeds it
+the segments of its lattice pass; ``straight_diagonal`` feeds it those of
+a ``Layers``. The modified disk and the funnel still run off the plane,
+and on the plane when a Euclidean geodesic's ``disks`` are read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Optional, Tuple
 from . import eplane
 from .chardisk import CharDisk
 from .complexes import FlagComplex, Simplex
-from .directed import Layers, ThickInterval
+from .directed import Layers, ThickInterval, _layer_segments
 from .errors import ConditionViolated, DegenerateDomain, NoCrossing, PreconditionViolated
 from .exact import PlanePoint, cross, norm_sq, orient
 
@@ -208,73 +209,85 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
         best = nearest_simplex_on_segment(num, den, t)
         verts = tuple((v[0] + step[0] * mpos, v[1] + step[1] * mpos) for mpos in best)
         sims.append(Simplex.of(verts))
-    _verify_diagonal(sims, disk.layer_segment(j), disk.layer_segment(k))
+    _verify_diagonal([s.verts for s in sims], disk.layer_segment(j),
+                     disk.layer_segment(k))
     return Diagonal(disk.interval, tuple(sims))
 
 
 def straight_diagonal(c: FlagComplex, layer_seq: Layers,
                       interval: ThickInterval) -> List[Simplex]:
     """The Euclidean simplices of the inner layers j+1..k-1 of a thick
-    interval of a plane window, from lattice arithmetic alone: no boundary
-    cycle, disk, modified disk or funnel is built.
+    interval of a plane window, on the window's own vertices: the segment
+    of each layer j..k read off its two simplices (``_layer_segments``)
+    with the layer's recorded thickness, certified and crossed by
+    ``_straight_segment``, and every simplex validated on the window, which
+    is the characteristic map of a plane disk. A failure raises
+    ConditionViolated naming the layer."""
+    j, k = interval.j, interval.k
+    inner = layer_seq[j:k + 1]
+    scanned = _layer_segments([layer.sigma.verts for layer in inner],
+                              [layer.tau.verts for layer in inner])
+    segments = [(v, w, layer.thickness) for (v, w, _), layer in zip(scanned, inner)]
+    own = c.vertex
+    return [Simplex(tuple(map(own, c.validate_simplex(Simplex(s)).verts)))
+            for s in _straight_segment(j, segments)]
 
-    Layer i is the lattice segment [v_i, w_i] from the vertex of sigma_i to
-    the vertex of tau_i farthest from it, the hull of the two simplices on
-    the layer's level line. The two brackets are unit edges, and the start
-    S and goal G of the modified disk are their midpoints. The segment S ->
-    G meets each inner layer line at an exact arc position u = num / den
-    (``_line_crossing``). When every u lies in the shrunk portal
-    1/2 <= u <= t - 1/2 of its layer, each piece of S -> G between two
-    consecutive layer lines has its ends in their two portals, so it lies
-    in the convex trapezoid they bound (a triangle at either end). The
+
+def _straight_segment(j: int, segments) -> List[tuple]:
+    """The Euclidean simplices, as sorted lattice tuples, of the inner
+    layers j+1..k-1 of a plane thick interval whose layers j..k have the
+    segments ``(v_i, w_i, thickness_i)``, from lattice arithmetic alone: no
+    boundary cycle, disk, modified disk or funnel is built.
+
+    Layer i is the lattice segment [v_i, w_i], the hull of sigma_i and
+    tau_i on the layer's level line. The two brackets are unit edges, and
+    the start S and goal G of the modified disk are their midpoints. The
+    segment S -> G meets each inner layer line at an exact arc position
+    u = num / den (``_line_crossing``). When every u lies in the shrunk
+    portal 1/2 <= u <= t - 1/2 of its layer, each piece of S -> G between
+    two consecutive layer lines has its ends in their two portals, so it
+    lies in the convex trapezoid they bound (a triangle at either end). The
     segment then lies in the modified disk, so it is the disk's shortest
     path: the funnel of ``shortest_path`` could only return it. The
-    simplices are chosen by ``nearest_simplex_on_segment``, checked by the
-    span conditions of ``euclidean_diagonal``, and sent to the window's own
-    vertices, which is the characteristic map of a plane disk.
+    simplices are chosen by ``nearest_simplex_on_segment`` and checked by
+    the span conditions of ``euclidean_diagonal``.
 
-    Certified in O(k - j): each segment's length is the layer's thickness
-    (1 at the brackets), the segments are parallel lattice segments on
-    consecutive lattice lines, as the layers of a ``CharDisk`` stack, and
-    every crossing lies in its shrunk portal. A failure raises
+    Certified in O(k - j): each segment's lattice length is its layer's
+    thickness (1 at the brackets), the segments are parallel lattice
+    segments on consecutive lattice lines, as the layers of a ``CharDisk``
+    stack, and every crossing lies in its shrunk portal. A failure raises
     ConditionViolated naming the layer, and for a crossing its num / den
     and the portal's ends in doubled axial coordinates.
     """
-    j, k = interval.j, interval.k
+    k = j + len(segments) - 1
     distance = eplane.lattice_distance
-    segments = []
-    for i in range(j, k + 1):
-        layer = layer_seq[i]
-        t = -1
-        for s in layer.sigma.verts:
-            for u in layer.tau.verts:
-                d = distance(s, u)
-                if d > t:
-                    t, v, w = d, s, u
-        if t != layer.thickness:
+    steps = []
+    for i, (v, w, thickness) in enumerate(segments, j):
+        t = distance(v, w)
+        if t != thickness:
             raise ConditionViolated(
-                f"layer {i} segment {v}-{w} has length {t}, thickness {layer.thickness}")
+                f"layer {i} segment {v}-{w} has length {t}, thickness {thickness}")
         if t != 1 and i in (j, k):
             raise ConditionViolated(f"bracket layer {i} segment {v}-{w} is not a unit edge")
         dp, dq = w[0] - v[0], w[1] - v[1]
         if dp % t or dq % t:
             raise ConditionViolated(f"layer {i} segment {v}-{w} is not a lattice segment")
-        segments.append((v, w, t, (dp // t, dq // t)))
-    first = segments[0][3]
+        steps.append((dp // t, dq // t))
+    first = steps[0]
     back = (-first[0], -first[1])
-    lines = [first[0] * v[1] - first[1] * v[0] for v, _, _, _ in segments]
+    lines = [first[0] * v[1] - first[1] * v[0] for v, _, _ in segments]
     rise = lines[1] - lines[0]
-    for i, (v, w, _, step), line in zip(range(j, k + 1), segments, lines):
+    for i, (v, w, _), step, line in zip(range(j, k + 1), segments, steps, lines):
         if step != first and step != back:
             raise ConditionViolated(f"layer {i} segment {v}-{w} is not parallel to layer {j}")
         if i > j and (rise not in (1, -1) or line != lines[0] + rise * (i - j)):
             raise ConditionViolated(
                 f"layer {i} segment {v}-{w} is not on the lattice line after layer {i - 1}")
-    (vj, wj, _, _), (vk, wk, _, _) = segments[0], segments[-1]
+    (vj, wj, _), (vk, wk, _) = segments[0], segments[-1]
     start = (vj[0] + wj[0], vj[1] + wj[1])
     goal = (vk[0] + wk[0], vk[1] + wk[1])
     sims = []
-    for i, (v, w, t, step) in zip(interval.interior(), segments[1:-1]):
+    for i, (v, w, t), step in zip(range(j + 1, k), segments[1:-1], steps[1:-1]):
         arc = _line_crossing(start, goal, v, step)
         if arc is None:
             raise ConditionViolated(f"segment {start}->{goal} does not cross layer {i}")
@@ -287,13 +300,12 @@ def straight_diagonal(c: FlagComplex, layer_seq: Layers,
         m = nearest_simplex_on_segment(num, den, t)
         a = (v[0] + step[0] * m[0], v[1] + step[1] * m[0])
         if len(m) == 1:
-            sims.append(Simplex((a,)))
+            sims.append((a,))
         else:
             b = (a[0] + step[0], a[1] + step[1])
-            sims.append(Simplex((a, b) if a < b else (b, a)))
+            sims.append((a, b) if a < b else (b, a))
     _verify_diagonal(sims, (vj, wj), (vk, wk))
-    own = c.vertex
-    return [Simplex(tuple(map(own, c.validate_simplex(s).verts))) for s in sims]
+    return sims
 
 
 def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Tuple[int, int]:
@@ -325,30 +337,22 @@ def _line_crossing(a, b, v, step) -> Optional[Tuple[int, int]]:
 
 
 def _verify_diagonal(sims, start, end):
-    """The span conditions of a diagonal, in lattice coordinates:
-    consecutive simplices span a simplex, and the end simplices are
-    vertices that span with the bracket edges ``start`` and ``end``."""
+    """The span conditions of a diagonal given as vertex tuples, in lattice
+    coordinates: consecutive simplices span a simplex, and the end
+    simplices are vertices that span with the bracket edges ``start`` and
+    ``end``."""
     if not sims:
         return
     for a, b in zip(sims, sims[1:]):
-        if not _lattice_clique(a.verts + b.verts):
-            raise NoCrossing(f"diagonal simplices {a} and {b} do not span a simplex")
+        if not eplane._lattice_clique(a + b):
+            raise NoCrossing(
+                f"diagonal simplices {Simplex(a)} and {Simplex(b)} do not span a simplex")
     if len(sims[0]) != 1 or len(sims[-1]) != 1:
         raise NoCrossing("diagonal simplices at the interval ends must be vertices")
-    if not _lattice_clique((*start, sims[0].verts[0])):
+    if not eplane._lattice_clique((*start, sims[0][0])):
         raise NoCrossing("first diagonal vertex does not span with the start edge")
-    if not _lattice_clique((*end, sims[-1].verts[0])):
+    if not eplane._lattice_clique((*end, sims[-1][0])):
         raise NoCrossing("last diagonal vertex does not span with the end edge")
-
-
-def _lattice_clique(verts) -> bool:
-    """Whether the distinct points of verts are pairwise lattice neighbours."""
-    offsets = eplane._OFFSET_SET
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            if a != b and (b[0] - a[0], b[1] - a[1]) not in offsets:
-                return False
-    return True
 
 
 def nearest_simplex_on_segment(num: int, den: int, segment_length: int):

@@ -10,10 +10,13 @@ with both defining conditions re-verified as a postcondition, so a
 non-systolic input or a truncation artifact fails loudly rather than
 producing a quietly wrong sequence. On a plane window the sequence has a
 closed form (``eplane.directed_simplices``) and is certified in O(n) on
-the window's neighbour sets instead: it runs from x to y, and consecutive
-simplices are disjoint and span a simplex (``_check_spans``). The
-residue/ball condition is not checked there at run time; the projection
-with its full postcondition is the closed form's test oracle.
+its lattice tuples instead (``_check_chain``): every vertex lies in the
+window, it runs from x to y, and consecutive simplices are disjoint and
+jointly form a lattice clique. The residue/ball condition is not checked
+there at run time; the projection with its full postcondition is the
+closed form's test oracle. ``_plane_chain`` hands the certified tuples to
+``euclid``'s one-pass plane construction; ``_closed_form`` maps them to the
+window's own vertex objects for ``directed_geodesic`` and ``layers``.
 """
 
 from __future__ import annotations
@@ -187,25 +190,49 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
 
 
 def _closed_form(c: FlagComplex, x, y) -> DirectedGeodesic:
-    """The directed geodesic from x to y on a plane window, built from
-    ``eplane.directed_simplices`` on the window's own vertex objects once
-    the margin rule has passed the pair, and certified by ``_certify_chain``."""
+    """The directed geodesic from x to y on a plane window: the certified
+    tuples of ``_plane_chain`` on the window's own vertex objects."""
     own = c.vertex
-    geo = DirectedGeodesic(x, y, tuple(Simplex(tuple(map(own, verts)))
-                                       for verts in eplane.directed_simplices(x, y)))
-    _certify_chain(c, geo)
-    return geo
+    return DirectedGeodesic(x, y, tuple(Simplex(tuple(map(own, verts)))
+                                       for verts in _plane_chain(c, x, y)))
+
+
+def _plane_chain(c: FlagComplex, x, y) -> Tuple[Tuple, ...]:
+    """The simplices of the directed geodesic from x to y on a plane window
+    as sorted lattice tuples, from ``eplane.directed_simplices`` once the
+    margin rule has passed the pair, certified by ``_check_chain``."""
+    sims = eplane.directed_simplices(x, y)
+    _check_chain(c, sims, x, y)
+    return sims
 
 
 def _certify_chain(c: FlagComplex, geo: DirectedGeodesic):
-    """The O(n) certificate of a plane directed geodesic: the spans of
-    ``_check_spans``, then sigma_0 = x and sigma_n = y. The residue/ball
-    condition of ``_verify_conditions`` is not checked."""
-    sims = geo.simplices
-    _check_spans(c, sims)
-    if sims[0].verts != (geo.source,) or sims[-1].verts != (geo.target,):
-        raise ConditionViolated(
-            f"simplices do not run from {geo.source} to {geo.target}")
+    """The O(n) certificate of a plane directed geodesic (``_check_chain``)
+    on its simplices' vertex tuples."""
+    _check_chain(c, [s.verts for s in geo.simplices], geo.source, geo.target)
+
+
+def _check_chain(c: FlagComplex, sims, source, target):
+    """The certificate of a plane directed geodesic given as vertex tuples:
+    every vertex lies in the window; consecutive tuples are disjoint and
+    jointly form a lattice clique, which on a ball of the lattice is a
+    simplex of the window (the span check of ``_check_spans``, with its
+    refusal texts); and the tuples run from (source,) to (target,). The
+    residue/ball condition of ``_verify_conditions`` is not checked."""
+    inside = c.vertices()
+    for s in sims:
+        for v in s:
+            if v not in inside:
+                raise ConditionViolated(f"simplex {Simplex(s)} leaves the window at {v}")
+    for a, b in zip(sims, sims[1:]):
+        if not eplane._lattice_clique(a + b):
+            if not set(a).isdisjoint(b):
+                raise ConditionViolated(
+                    f"simplices {Simplex(a)} and {Simplex(b)} are not disjoint")
+            raise ConditionViolated(
+                f"simplices {Simplex(a)} and {Simplex(b)} do not span a simplex")
+    if sims[0] != (source,) or sims[-1] != (target,):
+        raise ConditionViolated(f"simplices do not run from {source} to {target}")
 
 
 def _check_spans(c: FlagComplex, sims):
@@ -293,26 +320,52 @@ def _thickness(c: FlagComplex, sigma: Simplex, tau: Simplex) -> int:
     return max(c.true_distance(s, t) for s in sigma for t in tau)
 
 
+def _layer_segments(sigmas, taus) -> list:
+    """Per layer of a plane pair, from the vertex tuples of sigma_i and
+    tau_i side by side: its segment (v_i, w_i), the first pair of a vertex
+    of sigma_i and one of tau_i at the largest lattice distance, in the
+    order of the tuples, and that distance, the layer's thickness, as
+    (v_i, w_i, thickness). The segment spans the hull of the two simplices
+    on the layer's level line (``cat0.straight_diagonal``)."""
+    distance = eplane.lattice_distance
+    out = []
+    for sigma, tau in zip(sigmas, taus):
+        t = -1
+        for s in sigma:
+            for u in tau:
+                d = distance(s, u)
+                if d > t:
+                    t, v, w = d, s, u
+        out.append((v, w, t))
+    return out
+
+
 def thick_intervals(layer_seq: Sequence[Layer]) -> list[ThickInterval]:
-    """Maximal thick runs bracketed by thin layers.
+    """Maximal thick runs bracketed by thin layers: ``_thick_runs`` on the
+    decomposition's thickness profile."""
+    return _thick_runs([layer.thickness for layer in layer_seq])
+
+
+def _thick_runs(profile: Sequence[int]) -> list[ThickInterval]:
+    """Maximal runs of thickness above 1 bracketed by thin layers.
 
     A thick layer adjacent to an endpoint has no thin bracket and cannot
     arise from a valid construction; it is reported as MalformedProfile.
     """
-    n = len(layer_seq) - 1
+    n = len(profile) - 1
     if n < 0:
         return []
-    if n >= 2 and (layer_seq[1].thick or layer_seq[n - 1].thick):
+    if n >= 2 and (profile[1] > 1 or profile[n - 1] > 1):
         raise MalformedProfile("thick layer adjacent to an endpoint")
     out = []
     i = 1
     while i < n:
-        if layer_seq[i].thick:
+        if profile[i] > 1:
             j = i - 1
             k = i + 1
-            while k < n and layer_seq[k].thick:
+            while k < n and profile[k] > 1:
                 k += 1
-            if not (layer_seq[j].thin and layer_seq[k].thin):
+            if not (profile[j] <= 1 and profile[k] <= 1):
                 raise MalformedProfile(f"thick run {j + 1}..{k - 1} lacks thin brackets")
             out.append(ThickInterval(j, k))
             i = k + 1

@@ -10,6 +10,7 @@ lattice-affine group: the order-12 hexagonal point group plus translations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Tuple
 
 from . import complexes
@@ -25,6 +26,16 @@ _OFFSET_SET = frozenset(OFFSETS)
 def neighbors(v: Axial) -> Tuple[Axial, ...]:
     a, b = v
     return tuple((a + da, b + db) for da, db in OFFSETS)
+
+
+def _lattice_clique(verts) -> bool:
+    """Whether the points of verts are pairwise lattice neighbours, which on
+    a ball of the lattice makes them a simplex of its window; a repeated
+    point is not a neighbour of itself."""
+    for (p, q), (r, s) in combinations(verts, 2):
+        if (r - p, s - q) not in _OFFSET_SET:
+            return False
+    return True
 
 
 def lattice_distance(u: Axial, v: Axial) -> int:

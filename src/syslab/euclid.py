@@ -2,14 +2,20 @@
 
 A Euclidean geodesic assigns one simplex per layer of a vertex pair: the
 span of the two directed geodesics on thin layers, and the characteristic
-image of the disk diagonal on thick layers. Off the plane each thick
-interval runs the stage chain: boundary cycle, flat disk, modified disk,
-CAT(0) path, diagonal and characteristic map. On a plane window the CAT(0)
-path of a thick interval is the straight segment between its brackets,
-certified in O(k - j) by ``cat0.straight_diagonal``, and the disk stages
-run only when ``EuclideanGeodesic.disks`` is read. The goodness constant
-of a vertex geodesic is the exact maximal deviation between its vertices
-and the Euclidean geodesics of all of its sub-pairs.
+image of the disk diagonal on thick layers. Off the plane it is assembled
+from the pair's ``Layers``, and each thick interval runs the stage chain:
+boundary cycle, flat disk, modified disk, CAT(0) path, diagonal and
+characteristic map. On a plane window it is built in one pass over lattice
+tuples (``_plane_pass``): the two directed geodesics are the certified
+tuples of ``directed._plane_chain``, each layer's segment and thickness are
+read off them, and the CAT(0) path of a thick interval is the straight
+segment between its brackets, certified in O(k - j) by
+``cat0._straight_segment``. Only the returned simplices are mapped to the
+window's own vertices; the ``Layers`` are built when
+``EuclideanGeodesic.layers`` is read, and the disk stages when ``disks``
+is. The goodness constant of a vertex geodesic is the exact maximal
+deviation between its vertices and the Euclidean geodesics of all of its
+sub-pairs.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from . import cat0, chardisk
+from . import cat0, chardisk, directed, eplane
 from .complexes import FlagComplex, Simplex
 from .directed import Layers, layers, require_pair_safe, thick_intervals
-from .errors import ConditionViolated, NoSelection, PreconditionViolated
+from .errors import ConditionViolated, NoSelection, NotASimplex, PreconditionViolated
 
 
 @dataclass
@@ -52,12 +58,13 @@ class GoodnessConstants:
 class EuclideanGeodesic:
     """Per-layer simplices delta_0..delta_n between two vertices.
 
-    Also carries the layers it was built on and, per thick interval in
-    order, the (boundary cycle, modified disk, CAT(0) path) stages in
-    ``disks``. Off the plane the simplices are read from those stages, so
-    they are built with them. On a plane window the simplices come from
-    ``cat0.straight_diagonal`` and the stages are built from the layers
-    only when ``disks`` is first read.
+    Also carries the layer decomposition of the pair in ``layers`` and, per
+    thick interval in order, the (boundary cycle, modified disk, CAT(0)
+    path) stages in ``disks``. Off the plane the simplices are read from
+    both, so they are built with them and stored. On a plane window the
+    simplices come from one lattice pass; ``layers`` is built by
+    ``directed.layers`` when first read, and ``disks`` from it when first
+    read.
     """
 
     complex: FlagComplex = field(repr=False, compare=False)
@@ -65,14 +72,21 @@ class EuclideanGeodesic:
     y: object
     simplices: Tuple[Simplex, ...]
     provenance: Tuple[str, ...]   # endpoint | thin | disk
-    layers: Optional[Layers] = field(default=None, repr=False, compare=False)
+    _layers: Optional[Layers] = field(default=None, repr=False, compare=False)
     _disks: Optional[Tuple[tuple, ...]] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def layers(self) -> Layers:
+        """The layer decomposition of (x, y); built here on a plane window."""
+        if self._layers is not None:
+            return self._layers
+        return layers(self.complex, self.x, self.y)   # directed.layers
 
     @cached_property
     def disks(self) -> Tuple[tuple, ...]:
         """The stages per thick interval. Built here on a plane window, where
         the CAT(0) path must be the straight segment from the modified
-        disk's start to its goal that ``cat0.straight_diagonal`` read."""
+        disk's start to its goal that ``cat0._straight_segment`` read."""
         if self._disks is not None:
             return self._disks
         out = []
@@ -100,12 +114,18 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     """Assemble the Euclidean geodesic between x and y.
 
     Verifies delta_i stays inside layer i, and (unless disabled for bulk
-    sweeps) that assembling from the other endpoint, on the same layers
-    read backwards, yields the reversed sequence. The reversed pass rebuilds
-    every thick interval from the reversed layers: its own boundary cycle
-    and stages off the plane, its own straight segment on it. Off the
-    plane every search of the construction reads the complex's shared rows.
+    sweeps) that assembling from the other endpoint yields the reversed
+    sequence. On a plane window the construction is ``_plane_pass`` on the
+    certified tuples of the two directed geodesics, and the reversed pass
+    re-derives every layer segment, thin span and straight segment from the
+    same tuples read from y; the two must also agree on the thickness
+    profile. Off the plane the reversed pass assembles from the same
+    layers read backwards and rebuilds each thick interval's boundary
+    cycle and stages, and every search of the construction reads the
+    complex's shared rows.
     """
+    if c.plane_backed:
+        return _plane_geodesic(c, x, y, check_reversal)
     with c._shared_rows:
         layer_seq = layers(c, x, y)
         geo = _assemble(c, layer_seq)
@@ -119,7 +139,85 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     return geo
 
 
+def _plane_geodesic(c: FlagComplex, x, y, check_reversal: bool) -> EuclideanGeodesic:
+    """The plane construction: the margin rule, the two certified chains,
+    the lattice pass, its reversal check, and the returned simplices on
+    the window's own vertex objects, except the ends, which stay the
+    caller's x and y as in ``_assemble``: a result the caller keeps after
+    the window is gone then holds no more of the window's objects than the
+    interior needs."""
+    directed._safe_levels(c, x, y)
+    sig = directed._plane_chain(c, x, y)
+    tau = directed._plane_chain(c, y, x)
+    sims, tags, profile = _plane_pass(c, x, y, sig, tau)
+    if check_reversal:
+        back, _, back_profile = _plane_pass(c, y, x, tau, sig)
+        if ([frozenset(s) for s in sims] != [frozenset(s) for s in reversed(back)]
+                or profile != back_profile[::-1]):
+            raise ConditionViolated(
+                f"euclidean geodesic between {x} and {y} is not reversal-symmetric")
+    own = c.vertex
+    simplices = [Simplex(tuple(map(own, s))) for s in sims]
+    simplices[-1], simplices[0] = Simplex((y,)), Simplex((x,))
+    return EuclideanGeodesic(c, x, y, tuple(simplices), tags)
+
+
+def _plane_pass(c: FlagComplex, x, y, sig, tau):
+    """The Euclidean simplices of (x, y) on a plane window as sorted lattice
+    tuples, with their provenance and the thickness profile, from the
+    certified tuples of the directed geodesics sig (x to y) and tau (y to
+    x). Layer i holds sig[i] and tau[n - i]; ``directed._layer_segments``
+    reads its segment [v_i, w_i] and thickness. A thin layer takes the
+    union of its two simplices, which must form a lattice clique, of one
+    vertex at thickness 0 and more at thickness 1. The thick intervals of
+    the profile (``directed._thick_runs``) take the straight segments of
+    ``cat0._straight_segment`` on their layers' segments, each simplex
+    validated on the window. Every vertex of delta_i must then lie in layer
+    i: in the window, at lattice distance i from x and n - i from y. The
+    checks and refusal texts are those of the former assembly from the
+    pair's ``Layers`` (``tests/oracles.layered_euclidean_geodesic``)."""
+    n = len(sig) - 1
+    segments = directed._layer_segments(sig, tau[::-1])
+    profile = tuple(t for _, _, t in segments)
+    sims: List[Optional[tuple]] = [None] * (n + 1)
+    tags = [""] * (n + 1)
+    sims[0], tags[0] = (x,), "endpoint"
+    sims[n], tags[n] = (y,), "endpoint"
+    for i in range(1, n):
+        if profile[i] <= 1:
+            union = tuple(sorted(set(sig[i]).union(tau[n - i])))
+            if not eplane._lattice_clique(union):
+                raise ConditionViolated(
+                    f"thin layer {i} of ({x}, {y}) does not span a simplex")
+            if profile[i] != (len(union) > 1):
+                raise ConditionViolated(f"thin layer {i} of ({x}, {y}) spans "
+                                        f"{Simplex(union)} at thickness {profile[i]}")
+            sims[i], tags[i] = union, "thin"
+    inside = c.vertices()
+    for interval in directed._thick_runs(profile):
+        j, k = interval.j, interval.k
+        for i, s in enumerate(cat0._straight_segment(j, segments[j:k + 1]), j + 1):
+            for v in s:   # FlagComplex.validate_simplex, on the lattice
+                if v not in inside:
+                    raise NotASimplex(f"vertex {v} not in complex")
+            if not eplane._lattice_clique(s):
+                raise NotASimplex(f"{Simplex(s)} is not a clique")
+            sims[i], tags[i] = s, "disk"
+    distance = eplane.lattice_distance
+    for i, s in enumerate(sims):
+        if s is None:
+            raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
+        for v in s:
+            if v not in inside or distance(x, v) != i or distance(v, y) != n - i:
+                raise ConditionViolated(
+                    f"delta_{i} of ({x}, {y}) leaves its layer: {Simplex(s)}")
+    return sims, tuple(tags), profile
+
+
 def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
+    """The Euclidean geodesic of a pair off the plane, from its layers: the
+    thin spans, and per thick interval the stage chain with the
+    characteristic images of its diagonal."""
     x, y, n = layer_seq.x, layer_seq.y, layer_seq.n
     if n == 0:
         return EuclideanGeodesic(c, x, y, (Simplex.of([x]),), ("endpoint",), layer_seq)
@@ -135,16 +233,12 @@ def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
                 raise ConditionViolated(
                     f"thin layer {i} of ({x}, {y}) does not span a simplex")
             sims[i], tags[i] = Simplex.of(union), "thin"
-    plane = c.plane_backed
     disks = []
     for interval in thick_intervals(layer_seq):
-        if plane:
-            images = cat0.straight_diagonal(c, layer_seq, interval)
-        else:
-            cycle, disk, mdisk, alpha = _disk_stages(c, layer_seq, interval)
-            disks.append((cycle, mdisk, alpha))
-            images = [chardisk.characteristic_map(c, disk, rho)
-                      for rho in cat0.euclidean_diagonal(disk, alpha).simplices]
+        cycle, disk, mdisk, alpha = _disk_stages(c, layer_seq, interval)
+        disks.append((cycle, mdisk, alpha))
+        images = [chardisk.characteristic_map(c, disk, rho)
+                  for rho in cat0.euclidean_diagonal(disk, alpha).simplices]
         for i, image in zip(interval.interior(), images):
             sims[i], tags[i] = image, "disk"
     for i in range(n + 1):
@@ -153,8 +247,7 @@ def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
         if not all(layer_seq.holds(i, v) for v in sims[i].verts):
             raise ConditionViolated(
                 f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
-    return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq,
-                             None if plane else tuple(disks))
+    return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq, tuple(disks))
 
 
 def _disk_stages(c, layer_seq: Layers, interval):
@@ -219,14 +312,15 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
 
     This is exactly the least C' for which the geodesic is C'-good. Plane
     windows are translation-equivariant, so there one Euclidean geodesic is
-    built per distinct difference v_k - v_j, kept in the window's
-    ``translation_memo`` and reused for every later sub-pair with that
-    difference, in this call or a later one, by measuring from the
-    sub-pair's vertices shifted back onto it (only a new witness is
-    shifted forward); other complexes build one
-    Euclidean geodesic per sub-pair, all of them reading one shared search
-    row per source. The constructions are quadratic in the length either
-    way, but the distance loop is cubic: it measures
+    built per distinct difference v_k - v_j, by the one-pass lattice
+    construction of ``euclidean_geodesic`` (no ``Layers`` is built), kept
+    in the window's ``translation_memo`` and reused for every later
+    sub-pair with that difference, in this call or a later one, by
+    measuring from the sub-pair's vertices shifted back onto it (only a new
+    witness is shifted forward); other complexes build one Euclidean
+    geodesic per sub-pair from its layers, all of them reading one shared
+    search row per source. The constructions are quadratic in the length
+    either way, but the distance loop is cubic: it measures
     sum over j < k of (k - j + 1) * |delta| = Theta(n^3) distances.
     The input must be a vertex geodesic; that is checked first, in O(n).
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import eplane
 from .complexes import FlagComplex
@@ -230,15 +230,18 @@ class MinProximityReport:
 
 
 def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
-                        pairs: Iterable[Tuple]) -> MinProximityReport:
+                        pairs: Iterable[Tuple], L: Optional[int] = None) -> MinProximityReport:
     """Displacement of Euclidean geodesics between minimally-displaced pairs.
 
     Every vertex of every simplex of the Euclidean geodesic between two
     vertices of the minimal set must be displaced at most 9*L(h) + 6; the
     empirical maximum and its witness are recorded alongside the bound.
+    A caller that already holds L = ``translation_length(h)`` passes it,
+    which saves the scan.
     """
     _require_window(h, c)
-    L = translation_length(h)
+    if L is None:
+        L = translation_length(h)
     bound = 9 * L + 6
     entries: List[MinProximityEntry] = []
     top = 0

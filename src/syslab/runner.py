@@ -312,7 +312,7 @@ def _task_displacement(scenario, task, record, rng, out_dir, c):
     bound = 9 * L + 6
     verts = _sample_space(c, task.values["complex"], mset.vertices.__contains__)
     pairs = [_sample_safe_pair(c, verts, rng, max_d)[:2] for _ in range(n_pairs)]
-    prox = check_min_proximity(c, h, pairs)
+    prox = check_min_proximity(c, h, pairs, L)
     record.outputs.update({
         "translation_length": L,
         "min_set_size": len(mset),

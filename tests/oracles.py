@@ -44,7 +44,21 @@ kernels, because they check that the plane's distance predicates, corner
 margin check and boundary certificate give the same levels, refusals and
 disks. ``chain_diagonal`` is the former plane path of a thick interval, the
 library's whole stage chain from boundary cycle to characteristic map,
-because it checks the straight segment that replaced it on the plane. ``area_extract_flat_disk`` returns an ``AreaDisk``, the library's
+because it checks the straight segment that replaced it on the plane.
+``layered_euclidean_geodesic`` is the former plane construction that the
+one-pass lattice construction of ``euclid`` replaced, kept verbatim with
+the pieces it ran: the closed-form directed geodesics on the window's own
+vertices with their neighbour-set certificate (``closed_form``,
+``certify_chain``), ``directed.layers`` (``layered_layers``), the profile
+walk (``layered_thick_intervals``), ``euclid._assemble``
+(``layered_assemble``) and ``cat0.straight_diagonal`` on the ``Layers``
+(``layered_straight_diagonal``, with its ``Simplex`` span check
+``simplex_verify_diagonal`` on its lattice clique test
+``lenient_lattice_clique``). It runs on the library's unchanged kernels
+(``eplane.directed_simplices``, ``directed._check_spans``,
+``directed._thickness``, ``cat0._line_crossing``), because it checks that
+the pass gives the same simplices, provenance, layers and refusals.
+``area_extract_flat_disk`` returns an ``AreaDisk``, the library's
 former seven-field disk, whose membership is its surface dict, because it
 checks the layer-segment reads of ``chardisk.CharDisk``. The certificate
 kernels at the end (``verify_conditions``, ``flat_at``,
@@ -67,13 +81,15 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from syslab import cat0, chardisk, complexes, eplane
+from syslab import cat0, chardisk, complexes, directed, eplane
 from syslab.cat0 import PolyPath
-from syslab.directed import ThickInterval, require_pair_safe
+from syslab.complexes import Simplex
+from syslab.directed import (DirectedGeodesic, Layer, Layers, ThickInterval,
+                             require_pair_safe)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
-                           NoCrossing, NotFlat, PreconditionViolated, SyslabError,
+                           MalformedProfile, NoCrossing, NotFlat, PreconditionViolated, SyslabError,
                            TaskFailed, Unreachable)
-from syslab.euclid import GoodnessReport, euclidean_geodesic
+from syslab.euclid import EuclideanGeodesic, GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
 from syslab.exact import cross as exact_cross
 
@@ -1025,6 +1041,198 @@ def chain_diagonal(c, layer_seq, interval):
     alpha = cat0.shortest_path(cat0.modified_disk(disk))
     diagonal = cat0.euclidean_diagonal(disk, alpha)
     return [chardisk.characteristic_map(c, disk, rho) for rho in diagonal.simplices], alpha
+
+
+# -- the layered plane construction ---------------------------------------------------
+#
+# The former plane path of euclid.euclidean_geodesic, verbatim but for the
+# names: library functions are called through their modules, and the
+# off-plane branches of the functions it ran are left out.
+
+
+def layered_euclidean_geodesic(c, x, y, *, check_reversal=True):
+    """The former ``euclid.euclidean_geodesic`` on a plane window: the
+    layers, the assembly, and the assembly from the reversed layers."""
+    with c._shared_rows:
+        layer_seq = layered_layers(c, x, y)
+        geo = layered_assemble(c, layer_seq)
+        if check_reversal:
+            back = layered_assemble(c, layer_seq.reversed())
+            forward = [frozenset(s.verts) for s in geo.simplices]
+            reverse = [frozenset(s.verts) for s in reversed(back.simplices)]
+            if forward != reverse:
+                raise ConditionViolated(
+                    f"euclidean geodesic between {x} and {y} is not reversal-symmetric")
+    return geo
+
+
+def layered_layers(c, x, y):
+    """The former ``directed.layers`` on a plane window."""
+    levels = directed._safe_levels(c, x, y)
+    sigma_geo = closed_form(c, x, y)
+    tau_geo = closed_form(c, y, x)
+    items = [Layer(i, sigma, tau, directed._thickness(c, sigma, tau))
+             for i, (sigma, tau) in enumerate(zip(sigma_geo, tau_geo.simplices[::-1]))]
+    return Layers(c, x, y, items, sigma_geo, tau_geo, levels)
+
+
+def closed_form(c, x, y):
+    """The former ``directed._closed_form``: the closed form on the
+    window's own vertex objects, certified by ``certify_chain``."""
+    own = c.vertex
+    geo = DirectedGeodesic(x, y, tuple(Simplex(tuple(map(own, verts)))
+                                       for verts in eplane.directed_simplices(x, y)))
+    certify_chain(c, geo)
+    return geo
+
+
+def certify_chain(c, geo):
+    """The former ``directed._certify_chain``, on the window's neighbour
+    sets: the spans of ``directed._check_spans``, then the ends."""
+    sims = geo.simplices
+    directed._check_spans(c, sims)
+    if sims[0].verts != (geo.source,) or sims[-1].verts != (geo.target,):
+        raise ConditionViolated(
+            f"simplices do not run from {geo.source} to {geo.target}")
+
+
+def layered_thick_intervals(layer_seq):
+    """The former ``directed.thick_intervals``, on the layers themselves."""
+    n = len(layer_seq) - 1
+    if n < 0:
+        return []
+    if n >= 2 and (layer_seq[1].thick or layer_seq[n - 1].thick):
+        raise MalformedProfile("thick layer adjacent to an endpoint")
+    out = []
+    i = 1
+    while i < n:
+        if layer_seq[i].thick:
+            j = i - 1
+            k = i + 1
+            while k < n and layer_seq[k].thick:
+                k += 1
+            if not (layer_seq[j].thin and layer_seq[k].thin):
+                raise MalformedProfile(f"thick run {j + 1}..{k - 1} lacks thin brackets")
+            out.append(ThickInterval(j, k))
+            i = k + 1
+        else:
+            i += 1
+    return out
+
+
+def layered_assemble(c, layer_seq):
+    """The former ``euclid._assemble`` on a plane window."""
+    x, y, n = layer_seq.x, layer_seq.y, layer_seq.n
+    if n == 0:
+        return EuclideanGeodesic(c, x, y, (Simplex.of([x]),), ("endpoint",), layer_seq)
+    sims = [None] * (n + 1)
+    tags = [""] * (n + 1)
+    sims[0], tags[0] = Simplex.of([x]), "endpoint"
+    sims[n], tags[n] = Simplex.of([y]), "endpoint"
+    for i in range(1, n):
+        layer = layer_seq[i]
+        if layer.thin:
+            union = set(layer.sigma.verts) | set(layer.tau.verts)
+            if not c.is_clique(union):
+                raise ConditionViolated(
+                    f"thin layer {i} of ({x}, {y}) does not span a simplex")
+            sims[i], tags[i] = Simplex.of(union), "thin"
+    for interval in layered_thick_intervals(layer_seq):
+        images = layered_straight_diagonal(c, layer_seq, interval)
+        for i, image in zip(interval.interior(), images):
+            sims[i], tags[i] = image, "disk"
+    for i in range(n + 1):
+        if sims[i] is None:
+            raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
+        if not all(layer_seq.holds(i, v) for v in sims[i].verts):
+            raise ConditionViolated(
+                f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
+    return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq)
+
+
+def layered_straight_diagonal(c, layer_seq, interval):
+    """The former ``cat0.straight_diagonal``: the segment of each layer
+    read off its two simplices and checked against its thickness, then the
+    straight segment between the brackets through every portal."""
+    j, k = interval.j, interval.k
+    distance = eplane.lattice_distance
+    segments = []
+    for i in range(j, k + 1):
+        layer = layer_seq[i]
+        t = -1
+        for s in layer.sigma.verts:
+            for u in layer.tau.verts:
+                d = distance(s, u)
+                if d > t:
+                    t, v, w = d, s, u
+        if t != layer.thickness:
+            raise ConditionViolated(
+                f"layer {i} segment {v}-{w} has length {t}, thickness {layer.thickness}")
+        if t != 1 and i in (j, k):
+            raise ConditionViolated(f"bracket layer {i} segment {v}-{w} is not a unit edge")
+        dp, dq = w[0] - v[0], w[1] - v[1]
+        if dp % t or dq % t:
+            raise ConditionViolated(f"layer {i} segment {v}-{w} is not a lattice segment")
+        segments.append((v, w, t, (dp // t, dq // t)))
+    first = segments[0][3]
+    back = (-first[0], -first[1])
+    lines = [first[0] * v[1] - first[1] * v[0] for v, _, _, _ in segments]
+    rise = lines[1] - lines[0]
+    for i, (v, w, _, step), line in zip(range(j, k + 1), segments, lines):
+        if step != first and step != back:
+            raise ConditionViolated(f"layer {i} segment {v}-{w} is not parallel to layer {j}")
+        if i > j and (rise not in (1, -1) or line != lines[0] + rise * (i - j)):
+            raise ConditionViolated(
+                f"layer {i} segment {v}-{w} is not on the lattice line after layer {i - 1}")
+    (vj, wj, _, _), (vk, wk, _, _) = segments[0], segments[-1]
+    start = (vj[0] + wj[0], vj[1] + wj[1])
+    goal = (vk[0] + wk[0], vk[1] + wk[1])
+    sims = []
+    for i, (v, w, t, step) in zip(interval.interior(), segments[1:-1]):
+        arc = cat0._line_crossing(start, goal, v, step)
+        if arc is None:
+            raise ConditionViolated(f"segment {start}->{goal} does not cross layer {i}")
+        num, den = arc
+        if not den <= 2 * num <= (2 * t - 1) * den:
+            raise ConditionViolated(
+                f"segment {start}->{goal} meets layer {i} at u = {num}/{den}, outside "
+                f"the portal {(2 * v[0] + step[0], 2 * v[1] + step[1])}-"
+                f"{(2 * w[0] - step[0], 2 * w[1] - step[1])}")
+        m = cat0.nearest_simplex_on_segment(num, den, t)
+        a = (v[0] + step[0] * m[0], v[1] + step[1] * m[0])
+        if len(m) == 1:
+            sims.append(Simplex((a,)))
+        else:
+            b = (a[0] + step[0], a[1] + step[1])
+            sims.append(Simplex((a, b) if a < b else (b, a)))
+    simplex_verify_diagonal(sims, (vj, wj), (vk, wk))
+    own = c.vertex
+    return [Simplex(tuple(map(own, c.validate_simplex(s).verts))) for s in sims]
+
+
+def simplex_verify_diagonal(sims, start, end):
+    """The former ``cat0._verify_diagonal``, on ``Simplex`` values."""
+    if not sims:
+        return
+    for a, b in zip(sims, sims[1:]):
+        if not lenient_lattice_clique(a.verts + b.verts):
+            raise NoCrossing(f"diagonal simplices {a} and {b} do not span a simplex")
+    if len(sims[0]) != 1 or len(sims[-1]) != 1:
+        raise NoCrossing("diagonal simplices at the interval ends must be vertices")
+    if not lenient_lattice_clique((*start, sims[0].verts[0])):
+        raise NoCrossing("first diagonal vertex does not span with the start edge")
+    if not lenient_lattice_clique((*end, sims[-1].verts[0])):
+        raise NoCrossing("last diagonal vertex does not span with the end edge")
+
+
+def lenient_lattice_clique(verts):
+    """The former ``cat0._lattice_clique``, which passed repeated points."""
+    offsets = eplane._OFFSET_SET
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            if a != b and (b[0] - a[0], b[1] - a[1]) not in offsets:
+                return False
+    return True
 
 
 # -- certificate kernels ------------------------------------------------------------

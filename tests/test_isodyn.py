@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from syslab import eplane, samples
+from syslab import eplane, isodyn, samples
 from syslab.errors import (BoundaryUnsafe, Inconclusive, NotPlaneBacked,
                            NotTranslationLike, PreconditionViolated)
 from syslab.isodyn import (TableAction, _assert_geodesic, axis_line_max_distance_sq,
@@ -144,6 +144,17 @@ def test_check_min_proximity_glide():
     assert report.bound == 24
     assert report.ok
     assert report.empirical_max <= 4  # regression anchor, far below the bound
+
+
+def test_check_min_proximity_takes_the_translation_length(monkeypatch):
+    """A caller that holds L hands it over, and the scan does not run again."""
+    c = eplane.window((0, 0), 16)
+    pairs = [((0, 0), (6, 6)), ((-3, -2), (4, 5))]
+    scanned = check_min_proximity(c, GLIDE, pairs)
+    L = isodyn.translation_length(GLIDE)
+    monkeypatch.setattr(isodyn, "translation_length",
+                        lambda h: pytest.fail("translation length scanned again"))
+    assert check_min_proximity(c, GLIDE, pairs, L) == scanned
 
 
 def test_check_min_proximity_translation():
