@@ -41,8 +41,7 @@ the processes, with the values themselves (``runs``); a count such as
   ``directed._closed_form`` and ``directed._project`` that the side has;
   ``thickness`` is ``directed._layer_segments`` (the pass's segment scan)
   or ``directed._thickness``; ``straight_diagonal`` is the plane's
-  thick-interval path, ``cat0._straight_segment`` or
-  ``cat0.straight_diagonal``, where either exists.
+  thick-interval path, ``cat0._straight_segment``, where it exists.
   ``cat0_seconds`` and ``cat0_share`` sum the CAT(0) stages a side has
   (modified disk, shortest path, diagonal, straight diagonal);
   ``staged_seconds`` is the whole wrapped call, wrappers included.
@@ -132,7 +131,7 @@ STAGES = {
     "shortest_path": ("cat0", "shortest_path"),
     "diagonal": ("cat0", "euclidean_diagonal"),
     "characteristic_map": ("chardisk", "characteristic_map"),
-    "straight_diagonal": ("cat0", "_straight_segment", "straight_diagonal"),
+    "straight_diagonal": ("cat0", "_straight_segment"),
 }
 CAT0_STAGES = ("modified_disk", "shortest_path", "diagonal", "straight_diagonal")
 STARTUP_REPEATS = 5

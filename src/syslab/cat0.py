@@ -11,10 +11,10 @@ On a plane window no disk is built: ``_straight_segment`` takes the layer
 segments of a thick interval, certifies that the straight segment between
 the bracket midpoints crosses every portal, which makes it the funnel's
 path, and reads the diagonal off its crossings with the same tie rule
-(``nearest_simplex_on_segment``). ``euclid``'s plane construction feeds it
-the segments of its lattice pass; ``straight_diagonal`` feeds it those of
-a ``Layers``. The modified disk and the funnel still run off the plane,
-and on the plane when a Euclidean geodesic's ``disks`` are read.
+(``nearest_simplex_on_segment``). Its one caller is ``euclid``'s plane
+construction, which feeds it the segments of its lattice pass. The
+modified disk and the funnel still run off the plane, and on the plane
+when a Euclidean geodesic's ``disks`` are read.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import List, Optional, Tuple
 
 from . import eplane
 from .chardisk import CharDisk
-from .complexes import FlagComplex, Simplex
-from .directed import Layers, ThickInterval, _layer_segments
+from .complexes import Simplex
+from .directed import ThickInterval
 from .errors import ConditionViolated, DegenerateDomain, NoCrossing, PreconditionViolated
 from .exact import PlanePoint, cross, norm_sq, orient
 
@@ -212,25 +212,6 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
     _verify_diagonal([s.verts for s in sims], disk.layer_segment(j),
                      disk.layer_segment(k))
     return Diagonal(disk.interval, tuple(sims))
-
-
-def straight_diagonal(c: FlagComplex, layer_seq: Layers,
-                      interval: ThickInterval) -> List[Simplex]:
-    """The Euclidean simplices of the inner layers j+1..k-1 of a thick
-    interval of a plane window, on the window's own vertices: the segment
-    of each layer j..k read off its two simplices (``_layer_segments``)
-    with the layer's recorded thickness, certified and crossed by
-    ``_straight_segment``, and every simplex validated on the window, which
-    is the characteristic map of a plane disk. A failure raises
-    ConditionViolated naming the layer."""
-    j, k = interval.j, interval.k
-    inner = layer_seq[j:k + 1]
-    scanned = _layer_segments([layer.sigma.verts for layer in inner],
-                              [layer.tau.verts for layer in inner])
-    segments = [(v, w, layer.thickness) for (v, w, _), layer in zip(scanned, inner)]
-    own = c.vertex
-    return [Simplex(tuple(map(own, c.validate_simplex(Simplex(s)).verts)))
-            for s in _straight_segment(j, segments)]
 
 
 def _straight_segment(j: int, segments) -> List[tuple]:

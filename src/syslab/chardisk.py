@@ -177,29 +177,6 @@ class CharDisk:
 def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     """Fill the boundary cycle with the enclosed flat region.
 
-    On a plane window (``plane_backed``) the disk is first certified on
-    its boundary, in O(k - j): the cycle is s_j..s_k followed by t_k..t_j,
-    its vertices are distinct members of the window and consecutive ones
-    adjacent, and the segments [s_i, t_i] form a stack (``_layer_stack``):
-    parallel lattice segments on consecutive lattice lines, each layer's
-    line one further on, in one direction, than the last.
-    That is enough: an endpoint
-    moves half a unit along the lines when it steps to the next line, so
-    consecutive segments keep their orientation and bound a trapezoid (or
-    a triangle) made of lattice triangles, and the trapezoids stack into a
-    polygon P whose boundary is the cycle, the end segments being the unit
-    closing edges. P is a disk; it meets each of its lattice lines in that
-    layer's segment, and no lattice point lies strictly between two
-    consecutive lines, so the lattice points of P are the points of the
-    segments, the window (a convex ball) holds them, and every segment is
-    the interval between its ends. A point of P off the cycle is interior
-    to P, so its six triangles lie in P and its region link is a hexagon,
-    and the triangles on region vertices are those of P, 2I + B - 2 of them
-    by Euler's formula for a triangulated disk. So the checks below cannot
-    fail, and the disk maps its segments by identity. A cycle that fails
-    the boundary certificate, and every cycle off the plane, takes the path
-    below.
-
     The region is the union over layers of the combinatorial interval
     between the realizing pair; an interior vertex whose region link is not
     a 6-cycle fails the flat test and raises NotFlat. The region is then
@@ -215,8 +192,6 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     if len(cycle) < 6:
         raise PreconditionViolated(
             f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
-    if c.plane_backed and (disk := _plane_disk(c, cycle)):
-        return disk
     region = set()
     for s, t in zip(cycle.s, cycle.t):
         region |= interval(c, s, t)
@@ -240,23 +215,6 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
         raise NotFlat("triangle count does not match a disk Euler characteristic")
     surface = {coords[v]: v for v in region}
     return CharDisk(cycle.interval, v_labels, w_labels, surface.__getitem__, steps)
-
-
-def _plane_disk(c: FlagComplex, cycle: BoundaryCycle) -> Optional[CharDisk]:
-    """The disk a cycle of a plane window bounds when it passes the boundary
-    certificate (see ``extract_flat_disk``), whose stack rule the disk
-    checks as it is built; None when it fails."""
-    s, t, loop = cycle.s, cycle.t, cycle.cycle
-    if len(s) != len(t) or loop != s + tuple(reversed(t)) or len(set(loop)) != len(loop):
-        return None
-    if not all(v in c for v in loop):
-        return None
-    if not all(c.adjacent(a, b) for a, b in zip(loop, loop[1:] + loop[:1])):
-        return None
-    try:
-        return CharDisk(cycle.interval, s, t, c.vertex)
-    except NotFlat:
-        return None
 
 
 def _is_hexagon(c, ring) -> bool:

@@ -243,9 +243,9 @@ class FlagComplex:
         The search row from x grows until y is settled, and the walk back
         from y keeps the edges that step one closer to x. On a plane window
         x and y are first mapped to the window's own vertex objects, so the
-        levels hold only those. The plane pipeline decides layer membership
-        by distance predicates (``directed.Layers.holds``) and never calls
-        this; ``render`` does, to draw the layers.
+        levels hold only those. A plane construction tests layer membership
+        on lattice distances (``euclid._plane_pass``); on a plane window only
+        ``render`` and the disks of ``EuclideanGeodesic.disks`` call this.
         """
         if self._own is not None:
             x, y = self._own[x], self._own[y]

@@ -16,7 +16,8 @@ jointly form a lattice clique. The residue/ball condition is not checked
 there at run time; the projection with its full postcondition is the
 closed form's test oracle. ``_plane_chain`` hands the certified tuples to
 ``euclid``'s one-pass plane construction; ``_closed_form`` maps them to the
-window's own vertex objects for ``directed_geodesic`` and ``layers``.
+window's own vertex objects for ``directed_geodesic`` and ``layers``, which
+builds no level there (``Layers.levels`` is None).
 """
 
 from __future__ import annotations
@@ -90,15 +91,6 @@ class Layers(Sequence):
 
     def __getitem__(self, i):
         return self.items[i]
-
-    def holds(self, i: int, v) -> bool:
-        """Whether v lies in layer i: v in level i, or without levels the
-        distance predicate d(x, v) == i and d(v, y) == n - i."""
-        if self.levels is not None:
-            return v in self.levels[i]
-        c = self.complex
-        return (v in c and c.true_distance(self.x, v) == i
-                and c.true_distance(v, self.y) == self.n - i)
 
     def thickness_profile(self) -> Tuple[int, ...]:
         return tuple(layer.thickness for layer in self.items)
@@ -178,8 +170,8 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
     """The unique directed geodesic from x to y.
 
     On a plane window it is the closed form of ``eplane.directed_simplices``,
-    certified by ``_certify_chain``; elsewhere it is the projection of
-    ``_project``, re-verified by ``_verify_conditions``. Raises
+    certified on its lattice tuples by ``_check_chain``; elsewhere it is the
+    projection of ``_project``, re-verified by ``_verify_conditions``. Raises
     ConstructionFailed when a projection step is empty or not a clique, and
     ConditionViolated when the finished sequence fails its check.
     """
@@ -204,12 +196,6 @@ def _plane_chain(c: FlagComplex, x, y) -> Tuple[Tuple, ...]:
     sims = eplane.directed_simplices(x, y)
     _check_chain(c, sims, x, y)
     return sims
-
-
-def _certify_chain(c: FlagComplex, geo: DirectedGeodesic):
-    """The O(n) certificate of a plane directed geodesic (``_check_chain``)
-    on its simplices' vertex tuples."""
-    _check_chain(c, [s.verts for s in geo.simplices], geo.source, geo.target)
 
 
 def _check_chain(c: FlagComplex, sims, source, target):
@@ -326,7 +312,7 @@ def _layer_segments(sigmas, taus) -> list:
     of sigma_i and one of tau_i at the largest lattice distance, in the
     order of the tuples, and that distance, the layer's thickness, as
     (v_i, w_i, thickness). The segment spans the hull of the two simplices
-    on the layer's level line (``cat0.straight_diagonal``)."""
+    on the layer's level line, as ``cat0._straight_segment`` reads it."""
     distance = eplane.lattice_distance
     out = []
     for sigma, tau in zip(sigmas, taus):

@@ -244,7 +244,7 @@ def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
     for i in range(n + 1):
         if sims[i] is None:
             raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
-        if not all(layer_seq.holds(i, v) for v in sims[i].verts):
+        if not all(v in layer_seq.levels[i] for v in sims[i].verts):
             raise ConditionViolated(
                 f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
     return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq, tuple(disks))
@@ -269,31 +269,34 @@ def select_vertex_geodesic(e: EuclideanGeodesic) -> Tuple:
     reported with full context.
     """
     choices = [sorted(s.verts, reverse=True) for s in e.simplices]
-    picked: List = []
-    if not _thread(e.complex, choices, picked, 0):
+    picked = _thread(e.complex, choices)
+    if picked is None:
         raise NoSelection(
             f"no vertex geodesic through the euclidean geodesic of "
             f"({e.x}, {e.y}); simplices: {[s.verts for s in e.simplices]}")
     return tuple(picked)
 
 
-def _thread(c: FlagComplex, choices, picked: List, pos: int) -> bool:
-    """Depth-first search for an adjacent chain through choices[pos:].
-
-    A module function rather than a nested one: a recursive closure refers
-    to itself through its cell, and that cycle would keep the complex alive
-    until the cyclic garbage collector runs.
-    """
-    if pos == len(choices):
-        return True
-    for v in choices[pos]:
-        if picked and not c.adjacent(picked[-1], v) and picked[-1] != v:
+def _thread(c: FlagComplex, choices) -> Optional[List]:
+    """Depth-first search for an adjacent chain through choices, or None:
+    one loop over a stack of candidate iterators, one per position up to
+    the one being filled, so no recursion limit bounds the chain's length."""
+    picked: List = []
+    stack = [iter(choices[0])]
+    while stack:
+        for v in stack[-1]:
+            if not picked or c.adjacent(picked[-1], v) or picked[-1] == v:
+                picked.append(v)
+                break
+        else:
+            stack.pop()
+            if picked:
+                picked.pop()
             continue
-        picked.append(v)
-        if _thread(c, choices, picked, pos + 1):
-            return True
-        picked.pop()
-    return False
+        if len(picked) == len(choices):
+            return picked
+        stack.append(iter(choices[len(picked)]))
+    return None
 
 
 @dataclass(frozen=True)

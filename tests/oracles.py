@@ -16,6 +16,10 @@ the all-pairs definition of convexity.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
 with the library, because it checks the translation memo of
 ``euclid.goodness_constant`` against one construction per sub-pair.
+``recursive_select_vertex_geodesic`` (with ``recursive_thread``) is the
+library's former selection, whose search recursed once per layer, because
+it checks that the explicit-stack search which replaced it picks the same
+vertices.
 ``early_exit_bfs`` is the library's former search, which stopped as soon
 as the vertices it was asked for were discovered; ``early_exit_distance``,
 ``early_exit_interval_levels`` and ``early_exit_check_isometric`` are the
@@ -40,24 +44,30 @@ and ``area_extract_flat_disk`` are the library's former area-bound plane
 forms: the interval box split into levels, the margin scan over every level,
 and the flat disk built from its whole region. They run on the complex's own
 margins and on the library's hexagon, development and triangle-count
-kernels, because they check that the plane's distance predicates, corner
-margin check and boundary certificate give the same levels, refusals and
-disks. ``chain_diagonal`` is the former plane path of a thick interval, the
+kernels, because they check that the plane's distance predicates and
+corner margin check give the same levels and refusals, and that the flat
+disk, which takes the area path on the plane too, gives the same disks.
+``chain_diagonal`` is the former plane path of a thick interval, the
 library's whole stage chain from boundary cycle to characteristic map,
 because it checks the straight segment that replaced it on the plane.
 ``layered_euclidean_geodesic`` is the former plane construction that the
 one-pass lattice construction of ``euclid`` replaced, kept verbatim with
 the pieces it ran: the closed-form directed geodesics on the window's own
 vertices with their neighbour-set certificate (``closed_form``,
-``certify_chain``), ``directed.layers`` (``layered_layers``), the profile
-walk (``layered_thick_intervals``), ``euclid._assemble``
-(``layered_assemble``) and ``cat0.straight_diagonal`` on the ``Layers``
+``certify_chain``, also the oracle of the lattice certificate
+``directed._check_chain``), ``directed.layers`` (``layered_layers``), the
+profile walk (``layered_thick_intervals``), ``euclid._assemble``
+(``layered_assemble``, whose layer membership, the former
+``Layers.holds``, is now the lattice predicate ``in_plane_layer``) and the
+former ``cat0.straight_diagonal`` on the ``Layers``
 (``layered_straight_diagonal``, with its ``Simplex`` span check
 ``simplex_verify_diagonal`` on its lattice clique test
-``lenient_lattice_clique``). It runs on the library's unchanged kernels
-(``eplane.directed_simplices``, ``directed._check_spans``,
-``directed._thickness``, ``cat0._line_crossing``), because it checks that
-the pass gives the same simplices, provenance, layers and refusals.
+``lenient_lattice_clique``), also the oracle of ``cat0._straight_segment``
+fed the layers' ``recorded_segments``.
+It runs on the library's unchanged kernels (``eplane.directed_simplices``,
+``directed._check_spans``, ``directed._thickness``,
+``cat0._line_crossing``), because it checks that the pass gives the same
+simplices, provenance, layers and refusals.
 ``area_extract_flat_disk`` returns an ``AreaDisk``, the library's
 former seven-field disk, whose membership is its surface dict, because it
 checks the layer-segment reads of ``chardisk.CharDisk``. The certificate
@@ -87,8 +97,8 @@ from syslab.complexes import Simplex
 from syslab.directed import (DirectedGeodesic, Layer, Layers, ThickInterval,
                              require_pair_safe)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
-                           MalformedProfile, NoCrossing, NotFlat, PreconditionViolated, SyslabError,
-                           TaskFailed, Unreachable)
+                           MalformedProfile, NoCrossing, NoSelection, NotFlat, PreconditionViolated,
+                           SyslabError, TaskFailed, Unreachable)
 from syslab.euclid import EuclideanGeodesic, GoodnessReport, euclidean_geodesic
 from syslab.exact import ExactScalar, _require
 from syslab.exact import cross as exact_cross
@@ -803,6 +813,34 @@ def uncached_goodness_constant(c, geodesic):
     return GoodnessReport(verts, best, witness, pairs)
 
 
+def recursive_select_vertex_geodesic(e):
+    """The former ``euclid.select_vertex_geodesic``, whose depth-first
+    search (``recursive_thread``) recursed once per layer; kept verbatim as
+    the oracle of the explicit-stack search that replaced it."""
+    choices = [sorted(s.verts, reverse=True) for s in e.simplices]
+    picked = []
+    if not recursive_thread(e.complex, choices, picked, 0):
+        raise NoSelection(
+            f"no vertex geodesic through the euclidean geodesic of "
+            f"({e.x}, {e.y}); simplices: {[s.verts for s in e.simplices]}")
+    return tuple(picked)
+
+
+def recursive_thread(c, choices, picked, pos):
+    """The former ``euclid._thread``: depth-first search for an adjacent
+    chain through choices[pos:]."""
+    if pos == len(choices):
+        return True
+    for v in choices[pos]:
+        if picked and not c.adjacent(picked[-1], v) and picked[-1] != v:
+            continue
+        picked.append(v)
+        if recursive_thread(c, choices, picked, pos + 1):
+            return True
+        picked.pop()
+    return False
+
+
 def two_bfs_interval_levels(c, x, y):
     """The former non-plane ``FlagComplex.interval_levels``: ``true_distance``,
     then one BFS from y, then the walk out from x along edges that step one
@@ -1144,10 +1182,31 @@ def layered_assemble(c, layer_seq):
     for i in range(n + 1):
         if sims[i] is None:
             raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
-        if not all(layer_seq.holds(i, v) for v in sims[i].verts):
+        if not all(in_plane_layer(layer_seq, i, v) for v in sims[i].verts):
             raise ConditionViolated(
                 f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
     return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq)
+
+
+def in_plane_layer(layer_seq, i, v):
+    """Whether v lies in layer i of a plane pair: in the window, at lattice
+    distance i from x and n - i from y, as ``euclid._plane_pass`` tests it.
+    It stands for the former ``Layers.holds`` on a plane window, which read
+    the same distances off ``FlagComplex.true_distance``."""
+    x, y, n = layer_seq.x, layer_seq.y, layer_seq.n
+    return (v in layer_seq.complex and eplane.lattice_distance(x, v) == i
+            and eplane.lattice_distance(v, y) == n - i)
+
+
+def recorded_segments(layer_seq, interval):
+    """The segments (v_i, w_i, thickness_i) of the layers j..k of a plane
+    thick interval, as the former ``cat0.straight_diagonal`` handed them to
+    ``cat0._straight_segment``: read off the layers' simplices by
+    ``directed._layer_segments``, with each layer's recorded thickness."""
+    inner = layer_seq[interval.j:interval.k + 1]
+    scanned = directed._layer_segments([layer.sigma.verts for layer in inner],
+                                       [layer.tau.verts for layer in inner])
+    return [(v, w, layer.thickness) for (v, w, _), layer in zip(scanned, inner)]
 
 
 def layered_straight_diagonal(c, layer_seq, interval):

@@ -10,11 +10,10 @@ from functools import partial
 import pytest
 
 import oracles
-from syslab import cat0, chardisk, eplane, euclid, samples
+from syslab import cat0, chardisk, directed, eplane, euclid, samples
 from syslab.complexes import FlagComplex, Simplex, ball_of_simplex, residue
-from syslab.directed import (DirectedGeodesic, ThickInterval, _certify_chain,
-                             _verify_conditions, directed_geodesic, layers,
-                             thick_intervals)
+from syslab.directed import (DirectedGeodesic, ThickInterval, _verify_conditions,
+                             directed_geodesic, layers, thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat,
                            PreconditionViolated)
 from syslab.exact import PlanePoint
@@ -42,6 +41,11 @@ def _corruptions(geo):
             yield DirectedGeodesic(geo.source, geo.target, bad)
 
 
+def _check_chain(c, geo):
+    """The plane chain certificate on the vertex tuples of geo's simplices."""
+    directed._check_chain(c, [s.verts for s in geo.simplices], geo.source, geo.target)
+
+
 def _agree_on_geodesic(c, geo):
     """The postcondition and its oracle on the geodesic and its corruptions;
     on a plane window also the lattice certificate, which must pass the
@@ -50,7 +54,7 @@ def _agree_on_geodesic(c, geo):
     assert _outcome(_verify_conditions, c, geo) is None
     assert oracles.verify_conditions(c, geo) is None
     if c.plane_backed:
-        assert _outcome(_certify_chain, c, geo) is None
+        assert _outcome(_check_chain, c, geo) is None
     for s in geo.simplices:
         assert residue(c, s) == oracles.residue(c, s)
         assert ball_of_simplex(c, s) == oracles.ball_of_simplex(c, s)
@@ -64,7 +68,7 @@ def _agree_on_geodesic(c, geo):
         assert new == _outcome(oracles.verify_conditions, c, bad), bad
         fired += new is not None
         if c.plane_backed:
-            certified = _outcome(_certify_chain, c, bad)
+            certified = _outcome(_check_chain, c, bad)
             assert certified is None or certified == new, bad
     return fired
 
@@ -197,13 +201,13 @@ def test_corrupted_directed_geodesic_fails_residue_ball(window42):
     # ends: the chain still runs from x to y through simplices that pairwise
     # span simplices. The plane certificate does not check that condition,
     # so it passes this corruption; the closed form never builds it.
-    _certify_chain(window42, bad)
+    _check_chain(window42, bad)
     sims[i] = sims[i - 1]
-    for check in (partial(_verify_conditions, window42), partial(_certify_chain, window42)):
+    for check in (partial(_verify_conditions, window42), partial(_check_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"are not disjoint$"):
             check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
     sims[i] = Simplex.of([(4, 2)])
-    for check in (partial(_verify_conditions, window42), partial(_certify_chain, window42)):
+    for check in (partial(_verify_conditions, window42), partial(_check_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"do not span a simplex$"):
             check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
 
@@ -215,7 +219,7 @@ def test_plane_certificate_needs_the_pair_as_ends(window42):
     for source, target in (((1, 0), (4, 2)), ((0, 0), (3, 2))):
         message = f"simplices do not run from {source} to {target}"
         with pytest.raises(ConditionViolated, match=f"^{re.escape(message)}$"):
-            _certify_chain(window42, DirectedGeodesic(source, target, geo.simplices))
+            _check_chain(window42, DirectedGeodesic(source, target, geo.simplices))
 
 
 def test_triangle_count_mismatch_is_not_flat(window42):

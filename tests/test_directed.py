@@ -115,8 +115,10 @@ def test_layer_symmetry(window42):
     levels = window42.interval_levels((0, 0), (4, 2))
     n = fwd.n
     for i in range(n + 1):
-        assert {v for v in window42.vertices() if fwd.holds(i, v)} == levels[i]
-        assert {v for v in window42.vertices() if bwd.holds(n - i, v)} == levels[i]
+        assert {v for v in window42.vertices()
+                if oracles.in_plane_layer(fwd, i, v)} == levels[i]
+        assert {v for v in window42.vertices()
+                if oracles.in_plane_layer(bwd, n - i, v)} == levels[i]
 
 
 def _assert_reversed_layers(c, x, y):

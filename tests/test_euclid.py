@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from syslab import eplane, euclid
+from syslab.complexes import FlagComplex
 from syslab.directed import layers, require_pair_safe
-from syslab.errors import BoundaryUnsafe, PreconditionViolated
+from syslab.errors import BoundaryUnsafe, NoSelection, PreconditionViolated, SyslabError
 from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
                            verify_contracting)
@@ -75,6 +76,49 @@ def test_selection_is_geodesic(window12):
         g = select_vertex_geodesic(euclidean_geodesic(window12, x, y,
                                                       check_reversal=False))
         assert oracles.is_geodesic(window12, g)
+
+
+def test_selection_threads_a_1200_vertex_path():
+    """A geodesic of 1200 layers, far past the interpreter's recursion
+    limit, selects the path itself."""
+    n = 1200
+    c = FlagComplex({i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)},
+                    systolic=True)
+    assert select_vertex_geodesic(euclidean_geodesic(c, 0, n - 1)) == tuple(range(n))
+
+
+def _selection(select, e):
+    """The selected vertices, or the text of the NoSelection refusal."""
+    try:
+        return select(e)
+    except NoSelection as exc:
+        return str(exc)
+
+
+def test_selection_agrees_with_recursive_oracle(non_plane_complexes):
+    """Every difference of length at most 12 from (0, 0) of a radius-16
+    plane window, and every pair within distance 6 that the margin rule
+    lets a complex off the plane build: the same vertices as the former
+    recursive search."""
+    c = eplane.window((0, 0), 16)
+    compared = 0
+    for y in sorted(c.vertices()):
+        if eplane.lattice_distance((0, 0), y) <= 12:
+            e = euclidean_geodesic(c, (0, 0), y)
+            assert _selection(select_vertex_geodesic, e) == _selection(
+                oracles.recursive_select_vertex_geodesic, e), y
+            compared += 1
+    assert compared == 469
+    for c in non_plane_complexes:
+        for x, y in oracles.pairs_within(c, 6):
+            try:
+                e = euclidean_geodesic(c, x, y, check_reversal=False)
+            except SyslabError:
+                continue
+            assert _selection(select_vertex_geodesic, e) == _selection(
+                oracles.recursive_select_vertex_geodesic, e), (c.name, x, y)
+            compared += 1
+    assert compared > 5000
 
 
 def test_goodness_straight_line():
@@ -267,7 +311,6 @@ def test_contracting_doubling_form(window12):
 
 def test_no_selection_reported_with_context(window12):
     from syslab.complexes import Simplex
-    from syslab.errors import NoSelection
     from syslab.euclid import EuclideanGeodesic
     broken = EuclideanGeodesic(
         window12, (0, 0), (3, 0),
@@ -276,6 +319,8 @@ def test_no_selection_reported_with_context(window12):
         ("endpoint", "thin", "thin", "endpoint"))
     with pytest.raises(NoSelection):
         select_vertex_geodesic(broken)
+    assert _selection(select_vertex_geodesic, broken) == _selection(
+        oracles.recursive_select_vertex_geodesic, broken)
 
 
 def test_constants_floors():

@@ -3,12 +3,13 @@
 On a plane window ``euclid.euclidean_geodesic`` builds the Euclidean
 geodesic in one pass over lattice tuples; ``oracles.layered_euclidean_geodesic``
 is the former path: the closed-form directed geodesics on the window's own
-vertices, ``directed.layers``, ``euclid._assemble`` and
-``cat0.straight_diagonal`` on the ``Layers``. Both must return the same
+vertices, ``directed.layers``, the former ``euclid._assemble`` and the
+straight segment read off the ``Layers``. Both must return the same
 simplices, provenance, thickness profile and directed geodesics, and refuse
-the same pairs with the same exception and text; the certificates that
-stayed behind as readers of the tuple checks must refuse corrupted input as
-the former ones did. The pass builds no ``Layers`` until ``layers`` is read.
+the same pairs with the same exception and text; the tuple checks the pass
+runs, ``directed._check_chain`` and ``cat0._straight_segment``, must refuse
+corrupted input as the former certificates did. The pass builds no
+``Layers`` until ``layers`` is read.
 """
 
 import random
@@ -106,9 +107,14 @@ def _refusal(fn, *args):
     return None
 
 
+def _check_chain(c, geo):
+    """``directed._check_chain`` on the vertex tuples of geo's simplices."""
+    directed._check_chain(c, [s.verts for s in geo.simplices], geo.source, geo.target)
+
+
 def test_chain_certificate_reads_the_tuple_check():
-    """``directed._certify_chain`` on corrupted chains refuses exactly as
-    the former neighbour-set certificate did, with its text. A chain that
+    """``directed._check_chain`` on corrupted chains refuses exactly as the
+    former neighbour-set certificate did, with its text. A chain that
     leaves the window is refused too, where the former certificate failed
     looking the vertex up; the margin rule keeps every chain a unit step
     inside the rim, so only a chain built by hand can leave."""
@@ -116,10 +122,10 @@ def test_chain_certificate_reads_the_tuple_check():
     fired = 0
     for x, y in (((0, 0), (4, 2)), ((-3, 1), (5, -2)), ((2, 2), (-6, 0))):
         geo = directed.directed_geodesic(c, x, y)
-        assert _refusal(directed._certify_chain, c, geo) is None
+        assert _refusal(_check_chain, c, geo) is None
         for bad in _chain_corruptions(geo):
             bad_geo = DirectedGeodesic(x, y, bad)
-            got = _refusal(directed._certify_chain, c, bad_geo)
+            got = _refusal(_check_chain, c, bad_geo)
             assert got == _refusal(oracles.certify_chain, c, bad_geo), bad
             fired += got is not None
     assert fired > 50
@@ -130,8 +136,10 @@ def test_chain_certificate_reads_the_tuple_check():
 
 
 def _layer_corruptions(ls, interval):
-    """Each layer of the interval with its thickness off by one, and with
-    its sigma shifted by each unit offset inside the window."""
+    """Each layer of the interval with its thickness off by one, with its
+    sigma shifted by each unit offset inside the window, and with sigma and
+    tau shifted together by one and two of each unit offset, which slides
+    the layer along its line or off it."""
     c = ls.complex
     for i in range(interval.j, interval.k + 1):
         layer = ls[i]
@@ -141,23 +149,35 @@ def _layer_corruptions(ls, interval):
             moved = [(a + da, b + db) for a, b in layer.sigma]
             if all(v in c for v in moved):
                 yield i, layer._replace(sigma=Simplex.of(moved))
+            for m in (1, 2):
+                sigma, tau = ([(a + m * da, b + m * db) for a, b in s]
+                              for s in (layer.sigma, layer.tau))
+                if all(v in c for v in sigma + tau):
+                    yield i, layer._replace(sigma=Simplex.of(sigma), tau=Simplex.of(tau))
+
+
+def _straight_segment(layer_seq, interval):
+    """``cat0._straight_segment`` on the interval's recorded segments."""
+    return [Simplex(s) for s in cat0._straight_segment(
+        interval.j, oracles.recorded_segments(layer_seq, interval))]
 
 
 def test_straight_diagonal_reads_the_segment_check():
-    """``cat0.straight_diagonal`` on the layers of thick pairs, and on
-    their corruptions, returns or refuses exactly as the former one."""
+    """``cat0._straight_segment`` on the recorded segments of thick pairs'
+    layers, and of their corruptions, returns or refuses exactly as the
+    former straight diagonal on those layers."""
     c = eplane.window((0, 0), 12)
     compared = refused = 0
     for x, y in (((0, 0), (6, 3)), ((-4, -1), (5, 2)), ((3, -5), (-4, 3))):
         ls = directed.layers(c, x, y)
         for interval in thick_intervals(ls):
-            assert (cat0.straight_diagonal(c, ls, interval)
+            assert (_straight_segment(ls, interval)
                     == oracles.layered_straight_diagonal(c, ls, interval))
             for i, bad in _layer_corruptions(ls, interval):
                 items = list(ls)
                 items[i] = bad
                 worse = Layers(c, x, y, items, ls.sigma_geo, ls.tau_geo, None)
-                got = _refusal(cat0.straight_diagonal, c, worse, interval)
+                got = _refusal(_straight_segment, worse, interval)
                 assert got == _refusal(oracles.layered_straight_diagonal, c, worse,
                                        interval), (x, y, i, bad)
                 compared += 1

@@ -1,11 +1,11 @@
-"""The plane fast paths against their area-based oracles in ``oracles``:
-layers read as distance predicates against the box levels, flat disks
-certified on their boundary against the disk built from its whole region,
-and the characteristic map's segment membership against the surface map.
-Every refusal must carry the oracle's exception type and text."""
+"""The plane paths against their area-based oracles in ``oracles``: layers
+read as the lattice distance predicate against the box levels, the flat
+disk of ``chardisk.extract_flat_disk`` and its segment reads against the
+former seven-field disk built from the same region, and the
+characteristic map's segment membership against the surface map. Every
+refusal must carry the oracle's exception type and text."""
 
 import random
-from unittest import mock
 
 import oracles
 from syslab import chardisk, directed, eplane, euclid
@@ -73,11 +73,7 @@ def _corrupted(cycle):
 
 
 def _agree_on_disk(c, cycle, corrupt):
-    # the boundary certificate accepts the cycle: the area path, which
-    # calls chardisk.interval once per layer, does not run
-    with mock.patch.object(chardisk, "interval", wraps=chardisk.interval) as area:
-        fast = chardisk.extract_flat_disk(c, cycle)
-    assert not area.called
+    fast = chardisk.extract_flat_disk(c, cycle)
     old = oracles.area_extract_flat_disk(c, cycle)
     # the lazy fields are read here for the first time
     assert _fields(fast) == _fields(old)
@@ -112,7 +108,7 @@ def _agree_on_pair(c, x, y, corrupt=True):
     assert ls.levels is None
     for i, level in enumerate(levels):
         near = level.union(*map(c.neighbors, level))
-        assert {v for v in near if ls.holds(i, v)} == level, (x, y, i)
+        assert {v for v in near if oracles.in_plane_layer(ls, i, v)} == level, (x, y, i)
     assert ls.sigma_geo == directed._project(c, x, y, levels)
     assert ls.tau_geo == directed._project(c, y, x, levels[::-1])
     disks = refused = 0
@@ -176,4 +172,5 @@ def test_plane_construction_never_builds_levels(window42, monkeypatch):
     euclid.euclidean_geodesic(window42, (0, 0), (4, 2), check_reversal=True)
     assert calls == []
     assert ls.levels is None and ls.reversed().levels is None
-    assert {v for v in window42.vertices() if ls.holds(3, v)} == {(1, 2), (2, 1), (3, 0)}
+    assert ({v for v in window42.vertices() if oracles.in_plane_layer(ls, 3, v)}
+            == {(1, 2), (2, 1), (3, 0)})

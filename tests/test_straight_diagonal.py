@@ -1,13 +1,15 @@
 """The straight segment of a plane thick interval against the stage chain.
 
-On a plane window ``cat0.straight_diagonal`` fills the inner layers of a
-thick interval from lattice arithmetic; ``oracles.chain_diagonal`` runs the
-former path, the whole stage chain from boundary cycle to characteristic
-map, on the same layers. They must give the same simplices, the chain's
-funnel must return the straight segment, and layers corrupted in thickness
-or position, or a sleeve the segment leaves, must be refused with
-ConditionViolated."""
+On a plane window ``cat0._straight_segment`` fills the inner layers of a
+thick interval from lattice arithmetic on the layers' segments;
+``oracles.chain_diagonal`` runs the former path, the whole stage chain from
+boundary cycle to characteristic map, on the same layers. They must give
+the same simplices, the chain's funnel must return the straight segment,
+and the segments of layers corrupted in thickness or position, or of a
+sleeve the segment leaves, must be refused with ConditionViolated, as
+``oracles.layered_straight_diagonal`` refuses those layers."""
 
+import re
 from unittest import mock
 
 import pytest
@@ -84,6 +86,16 @@ def _corruptions(ls, interval):
                 yield i, layer._replace(sigma=Simplex.of(moved))
 
 
+def _refusal(fn, *args):
+    with pytest.raises(ConditionViolated) as refused:
+        fn(*args)
+    return str(refused.value)
+
+
+def _straight_segment(layer_seq, interval):
+    return cat0._straight_segment(interval.j, oracles.recorded_segments(layer_seq, interval))
+
+
 def test_corrupted_layers_are_refused(window12):
     ls = layers(window12, (0, 0), (6, 3))
     intervals = thick_intervals(ls)
@@ -91,8 +103,10 @@ def test_corrupted_layers_are_refused(window12):
     refused = 0
     for interval in intervals:
         for i, bad in _corruptions(ls, interval):
-            with pytest.raises(ConditionViolated, match=f"layer {i}"):
-                cat0.straight_diagonal(window12, _with_layer(ls, i, bad), interval)
+            worse = _with_layer(ls, i, bad)
+            text = _refusal(_straight_segment, worse, interval)
+            assert f"layer {i}" in text
+            assert text == _refusal(oracles.layered_straight_diagonal, window12, worse, interval)
             refused += 1
     assert refused == 48
 
@@ -100,16 +114,22 @@ def test_corrupted_layers_are_refused(window12):
 def test_sleeve_left_by_the_segment_is_refused(window12):
     """Layers 0..6 on the rows b = 0..6 that lean left and come back: the
     segment between the bracket midpoints leaves the portal of layer 3,
-    where the funnel on the same disk bends."""
+    where the funnel on the same disk bends. Each layer's segment is read
+    from its left end and, flipped, from its right end, so the crossing
+    falls past the portal's far end and before its near end."""
     lefts = (0, -1, -2, -3, -3, -3, -3)
     lengths = (1, 2, 2, 2, 2, 2, 1)
-    ends = [((a, b), (a + t, b)) for b, (a, t) in enumerate(zip(lefts, lengths))]
-    items = [Layer(b, Simplex((v,)), Simplex((w,)), t)
-             for b, ((v, w), t) in enumerate(zip(ends, lengths))]
-    fake = Layers(window12, ends[0][0], ends[-1][0], items, None, None, None)
-    interval = ThickInterval(0, 6)
-    with pytest.raises(ConditionViolated, match=r"layer 3 at u = .* outside the portal"):
-        cat0.straight_diagonal(window12, fake, interval)
-    disk = CharDisk(interval, tuple(v for v, _ in ends), tuple(w for _, w in ends),
-                    window12.vertex)
-    assert len(cat0.shortest_path(cat0.modified_disk(disk)).points) > 2
+    for flip in (False, True):
+        ends = [((a, b), (a + t, b)) for b, (a, t) in enumerate(zip(lefts, lengths))]
+        if flip:
+            ends = [(w, v) for v, w in ends]
+        items = [Layer(b, Simplex((v,)), Simplex((w,)), t)
+                 for b, ((v, w), t) in enumerate(zip(ends, lengths))]
+        fake = Layers(window12, ends[0][0], ends[-1][0], items, None, None, None)
+        interval = ThickInterval(0, 6)
+        text = _refusal(_straight_segment, fake, interval)
+        assert re.search(r"layer 3 at u = .* outside the portal", text), flip
+        assert text == _refusal(oracles.layered_straight_diagonal, window12, fake, interval)
+        disk = CharDisk(interval, tuple(v for v, _ in ends), tuple(w for _, w in ends),
+                        window12.vertex)
+        assert len(cat0.shortest_path(cat0.modified_disk(disk)).points) > 2
