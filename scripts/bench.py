@@ -72,7 +72,9 @@ the processes, with the values themselves (``runs``); a count such as
   file's own seed, the run ``syslab run`` makes, reports written to a
   temporary directory. A file whose run does not pass stops the worker.
   The scenarios workload of perfbench times the files together; this
-  curve gives each its own wall time. Not gated.
+  curve gives each its own wall time, and ``tasks`` gives each task of
+  the file, by name with its kind, the median ``wall_clock_s`` its reports
+  recorded over every run the process made. Not gated.
 
 ``construction_curve`` and the last three curves are sampled alike. Each
 sample times a loop of ``calls`` calls, doubled from 1 until one loop
@@ -468,8 +470,17 @@ def scenario_worker() -> dict:
             scenario = load_scenario(path)
             if runner.run_scenario(scenario, Path(tmp))[1] != 0:
                 raise SystemExit(f"scenario {path.name} does not pass")
-            out[path.stem] = sampled(lambda: runner.run_scenario(scenario, Path(tmp)),
-                                     reference)
+            walls = {}
+
+            def run():
+                for task in runner.run_scenario(scenario, Path(tmp))[0]["tasks"]:
+                    walls.setdefault((task["name"], task["kind"]), []).append(
+                        task["wall_clock_s"])
+
+            out[path.stem] = sampled(run, reference)
+            out[path.stem]["tasks"] = {
+                name: {"kind": kind, "wall_clock_s": statistics.median(w)}
+                for (name, kind), w in walls.items()}
     return out
 
 

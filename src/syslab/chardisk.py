@@ -65,8 +65,8 @@ def boundary_cycle(c: FlagComplex, interval: ThickInterval,
             raise NoRealizingChain(f"no realizing pair in layer {i}")
         options.append(pairs)
 
-    chain: list = []
-    if not _extend_chain(c, options, chain, 0):
+    chain = _extend_chain(c, options)
+    if chain is None:
         raise NoRealizingChain(
             f"no adjacent embedded realizing chain for interval ({j}, {k})")
     s_side = tuple(p[0] for p in chain)
@@ -80,27 +80,35 @@ def boundary_cycle(c: FlagComplex, interval: ThickInterval,
     return BoundaryCycle(interval, s_side, t_side, cycle)
 
 
-def _extend_chain(c: FlagComplex, options, chain: list, pos: int) -> bool:
-    """Backtracking search for one realizing pair per layer from pos on.
-
-    A module function rather than a nested one: a recursive closure refers
-    to itself through its cell, and that cycle would keep the complex alive
-    until the cyclic garbage collector runs.
-    """
-    if pos == len(options):
-        return True
-    for s, t in options[pos]:
-        if pos in (0, len(options) - 1) and s == t:
-            continue  # embeddedness at the thin brackets
-        if chain:
-            ps, pt = chain[-1]
-            if not (c.adjacent(ps, s) and c.adjacent(pt, t)):
-                continue
-        chain.append((s, t))
-        if _extend_chain(c, options, chain, pos + 1):
-            return True
-        chain.pop()
-    return False
+def _extend_chain(c: FlagComplex, options) -> Optional[list]:
+    """Depth-first search for one realizing pair per layer, or None: one
+    loop over a stack of candidate iterators, one per layer up to the one
+    being filled, so no recursion limit bounds the interval's length. The
+    pairs at the thin brackets must be two distinct vertices, and each
+    side must step to an adjacent vertex."""
+    last = len(options) - 1
+    chain: list = []
+    stack = [iter(options[0])]
+    while stack:
+        pos = len(chain)
+        for s, t in stack[-1]:
+            if pos in (0, last) and s == t:
+                continue  # embeddedness at the thin brackets
+            if chain:
+                ps, pt = chain[-1]
+                if not (c.adjacent(ps, s) and c.adjacent(pt, t)):
+                    continue
+            chain.append((s, t))
+            break
+        else:
+            stack.pop()
+            if chain:
+                chain.pop()
+            continue
+        if len(chain) == len(options):
+            return chain
+        stack.append(iter(options[len(chain)]))
+    return None
 
 
 @dataclass(frozen=True)

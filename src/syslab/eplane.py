@@ -217,8 +217,20 @@ class PlaneIsometry:
     __call__ = apply
 
     def displacement(self, v: Axial) -> int:
-        """d(v, h(v)) under the closed-form lattice metric."""
-        return lattice_distance(v, self.apply(v))
+        """d(v, h(v)) under the closed-form lattice metric: with (p, q) =
+        h(v) - v = (M - I)v + t, the case split of ``lattice_distance``
+        inlined, as in ``ball_margins``."""
+        (m00, m01), (m10, m11) = self.matrix
+        a, b = v
+        p = (m00 - 1) * a + m01 * b + self.shift[0]
+        q = m10 * a + (m11 - 1) * b + self.shift[1]
+        if p >= 0:
+            if q >= 0:
+                return p + q
+            return p if p >= -q else -q
+        if q <= 0:
+            return -p - q
+        return q if q >= -p else -p
 
     def compose(self, other: "PlaneIsometry") -> "PlaneIsometry":
         """self after other: (self.compose(other))(v) == self(other(v))."""

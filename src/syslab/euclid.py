@@ -402,17 +402,36 @@ def _sub_simplices(c: FlagComplex, x, y, check: bool) -> Tuple[Sequence, Optiona
 
 @dataclass(frozen=True)
 class ContractingCheck:
+    """One contraction inequality lhs <= c*rhs_base + allowance, held as
+    integers: the ratio form has c in [0, 1] and allowance D, the doubling
+    form c = 1 (stored as None) and allowance 2D + 1. The exact rationals
+    ``bound`` and ``slack`` are read from them."""
+
     kind: str          # 'ratio' or 'doubling'
     c: Optional[Fraction]
     index: Tuple
     lhs: int
     rhs_base: int
-    bound: Fraction
-    slack: Fraction    # lhs - c*rhs_base  (ratio form) or lhs - d0 (doubling)
+    allowance: int
+
+    def _ratio(self) -> Tuple[int, int]:
+        return (1, 1) if self.c is None else (self.c.numerator, self.c.denominator)
+
+    @property
+    def bound(self) -> Fraction:
+        num, den = self._ratio()
+        return Fraction(num * self.rhs_base + self.allowance * den, den)
+
+    @property
+    def slack(self) -> Fraction:
+        """lhs - c*rhs_base (ratio form) or lhs - d0 (doubling)."""
+        num, den = self._ratio()
+        return Fraction(self.lhs * den - num * self.rhs_base, den)
 
     @property
     def holds(self) -> bool:
-        return Fraction(self.lhs) <= self.bound
+        num, den = self._ratio()
+        return self.lhs * den <= num * self.rhs_base + self.allowance * den
 
 
 @dataclass(frozen=True)
@@ -436,39 +455,55 @@ def verify_contracting(c: FlagComplex, g1: Sequence, g2: Sequence,
     for each supplied exact rational c. Doubling form (asymptotic pairs with
     a supplied equivalence bound): d(v_i, w_i) <= d(v_0, w_0) + 2D + 1 at
     every index. Slack statistics are recorded either way.
+
+    Every check is evaluated in integers: for c = num/den the index is
+    n*num // den and the check holds when lhs*den <= num*endpoint + D*den;
+    slacks (lhs*den - num*endpoint) / den are compared by cross-multiplying,
+    and only the largest becomes a ``Fraction``.
     """
     constants = constants or GoodnessConstants()
+    D = constants.D
     v = tuple(g1)
     w = tuple(g2)
     checks: List[ContractingCheck] = []
+    violations: List[ContractingCheck] = []
+    top_scaled, top_den = None, 1
     if doubling_bound is None:
         if v[0] != w[0]:
             raise PreconditionViolated("ratio form needs a shared origin")
         n, m = len(v) - 1, len(w) - 1
         endpoint = c.true_distance(v[n], w[m])
         for ratio in cs:
-            ratio = Fraction(ratio)
-            if not 0 <= ratio <= 1:
+            if not isinstance(ratio, Fraction):
+                ratio = Fraction(ratio)
+            num, den = ratio.numerator, ratio.denominator
+            if not 0 <= num <= den:
                 raise PreconditionViolated(f"c = {ratio} outside [0, 1]")
-            i1 = int(ratio * n)
-            i2 = int(ratio * m)
+            i1 = n * num // den
+            i2 = m * num // den
             lhs = c.true_distance(v[i1], w[i2])
-            bound = ratio * endpoint + constants.D
-            checks.append(ContractingCheck(
-                "ratio", ratio, (i1, i2), lhs, endpoint, bound,
-                Fraction(lhs) - ratio * endpoint))
+            check = ContractingCheck("ratio", ratio, (i1, i2), lhs, endpoint, D)
+            checks.append(check)
+            scaled = lhs * den - num * endpoint
+            if scaled > D * den:
+                violations.append(check)
+            if top_scaled is None or scaled * top_den > top_scaled * den:
+                top_scaled, top_den = scaled, den
     else:
         top = min(len(v), len(w)) - 1
+        dists = []
         for i in range(top + 1):
-            if c.true_distance(v[i], w[i]) > doubling_bound:
+            dists.append(c.true_distance(v[i], w[i]))
+            if dists[-1] > doubling_bound:
                 raise PreconditionViolated(
                     f"pair is not asymptotic within the supplied bound {doubling_bound}")
-        d0 = c.true_distance(v[0], w[0])
-        for i in range(top + 1):
-            lhs = c.true_distance(v[i], w[i])
-            bound = Fraction(d0 + 2 * constants.D + 1)
-            checks.append(ContractingCheck(
-                "doubling", None, (i,), lhs, d0, bound, Fraction(lhs - d0)))
-    violations = tuple(ch for ch in checks if not ch.holds)
-    max_slack = max((ch.slack for ch in checks), default=Fraction(0))
-    return ContractingReport(tuple(checks), violations, max_slack)
+        d0 = dists[0]
+        allowance = 2 * D + 1
+        for i, lhs in enumerate(dists):
+            check = ContractingCheck("doubling", None, (i,), lhs, d0, allowance)
+            checks.append(check)
+            if lhs - d0 > allowance:
+                violations.append(check)
+        top_scaled = max(dists) - d0
+    max_slack = Fraction(0) if top_scaled is None else Fraction(top_scaled, top_den)
+    return ContractingReport(tuple(checks), tuple(violations), max_slack)

@@ -3,8 +3,10 @@
 An isometry is either a closed-form lattice-affine map of the plane
 (``eplane.PlaneIsometry``) or a vertex-permutation table on a finite
 complex (``TableAction``, which keeps its complex). Both answer ``apply``,
-``power`` and ``displacement(v)``, the distance d(v, hv): the lattice metric
-for plane maps, the table's own complex for tables. Only hyperbolicity,
+``power`` and ``displacement(v)``, the distance d(v, hv): the lattice norm
+of (M - I)v + t in integers for plane maps, the table's own complex for
+tables. An invariant geodesic of a plane translation repeats one period by
+adding multiples of the shift, never by composing powers. Only hyperbolicity,
 translation length and the window guards of ``displacement_set`` and
 ``check_min_proximity`` (a plane map needs a plane window, a table a
 complete complex and a window whose every vertex it maps) tell the two
@@ -271,10 +273,12 @@ def invariant_geodesic_on_plane(h: eplane.PlaneIsometry, x: eplane.Axial,
     h must act as a nonzero translation. One period is built from x to h(x)
     by nearest-lattice stepping along the straight line through their
     embeddings (ties broken toward the right of the line, which is stable
-    under rotation conjugation), then repeated through powers of h. The
-    result stays within CAT(0) distance 1 of the axis and is verified to be
-    a geodesic. Distances to the axis line are compared through the axial
-    cross product, which is sqrt(3)/2 times the Euclidean one.
+    under rotation conjugation), then repeated by translation: h^q sends a
+    period vertex v to v + q * shift, read in integers without composing
+    any power of h. The result stays within CAT(0) distance 1 of the axis
+    and is verified to be a geodesic. Distances to the axis line are
+    compared through the axial cross product, which is sqrt(3)/2 times the
+    Euclidean one.
     """
     if not h.is_translation or h.shift == (0, 0):
         raise NotTranslationLike(f"{h} does not act as a nonzero translation")
@@ -296,10 +300,12 @@ def invariant_geodesic_on_plane(h: eplane.PlaneIsometry, x: eplane.Axial,
         period.append(options[0][1])
         current = options[0][1]
     step_count = len(period) - 1
+    sa, sb = h.shift
     vertices = []
     for i in range(length + 1):
         q, r = divmod(i, step_count)
-        vertices.append(h.power(q).apply(period[r]))
+        a, b = period[r]
+        vertices.append((a + q * sa, b + q * sb))
     _assert_geodesic(vertices)
     _assert_line_distance(vertices, x, axis_dir)
     return tuple(vertices)

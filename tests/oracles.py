@@ -77,6 +77,15 @@ pieces they call) are the library's former
 pair-loop and ``Fraction`` certificates, run on the complex's own adjacency
 and on the library's disks, because they check that the frozenset and
 integer kernels which replaced them accept and reject the same inputs.
+The scenario arithmetic at the end holds the library's former generic
+forms: ``apply_displacement`` (the image, then the lattice metric),
+``power_invariant_geodesic`` (each period read through ``h.power(q)``) and
+``fraction_verify_contracting`` (every inequality and slack a
+``Fraction``), because they check the integer closed forms that replaced
+them. ``recursive_boundary_cycle`` (with ``recursive_extend_chain``) is
+the former boundary cycle, whose chain search recursed once per layer,
+because it checks that the explicit-stack search which replaced it picks
+the same realizing pairs.
 """
 
 from __future__ import annotations
@@ -91,15 +100,17 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from syslab import cat0, chardisk, complexes, directed, eplane
+from syslab import cat0, chardisk, complexes, directed, eplane, isodyn
 from syslab.cat0 import PolyPath
 from syslab.complexes import Simplex
 from syslab.directed import (DirectedGeodesic, Layer, Layers, ThickInterval,
                              require_pair_safe)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
-                           MalformedProfile, NoCrossing, NoSelection, NotFlat, PreconditionViolated,
+                           MalformedProfile, NoCrossing, NoRealizingChain, NoSelection,
+                           NotFlat, NotTranslationLike, PreconditionViolated,
                            SyslabError, TaskFailed, Unreachable)
-from syslab.euclid import EuclideanGeodesic, GoodnessReport, euclidean_geodesic
+from syslab.euclid import (EuclideanGeodesic, GoodnessConstants, GoodnessReport,
+                           euclidean_geodesic)
 from syslab.exact import ExactScalar, _require
 from syslab.exact import cross as exact_cross
 
@@ -968,16 +979,40 @@ def box_interval_levels(c, x, y):
     return tuple(map(frozenset, levels))
 
 
-def scan_safe_levels(c, x, y):
+def box_level_offsets(boxes, x, y):
+    """The levels of the interval box of x and y as offsets from x, split by
+    ``lattice_distance``: the box is x plus the box of (0, 0) and y - x, so
+    its levels are computed once per difference and kept in boxes."""
+    d = (y[0] - x[0], y[1] - x[1])
+    if d not in boxes:
+        levels = [[] for _ in range(eplane.lattice_distance((0, 0), d) + 1)]
+        for v in interval_box((0, 0), d):
+            levels[eplane.lattice_distance((0, 0), v)].append(v)
+        boxes[d] = levels
+    return boxes[d]
+
+
+def scan_safe_levels(c, x, y, boxes=None):
     """The former ``directed._safe_levels``: every level of the interval is
     scanned for a vertex of margin below 1 (box levels on plane-backed
-    complexes, ``interval_levels`` elsewhere)."""
+    complexes, ``interval_levels`` elsewhere). A dict passed as boxes keeps
+    each difference's box level offsets (``box_level_offsets``); the levels
+    are then those offsets translated to x, the window's members among
+    them, which the scan reads alike."""
     if x not in c or y not in c:
         raise PreconditionViolated(f"vertex not in complex: {x if x not in c else y}")
     if not c.trusts_metric:
         raise BoundaryUnsafe(
             "window metric is not trusted; materialize a convex window instead")
-    levels = box_interval_levels(c, x, y) if c.plane_backed else c.interval_levels(x, y)
+    if c.plane_backed and boxes is not None:
+        a, b = x
+        members = c.vertices()
+        levels = [[v for p, q in level if (v := (a + p, b + q)) in members]
+                  for level in box_level_offsets(boxes, x, y)]
+    elif c.plane_backed:
+        levels = box_interval_levels(c, x, y)
+    else:
+        levels = c.interval_levels(x, y)
     if not c.is_complete:
         for level in levels:
             unsafe = [v for v in level if c.margin(v) < 1]
@@ -988,9 +1023,9 @@ def scan_safe_levels(c, x, y):
     return levels
 
 
-def scan_require_pair_safe(c, x, y):
+def scan_require_pair_safe(c, x, y, boxes=None):
     """The former ``directed.require_pair_safe``."""
-    return len(scan_safe_levels(c, x, y)) - 1
+    return len(scan_safe_levels(c, x, y, boxes)) - 1
 
 
 def area_interval(c, x, y):
@@ -1531,3 +1566,171 @@ def _canon(walk):
         for r in range(m):
             variants.append(seq[r:] + seq[:r])
     return min(variants)
+
+
+# -- scenario arithmetic ------------------------------------------------------------
+#
+# The former generic forms of the isometry and contraction arithmetic that the
+# scenario tasks run, replaced by integer closed forms.
+
+
+def apply_displacement(h, v):
+    """The former ``eplane.PlaneIsometry.displacement``: the image through
+    ``apply``, then ``lattice_distance``."""
+    return eplane.lattice_distance(v, h.apply(v))
+
+
+def power_invariant_geodesic(h, x, length):
+    """The former ``isodyn.invariant_geodesic_on_plane``, which read each
+    vertex after the first period through ``h.power(q)``; kept verbatim on
+    the library's checks."""
+    if not h.is_translation or h.shift == (0, 0):
+        raise NotTranslationLike(f"{h} does not act as a nonzero translation")
+    target = h.apply(x)
+    axis_dir = isodyn._diff(target, x)
+    period = [x]
+    current = x
+    while current != target:
+        remaining = eplane.lattice_distance(current, target)
+        options = []
+        for nb in eplane.neighbors(current):
+            if eplane.lattice_distance(nb, target) != remaining - 1:
+                continue
+            offset = exact_cross(axis_dir, isodyn._diff(nb, x))
+            options.append(((offset * offset, (offset > 0) - (offset < 0)), nb))
+        if not options:
+            raise PreconditionViolated("no distance-reducing neighbor; bad metric")
+        options.sort(key=lambda t: t[0])
+        period.append(options[0][1])
+        current = options[0][1]
+    step_count = len(period) - 1
+    vertices = []
+    for i in range(length + 1):
+        q, r = divmod(i, step_count)
+        vertices.append(h.power(q).apply(period[r]))
+    isodyn._assert_geodesic(vertices)
+    isodyn._assert_line_distance(vertices, x, axis_dir)
+    return tuple(vertices)
+
+
+@dataclass(frozen=True)
+class FractionContractingCheck:
+    """The former ``euclid.ContractingCheck``, whose bound and slack were
+    stored ``Fraction`` values."""
+
+    kind: str
+    c: object
+    index: Tuple
+    lhs: int
+    rhs_base: int
+    bound: Fraction
+    slack: Fraction
+
+    @property
+    def holds(self) -> bool:
+        return Fraction(self.lhs) <= self.bound
+
+
+@dataclass(frozen=True)
+class FractionContractingReport:
+    checks: Tuple
+    violations: Tuple
+    max_slack: Fraction
+
+
+def fraction_verify_contracting(c, g1, g2, cs, *, constants=None, doubling_bound=None):
+    """The former ``euclid.verify_contracting``, every inequality in
+    ``Fraction`` arithmetic; kept verbatim."""
+    constants = constants or GoodnessConstants()
+    v = tuple(g1)
+    w = tuple(g2)
+    checks = []
+    if doubling_bound is None:
+        if v[0] != w[0]:
+            raise PreconditionViolated("ratio form needs a shared origin")
+        n, m = len(v) - 1, len(w) - 1
+        endpoint = c.true_distance(v[n], w[m])
+        for ratio in cs:
+            ratio = Fraction(ratio)
+            if not 0 <= ratio <= 1:
+                raise PreconditionViolated(f"c = {ratio} outside [0, 1]")
+            i1 = int(ratio * n)
+            i2 = int(ratio * m)
+            lhs = c.true_distance(v[i1], w[i2])
+            bound = ratio * endpoint + constants.D
+            checks.append(FractionContractingCheck(
+                "ratio", ratio, (i1, i2), lhs, endpoint, bound,
+                Fraction(lhs) - ratio * endpoint))
+    else:
+        top = min(len(v), len(w)) - 1
+        for i in range(top + 1):
+            if c.true_distance(v[i], w[i]) > doubling_bound:
+                raise PreconditionViolated(
+                    f"pair is not asymptotic within the supplied bound {doubling_bound}")
+        d0 = c.true_distance(v[0], w[0])
+        for i in range(top + 1):
+            lhs = c.true_distance(v[i], w[i])
+            bound = Fraction(d0 + 2 * constants.D + 1)
+            checks.append(FractionContractingCheck(
+                "doubling", None, (i,), lhs, d0, bound, Fraction(lhs - d0)))
+    violations = tuple(ch for ch in checks if not ch.holds)
+    max_slack = max((ch.slack for ch in checks), default=Fraction(0))
+    return FractionContractingReport(tuple(checks), violations, max_slack)
+
+
+def recursive_boundary_cycle(c, interval, layer_seq):
+    """The former ``chardisk.boundary_cycle``, whose chain search
+    (``recursive_extend_chain``) recursed once per layer; kept verbatim as
+    the oracle of the explicit-stack search that replaced it."""
+    j, k = interval.j, interval.k
+    n = len(layer_seq) - 1
+    if not (0 < j < k - 1 and k < n):
+        raise PreconditionViolated(f"({j}, {k}) is not a thick interval shape")
+    if not (layer_seq[j].thin and layer_seq[k].thin):
+        raise PreconditionViolated(f"bracket layers of ({j}, {k}) are not thin")
+    if any(not layer_seq[i].thick for i in range(j + 1, k)):
+        raise PreconditionViolated(f"interval ({j}, {k}) contains a thin layer")
+
+    options = []
+    for i in range(j, k + 1):
+        layer = layer_seq[i]
+        pairs = sorted(
+            ((s, t) for s in layer.sigma for t in layer.tau
+             if c.true_distance(s, t) == layer.thickness),
+            key=lambda p: (min(p), max(p)))
+        if not pairs:
+            raise NoRealizingChain(f"no realizing pair in layer {i}")
+        options.append(pairs)
+
+    chain: list = []
+    if not recursive_extend_chain(c, options, chain, 0):
+        raise NoRealizingChain(
+            f"no adjacent embedded realizing chain for interval ({j}, {k})")
+    s_side = tuple(p[0] for p in chain)
+    t_side = tuple(p[1] for p in chain)
+    cycle = s_side + tuple(reversed(t_side))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        if not c.adjacent(a, b):
+            raise NoRealizingChain(f"cycle vertices {a}, {b} not adjacent")
+    if len(set(cycle)) != len(cycle):
+        raise NoRealizingChain("realizing cycle is not embedded")
+    return chardisk.BoundaryCycle(interval, s_side, t_side, cycle)
+
+
+def recursive_extend_chain(c, options, chain, pos):
+    """The former ``chardisk._extend_chain``: backtracking search for one
+    realizing pair per layer from pos on."""
+    if pos == len(options):
+        return True
+    for s, t in options[pos]:
+        if pos in (0, len(options) - 1) and s == t:
+            continue  # embeddedness at the thin brackets
+        if chain:
+            ps, pt = chain[-1]
+            if not (c.adjacent(ps, s) and c.adjacent(pt, t)):
+                continue
+        chain.append((s, t))
+        if recursive_extend_chain(c, options, chain, pos + 1):
+            return True
+        chain.pop()
+    return False

@@ -9,7 +9,8 @@ from oracles import MinDiskTimeout, NoFilling, brute_force_min_disk
 from syslab.chardisk import boundary_cycle, characteristic_map, extract_flat_disk
 from syslab.complexes import FlagComplex, Simplex
 from syslab.directed import ThickInterval, layers, thick_intervals
-from syslab.errors import BoundaryUnsafe, NotASimplexOfDisk, NotFlat, PreconditionViolated
+from syslab.errors import (BoundaryUnsafe, NotASimplexOfDisk, NotFlat, PreconditionViolated,
+                           SyslabError)
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +297,80 @@ def test_disk_layers_must_stack():
     with pytest.raises(NotFlat, match="^layer segments do not lie on consecutive lattice lines$"):
         chardisk.CharDisk(ThickInterval(0, 2), ((0, 1), (0, 3), (0, 4)),
                           ((1, 0), (3, 0), (4, 0)), lambda v: v)
+
+
+def _cycle_outcome(build, c, interval, ls):
+    """The boundary cycle, or the type and text of its refusal."""
+    try:
+        return build(c, interval, ls)
+    except SyslabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_boundary_cycle_agrees_with_recursive_oracle(non_plane_complexes):
+    """The explicit-stack chain search against the former recursive one, on
+    every thick interval of every pair within distance 6 that the margin
+    rule lets a complex off the plane build: the same cycle, or the same
+    refusal."""
+    compared = 0
+    for c in non_plane_complexes:
+        for x, y in oracles.pairs_within(c, 6):
+            try:
+                ls = layers(c, x, y)
+            except SyslabError:
+                continue
+            for interval in thick_intervals(ls):
+                assert _cycle_outcome(boundary_cycle, c, interval, ls) == _cycle_outcome(
+                    oracles.recursive_boundary_cycle, c, interval, ls), (c.name, x, y)
+                compared += 1
+    assert compared > 400
+
+
+
+def test_chain_search_agrees_with_recursive_oracle():
+    """The explicit-stack chain search against the former recursive one on
+    seeded candidate lists over a radius-4 plane window. The thick
+    intervals the fixtures build have one realizing pair per layer, so
+    these lists make the choices: each layer holds the pair of two random
+    neighbour walks (left out one time in ten), decoy pairs adjacent to the
+    walks' previous vertices and sometimes an equal pair, in shuffled
+    order. The searches then backtrack, pick among several chains by
+    candidate order, and sometimes find none."""
+    c = eplane.window((0, 0), 4)
+    verts = sorted(c.vertices())
+    rng = random.Random("chain-search")
+    found = missing = 0
+    for _ in range(3000):
+        s_walk = [rng.choice(verts)]
+        t_walk = [rng.choice(sorted(c.neighbors(s_walk[0])))]
+        options = []
+        for i in range(rng.randint(3, 8)):
+            if i:
+                s_walk.append(rng.choice(sorted(c.neighbors(s_walk[-1]))))
+                t_walk.append(rng.choice(sorted(c.neighbors(t_walk[-1]))))
+            pairs = [(s_walk[-1], t_walk[-1])] if rng.random() < 0.9 else []
+            for _ in range(rng.randint(0, 3)):
+                pairs.append((rng.choice(sorted(c.neighbors(s_walk[-2 if i else -1]))),
+                              rng.choice(sorted(c.neighbors(t_walk[-2 if i else -1])))))
+            if rng.random() < 0.3:
+                pairs.append((s_walk[-1], s_walk[-1]))
+            rng.shuffle(pairs)
+            options.append(pairs or [(s_walk[-1], t_walk[-1])])
+        chain = []
+        want = chain if oracles.recursive_extend_chain(c, options, chain, 0) else None
+        assert chardisk._extend_chain(c, options) == want, options
+        found += want is not None
+        missing += want is None
+    assert found > 1000 and missing > 500
+
+def test_boundary_cycle_of_a_long_thick_interval():
+    """A thick interval of 1098 thick layers: the chain search takes one
+    stack entry per layer where the recursive form it replaced ran past the
+    interpreter's recursion limit."""
+    c = samples.parallelogram_disk(1100, 2)
+    ls = layers(c, (0, 0), (1100, 2))
+    (interval,) = thick_intervals(ls)
+    assert (interval.j, interval.k) == (2, 1100)
+    cyc = boundary_cycle(c, interval, ls)
+    assert len(cyc.s) == len(cyc.t) == 1099
+    assert len(cyc) == len(set(cyc.cycle)) == 2198

@@ -212,9 +212,9 @@ def test_fellow_traveller_bound(window42):
                 assert eplane.lattice_distance(s, h(s)) <= bound
 
 
-def _safety(check, c, x, y):
+def _safety(check, c, x, y, *extra):
     try:
-        return check(c, x, y)
+        return check(c, x, y, *extra)
     except BoundaryUnsafe as exc:
         return str(exc)
 
@@ -226,10 +226,14 @@ def test_margin_corner_rule_matches_scan_oracle():
     12 is taken once per unordered pair (the corners are those of the
     interval box, which is symmetric in its ends); on windows of radius 1,
     2, 3, 5 and 8 around three centres every ordered pair is taken, so the
-    named corner is checked from both ends."""
+    named corner is checked from both ends. The scan translates each
+    difference's box levels, computed once, to the pair."""
+    boxes = {}
+
     def agree(c, x, y):
         got = _safety(require_pair_safe, c, x, y)
-        assert got == _safety(oracles.scan_require_pair_safe, c, x, y), (c.name, x, y)
+        assert got == _safety(oracles.scan_require_pair_safe, c, x, y, boxes), \
+            (c.name, x, y)
         return got
 
     c = eplane.window((0, 0), 14)

@@ -205,3 +205,21 @@ def test_corner_geodesic_matches_former_walk():
                 assert all(eplane.lattice_distance(x, v) + eplane.lattice_distance(v, y)
                            == n for v in corners), (x, y)
                 assert corners[1] in walk or corners[2] in walk, (x, y)
+
+
+def test_displacement_agrees_with_apply_oracle():
+    """The integer norm of (M - I)v + t against the image through ``apply``
+    and ``lattice_distance``: every vertex of a radius-9 window, for each of
+    the 12 point-group elements with every shift in [-3, 3]^2."""
+    rotations = [eplane.rotation60(k).matrix for k in range(6)]
+    group = rotations + [eplane._mat_mul(eplane._MIRROR, m) for m in rotations]
+    assert len(set(group)) == 12
+    verts = sorted(eplane.window((3, -2), 9).vertices())
+    compared = 0
+    for matrix in group:
+        for shift in ((a, b) for a in range(-3, 4) for b in range(-3, 4)):
+            h = eplane.PlaneIsometry(matrix, shift)
+            for v in verts:
+                assert h.displacement(v) == oracles.apply_displacement(h, v), (h, v)
+                compared += 1
+    assert compared == 12 * 49 * 271

@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
-from syslab import eplane, euclid
+from syslab import eplane, euclid, runner
 from syslab.complexes import FlagComplex
 from syslab.directed import layers, require_pair_safe
 from syslab.errors import BoundaryUnsafe, NoSelection, PreconditionViolated, SyslabError
 from syslab.euclid import (GoodnessConstants, euclidean_geodesic,
                            goodness_constant, select_vertex_geodesic,
                            verify_contracting)
+from syslab.scenario import load_scenario
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def verts(e):
@@ -330,3 +334,38 @@ def test_constants_floors():
         GoodnessConstants(C=200, D=500)
     assert GoodnessConstants(C=100, empirical=True).C == 100
     assert GoodnessConstants().D == 600
+
+
+def test_contracting_agrees_with_fraction_oracle(monkeypatch, tmp_path):
+    """The integer checks against the former Fraction ones on the pairs of
+    rays the contracting scenario checks, in the form it checks each pair:
+    every check's kind, ratio, index, lhs, rhs_base, bound, slack and holds,
+    the violations and max_slack, at c in {0, 1/4, 1/3, 1/2, 3/4, 1} and
+    D = 0, 1 and 600, so that some checks fail."""
+    calls = []
+
+    def record(c, g1, g2, cs, **kwargs):
+        calls.append((c, g1, g2, kwargs.get("doubling_bound")))
+        return verify_contracting(c, g1, g2, cs, **kwargs)
+
+    monkeypatch.setattr(runner, "verify_contracting", record)
+    assert runner.run_scenario(load_scenario(SCENARIOS / "contracting.scn"), tmp_path)[1] == 0
+    cs = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
+          Fraction(1)]
+    fields = ("kind", "c", "index", "lhs", "rhs_base", "bound", "slack", "holds")
+    failed = doubling = 0
+    for D in (0, 1, 600):
+        constants = GoodnessConstants(C=D, D=D, empirical=True)
+        for c, g1, g2, bound in calls:
+            new = verify_contracting(c, g1, g2, cs, constants=constants,
+                                     doubling_bound=bound)
+            old = oracles.fraction_verify_contracting(c, g1, g2, cs, constants=constants,
+                                                      doubling_bound=bound)
+            assert [[getattr(ch, f) for f in fields] for ch in new.checks] == \
+                [[getattr(ch, f) for f in fields] for ch in old.checks]
+            assert [ch.index for ch in new.violations] == [ch.index for ch in old.violations]
+            assert new.max_slack == old.max_slack
+            assert type(new.max_slack) is Fraction
+            failed += len(new.violations)
+            doubling += bound is not None
+    assert len(calls) == 80 and doubling == 3 * 20 and failed > 30

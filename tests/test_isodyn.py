@@ -363,3 +363,25 @@ def test_axis_distance_matches_q_sqrt3_oracle():
             if best is None or val > best:
                 best = val
         assert axis_line_max_distance_sq(gamma, h, origin) == best
+
+
+def test_invariant_geodesic_agrees_with_power_oracle():
+    """Reading h^q(v) as v + q * shift against composing h.power(q): every
+    nonzero shift in [-4, 4]^2, every length 0..60, three origins. The
+    oracle's walk at length L is the first L + 1 vertices of its walk at
+    length 60, and a prefix passes its checks when the whole walk does, so
+    it runs at 60 once per map and origin, and at 0, 1 and 17 directly."""
+    compared = 0
+    for x in ((0, 0), (3, -2), (-7, 5)):
+        for shift in ((a, b) for a in range(-4, 5) for b in range(-4, 5)):
+            if shift == (0, 0):
+                continue
+            h = eplane.translation(*shift)
+            want = oracles.power_invariant_geodesic(h, x, 60)
+            for length in range(61):
+                got = invariant_geodesic_on_plane(h, x, length)
+                assert got == want[:length + 1], (x, shift, length)
+                if length in (0, 1, 17):
+                    assert got == oracles.power_invariant_geodesic(h, x, length)
+                compared += 1
+    assert compared == 3 * 80 * 61
