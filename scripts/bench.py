@@ -45,6 +45,13 @@ the processes, with the values themselves (``runs``); a count such as
   ``cat0_seconds`` and ``cat0_share`` sum the CAT(0) stages a side has
   (modified disk, shortest path, diagonal, straight diagonal);
   ``staged_seconds`` is the whole wrapped call, wrappers included.
+  ``memo_misses`` is the number of constructions a call makes, one per
+  distinct difference (``len(c.translation_memo)``); ``miss_seconds`` is
+  the time spent in them and ``rest_seconds`` the rest of the call, mostly
+  its distance loop, timed in a third call with only the memo-miss
+  construction wrapped: ``miss_construction`` names it, the first of
+  ``euclid._plane_simplices`` (the lattice tuples a miss stores) and
+  ``euclid.euclidean_geodesic`` that the side has.
 - ``construction_curve``: seconds and ``ref`` per ``euclidean_geodesic``
   call without the reversal check on the same pair family at n = 8, 16,
   24 (the lengths of perfbench's plane-goodness workload) and 32, 64,
@@ -136,6 +143,8 @@ STAGES = {
     "straight_diagonal": ("cat0", "_straight_segment"),
 }
 CAT0_STAGES = ("modified_disk", "shortest_path", "diagonal", "straight_diagonal")
+# what a translation-memo miss of goodness_constant constructs, first found wins
+MISS_CONSTRUCTIONS = ("_plane_simplices", "euclidean_geodesic")
 STARTUP_REPEATS = 5
 
 
@@ -277,13 +286,15 @@ def curve_worker() -> dict:
 
     from syslab import eplane, euclid
 
-    spent = dict.fromkeys(STAGES, 0.0)
+    spent = dict.fromkeys([*STAGES, "miss"], 0.0)
+    miss = next(a for a in MISS_CONSTRUCTIONS if hasattr(euclid, a))
+    miss_fn = getattr(euclid, miss)
 
     def timed(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 spent[name] += time.perf_counter() - t0
         return wrapper
@@ -301,6 +312,7 @@ def curve_worker() -> dict:
         path = euclid.select_vertex_geodesic(
             euclid.euclidean_geodesic(c, x, y, check_reversal=False))
         plain, staged, stages = [], [], {name: [] for name in originals}
+        miss_s, rest_s = [], []
         for _ in range(REPEATS):
             c = eplane.window((0, 0), 40)
             t0 = time.perf_counter()
@@ -319,12 +331,27 @@ def curve_worker() -> dict:
                     setattr(owner, attr, fn)
             for name in originals:
                 stages[name].append(spent[name])
+            c = eplane.window((0, 0), 40)
+            setattr(euclid, miss, timed("miss", miss_fn))
+            try:
+                spent["miss"] = 0.0
+                t0 = time.perf_counter()
+                euclid.goodness_constant(c, path)
+                whole = time.perf_counter() - t0
+            finally:
+                setattr(euclid, miss, miss_fn)
+            miss_s.append(spent["miss"])
+            rest_s.append(whole - spent["miss"])
         medians = {name: statistics.median(t) for name, t in stages.items()}
         cat0_s = sum(medians.get(name, 0.0) for name in CAT0_STAGES)
         out[f"n{n}"] = {"pair": [x, y], "seconds": statistics.median(plain),
                         "staged_seconds": statistics.median(staged),
                         "stages": medians, "cat0_seconds": cat0_s,
-                        "cat0_share": cat0_s / statistics.median(staged)}
+                        "cat0_share": cat0_s / statistics.median(staged),
+                        "memo_misses": len(c.translation_memo),
+                        "miss_construction": miss,
+                        "miss_seconds": statistics.median(miss_s),
+                        "rest_seconds": statistics.median(rest_s)}
     return out
 
 

@@ -81,10 +81,12 @@ class FlagComplex:
     Two caches change under these read-only queries. ``translation_memo``
     exists on plane windows only (``None`` elsewhere):
     ``euclid.goodness_constant`` maps each difference y - x to ``(x0,
-    simplex vertex tuples)`` of the Euclidean geodesic it built from x0 to
+    simplex vertex tuples)``, the sorted lattice tuples that
+    ``euclid._plane_simplices`` built for the Euclidean geodesic from x0 to
     x0 + (y - x), so every call on the window shares one construction per
-    difference. It is bounded by the differences that fit in the window and
-    lives as long as the window. Search rows exist only inside
+    difference. The tuples are the construction's own, not the window's
+    vertex objects. The memo is bounded by the differences that fit in the
+    window and lives as long as the window. Search rows exist only inside
     ``_shared_rows``, which ``euclid.euclidean_geodesic`` and
     ``goodness_constant`` enter: there ``true_distance``,
     ``interval_levels`` and the isometry check of ``chardisk`` grow one

@@ -10,8 +10,10 @@ tuples (``_plane_pass``): the two directed geodesics are the certified
 tuples of ``directed._plane_chain``, each layer's segment and thickness are
 read off them, and the CAT(0) path of a thick interval is the straight
 segment between its brackets, certified in O(k - j) by
-``cat0._straight_segment``. Only the returned simplices are mapped to the
-window's own vertices; the ``Layers`` are built when
+``cat0._straight_segment``. ``_plane_simplices`` returns those simplices
+as lattice tuples to the callers that only read vertices (goodness and
+the min-set proximity check of ``isodyn``); ``euclidean_geodesic`` maps
+them to the window's own vertices. The ``Layers`` are built when
 ``EuclideanGeodesic.layers`` is read, and the disk stages when ``disks``
 is. The goodness constant of a vertex geodesic is the exact maximal
 deviation between its vertices and the Euclidean geodesics of all of its
@@ -140,12 +142,25 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
 
 
 def _plane_geodesic(c: FlagComplex, x, y, check_reversal: bool) -> EuclideanGeodesic:
-    """The plane construction: the margin rule, the two certified chains,
-    the lattice pass, its reversal check, and the returned simplices on
-    the window's own vertex objects, except the ends, which stay the
-    caller's x and y as in ``_assemble``: a result the caller keeps after
-    the window is gone then holds no more of the window's objects than the
-    interior needs."""
+    """The plane construction of ``_plane_simplices``, with the returned
+    simplices on the window's own vertex objects, except the ends, which
+    stay the caller's x and y as in ``_assemble``: a result the caller keeps
+    after the window is gone then holds no more of the window's objects
+    than the interior needs."""
+    sims, tags = _plane_simplices(c, x, y, check_reversal)
+    own = c.vertex
+    simplices = [Simplex(tuple(map(own, s))) for s in sims]
+    simplices[-1], simplices[0] = Simplex((y,)), Simplex((x,))
+    return EuclideanGeodesic(c, x, y, tuple(simplices), tags)
+
+
+def _plane_simplices(c: FlagComplex, x, y, check_reversal: bool = False):
+    """The simplices of the Euclidean geodesic of (x, y) on a plane window as
+    sorted lattice tuples, the ends the caller's (x,) and (y,), with their
+    provenance: the margin rule, the two certified chains, the lattice pass
+    and, when asked, its reversal check. The one plane construction, for
+    callers that wrap it (``_plane_geodesic``) and for those that only read
+    vertices (``_sub_simplices``, ``isodyn.check_min_proximity``)."""
     directed._safe_levels(c, x, y)
     sig = directed._plane_chain(c, x, y)
     tau = directed._plane_chain(c, y, x)
@@ -156,10 +171,7 @@ def _plane_geodesic(c: FlagComplex, x, y, check_reversal: bool) -> EuclideanGeod
                 or profile != back_profile[::-1]):
             raise ConditionViolated(
                 f"euclidean geodesic between {x} and {y} is not reversal-symmetric")
-    own = c.vertex
-    simplices = [Simplex(tuple(map(own, s))) for s in sims]
-    simplices[-1], simplices[0] = Simplex((y,)), Simplex((x,))
-    return EuclideanGeodesic(c, x, y, tuple(simplices), tags)
+    return sims, tags
 
 
 def _plane_pass(c: FlagComplex, x, y, sig, tau):
@@ -315,40 +327,74 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
 
     This is exactly the least C' for which the geodesic is C'-good. Plane
     windows are translation-equivariant, so there one Euclidean geodesic is
-    built per distinct difference v_k - v_j, by the one-pass lattice
-    construction of ``euclidean_geodesic`` (no ``Layers`` is built), kept
-    in the window's ``translation_memo`` and reused for every later
-    sub-pair with that difference, in this call or a later one, by
-    measuring from the sub-pair's vertices shifted back onto it (only a new
-    witness is shifted forward); other complexes build one Euclidean
+    built per distinct difference v_k - v_j, as the certified lattice tuples
+    of ``_plane_simplices`` (no ``Layers``, ``Simplex`` or
+    ``EuclideanGeodesic`` is built), kept in the window's
+    ``translation_memo`` and reused for every later sub-pair with that
+    difference, in this call or a later one (``_sub_simplices``). The
+    distance loop reads each sub-pair's shift t once and measures d(v_i - t,
+    u) in lattice arithmetic, with the case split of
+    ``eplane.lattice_distance`` inlined; only a new witness is shifted
+    forward. It skips the sub-pair's two ends, where the distance is 0 and
+    cannot beat the running maximum. Other complexes build one Euclidean
     geodesic per sub-pair from its layers, all of them reading one shared
-    search row per source. The constructions are quadratic in the length
-    either way, but the distance loop is cubic: it measures
-    sum over j < k of (k - j + 1) * |delta| = Theta(n^3) distances.
-    The input must be a vertex geodesic; that is checked first, in O(n).
+    search row per source, and measure with ``true_distance``. The
+    constructions are quadratic in the length either way, but the distance
+    loop is cubic: it measures sum over j < k of (k - j + 1) * |delta| =
+    Theta(n^3) distances. The input must be a vertex geodesic; that is
+    checked first, in O(n).
     """
     verts = tuple(geodesic)
-    best = 0
-    witness = None
-    pairs = 0
     with c._shared_rows:
         _require_vertex_geodesic(c, verts)
-        for j in range(len(verts)):
-            for k in range(j + 1, len(verts)):
-                pairs += 1
-                sub, t = _sub_simplices(c, verts[j], verts[k], j == 0)
-                for i in range(j, k + 1):
-                    v = verts[i]
-                    if t is not None:
-                        v = (v[0] - t[0], v[1] - t[1])
-                    for u in sub[i - j]:
-                        d = c.true_distance(v, u)
-                        if d > best:
-                            best = d
-                            if t is not None:
-                                u = (u[0] + t[0], u[1] + t[1])
-                            witness = (j, k, i, u, d)
-    return GoodnessReport(verts, best, witness, pairs)
+        deviation = _deviation if c.translation_memo is None else _plane_deviation
+        best, witness = deviation(c, verts)
+    return GoodnessReport(verts, best, witness, len(verts) * (len(verts) - 1) // 2)
+
+
+def _deviation(c: FlagComplex, verts: Tuple):
+    """The largest d(v_i, u) with its first witness (j, k, i, u, d), off the
+    plane: one Euclidean geodesic per sub-pair, measured by ``true_distance``."""
+    best = 0
+    witness = None
+    for j in range(len(verts)):
+        for k in range(j + 1, len(verts)):
+            sub = euclidean_geodesic(c, verts[j], verts[k], check_reversal=False)
+            for i in range(j, k + 1):
+                v = verts[i]
+                for u in sub[i - j]:
+                    d = c.true_distance(v, u)
+                    if d > best:
+                        best = d
+                        witness = (j, k, i, u, d)
+    return best, witness
+
+
+def _plane_deviation(c: FlagComplex, verts: Tuple):
+    """``_deviation`` on a plane window: the sub-pairs' tuples from the
+    translation memo, each inner vertex v_i shifted back by the sub-pair's
+    t = (tp, tq), and d(v_i - t, u) by the case split of
+    ``eplane.lattice_distance`` on (p, q) = u - (v_i - t)."""
+    best = 0
+    witness = None
+    for j in range(len(verts)):
+        for k in range(j + 1, len(verts)):
+            sub, tp, tq = _sub_simplices(c, verts[j], verts[k], j == 0)
+            for i in range(j + 1, k):
+                a, b = verts[i]
+                a -= tp
+                b -= tq
+                for u in sub[i - j]:
+                    p = u[0] - a
+                    q = u[1] - b
+                    if p >= 0:
+                        d = p + q if q >= 0 else (p if p >= -q else -q)
+                    else:
+                        d = -p - q if q <= 0 else (q if q >= -p else -p)
+                    if d > best:
+                        best = d
+                        witness = (j, k, i, (u[0] + tp, u[1] + tq), d)
+    return best, witness
 
 
 def _require_vertex_geodesic(c: FlagComplex, verts: Tuple):
@@ -370,34 +416,33 @@ def _require_vertex_geodesic(c: FlagComplex, verts: Tuple):
                 f"but the sequence takes {n} steps")
 
 
-def _sub_simplices(c: FlagComplex, x, y, check: bool) -> Tuple[Sequence, Optional[Tuple]]:
-    """The simplices of the Euclidean geodesic from x to y, each iterable in
-    sorted vertex order, and the shift t that carries them onto x-y. With a
-    memo (plane windows) a pair reuses the vertex tuples built for the first
-    pair x0 with difference y - x, unshifted, with t = x - x0: the caller
-    measures from v - t instead of building shifted copies, which gives the
-    same distances because the window's metric is the lattice's. A
-    translation keeps every sorted tuple sorted, so the first vertex to
-    reach a distance is the same either way. t is None where the simplices
-    are x-y's own: off the plane, and on the pair that filled the memo.
+def _sub_simplices(c: FlagComplex, x, y, check: bool) -> Tuple[Tuple, int, int]:
+    """The simplices of the Euclidean geodesic from x to y on a plane window
+    as sorted lattice tuples, and the shift (tp, tq) that carries them onto
+    x-y. The window's memo keeps, per difference y - x, the first pair x0
+    with it and the tuples ``_plane_simplices`` built for it; a later pair
+    reuses them unshifted, with t = x - x0, and the caller measures from
+    v - t instead of building shifted copies, which gives the same
+    distances because the window's metric is the lattice's. A translation
+    keeps every sorted tuple sorted, so the first vertex to reach a
+    distance is the same either way. t is (0, 0) on the pair that filled
+    the memo.
 
     A reused pair is still held to the margin rule when ``check`` is set,
     which goodness_constant sets for the sub-pairs (0, k). The later
     sub-pairs skip it: on a vertex geodesic every interval I(v_j, v_k)
     lies inside the I(v_0, v_k) that was checked just before."""
     memo = c.translation_memo
-    if memo is None:
-        return euclidean_geodesic(c, x, y, check_reversal=False), None
     diff = (y[0] - x[0], y[1] - x[1])
     hit = memo.get(diff)
     if hit is None:
-        sims = tuple(s.verts for s in euclidean_geodesic(c, x, y, check_reversal=False))
+        sims = _plane_simplices(c, x, y)[0]
         memo[diff] = (x, sims)
-        return sims, None
+        return sims, 0, 0
     if check:
         require_pair_safe(c, x, y)
     x0, sims = hit
-    return sims, (x[0] - x0[0], x[1] - x0[1])
+    return sims, x[0] - x0[0], x[1] - x0[1]
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,16 @@ class DisplacementSet:
 
 def displacement_set(h: eplane.PlaneIsometry | TableAction, K: int,
                      c: FlagComplex) -> DisplacementSet:
-    """Exact filter of the window by displacement at most K.
+    """Exact filter of the window by displacement at most K: the one-K case
+    of ``displacement_sets``."""
+    return displacement_sets(h, (K,), c)[0]
+
+
+def displacement_sets(h: eplane.PlaneIsometry | TableAction, Ks: Iterable[int],
+                      c: FlagComplex) -> Tuple[DisplacementSet, ...]:
+    """The displacement set of each K in Ks, in that order, from one scan of
+    the window: each vertex's displacement is computed once, and each set's
+    frozenset is built in window order.
 
     Plane maps evaluate in closed form and need a plane window
     (``NotPlaneBacked`` elsewhere: a book vertex has no lattice image);
@@ -185,8 +194,16 @@ def displacement_set(h: eplane.PlaneIsometry | TableAction, K: int,
     if isinstance(h, TableAction) and not h.complex.is_complete:
         raise BoundaryUnsafe("table displacement on a truncated window")
     _require_window(h, c)
-    verts = frozenset(v for v in c.vertices() if h.displacement(v) <= K)
-    return DisplacementSet(K, verts, c.name or "window")
+    Ks = tuple(Ks)
+    members: List[List] = [[] for _ in Ks]
+    for v in c.vertices():
+        d = h.displacement(v)
+        for K, found in zip(Ks, members):
+            if d <= K:
+                found.append(v)
+    name = c.name or "window"
+    return tuple(DisplacementSet(K, frozenset(found), name)
+                 for K, found in zip(Ks, members))
 
 
 def _require_window(h: eplane.PlaneIsometry | TableAction, c: FlagComplex):
@@ -239,8 +256,13 @@ def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
     vertices of the minimal set must be displaced at most 9*L(h) + 6; the
     empirical maximum and its witness are recorded alongside the bound.
     A caller that already holds L = ``translation_length(h)`` passes it,
-    which saves the scan.
+    which saves the scan. On a plane window the simplices are read as the
+    certified lattice tuples of ``euclid._plane_simplices``, in the order
+    ``euclidean_geodesic`` returns them, so no ``Simplex`` is built;
+    elsewhere they are ``euclidean_geodesic``'s own.
     """
+    from .euclid import _plane_simplices
+
     _require_window(h, c)
     if L is None:
         L = translation_length(h)
@@ -253,7 +275,11 @@ def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
                 raise PreconditionViolated(f"{v} is not minimally displaced")
         worst = 0
         witness = x
-        for simplex in euclidean_geodesic(c, x, y, check_reversal=False):
+        if c.plane_backed:
+            simplices = _plane_simplices(c, x, y)[0]
+        else:
+            simplices = euclidean_geodesic(c, x, y, check_reversal=False)
+        for simplex in simplices:
             for v in simplex:
                 d = h.displacement(v)
                 if d > worst:

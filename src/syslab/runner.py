@@ -302,13 +302,19 @@ def _goodness_ambient(scenario, task, record, flat):
 
 
 def _task_displacement(scenario, task, record, rng, out_dir, c):
+    from .isodyn import displacement_sets
+
     h = scenario.isometry(task.values["isometry"])
     n_pairs = task.values["pairs"]
     max_d = task.values["max_distance"]
     if not is_hyperbolic(h):
         raise TaskFailed(f"{task.values['isometry']} is not hyperbolic")
     L = translation_length(h)
-    mset = displacement_set(h, L, c)  # the min set, without a second scan for L
+    # the min set and the two sets of the neighbourhood check below, from
+    # one scan of the window
+    K = L + 1
+    grow = 2
+    mset, disp, bigger = displacement_sets(h, (L, K, K + 2 * grow), c)
     bound = 9 * L + 6
     verts = _sample_space(c, task.values["complex"], mset.vertices.__contains__)
     pairs = [_sample_safe_pair(c, verts, rng, max_d)[:2] for _ in range(n_pairs)]
@@ -340,10 +346,6 @@ def _task_displacement(scenario, task, record, rng, out_dir, c):
         "fellow-traveller", "3max+1", 3 * L + 1, ft_worst[0], ft_ok,
         ft_worst[1]))
     # neighborhood growth: B_C(disp_K) inside disp_{K + 2C}
-    K = L + 1
-    grow = 2
-    disp = displacement_set(h, K, c)
-    bigger = displacement_set(h, K + 2 * grow, c)
     ok = True
     witness = None
     for v in disp.vertices:

@@ -14,7 +14,8 @@ library's former convexity kernel) read the complex's own distance matrix,
 because they check the local criterion of ``complexes.is_convex`` against
 the all-pairs definition of convexity.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
-with the library, because it checks the translation memo of
+with the library and measures with ``true_distance``, because it checks
+the translation memo and the inlined lattice distances of
 ``euclid.goodness_constant`` against one construction per sub-pair.
 ``recursive_select_vertex_geodesic`` (with ``recursive_thread``) is the
 library's former selection, whose search recursed once per layer, because
@@ -85,7 +86,13 @@ forms: ``apply_displacement`` (the image, then the lattice metric),
 them. ``recursive_boundary_cycle`` (with ``recursive_extend_chain``) is
 the former boundary cycle, whose chain search recursed once per layer,
 because it checks that the explicit-stack search which replaced it picks
-the same realizing pairs.
+the same realizing pairs. ``scan_displacement_set`` (with
+``three_scan_displacement_sets``, the displacement study's former three
+calls) is the former one-scan-per-K displacement set, and
+``simplex_check_min_proximity`` the former min-set proximity check on
+``euclidean_geodesic``'s ``Simplex`` sequence, because they check the
+one-scan ``isodyn.displacement_sets`` and the plane read of
+``euclid._plane_simplices``' lattice tuples that replaced them.
 """
 
 from __future__ import annotations
@@ -1734,3 +1741,48 @@ def recursive_extend_chain(c, options, chain, pos):
             return True
         chain.pop()
     return False
+
+
+def scan_displacement_set(h, K, c):
+    """The former ``isodyn.displacement_set``: one scan of the window per K,
+    kept verbatim as the oracle of the one-scan ``isodyn.displacement_sets``."""
+    if isinstance(h, isodyn.TableAction) and not h.complex.is_complete:
+        raise BoundaryUnsafe("table displacement on a truncated window")
+    isodyn._require_window(h, c)
+    verts = frozenset(v for v in c.vertices() if h.displacement(v) <= K)
+    return isodyn.DisplacementSet(K, verts, c.name or "window")
+
+
+def three_scan_displacement_sets(h, L, c):
+    """The displacement study's former three calls: the min set at L, and the
+    sets at K = L + 1 and K + 2 * 2 of its neighbourhood check, each its own
+    scan of the window."""
+    return (scan_displacement_set(h, L, c), scan_displacement_set(h, L + 1, c),
+            scan_displacement_set(h, L + 5, c))
+
+
+def simplex_check_min_proximity(c, h, pairs, L=None):
+    """The former ``isodyn.check_min_proximity``, which read every Euclidean
+    geodesic as ``euclidean_geodesic``'s ``Simplex`` sequence on every
+    complex; kept verbatim as the oracle of the plane read of
+    ``euclid._plane_simplices``' lattice tuples."""
+    isodyn._require_window(h, c)
+    if L is None:
+        L = isodyn.translation_length(h)
+    bound = 9 * L + 6
+    entries = []
+    top = 0
+    for x, y in pairs:
+        for v in (x, y):
+            if h.displacement(v) != L:
+                raise PreconditionViolated(f"{v} is not minimally displaced")
+        worst = 0
+        witness = x
+        for simplex in euclidean_geodesic(c, x, y, check_reversal=False):
+            for v in simplex:
+                d = h.displacement(v)
+                if d > worst:
+                    worst, witness = d, v
+        entries.append(isodyn.MinProximityEntry((x, y), worst, witness))
+        top = max(top, worst)
+    return isodyn.MinProximityReport(bound, tuple(entries), top)

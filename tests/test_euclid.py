@@ -235,11 +235,11 @@ def test_shared_memo_matches_oracle_on_criterion_4_stream(monkeypatch):
     # the window's memo, filled by the calls before it.
     c = eplane.window((0, 0), 18)
     built = []
-    construct = euclid.euclidean_geodesic
-    monkeypatch.setattr(euclid, "euclidean_geodesic",
+    construct = euclid._plane_simplices
+    monkeypatch.setattr(euclid, "_plane_simplices",
                         lambda *a, **k: built.append(a[1:3]) or construct(*a, **k))
     rng = random.Random(4)
-    done = 0
+    done = misses = 0
     while done < 200:
         x = (rng.randint(-8, 8), rng.randint(-8, 8))
         y = (rng.randint(-8, 8), rng.randint(-8, 8))
@@ -250,12 +250,37 @@ def test_shared_memo_matches_oracle_on_criterion_4_stream(monkeypatch):
         except BoundaryUnsafe:
             continue
         g = select_vertex_geodesic(euclidean_geodesic(c, x, y, check_reversal=False))
-        assert goodness_constant(c, g) == oracles.uncached_goodness_constant(c, g)
+        before = len(built)
+        report = goodness_constant(c, g)
+        misses += len(built) - before
+        assert report == oracles.uncached_goodness_constant(c, g)
         done += 1
     # one construction per distinct difference over all 200 calls (2645
     # with one per sub-pair); the selections above and the oracle's
-    # constructions are not counted
-    assert len(built) == len(c.translation_memo) == 456
+    # constructions, which run the same helper, are not counted
+    assert misses == len(c.translation_memo) == 456
+
+
+def test_goodness_matches_oracle_on_plane_goodness_shapes():
+    # The plane-goodness benchmark's pair family: (-n, q) for n = 8, 16, 24
+    # and q = 0, n/8, n/4, 3n/8, three translates each, on the selected and
+    # on the corner geodesic. Whole reports agree: c_star, the witness (the
+    # first strict maximum, shifted forward) and pairs_examined.
+    rng = random.Random(28)
+    witnessed = 0
+    for n in (8, 16, 24):
+        for q in (0, n // 8, n // 4, 3 * n // 8):
+            for _ in range(3):
+                t = (rng.randint(-40, 40), rng.randint(-40, 40))
+                x = (t[0] + n // 2, t[1] - q // 2)
+                y = (x[0] - n, x[1] + q)
+                c = eplane.window(t, 20)
+                selected = select_vertex_geodesic(euclidean_geodesic(c, x, y))
+                for g in (selected, eplane.corner_geodesic(x, y)):
+                    report = goodness_constant(c, g)
+                    assert report == oracles.uncached_goodness_constant(c, g)
+                    witnessed += report.witness is not None
+    assert witnessed == 54   # every shape but q = 0, whose geodesics are straight
 
 
 def test_goodness_rejects_non_geodesic_input(window8):

@@ -1,11 +1,12 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
-from syslab import eplane, isodyn, samples
+from syslab import eplane, isodyn, runner, samples
 from syslab.errors import (BoundaryUnsafe, Inconclusive, NotPlaneBacked,
                            NotTranslationLike, PreconditionViolated)
 from syslab.isodyn import (TableAction, _assert_geodesic, axis_line_max_distance_sq,
@@ -13,8 +14,10 @@ from syslab.isodyn import (TableAction, _assert_geodesic, axis_line_max_distance
                            convergence_diagnostic, displacement_set,
                            invariant_geodesic_on_plane, is_hyperbolic, min_set,
                            parse_permutation_text, translation_length)
+from syslab.scenario import load_scenario
 
 GLIDE = eplane.glide(1, 1)
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def test_is_hyperbolic_closed_forms():
@@ -113,6 +116,33 @@ def test_displacement_sets():
     assert full.vertices == frozenset(c.vertices())
 
 
+@pytest.mark.parametrize("literal", ["glide(1,1)", "translate(2,-1)", "rot60^1@(1,0)"])
+@pytest.mark.parametrize("radius", [6, 12, 18])
+def test_displacement_sets_match_three_scans(literal, radius):
+    # One scan against the displacement study's former three, from the
+    # least displacement in the window (the min set where h is hyperbolic):
+    # equal sets, and each frozenset in the same iteration order.
+    h = eplane.parse_isometry(literal)
+    c = eplane.window((0, 0), radius)
+    least = min(h.displacement(v) for v in c.vertices())
+    sets = isodyn.displacement_sets(h, (least, least + 1, least + 5), c)
+    expected = oracles.three_scan_displacement_sets(h, least, c)
+    assert sets == expected
+    assert [list(s.vertices) for s in sets] == [list(s.vertices) for s in expected]
+    assert displacement_set(h, least + 1, c) == expected[1]
+
+
+def test_displacement_sets_refuse_a_truncated_table():
+    w = eplane.window((0, 0), 3)
+    table = TableAction.from_dict(w, {v: v for v in w.vertices()})
+    with pytest.raises(BoundaryUnsafe) as expected:
+        oracles.three_scan_displacement_sets(table, 0, w)
+    with pytest.raises(BoundaryUnsafe) as scanned:
+        isodyn.displacement_sets(table, (0, 1, 5), w)
+    assert str(scanned.value) == str(expected.value) \
+        == "table displacement on a truncated window"
+
+
 def test_displacement_neighborhood_growth():
     # B_C(disp_K) sits inside disp_{K + 2C}
     c = eplane.window((0, 0), 9)
@@ -155,6 +185,29 @@ def test_check_min_proximity_takes_the_translation_length(monkeypatch):
     monkeypatch.setattr(isodyn, "translation_length",
                         lambda h: pytest.fail("translation length scanned again"))
     assert check_min_proximity(c, GLIDE, pairs, L) == scanned
+
+
+def test_check_min_proximity_matches_simplex_oracle_on_glide_minset(monkeypatch, tmp_path):
+    # The pairs the glide-minset scenario draws, read off its call.
+    calls = []
+    monkeypatch.setattr(runner, "check_min_proximity",
+                        lambda *a: calls.append(a) or check_min_proximity(*a))
+    report, code = runner.run_scenario(load_scenario(SCENARIOS / "glide-minset.scn"),
+                                       tmp_path)
+    assert code == 0
+    (c, h, pairs, L), = calls
+    assert len(pairs) == 50 and c.plane_backed
+    assert check_min_proximity(c, h, pairs, L) \
+        == oracles.simplex_check_min_proximity(c, h, pairs, L)
+
+
+def test_check_min_proximity_matches_simplex_oracle_off_the_plane():
+    octahedron = samples.octahedron()
+    antipode = TableAction.from_dict(octahedron, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
+    pairs = [(0, 2), (2, 5), (0, 0)]
+    report = check_min_proximity(octahedron, antipode, pairs)
+    assert report == oracles.simplex_check_min_proximity(octahedron, antipode, pairs)
+    assert report.empirical_max == 2
 
 
 def test_check_min_proximity_translation():
