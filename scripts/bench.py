@@ -68,12 +68,20 @@ the processes, with the values themselves (``runs``); a count such as
   balls of radius 2-6 cannot. Not gated.
 - ``book_goodness_curve``: seconds and ``ref`` per ``goodness_constant``
   call on the selected geodesics of ``BOOK_GOODNESS_PAIRS`` seeded pairs at
-  each distance n = 4, 8, 12 of ``book_window(4, 12)``, a window without a
-  closed-form metric, where every distance is a search; and, on a side
-  whose complexes share search rows within a call, the vertices those
-  rows settled in each pair's call (``rows_settled``). Not gated; unlike
-  perfbench's ``complexes.bfs_runs``, which counts every off-plane
-  ``true_distance`` call as a search, it reads what the rows did.
+  each distance of ``BOOK_GOODNESS_WINDOWS``: n = 4, 8, 12 of
+  ``book_window(4, 12)`` and n = 16, 20 of ``book_window(3, 22)``
+  (``window`` gives pages and radius), windows without a closed-form
+  metric, where every distance is a search. On a side whose complexes
+  share search rows within a call, one more call per pair inside an
+  enclosing scope reads the vertices those rows settled
+  (``rows_settled``); on a side that also keeps the per-call link, ball
+  and disk caches, it reads how many common-neighbour sets
+  (``links_computed``), closed balls (``balls_computed``) and flat disk
+  developments (``disks_computed``) the call computed, and how many
+  further requests read one already computed (``links_reused`` and so
+  on), one number per pair. Not gated; unlike perfbench's
+  ``complexes.bfs_runs``, which counts every off-plane ``true_distance``
+  call as a search, it reads what the caches did.
 - ``scenario_curve``: seconds and ``ref`` per ``runner.run_scenario`` of
   each bundled scenario file of the side (``scenarios/*.scn``) at the
   file's own seed, the run ``syslab run`` makes, reports written to a
@@ -124,7 +132,9 @@ CURVE_PROCESSES = 5
 CURVE_LENGTHS = (8, 16, 24, 32, 64)
 CONSTRUCTION_LENGTHS = (8, 16, 24, 32, 64, 128)
 CONVEXITY_RADII = (2, 4, 6, 8)
-BOOK_GOODNESS_LENGTHS = (4, 8, 12)
+# (pages, radius) of a book window, its path lengths, and the seed of its pairs
+BOOK_GOODNESS_WINDOWS = (((4, 12), (4, 8, 12), "book-goodness"),
+                         ((3, 22), (16, 20), "book-goodness:3:22"))
 BOOK_GOODNESS_PAIRS = 4
 SAMPLE_REPEATS = 5
 SAMPLE_S = 0.02
@@ -433,21 +443,32 @@ def convexity_worker() -> dict:
 
 
 def book_goodness_worker() -> dict:
-    """Time goodness_constant on selected geodesics of seeded pairs of
-    book_window(4, 12), a loop over the pairs of one length per call, in
-    seconds and reference units per goodness_constant; run with the side's
+    """Time goodness_constant on selected geodesics of seeded pairs of the
+    book windows of ``BOOK_GOODNESS_WINDOWS``, a loop over the pairs of one
+    length per call, in seconds and reference units per goodness_constant,
+    with what the call's caches did (``cache_counts``); run with the side's
     src/ on PYTHONPATH."""
     import random
 
-    from syslab import directed, euclid, samples
+    from syslab import samples
+
+    reference = python_reference()
+    out = {}
+    for (pages, radius), lengths, seed in BOOK_GOODNESS_WINDOWS:
+        c = samples.book_window(pages, radius)
+        for n, entry in book_goodness_lengths(c, lengths, random.Random(seed), reference):
+            out[f"n{n}"] = {"window": [pages, radius], **entry}
+    return out
+
+
+def book_goodness_lengths(c, lengths, rng, reference):
+    """Per length n, the book_goodness_curve entry of ``BOOK_GOODNESS_PAIRS``
+    pairs at distance n drawn by rng from the margin-safe pairs of c."""
+    from syslab import directed, euclid
     from syslab.errors import BoundaryUnsafe
 
-    c = samples.book_window(4, 12)
-    reference = python_reference()
-    rng = random.Random("book-goodness")
     inner = sorted(v for v in c.vertices() if c.margin(v) >= 1)
-    out = {}
-    for n in BOOK_GOODNESS_LENGTHS:
+    for n in lengths:
         paths = []
         while len(paths) < BOOK_GOODNESS_PAIRS:
             x = inner[rng.randrange(len(inner))]
@@ -470,13 +491,47 @@ def book_goodness_worker() -> dict:
         entry["seconds"] /= len(paths)
         entry["ref"] /= len(paths)
         if hasattr(c, "_shared_rows"):
-            entry["rows_settled"] = []
             for path in paths:
-                with c._shared_rows:
-                    euclid.goodness_constant(c, path)
-                    entry["rows_settled"].append(
-                        sum(len(row.dist) for row in c._shared_rows.rows.values()))
-        out[f"n{n}"] = {"pairs": [[p[0], p[-1]] for p in paths], **entry}
+                for key, count in cache_counts(c, path).items():
+                    entry.setdefault(key, []).append(count)
+        yield n, {"pairs": [[p[0], p[-1]] for p in paths], **entry}
+
+
+def cache_counts(c, path) -> dict:
+    """What one goodness_constant call on path stored in the caches of
+    ``c._shared_rows``, read inside an enclosing scope: the vertices its
+    search rows settled and, where the scope also keeps them, the links,
+    balls and disks it computed and the requests that reused one."""
+    from syslab import chardisk, euclid
+
+    shared = c._shared_rows
+    caching = hasattr(shared, "links")
+    asked = {"links": 0, "balls": 0, "disks": 0}
+
+    def counting(kind, fn):
+        def wrapper(*args):
+            asked[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    extract = chardisk.extract_flat_disk
+    if caching:
+        c._link = counting("links", c._link)
+        c._ball = counting("balls", c._ball)
+        chardisk.extract_flat_disk = counting("disks", extract)
+    try:
+        with shared:
+            euclid.goodness_constant(c, path)
+            out = {"rows_settled": sum(len(row.dist) for row in shared.rows.values())}
+            if caching:
+                for kind, requests in asked.items():
+                    stored = len(getattr(shared, kind))
+                    out[f"{kind}_computed"] = stored
+                    out[f"{kind}_reused"] = requests - stored
+    finally:
+        if caching:
+            del c._link, c._ball
+            chardisk.extract_flat_disk = extract
     return out
 
 

@@ -196,7 +196,28 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     checked layer steps, adds the stack's consecutive-lines rule; its
     segment points are then the developed region, and its surface map the
     inverse development.
+
+    Inside ``c._shared_rows`` that development, the labels, the surface
+    map and the layer steps, is kept per cycle under ``(cycle.s,
+    cycle.t)``, which determine the rest of a cycle ``boundary_cycle``
+    built. A repeated cycle, which the sub-pairs of one goodness call keep
+    meeting at other layer indices, is only wrapped in a new disk for its
+    own interval, whose stack the disk certifies again. A refusal stores
+    nothing, so a repeated failing cycle fails again with the same text.
     """
+    disks = c._shared_rows.disks
+    if disks is None:
+        return CharDisk(cycle.interval, *_certified_development(c, cycle))
+    key = (cycle.s, cycle.t)
+    if (found := disks.get(key)) is None:
+        found = disks[key] = _certified_development(c, cycle)
+    return CharDisk(cycle.interval, *found)
+
+
+def _certified_development(c: FlagComplex, cycle: BoundaryCycle) -> tuple:
+    """The checks of ``extract_flat_disk`` on one cycle, in order, and what
+    its disk is built from: the layer labels v and w, the surface map and
+    the layer steps."""
     if len(cycle) < 6:
         raise PreconditionViolated(
             f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
@@ -222,7 +243,7 @@ def extract_flat_disk(c: FlagComplex, cycle: BoundaryCycle) -> CharDisk:
     if triangles != 2 * interior_count + boundary_count - 2:
         raise NotFlat("triangle count does not match a disk Euler characteristic")
     surface = {coords[v]: v for v in region}
-    return CharDisk(cycle.interval, v_labels, w_labels, surface.__getitem__, steps)
+    return v_labels, w_labels, surface.__getitem__, steps
 
 
 def _is_hexagon(c, ring) -> bool:
@@ -260,7 +281,9 @@ def _region_triangles(c, region):
 
 
 def _develop(c, cycle, region):
-    """Lay the region out on the lattice by flooding over its triangles."""
+    """Lay the region out on the lattice by flooding over its triangles.
+    The lattice points placed so far are kept as a set beside the
+    development, so the injectivity test of each placement is one lookup."""
     if c.plane_backed:
         return {v: v for v in region}
     triangles = list(_region_triangles(c, region))
@@ -277,6 +300,7 @@ def _develop(c, cycle, region):
         raise NotFlat("boundary edge borders no region triangle")
     apex = next(v for v in seed_tris[0] if v not in (s0, t0))
     coords[apex] = (0, 1)
+    taken = set(coords.values())
 
     placed = {tuple(sorted(seed_tris[0]))}
     queue = deque([seed_tris[0]])
@@ -300,9 +324,10 @@ def _develop(c, cycle, region):
                     if coords[w] != target:
                         raise NotFlat(f"inconsistent development at {w}")
                 else:
-                    if target in coords.values():
+                    if target in taken:
                         raise NotFlat(f"development is not injective at {w}")
                     coords[w] = target
+                    taken.add(target)
                 placed.add(key)
                 queue.append(other)
     missing = region - set(coords)

@@ -78,24 +78,30 @@ class FlagComplex:
     radius - lattice_distance(center, v). A given graph is checked for
     self-loops and symmetry.
 
-    Two caches change under these read-only queries. ``translation_memo``
-    exists on plane windows only (``None`` elsewhere):
-    ``euclid.goodness_constant`` maps each difference y - x to ``(x0,
-    simplex vertex tuples)``, the sorted lattice tuples that
+    Two kinds of cache change under these read-only queries.
+    ``translation_memo`` exists on plane windows only (``None``
+    elsewhere): ``euclid.goodness_constant`` maps each difference y - x to
+    ``(x0, simplex vertex tuples)``, the sorted lattice tuples that
     ``euclid._plane_simplices`` built for the Euclidean geodesic from x0 to
     x0 + (y - x), so every call on the window shares one construction per
     difference. The tuples are the construction's own, not the window's
     vertex objects. The memo is bounded by the differences that fit in the
-    window and lives as long as the window. Search rows exist only inside
-    ``_shared_rows``, which ``euclid.euclidean_geodesic`` and
-    ``goodness_constant`` enter: there ``true_distance``,
+    window and lives as long as the window. The call caches exist only
+    inside ``_shared_rows``, which ``euclid.euclidean_geodesic`` and
+    ``goodness_constant`` enter. There ``true_distance``,
     ``interval_levels`` and the isometry check of ``chardisk`` grow one
     breadth-first row per source, whole levels at a time and only as far as
     a query needs, and every later query from that source reads it on.
-    They hold at most the vertices the construction's queries reached,
-    each source's row no more than its ball out to the farthest query, and
-    are dropped when the outermost scope exits; outside a scope every query
-    grows a row of its own.
+    Each simplex's common neighbours and closed ball (``_link`` and
+    ``_ball``, read by the projection and the residue/ball check of
+    ``directed``, ``residue`` and ``ball_of_simplex``) are computed once,
+    and so is each boundary cycle's certified flat disk development
+    (``chardisk.extract_flat_disk``). The rows hold at most the vertices
+    the construction's queries reached, each source's row no more than its
+    ball out to the farthest query; the other caches hold one entry per
+    simplex or cycle the call met. All are dropped when the outermost
+    scope exits; outside a scope nothing is kept, and every query grows a
+    row of its own.
     """
 
     def __init__(self, adjacency: Optional[Mapping[VertexId, Iterable[VertexId]]] = None, *,
@@ -214,6 +220,27 @@ class FlagComplex:
             row = rows[source] = _Row(source)
         return row.grow(self._adj, target, budget)
 
+    def _link(self, verts: tuple) -> frozenset:
+        """The common neighbours of the simplex with sorted vertex tuple
+        verts, which span its link; inside ``_shared_rows`` each simplex's
+        is computed once."""
+        links = self._shared_rows.links
+        if links is None:
+            return _common_neighbors(self._adj, verts)
+        if (link := links.get(verts)) is None:
+            link = links[verts] = _common_neighbors(self._adj, verts)
+        return link
+
+    def _ball(self, verts: tuple) -> frozenset:
+        """The closed ball B_1 of the simplex with sorted vertex tuple verts;
+        inside ``_shared_rows`` each simplex's is computed once."""
+        balls = self._shared_rows.balls
+        if balls is None:
+            return _closed_ball(self._adj, verts)
+        if (ball := balls.get(verts)) is None:
+            ball = balls[verts] = _closed_ball(self._adj, verts)
+        return ball
+
     def true_distance(self, x, y, budget: Optional[int] = None) -> int:
         """Distance trusted to equal the distance in the underlying complex.
 
@@ -293,27 +320,31 @@ class FlagComplex:
 
 
 class _SharedRows:
-    """The reentrant scope in which a complex's queries share one search
-    row per source (``with c._shared_rows:``). ``rows`` maps each source
-    to its row inside the scope and is None outside; the rows are dropped
-    when the outermost entry exits. One object per complex, so entering
-    costs no allocation: plane windows enter it on every construction."""
+    """The reentrant scope of a complex's call caches (``with
+    c._shared_rows:``). Inside it ``rows`` maps each source to its search
+    row; ``links`` and ``balls`` map a simplex's sorted vertex tuple to
+    its common neighbours and its closed ball (``FlagComplex._link`` and
+    ``_ball``); and ``disks`` maps a boundary cycle's ``(s, t)`` to the
+    certified development of ``chardisk.extract_flat_disk``. Outside it all
+    four are None, and all four are dropped when the outermost entry
+    exits, also by an exception. A failed computation stores nothing. One
+    object per complex, so entering allocates only the four maps."""
 
-    __slots__ = ("rows", "depth")
+    __slots__ = ("rows", "links", "balls", "disks", "depth")
 
     def __init__(self):
-        self.rows = None
+        self.rows = self.links = self.balls = self.disks = None
         self.depth = 0
 
     def __enter__(self):
         if not self.depth:
-            self.rows = {}
+            self.rows, self.links, self.balls, self.disks = {}, {}, {}, {}
         self.depth += 1
 
     def __exit__(self, *exc):
         self.depth -= 1
         if not self.depth:
-            self.rows = None
+            self.rows = self.links = self.balls = self.disks = None
 
 
 class _Row:
@@ -499,13 +530,23 @@ def _induced_cycle(c, subset):
 def residue(c: FlagComplex, s: Simplex) -> frozenset:
     """Vertex set of Res(s): s plus every vertex adjacent to all of s."""
     c.validate_simplex(s)
-    first, *rest = s.verts
-    return c.neighbors(first).intersection(*map(c.neighbors, rest)).union(s.verts)
+    return c._link(s.verts).union(s.verts)
 
 
 def ball_of_simplex(c: FlagComplex, s: Simplex) -> frozenset:
     """Vertices of B_1(s): s plus everything adjacent to at least one vertex."""
-    return frozenset(s.verts).union(*map(c.neighbors, s.verts))
+    return c._ball(s.verts)
+
+
+def _common_neighbors(adj, verts: tuple) -> frozenset:
+    """The vertices adjacent to every vertex of the nonempty tuple verts."""
+    first, *rest = verts
+    return adj[first].intersection(*map(adj.__getitem__, rest))
+
+
+def _closed_ball(adj, verts: tuple) -> frozenset:
+    """The vertices of verts and every vertex adjacent to one of them."""
+    return frozenset(verts).union(*map(adj.__getitem__, verts))
 
 
 # -- materialization and file format ----------------------------------------

@@ -235,16 +235,15 @@ def _check_spans(c: FlagComplex, sims):
 
 def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
     """Project from x towards y through the interval levels read from x,
-    and re-verify the result with ``_verify_conditions``."""
+    each step the common neighbours of the last simplex (``c._link``) on
+    the next level, and re-verify the result with ``_verify_conditions``."""
     n = len(levels) - 1
     if n == 0:
         return DirectedGeodesic(x, y, (Simplex.of([x]),))
-    nbrs = c.neighbors
+    link = c._link
     simplices = [Simplex.of([x])]
     for i in range(n - 1):
-        current = simplices[-1].verts
-        candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
-                                                          levels[i + 1]))
+        candidates = sorted(link(simplices[-1].verts).intersection(levels[i + 1]))
         if not candidates:
             raise ConstructionFailed(
                 f"empty projection at step {i + 1} between {x} and {y}")
@@ -263,13 +262,12 @@ def _verify_conditions(c: FlagComplex, geo: DirectedGeodesic):
     """The spans of ``_check_spans``, and every interior sigma_i is
     Res(sigma_{i-1}) meet B_1(sigma_{i+1}). The spans make every simplex a
     clique of the complex, so the residue is read off as common neighbours
-    without validating it again."""
+    (``c._link``) without validating it again."""
     sims = geo.simplices
     _check_spans(c, sims)
-    nbrs = c.neighbors
     for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
-        res = nbrs(before.verts[0]).intersection(*map(nbrs, before.verts[1:]))
-        if res.union(before.verts) & ball_of_simplex(c, after) != frozenset(here.verts):
+        res = c._link(before.verts).union(before.verts)
+        if res & ball_of_simplex(c, after) != frozenset(here.verts):
             raise ConditionViolated(
                 f"residue/ball condition fails at index {i} "
                 f"between {geo.source} and {geo.target}")

@@ -337,8 +337,10 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     ``eplane.lattice_distance`` inlined; only a new witness is shifted
     forward. It skips the sub-pair's two ends, where the distance is 0 and
     cannot beat the running maximum. Other complexes build one Euclidean
-    geodesic per sub-pair from its layers, all of them reading one shared
-    search row per source, and measure with ``true_distance``. The
+    geodesic per sub-pair from its layers, all of them in the call's one
+    ``_shared_rows`` scope: one search row per source, and each simplex's
+    link and closed ball and each boundary cycle's flat disk development
+    computed once; they measure with ``true_distance``. The
     constructions are quadratic in the length either way, but the distance
     loop is cubic: it measures sum over j < k of (k - j + 1) * |delta| =
     Theta(n^3) distances. The input must be a vertex geodesic; that is

@@ -27,8 +27,7 @@ from .errors import BoundaryUnsafe, NotPlaneBacked, ScenarioParseError, TaskFail
 from .euclid import (euclidean_geodesic, goodness_constant,
                      select_vertex_geodesic, verify_contracting)
 from .isodyn import (axis_line_max_distance_sq, check_min_proximity,
-                     displacement_set, invariant_geodesic_on_plane, is_hyperbolic,
-                     translation_length)
+                     invariant_geodesic_on_plane, is_hyperbolic, translation_length)
 from .scenario import Scenario
 
 SCHEMA = "report/1"

@@ -16,7 +16,9 @@ the all-pairs definition of convexity.
 ``uncached_goodness_constant`` builds every sub-pair's Euclidean geodesic
 with the library and measures with ``true_distance``, because it checks
 the translation memo and the inlined lattice distances of
-``euclid.goodness_constant`` against one construction per sub-pair.
+``euclid.goodness_constant`` against one construction per sub-pair; off
+the plane the tests run it on the uncached bodies below, in a scope of
+its own per sub-pair, to check the per-call caches.
 ``recursive_select_vertex_geodesic`` (with ``recursive_thread``) is the
 library's former selection, whose search recursed once per layer, because
 it checks that the explicit-stack search which replaced it picks the same
@@ -93,6 +95,15 @@ calls) is the former one-scan-per-K displacement set, and
 ``euclidean_geodesic``'s ``Simplex`` sequence, because they check the
 one-scan ``isodyn.displacement_sets`` and the plane read of
 ``euclid._plane_simplices``' lattice tuples that replaced them.
+``uncached_project``, ``uncached_verify_conditions`` and
+``uncached_extract_flat_disk`` (with ``scan_develop``, whose injectivity
+test scans every placed point) are the former ``directed._project``,
+``_verify_conditions``, ``chardisk.extract_flat_disk`` and ``_develop``,
+which computed every simplex's common neighbours and closed ball and every
+cycle's development on each use, because they check the per-scope link,
+ball and disk caches of ``complexes._SharedRows`` and the placed-point
+set of the development that replaced them. The closed ball is the former
+``ball_of_simplex`` above, so no cache is read.
 """
 
 from __future__ import annotations
@@ -112,8 +123,8 @@ from syslab.cat0 import PolyPath
 from syslab.complexes import Simplex
 from syslab.directed import (DirectedGeodesic, Layer, Layers, ThickInterval,
                              require_pair_safe)
-from syslab.errors import (BoundaryUnsafe, ConditionViolated, DegenerateDomain,
-                           MalformedProfile, NoCrossing, NoRealizingChain, NoSelection,
+from syslab.errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
+                           DegenerateDomain, MalformedProfile, NoCrossing, NoRealizingChain, NoSelection,
                            NotFlat, NotTranslationLike, PreconditionViolated,
                            SyslabError, TaskFailed, Unreachable)
 from syslab.euclid import (EuclideanGeodesic, GoodnessConstants, GoodnessReport,
@@ -1786,3 +1797,133 @@ def simplex_check_min_proximity(c, h, pairs, L=None):
         entries.append(isodyn.MinProximityEntry((x, y), worst, witness))
         top = max(top, worst)
     return isodyn.MinProximityReport(bound, tuple(entries), top)
+
+
+# -- uncached constructions -------------------------------------------------------------
+#
+# The former bodies, verbatim but for the names: library functions are called
+# through their modules, and the oracle copies call one another.
+
+
+def uncached_project(c, x, y, levels):
+    """The former ``directed._project``: the common neighbours of each
+    simplex intersected anew at every step."""
+    n = len(levels) - 1
+    if n == 0:
+        return DirectedGeodesic(x, y, (Simplex.of([x]),))
+    nbrs = c.neighbors
+    simplices = [Simplex.of([x])]
+    for i in range(n - 1):
+        current = simplices[-1].verts
+        candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
+                                                          levels[i + 1]))
+        if not candidates:
+            raise ConstructionFailed(
+                f"empty projection at step {i + 1} between {x} and {y}")
+        if not c.is_clique(candidates):
+            raise ConstructionFailed(
+                f"projection at step {i + 1} between {x} and {y} "
+                f"is not a simplex: {candidates}")
+        simplices.append(Simplex(tuple(candidates)))
+    simplices.append(Simplex.of([y]))
+    geo = DirectedGeodesic(x, y, tuple(simplices))
+    uncached_verify_conditions(c, geo)
+    return geo
+
+
+def uncached_verify_conditions(c, geo):
+    """The former ``directed._verify_conditions``, on the former
+    ``ball_of_simplex`` of this module."""
+    sims = geo.simplices
+    directed._check_spans(c, sims)
+    nbrs = c.neighbors
+    for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
+        res = nbrs(before.verts[0]).intersection(*map(nbrs, before.verts[1:]))
+        if res.union(before.verts) & ball_of_simplex(c, after) != frozenset(here.verts):
+            raise ConditionViolated(
+                f"residue/ball condition fails at index {i} "
+                f"between {geo.source} and {geo.target}")
+
+
+def uncached_extract_flat_disk(c, cycle):
+    """The former ``chardisk.extract_flat_disk``: every check and the
+    development run on every call, the development by ``scan_develop``."""
+    if len(cycle) < 6:
+        raise PreconditionViolated(
+            f"boundary cycle of a thick interval has at least 6 vertices, got {len(cycle)}")
+    region = set()
+    for s, t in zip(cycle.s, cycle.t):
+        region |= complexes.interval(c, s, t)
+    boundary = set(cycle.cycle)
+    interior = region - boundary
+
+    for v in sorted(interior):
+        if not chardisk._is_hexagon(c, c.neighbors(v) & region):
+            raise NotFlat(f"interior vertex {v} is not surrounded by 6 triangles")
+
+    coords = scan_develop(c, cycle, region)
+    if not c.plane_backed:  # identity development under the lattice metric
+        chardisk._check_isometric(c, region, coords)
+    v_labels = tuple(coords[s] for s in cycle.s)
+    w_labels = tuple(coords[t] for t in cycle.t)
+    steps = chardisk._check_layer_geometry(v_labels, w_labels)
+    triangles = chardisk._triangle_count(c, region, interior)
+    interior_count = len(interior)
+    boundary_count = len(region) - interior_count
+    if triangles != 2 * interior_count + boundary_count - 2:
+        raise NotFlat("triangle count does not match a disk Euler characteristic")
+    surface = {coords[v]: v for v in region}
+    return chardisk.CharDisk(cycle.interval, v_labels, w_labels, surface.__getitem__, steps)
+
+
+def scan_develop(c, cycle, region):
+    """The former ``chardisk._develop``, whose injectivity test scans the
+    lattice points placed so far."""
+    if c.plane_backed:
+        return {v: v for v in region}
+    triangles = list(_region_triangles(c, region))
+    by_edge: Dict[tuple, list] = {}
+    for tri in triangles:
+        for a, b in combinations(tri, 2):
+            by_edge.setdefault((min(a, b), max(a, b)), []).append(tri)
+
+    s0, t0 = cycle.s[0], cycle.t[0]
+    coords = {s0: (0, 0), t0: (1, 0)}
+    seed_edge = (min(s0, t0), max(s0, t0))
+    seed_tris = by_edge.get(seed_edge, [])
+    if not seed_tris:
+        raise NotFlat("boundary edge borders no region triangle")
+    apex = next(v for v in seed_tris[0] if v not in (s0, t0))
+    coords[apex] = (0, 1)
+
+    placed = {tuple(sorted(seed_tris[0]))}
+    queue = deque([seed_tris[0]])
+    while queue:
+        tri = queue.popleft()
+        for a, b in combinations(tri, 2):
+            edge = (min(a, b), max(a, b))
+            third_here = next(v for v in tri if v not in (a, b))
+            for other in by_edge[edge]:
+                key = tuple(sorted(other))
+                if key in placed:
+                    continue
+                w = next(v for v in other if v not in (a, b))
+                completions = chardisk._edge_completions(coords[a], coords[b])
+                if third_here in coords:
+                    completions = [p for p in completions if p != coords[third_here]]
+                if not completions:
+                    raise NotFlat(f"cannot develop vertex {w}")
+                target = completions[0]
+                if w in coords:
+                    if coords[w] != target:
+                        raise NotFlat(f"inconsistent development at {w}")
+                else:
+                    if target in coords.values():
+                        raise NotFlat(f"development is not injective at {w}")
+                    coords[w] = target
+                placed.add(key)
+                queue.append(other)
+    missing = region - set(coords)
+    if missing:
+        raise NotFlat(f"region is not triangle-connected; unreached: {sorted(missing)[:3]}")
+    return coords

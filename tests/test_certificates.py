@@ -10,12 +10,12 @@ from functools import partial
 import pytest
 
 import oracles
-from syslab import cat0, chardisk, directed, eplane, euclid, samples
+from syslab import cat0, chardisk, complexes, directed, eplane, euclid, samples
 from syslab.complexes import FlagComplex, Simplex, ball_of_simplex, residue
 from syslab.directed import (DirectedGeodesic, ThickInterval, _verify_conditions,
                              directed_geodesic, layers, thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat,
-                           PreconditionViolated)
+                           PreconditionViolated, SyslabError)
 from syslab.exact import PlanePoint
 
 
@@ -315,3 +315,205 @@ def test_goodness_shares_rows_within_one_call(monkeypatch):
     with pytest.raises(PreconditionViolated, match="^not a vertex geodesic: d"):
         euclid.goodness_constant(c, paths[0][:-1] + paths[0][-3:-2])
     assert c._shared_rows.rows is None
+
+
+# -- the call caches of _shared_rows ---------------------------------------------------
+
+CACHES = ("rows", "links", "balls", "disks")
+
+
+def _refusal(fn, *args, **kwargs):
+    """What fn returns, or the type and message of the library refusal it
+    raised."""
+    try:
+        return fn(*args, **kwargs)
+    except SyslabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _book_paths(c, seed, lengths, per_length):
+    """The selected vertex geodesics of seeded margin-safe pairs of the book
+    window c at each distance in lengths, per_length of them at each."""
+    rng = random.Random(seed)
+    inner = sorted(v for v in c.vertices() if c.margin(v) >= 1)
+    paths = []
+    for n in lengths:
+        found = 0
+        while found < per_length:
+            x = inner[rng.randrange(len(inner))]
+            sphere = sorted(v for v, d in c.bfs_distances(x, budget=n).items() if d == n)
+            if not sphere:
+                continue
+            y = sphere[rng.randrange(len(sphere))]
+            try:
+                geo = euclid.euclidean_geodesic(c, x, y, check_reversal=False)
+            except BoundaryUnsafe:
+                continue
+            paths.append(euclid.select_vertex_geodesic(geo))
+            found += 1
+    return paths
+
+
+def _use_uncached(m):
+    """Patch the projection, its residue/ball check and the flat disk back to
+    the former bodies, which compute every link, ball and development on
+    every use."""
+    m.setattr(directed, "_project", oracles.uncached_project)
+    m.setattr(directed, "_verify_conditions", oracles.uncached_verify_conditions)
+    m.setattr(chardisk, "extract_flat_disk", oracles.uncached_extract_flat_disk)
+
+
+def _recorded(monkeypatch, uncached, fn, *args, **kwargs):
+    """fn's result or refusal, with what each Euclidean geodesic it built
+    held (ends, simplices, provenance) and each flat disk (interval, labels,
+    surface), in the order it built them; with ``uncached`` on the former
+    bodies of ``_use_uncached``."""
+    geodesics, disks = [], []
+    with monkeypatch.context() as m:
+        if uncached:
+            _use_uncached(m)
+        construct, extract = euclid.euclidean_geodesic, chardisk.extract_flat_disk
+
+        def geodesic(c, x, y, **kw):
+            geo = construct(c, x, y, **kw)
+            geodesics.append((x, y, geo.simplices, geo.provenance))
+            return geo
+
+        def disk(c, cycle):
+            out = extract(c, cycle)
+            disks.append((out.interval, out.v_labels, out.w_labels, out.surface))
+            return out
+
+        for owner in (euclid, oracles):
+            m.setattr(owner, "euclidean_geodesic", geodesic)
+        m.setattr(chardisk, "extract_flat_disk", disk)
+        return _refusal(fn, *args, **kwargs), geodesics, disks
+
+
+def _agree_on_goodness(monkeypatch, c, path):
+    """goodness_constant and the uncached oracle on the former bodies give
+    the same report or refusal, sub-pairs and disks; returns the disks."""
+    new = _recorded(monkeypatch, False, euclid.goodness_constant, c, path)
+    old = _recorded(monkeypatch, True, oracles.uncached_goodness_constant, c, path)
+    assert new == old, (c.name, path)
+    return len(new[2])
+
+
+def test_cached_goodness_matches_uncached_oracle(monkeypatch, non_plane_complexes):
+    """Every pair within distance 6 of each non-plane complex: the same
+    Euclidean geodesic or refusal, and then the same goodness report (c_star,
+    witness, pairs examined), sub-pair simplices and provenance, and disk
+    intervals, labels and surfaces, as the former uncached construction; and
+    the same on selected geodesics of a 4-page book of radius 12 at n = 4..12.
+    """
+    reports = disks = 0
+    refusals = set()
+    for c in non_plane_complexes:
+        for x, y in oracles.pairs_within(c, 6):
+            if not x < y:
+                continue
+            new = _recorded(monkeypatch, False, euclid.euclidean_geodesic, c, x, y,
+                            check_reversal=False)
+            old = _recorded(monkeypatch, True, euclid.euclidean_geodesic, c, x, y,
+                            check_reversal=False)
+            assert new[1:] == old[1:], (c.name, x, y)
+            if isinstance(new[0], tuple):
+                assert new[0] == old[0], (c.name, x, y)
+                refusals.add(new[0][0])
+                continue
+            disks += _agree_on_goodness(monkeypatch, c, euclid.select_vertex_geodesic(new[0]))
+            reports += 1
+    book = samples.book_window(4, 12)
+    for path in _book_paths(book, 29, range(4, 13), 2):
+        disks += _agree_on_goodness(monkeypatch, book, path)
+        reports += 1
+    print(f"{reports} reports, {disks} disks, refusals {sorted(refusals)}")
+    assert reports >= 4000 and disks >= 250
+    assert "BoundaryUnsafe" in refusals
+
+
+def test_call_caches_live_for_one_call(monkeypatch):
+    """Every cache of ``_shared_rows`` is None after a goodness call, and
+    after one that raises once every cache holds entries; a scope entered
+    around a call keeps what the call stored until it exits."""
+    c = samples.book_window(4, 12)
+    path = next(p for p in _book_paths(c, 29, (8,), 4)
+                if euclid.euclidean_geodesic(c, p[0], p[-1]).disks)
+    shared = c._shared_rows
+    euclid.goodness_constant(c, path)
+    assert all(getattr(shared, cache) is None for cache in CACHES)
+    with shared:
+        euclid.goodness_constant(c, path)
+        assert all(getattr(shared, cache) for cache in CACHES)
+        with shared:
+            pass
+        assert all(getattr(shared, cache) for cache in CACHES)
+    assert all(getattr(shared, cache) is None for cache in CACHES)
+
+    diagonal = cat0.euclidean_diagonal
+
+    def failing(disk, alpha):
+        if all(getattr(shared, cache) for cache in CACHES):
+            raise NoCrossing("refused after every cache was filled")
+        return diagonal(disk, alpha)
+
+    monkeypatch.setattr(cat0, "euclidean_diagonal", failing)
+    with pytest.raises(NoCrossing, match="^refused after every cache was filled$"):
+        euclid.goodness_constant(c, path)
+    assert all(getattr(shared, cache) is None for cache in CACHES)
+    with shared:
+        with pytest.raises(NoCrossing):
+            euclid.goodness_constant(c, path)
+        assert all(getattr(shared, cache) for cache in CACHES)
+    assert all(getattr(shared, cache) is None for cache in CACHES)
+
+
+def test_one_goodness_call_computes_each_link_ball_and_disk_once(monkeypatch):
+    """Inside one goodness call on selected book geodesics, the common
+    neighbours and the closed ball are computed once per distinct simplex
+    asked for, and the development once per distinct boundary cycle, while
+    the call asks for them many more times."""
+    c = samples.book_window(4, 12)
+    paths = _book_paths(c, 29, (6, 9, 12), 2)
+    computed = {"links": [], "balls": [], "disks": []}
+    asked = {"links": [], "balls": [], "disks": []}
+
+    def counted(kind, fn, key):
+        def wrapper(*args):
+            computed[kind].append(key(args))
+            return fn(*args)
+        return wrapper
+
+    def asking(kind, fn, key):
+        def wrapper(*args):
+            asked[kind].append(key(args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(complexes, "_common_neighbors",
+                        counted("links", complexes._common_neighbors, lambda a: a[1]))
+    monkeypatch.setattr(complexes, "_closed_ball",
+                        counted("balls", complexes._closed_ball, lambda a: a[1]))
+    monkeypatch.setattr(chardisk, "_certified_development",
+                        counted("disks", chardisk._certified_development,
+                                lambda a: (a[1].s, a[1].t)))
+    monkeypatch.setattr(c, "_link", asking("links", c._link, lambda a: a[0]))
+    monkeypatch.setattr(c, "_ball", asking("balls", c._ball, lambda a: a[0]))
+    monkeypatch.setattr(chardisk, "extract_flat_disk",
+                        asking("disks", chardisk.extract_flat_disk,
+                               lambda a: (a[1].s, a[1].t)))
+    totals = dict.fromkeys(computed, 0)
+    uses = dict.fromkeys(computed, 0)
+    for path in paths:
+        for kind in computed:
+            computed[kind].clear()
+            asked[kind].clear()
+        euclid.goodness_constant(c, path)
+        for kind in computed:
+            assert len(computed[kind]) == len(set(computed[kind])) == len(set(asked[kind])), \
+                (kind, path)
+            assert set(computed[kind]) == set(asked[kind])
+            totals[kind] += len(computed[kind])
+            uses[kind] += len(asked[kind])
+    print(f"computed {totals}, asked {uses}")
+    assert all(uses[kind] > totals[kind] > 0 for kind in computed)

@@ -374,3 +374,40 @@ def test_boundary_cycle_of_a_long_thick_interval():
     cyc = boundary_cycle(c, interval, ls)
     assert len(cyc.s) == len(cyc.t) == 1099
     assert len(cyc) == len(set(cyc.cycle)) == 2198
+
+
+def _developed(develop, c, cycle, region):
+    """The development, or the text of the NotFlat it raised."""
+    try:
+        return develop(c, cycle, region)
+    except NotFlat as exc:
+        return str(exc)
+
+
+def test_development_matches_scan_oracle():
+    """The development with its set of placed points agrees with the former
+    scan of every placed point: on the wheels with 4 to 9 spokes from the
+    hub (only 6 spokes are flat; fewer give an inconsistent development,
+    more a non-injective one, with the same vertex named), and on a strip
+    disk of length 60 from (0, 0) to (60, 2) in insertion order too."""
+    refusals = set()
+    for spokes in range(4, 10):
+        adjacency = {0: list(range(1, spokes + 1))}
+        for i in range(1, spokes + 1):
+            adjacency[i] = [0, i % spokes + 1, (i - 2) % spokes + 1]
+        wheel = FlagComplex(adjacency)
+        cycle = chardisk.BoundaryCycle(ThickInterval(0, 1), (0,), (1,), (0, 1))
+        new = _developed(chardisk._develop, wheel, cycle, set(adjacency))
+        assert new == _developed(oracles.scan_develop, wheel, cycle, set(adjacency))
+        if isinstance(new, str):
+            refusals.add(new.split(" at ")[0])
+        else:
+            assert spokes == 6 and len(new) == 7
+    assert refusals == {"inconsistent development", "development is not injective"}
+    strip = samples.parallelogram_disk(60, 2)
+    ls = layers(strip, (0, 0), (60, 2))
+    cycle = boundary_cycle(strip, thick_intervals(ls)[0], ls)
+    region = set(extract_flat_disk(strip, cycle).region)
+    new = chardisk._develop(strip, cycle, region)
+    old = oracles.scan_develop(strip, cycle, region)
+    assert list(new.items()) == list(old.items()) and len(new) == len(region)
