@@ -81,9 +81,6 @@ class Diagonal:
     interval: ThickInterval
     simplices: Tuple[Simplex, ...]   # indices j+1 .. k-1
 
-    def simplex_at(self, i: int) -> Simplex:
-        return self.simplices[i - self.interval.j - 1]
-
 
 def modified_disk(disk: CharDisk) -> ModifiedDisk:
     """Shrink every layer segment of the disk by 1/2 at both ends.

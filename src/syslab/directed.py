@@ -15,9 +15,9 @@ window, it runs from x to y, and consecutive simplices are disjoint and
 jointly form a lattice clique. The residue/ball condition is not checked
 there at run time; the projection with its full postcondition is the
 closed form's test oracle. ``_plane_chain`` hands the certified tuples to
-``euclid``'s one-pass plane construction; ``_closed_form`` maps them to the
-window's own vertex objects for ``directed_geodesic`` and ``layers``, which
-builds no level there (``Layers.levels`` is None).
+``euclid``'s one-pass plane construction; ``_closed_form`` wraps them as
+simplices for ``directed_geodesic`` and ``layers``, which builds no level
+there (``Layers.levels`` is None).
 """
 
 from __future__ import annotations
@@ -183,10 +183,8 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
 
 def _closed_form(c: FlagComplex, x, y) -> DirectedGeodesic:
     """The directed geodesic from x to y on a plane window: the certified
-    tuples of ``_plane_chain`` on the window's own vertex objects."""
-    own = c.vertex
-    return DirectedGeodesic(x, y, tuple(Simplex(tuple(map(own, verts)))
-                                       for verts in _plane_chain(c, x, y)))
+    tuples of ``_plane_chain``."""
+    return DirectedGeodesic(x, y, tuple(map(Simplex, _plane_chain(c, x, y))))
 
 
 def _plane_chain(c: FlagComplex, x, y) -> Tuple[Tuple, ...]:
@@ -356,10 +354,3 @@ def _thick_runs(profile: Sequence[int]) -> list[ThickInterval]:
         else:
             i += 1
     return out
-
-
-def map_geodesic(iso, geo: DirectedGeodesic) -> DirectedGeodesic:
-    """Image of a directed geodesic under a plane isometry."""
-    return DirectedGeodesic(
-        iso(geo.source), iso(geo.target),
-        tuple(Simplex.of(map(iso, s)) for s in geo.simplices))

@@ -259,10 +259,6 @@ class PlaneIsometry:
     def is_translation(self) -> bool:
         return self.matrix == _IDENT
 
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == _IDENT and self.shift == (0, 0)
-
     def matrix_order(self) -> int:
         m, k = self.matrix, 1
         while m != _IDENT:

@@ -11,11 +11,10 @@ tuples of ``directed._plane_chain``, each layer's segment and thickness are
 read off them, and the CAT(0) path of a thick interval is the straight
 segment between its brackets, certified in O(k - j) by
 ``cat0._straight_segment``. ``_plane_simplices`` returns those simplices
-as lattice tuples to the callers that only read vertices (goodness and
-the min-set proximity check of ``isodyn``); ``euclidean_geodesic`` maps
-them to the window's own vertices. The ``Layers`` are built when
-``EuclideanGeodesic.layers`` is read, and the disk stages when ``disks``
-is. The goodness constant of a vertex geodesic is the exact maximal
+as lattice tuples: goodness reads them as they are, and
+``euclidean_geodesic`` wraps each in a ``Simplex``. The ``Layers`` are
+built when ``EuclideanGeodesic.layers`` is read, and the disk stages when
+``disks`` is. The goodness constant of a vertex geodesic is the exact maximal
 deviation between its vertices and the Euclidean geodesics of all of its
 sub-pairs.
 """
@@ -127,7 +126,8 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     complex's shared rows.
     """
     if c.plane_backed:
-        return _plane_geodesic(c, x, y, check_reversal)
+        sims, tags = _plane_simplices(c, x, y, check_reversal)
+        return EuclideanGeodesic(c, x, y, tuple(map(Simplex, sims)), tags)
     with c._shared_rows:
         layer_seq = layers(c, x, y)
         geo = _assemble(c, layer_seq)
@@ -141,26 +141,13 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     return geo
 
 
-def _plane_geodesic(c: FlagComplex, x, y, check_reversal: bool) -> EuclideanGeodesic:
-    """The plane construction of ``_plane_simplices``, with the returned
-    simplices on the window's own vertex objects, except the ends, which
-    stay the caller's x and y as in ``_assemble``: a result the caller keeps
-    after the window is gone then holds no more of the window's objects
-    than the interior needs."""
-    sims, tags = _plane_simplices(c, x, y, check_reversal)
-    own = c.vertex
-    simplices = [Simplex(tuple(map(own, s))) for s in sims]
-    simplices[-1], simplices[0] = Simplex((y,)), Simplex((x,))
-    return EuclideanGeodesic(c, x, y, tuple(simplices), tags)
-
-
 def _plane_simplices(c: FlagComplex, x, y, check_reversal: bool = False):
     """The simplices of the Euclidean geodesic of (x, y) on a plane window as
     sorted lattice tuples, the ends the caller's (x,) and (y,), with their
     provenance: the margin rule, the two certified chains, the lattice pass
     and, when asked, its reversal check. The one plane construction, for
-    callers that wrap it (``_plane_geodesic``) and for those that only read
-    vertices (``_sub_simplices``, ``isodyn.check_min_proximity``)."""
+    ``euclidean_geodesic``, which wraps the tuples, and for
+    ``_sub_simplices``, which reads them as they are."""
     directed._safe_levels(c, x, y)
     sig = directed._plane_chain(c, x, y)
     tau = directed._plane_chain(c, y, x)

@@ -118,9 +118,6 @@ class ExactScalar:
             return 1 if d > 0 else (-1 if d < 0 else 0)
         return -1 if d > 0 else (1 if d < 0 else 0)
 
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
     def __eq__(self, other):
         o = _coerce(other)
         if o is None:

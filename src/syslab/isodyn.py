@@ -256,13 +256,8 @@ def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
     vertices of the minimal set must be displaced at most 9*L(h) + 6; the
     empirical maximum and its witness are recorded alongside the bound.
     A caller that already holds L = ``translation_length(h)`` passes it,
-    which saves the scan. On a plane window the simplices are read as the
-    certified lattice tuples of ``euclid._plane_simplices``, in the order
-    ``euclidean_geodesic`` returns them, so no ``Simplex`` is built;
-    elsewhere they are ``euclidean_geodesic``'s own.
+    which saves the scan.
     """
-    from .euclid import _plane_simplices
-
     _require_window(h, c)
     if L is None:
         L = translation_length(h)
@@ -275,11 +270,7 @@ def check_min_proximity(c: FlagComplex, h: eplane.PlaneIsometry | TableAction,
                 raise PreconditionViolated(f"{v} is not minimally displaced")
         worst = 0
         witness = x
-        if c.plane_backed:
-            simplices = _plane_simplices(c, x, y)[0]
-        else:
-            simplices = euclidean_geodesic(c, x, y, check_reversal=False)
-        for simplex in simplices:
+        for simplex in euclidean_geodesic(c, x, y, check_reversal=False):
             for v in simplex:
                 d = h.displacement(v)
                 if d > worst:

@@ -152,10 +152,7 @@ def _sample_space(c: FlagComplex, name: str, admissible=None) -> List:
 def _sample_safe_pair(c: FlagComplex, verts: List, rng, max_distance: int,
                       max_tries: int = 5000):
     """Draw x, y from the sample space until both are admissible (not holes),
-    the pair is margin-safe and 1 <= d(x, y) <= max_distance. On a plane
-    window the lattice distance rejects far pairs before the margin rule,
-    which there checks only the four corners of the interval box; elsewhere
-    the rule scans the interval. The draws are the same either way.
+    the pair is margin-safe and 1 <= d(x, y) <= max_distance.
 
     Each index is drawn by the loop ``Random.randrange(n)`` runs itself
     (``_randbelow_with_getrandbits``, CPython 3.10-3.13): k = n.bit_length()
@@ -177,8 +174,6 @@ def _sample_safe_pair(c: FlagComplex, verts: List, rng, max_distance: int,
             continue
         x, y = verts[i], verts[j]
         if x is None or y is None:
-            continue
-        if c.plane_backed and c.true_distance(x, y) > max_distance:
             continue
         try:
             d = require_pair_safe(c, x, y)

@@ -32,7 +32,9 @@ it, because they check the resumable search rows that replaced it.
 library's former interval walk and its first disk isometry check, kept on
 the complex's own ``true_distance`` and ``bfs_distances``, because they check
 that the searches which replaced them give the same levels and name the
-same failing pair. ``sample_safe_pair`` is the runner's former pair
+same failing pair. ``book_distance`` is the closed-form metric of a
+book, because it checks the search rows on a complex with no metric hint.
+``sample_safe_pair`` is the runner's former pair
 sampler, run with the library's ``require_pair_safe``, because it checks
 that the sampler which replaced it makes the same draws and decisions.
 ``window_adjacency`` is the former window cut of
@@ -55,10 +57,10 @@ library's whole stage chain from boundary cycle to characteristic map,
 because it checks the straight segment that replaced it on the plane.
 ``layered_euclidean_geodesic`` is the former plane construction that the
 one-pass lattice construction of ``euclid`` replaced, kept verbatim with
-the pieces it ran: the closed-form directed geodesics on the window's own
-vertices with their neighbour-set certificate (``closed_form``,
-``certify_chain``, also the oracle of the lattice certificate
-``directed._check_chain``), ``directed.layers`` (``layered_layers``), the
+the pieces it ran: the closed-form directed geodesics with their
+neighbour-set certificate (``closed_form``, ``certify_chain``, also the
+oracle of the lattice certificate ``directed._check_chain``),
+``directed.layers`` (``layered_layers``), the
 profile walk (``layered_thick_intervals``), ``euclid._assemble``
 (``layered_assemble``, whose layer membership, the former
 ``Layers.holds``, is now the lattice predicate ``in_plane_layer``) and the
@@ -90,11 +92,11 @@ the former boundary cycle, whose chain search recursed once per layer,
 because it checks that the explicit-stack search which replaced it picks
 the same realizing pairs. ``scan_displacement_set`` (with
 ``three_scan_displacement_sets``, the displacement study's former three
-calls) is the former one-scan-per-K displacement set, and
-``simplex_check_min_proximity`` the former min-set proximity check on
-``euclidean_geodesic``'s ``Simplex`` sequence, because they check the
-one-scan ``isodyn.displacement_sets`` and the plane read of
-``euclid._plane_simplices``' lattice tuples that replaced them.
+calls) is the former one-scan-per-K displacement set, because it checks
+the one-scan ``isodyn.displacement_sets`` that replaced it.
+``simplex_check_min_proximity`` is the min-set proximity check on
+``euclidean_geodesic``'s ``Simplex`` sequence, the form the library has
+again since its plane read of lattice tuples was deleted.
 ``uncached_project``, ``uncached_verify_conditions`` and
 ``uncached_extract_flat_disk`` (with ``scan_develop``, whose injectivity
 test scans every placed point) are the former ``directed._project``,
@@ -164,6 +166,19 @@ def bfs_map(c, x, cap=10 ** 9):
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
+
+
+def book_distance(u, w):
+    """The closed-form metric of a book, on vertices (a, b, page) with page
+    0 the spine: any two pages form a plane, folded by the inverse of
+    ``samples.book_flat_embedding``'s page-2 reflection (a, b) -> (a + b, -b),
+    so a pair on the spine or on one page is at the lattice distance of its
+    (a, b), and a pair across pages at that of (a1, b1) and (a2 + b2, -b2)."""
+    a1, b1, p = u
+    a2, b2, q = w
+    if p and q and p != q:
+        a2, b2 = a2 + b2, -b2
+    return eplane.lattice_distance((a1, b1), (a2, b2))
 
 
 def pairs_within(c, radius):
@@ -488,6 +503,31 @@ def _inside_float(poly, x, y, eps=1e-9):
     return crossings % 2 == 1
 
 
+def _row_inside_float(poly, y, eps=1e-9):
+    """``_inside_float`` at height y as a test of x alone: the edges whose
+    y-range can hold a boundary hit and the ray crossings are found once
+    per row, with the same float expressions."""
+    n = len(poly)
+    near = []
+    xis = []
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        if min(y1, y2) - eps <= y <= max(y1, y2) + eps:
+            near.append((x1, y1, x2, y2))
+        if (y1 > y) != (y2 > y):
+            xis.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
+
+    def inside(x):
+        for x1, y1, x2, y2 in near:
+            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+            if abs(cross) < eps * 10 and min(x1, x2) - eps <= x <= max(x1, x2) + eps:
+                return True
+        return sum(xi > x for xi in xis) % 2 == 1
+
+    return inside
+
+
 def _visible_float(poly, a, b, samples=33, eps=1e-7):
     for i in range(1, samples):
         t = i / samples
@@ -516,13 +556,13 @@ def grid_dijkstra_path_length(polygon, start, goal, pitch=0.02):
     nx = int((max(xs) - min(xs)) / pitch) + 1
     ny = int((max(ys) - min(ys)) / pitch) + 1
     index = {}
+    rows = [_row_inside_float(poly, min(ys) + j * pitch) for j in range(ny + 1)]
     for i in range(nx + 1):
-        for j in range(ny + 1):
-            x = min(xs) + i * pitch
-            y = min(ys) + j * pitch
-            if _inside_float(poly, x, y):
+        x = min(xs) + i * pitch
+        for j, inside in enumerate(rows):
+            if inside(x):
                 index[(i, j)] = len(corners) + len(grid)
-                grid.append((x, y))
+                grid.append((x, min(ys) + j * pitch))
 
     nodes = corners + grid
     edges = {i: [] for i in range(len(nodes))}
@@ -641,7 +681,7 @@ def _proper_line_hit(p, q, a, b):
     d1 = q - p
     d2 = b - a
     denom = cross(d1, d2)
-    if denom.is_zero():
+    if denom == 0:
         return None
     s = cross(a - p, d2) / denom
     t = cross(a - p, d1) / denom
@@ -988,12 +1028,11 @@ def corner_geodesic(x, y):
 
 def box_interval_levels(c, x, y):
     """The former plane branch of ``FlagComplex.interval_levels``: the closed-form
-    interval box, split by ``lattice_distance`` from x, members of c only, as
-    c's own vertex objects."""
+    interval box, split by ``lattice_distance`` from x, members of c only."""
     levels = [set() for _ in range(eplane.lattice_distance(x, y) + 1)]
     for v in interval_box(x, y):
         if v in c:
-            levels[eplane.lattice_distance(x, v)].add(c.vertex(v))
+            levels[eplane.lattice_distance(x, v)].add(v)
     return tuple(map(frozenset, levels))
 
 
@@ -1168,11 +1207,9 @@ def layered_layers(c, x, y):
 
 
 def closed_form(c, x, y):
-    """The former ``directed._closed_form``: the closed form on the
-    window's own vertex objects, certified by ``certify_chain``."""
-    own = c.vertex
-    geo = DirectedGeodesic(x, y, tuple(Simplex(tuple(map(own, verts)))
-                                       for verts in eplane.directed_simplices(x, y)))
+    """The former ``directed._closed_form``: the closed form, certified by
+    ``certify_chain``."""
+    geo = DirectedGeodesic(x, y, tuple(map(Simplex, eplane.directed_simplices(x, y))))
     certify_chain(c, geo)
     return geo
 
@@ -1318,8 +1355,7 @@ def layered_straight_diagonal(c, layer_seq, interval):
             b = (a[0] + step[0], a[1] + step[1])
             sims.append(Simplex((a, b) if a < b else (b, a)))
     simplex_verify_diagonal(sims, (vj, wj), (vk, wk))
-    own = c.vertex
-    return [Simplex(tuple(map(own, c.validate_simplex(s).verts))) for s in sims]
+    return [c.validate_simplex(s) for s in sims]
 
 
 def simplex_verify_diagonal(sims, start, end):
@@ -1773,10 +1809,8 @@ def three_scan_displacement_sets(h, L, c):
 
 
 def simplex_check_min_proximity(c, h, pairs, L=None):
-    """The former ``isodyn.check_min_proximity``, which read every Euclidean
-    geodesic as ``euclidean_geodesic``'s ``Simplex`` sequence on every
-    complex; kept verbatim as the oracle of the plane read of
-    ``euclid._plane_simplices``' lattice tuples."""
+    """``isodyn.check_min_proximity``, which reads every Euclidean geodesic
+    as ``euclidean_geodesic``'s ``Simplex`` sequence on every complex."""
     isodyn._require_window(h, c)
     if L is None:
         L = isodyn.translation_length(h)

@@ -280,7 +280,7 @@ def test_decisions_stable_under_float_reevaluation(strip_disk):
         # every half-integer, so rounding reproduces the exact decision
         assert abs(arc - np.floor(arc) - 0.5) > 1e-6
         float_vertex = int(np.rint(arc))
-        exact = diag.simplex_at(i)
+        exact = diag.simplices[i - j - 1]
         assert exact.verts == ((v[0] + (w[0] - v[0]) // seg_len * float_vertex,
                                 v[1] + (w[1] - v[1]) // seg_len * float_vertex),)
 

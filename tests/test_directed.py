@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 from syslab import directed, eplane, samples
-from syslab.complexes import FlagComplex, materialize_window
-from syslab.directed import (Layer, directed_geodesic, layers, map_geodesic,
+from syslab.complexes import FlagComplex, Simplex, materialize_window
+from syslab.directed import (DirectedGeodesic, Layer, directed_geodesic, layers,
                              require_pair_safe, thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile,
                            PreconditionViolated)
@@ -13,6 +13,13 @@ from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile,
 
 def verts(geo):
     return [s.verts for s in geo]
+
+
+def map_geodesic(iso, geo):
+    """Image of a directed geodesic under a plane isometry."""
+    return DirectedGeodesic(
+        iso(geo.source), iso(geo.target),
+        tuple(Simplex.of(map(iso, s)) for s in geo.simplices))
 
 
 def test_directed_geodesic_22(window42):

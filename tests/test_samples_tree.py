@@ -44,6 +44,18 @@ def test_book_flat_embedding_isometric():
         assert book.true_distance(bf(u), bf(v)) == eplane.lattice_distance(u, v)
 
 
+@pytest.mark.parametrize("pages, radius", [(3, 10), (4, 7), (5, 7)])
+def test_book_search_rows_match_closed_form_metric(pages, radius):
+    """``true_distance`` on every pair of a book window against the
+    closed-form book metric, each source growing one row in one scope."""
+    c = samples.book_window(pages, radius)
+    verts = sorted(c.vertices())
+    with c._shared_rows:
+        wrong = [(u, w) for u in verts for w in verts
+                 if c.true_distance(u, w) != oracles.book_distance(u, w)]
+    assert not wrong, wrong[:5]
+
+
 def test_book_balls_convex():
     b = samples.book_window(3, 5)
     for center in [(0, 0, 0), (1, 1, 3), (0, 2, 1)]:

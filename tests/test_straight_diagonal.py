@@ -131,5 +131,5 @@ def test_sleeve_left_by_the_segment_is_refused(window12):
         assert re.search(r"layer 3 at u = .* outside the portal", text), flip
         assert text == _refusal(oracles.layered_straight_diagonal, window12, fake, interval)
         disk = CharDisk(interval, tuple(v for v, _ in ends), tuple(w for _, w in ends),
-                        window12.vertex)
+                        lambda v: v)
         assert len(cat0.shortest_path(cat0.modified_disk(disk)).points) > 2
