@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from . import eplane
 from .chardisk import CharDisk
-from .complexes import Simplex
+from .complexes import simplex_text
 from .directed import ThickInterval
 from .errors import ConditionViolated, DegenerateDomain, NoCrossing, PreconditionViolated
 from .exact import PlanePoint, cross, norm_sq, orient
@@ -41,7 +41,6 @@ class ModifiedDisk:
     collinear) is flagged and handled by reading paths off the segment.
     """
 
-    disk: Optional[CharDisk]
     interval: ThickInterval
     polygon: Tuple[PlanePoint, ...]
     start: PlanePoint
@@ -74,14 +73,6 @@ class PolyPath:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class Diagonal:
-    """Per-layer nearest simplices to the CAT(0) geodesic, in disk coordinates."""
-
-    interval: ThickInterval
-    simplices: Tuple[Simplex, ...]   # indices j+1 .. k-1
-
-
 def modified_disk(disk: CharDisk) -> ModifiedDisk:
     """Shrink every layer segment of the disk by 1/2 at both ends.
 
@@ -101,7 +92,7 @@ def modified_disk(disk: CharDisk) -> ModifiedDisk:
         raise PreconditionViolated("bracket layers of the interval are not unit edges")
     polygon = tuple(v_prime[:-1] + [v_prime[-1]] + list(reversed(w_prime[1:-1])))
     degenerate = _all_collinear(polygon)
-    return ModifiedDisk(disk, disk.interval, polygon, v_prime[0], v_prime[-1],
+    return ModifiedDisk(disk.interval, polygon, v_prime[0], v_prime[-1],
                         tuple(v_prime), tuple(w_prime), degenerate)
 
 
@@ -182,8 +173,9 @@ def shortest_path(m: ModifiedDisk) -> PolyPath:
 # -- the Euclidean diagonal --------------------------------------------------------
 
 
-def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
-    """Nearest disk simplex to the crossing of alpha with every inner layer.
+def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Tuple[tuple, ...]:
+    """Nearest disk simplex to the crossing of alpha with every inner layer
+    j+1..k-1, as sorted vertex tuples in disk coordinates.
 
     The crossing is read off the segment of alpha that the funnel recorded
     for the layer; its arc position along the layer segment is an exact
@@ -196,19 +188,16 @@ def euclidean_diagonal(disk: CharDisk, alpha: PolyPath) -> Diagonal:
     if len(alpha.crossings) != k - j - 1:
         raise NoCrossing(f"path records {len(alpha.crossings)} layer crossings "
                          f"for {k - j - 1} inner layers")
-    sims: List[Simplex] = []
+    sims = []
     for i, a in zip(range(j + 1, k), alpha.crossings):
         v, _ = disk.layer_segment(i)
         t, step = disk.layer_step(i)
         num, den = _crossing_arc(alpha, a, v, step, i)
         if num < 0 or num > t * den:
             raise NoCrossing(f"crossing with layer {i} lies outside its segment")
-        best = nearest_simplex_on_segment(num, den, t)
-        verts = tuple((v[0] + step[0] * mpos, v[1] + step[1] * mpos) for mpos in best)
-        sims.append(Simplex.of(verts))
-    _verify_diagonal([s.verts for s in sims], disk.layer_segment(j),
-                     disk.layer_segment(k))
-    return Diagonal(disk.interval, tuple(sims))
+        sims.append(_simplex_on_segment(v, step, nearest_simplex_on_segment(num, den, t)))
+    _verify_diagonal(sims, disk.layer_segment(j), disk.layer_segment(k))
+    return tuple(sims)
 
 
 def _straight_segment(j: int, segments) -> List[tuple]:
@@ -275,15 +264,20 @@ def _straight_segment(j: int, segments) -> List[tuple]:
                 f"segment {start}->{goal} meets layer {i} at u = {num}/{den}, outside "
                 f"the portal {(2 * v[0] + step[0], 2 * v[1] + step[1])}-"
                 f"{(2 * w[0] - step[0], 2 * w[1] - step[1])}")
-        m = nearest_simplex_on_segment(num, den, t)
-        a = (v[0] + step[0] * m[0], v[1] + step[1] * m[0])
-        if len(m) == 1:
-            sims.append((a,))
-        else:
-            b = (a[0] + step[0], a[1] + step[1])
-            sims.append((a, b) if a < b else (b, a))
+        sims.append(_simplex_on_segment(v, step, nearest_simplex_on_segment(num, den, t)))
     _verify_diagonal(sims, (vj, wj), (vk, wk))
     return sims
+
+
+def _simplex_on_segment(v, step, m) -> tuple:
+    """The simplex at the positions m of ``nearest_simplex_on_segment``
+    along the lattice segment from v in unit steps: the vertex, or the
+    edge as a sorted pair."""
+    a = (v[0] + step[0] * m[0], v[1] + step[1] * m[0])
+    if len(m) == 1:
+        return (a,)
+    b = (a[0] + step[0], a[1] + step[1])
+    return (a, b) if a < b else (b, a)
 
 
 def _crossing_arc(alpha: PolyPath, a: int, v, step, i: int) -> Tuple[int, int]:
@@ -323,8 +317,8 @@ def _verify_diagonal(sims, start, end):
         return
     for a, b in zip(sims, sims[1:]):
         if not eplane._lattice_clique(a + b):
-            raise NoCrossing(
-                f"diagonal simplices {Simplex(a)} and {Simplex(b)} do not span a simplex")
+            raise NoCrossing(f"diagonal simplices {simplex_text(a)} and "
+                             f"{simplex_text(b)} do not span a simplex")
     if len(sims[0]) != 1 or len(sims[-1]) != 1:
         raise NoCrossing("diagonal simplices at the interval ends must be vertices")
     if not eplane._lattice_clique((*start, sims[0][0])):

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Dict, Optional, Tuple
 
 from . import eplane
-from .complexes import FlagComplex, Simplex, interval
+from .complexes import FlagComplex, interval, simplex_of, simplex_text
 from .directed import Layers, ThickInterval
 from .errors import NoRealizingChain, NotASimplexOfDisk, NotFlat, PreconditionViolated
 
@@ -406,19 +406,18 @@ def _layer_stack(v_labels, w_labels, steps):
 # -- the characteristic mapping -------------------------------------------------
 
 
-def characteristic_map(c: FlagComplex, disk: CharDisk, rho: Simplex) -> Simplex:
-    """Image of a disk simplex under the disk's surface map.
+def characteristic_map(c: FlagComplex, disk: CharDisk, rho: tuple) -> tuple:
+    """Image of a disk simplex under the disk's surface map, as a sorted
+    vertex tuple.
 
-    rho is given in disk coordinates. The image is verified to be a simplex
-    of the ambient complex, and the assignment respects inclusions by
-    construction. Membership is tested on the disk's layer segments
+    rho is a vertex tuple in disk coordinates. The image is verified to be
+    a simplex of the ambient complex, and the assignment respects inclusions
+    by construction. Membership is tested on the disk's layer segments
     (``CharDisk.holds``).
     """
     for v in rho:
         if not disk.holds(v):
             raise NotASimplexOfDisk(f"{v} is not a vertex of the disk")
-    if not all(disk.disk_adjacent(a, b) for a, b in combinations(rho.verts, 2)):
-        raise NotASimplexOfDisk(f"{rho} is not a simplex of the disk")
-    out = Simplex.of(disk.image(v) for v in rho)
-    c.validate_simplex(out)
-    return out
+    if not all(disk.disk_adjacent(a, b) for a, b in combinations(rho, 2)):
+        raise NotASimplexOfDisk(f"{simplex_text(rho)} is not a simplex of the disk")
+    return c.validate_simplex(simplex_of(map(disk.image, rho)))

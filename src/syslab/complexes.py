@@ -21,34 +21,18 @@ from .errors import (BoundaryUnsafe, NotASimplex, PreconditionViolated,
 VertexId = Hashable
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """A nonempty clique of the owning complex, kept as a sorted vertex tuple."""
+def simplex_of(vertices: Iterable[VertexId]) -> tuple:
+    """The simplex on the given vertices as its sorted vertex tuple, repeats
+    removed: a simplex of a flag complex is a clique, its vertex set alone."""
+    vs = tuple(sorted(set(vertices)))
+    if not vs:
+        raise NotASimplex("empty simplex")
+    return vs
 
-    verts: tuple
 
-    @staticmethod
-    def of(vertices: Iterable[VertexId]) -> "Simplex":
-        vs = tuple(sorted(set(vertices)))
-        if not vs:
-            raise NotASimplex("empty simplex")
-        return Simplex(vs)
-
-    def __iter__(self):
-        return iter(self.verts)
-
-    def __len__(self):
-        return len(self.verts)
-
-    def __contains__(self, v):
-        return v in self.verts
-
-    def isdisjoint(self, other: "Simplex") -> bool:
-        return set(self.verts).isdisjoint(other.verts)
-
-    def __repr__(self):
-        inner = ",".join(map(str, self.verts))
-        return f"<{inner}>"
+def simplex_text(verts) -> str:
+    """A simplex's vertex tuple as refusal texts print it: ``<a,b>``."""
+    return f"<{','.join(map(str, verts))}>"
 
 
 class FlagComplex:
@@ -183,12 +167,12 @@ class FlagComplex:
                 return False
         return True
 
-    def validate_simplex(self, s: Simplex) -> Simplex:
+    def validate_simplex(self, s: tuple) -> tuple:
         for v in s:
             if v not in self._adj:
                 raise NotASimplex(f"vertex {v} not in complex")
         if not self.is_clique(s):
-            raise NotASimplex(f"{s} is not a clique")
+            raise NotASimplex(f"{simplex_text(s)} is not a clique")
         return s
 
     # -- internal metric -------------------------------------------------------
@@ -519,15 +503,16 @@ def _induced_cycle(c, subset):
     return tuple(walk)
 
 
-def residue(c: FlagComplex, s: Simplex) -> frozenset:
+def residue(c: FlagComplex, s: Iterable[VertexId]) -> frozenset:
     """Vertex set of Res(s): s plus every vertex adjacent to all of s."""
-    c.validate_simplex(s)
-    return c._link(s.verts).union(s.verts)
+    s = c.validate_simplex(simplex_of(s))
+    return c._link(s).union(s)
 
 
-def ball_of_simplex(c: FlagComplex, s: Simplex) -> frozenset:
-    """Vertices of B_1(s): s plus everything adjacent to at least one vertex."""
-    return c._ball(s.verts)
+def ball_of_simplex(c: FlagComplex, s: tuple) -> frozenset:
+    """Vertices of B_1(s), s a sorted vertex tuple: s plus everything
+    adjacent to at least one vertex."""
+    return c._ball(s)
 
 
 def _common_neighbors(adj, verts: tuple) -> frozenset:

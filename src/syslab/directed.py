@@ -15,9 +15,10 @@ window, it runs from x to y, and consecutive simplices are disjoint and
 jointly form a lattice clique. The residue/ball condition is not checked
 there at run time; the projection with its full postcondition is the
 closed form's test oracle. ``_plane_chain`` hands the certified tuples to
-``euclid``'s one-pass plane construction; ``_closed_form`` wraps them as
-simplices for ``directed_geodesic`` and ``layers``, which builds no level
-there (``Layers.levels`` is None).
+``euclid``'s one-pass plane construction, and ``_closed_form`` to
+``directed_geodesic`` and ``layers``, which builds no level there
+(``Layers.levels`` is None). Every simplex, on every complex, is its
+sorted vertex tuple.
 """
 
 from __future__ import annotations
@@ -26,18 +27,19 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import eplane
-from .complexes import FlagComplex, Simplex, ball_of_simplex
+from .complexes import FlagComplex, ball_of_simplex, simplex_text
 from .errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
                      MalformedProfile, PreconditionViolated)
 
 
 @dataclass(frozen=True)
 class DirectedGeodesic:
-    """Simplices sigma_0..sigma_n read from source to target."""
+    """Simplices sigma_0..sigma_n read from source to target, each a sorted
+    vertex tuple."""
 
     source: object
     target: object
-    simplices: Tuple[Simplex, ...]
+    simplices: Tuple[tuple, ...]
 
     def __len__(self):
         return len(self.simplices) - 1
@@ -56,8 +58,8 @@ class Layer(NamedTuple):
     [x, y], are the decomposition's (``Layers.levels``)."""
 
     index: int
-    sigma: Optional[Simplex]
-    tau: Optional[Simplex]
+    sigma: Optional[tuple]
+    tau: Optional[tuple]
     thickness: int
 
     @property
@@ -184,7 +186,7 @@ def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
 def _closed_form(c: FlagComplex, x, y) -> DirectedGeodesic:
     """The directed geodesic from x to y on a plane window: the certified
     tuples of ``_plane_chain``."""
-    return DirectedGeodesic(x, y, tuple(map(Simplex, _plane_chain(c, x, y))))
+    return DirectedGeodesic(x, y, _plane_chain(c, x, y))
 
 
 def _plane_chain(c: FlagComplex, x, y) -> Tuple[Tuple, ...]:
@@ -207,14 +209,10 @@ def _check_chain(c: FlagComplex, sims, source, target):
     for s in sims:
         for v in s:
             if v not in inside:
-                raise ConditionViolated(f"simplex {Simplex(s)} leaves the window at {v}")
+                raise ConditionViolated(f"simplex {simplex_text(s)} leaves the window at {v}")
     for a, b in zip(sims, sims[1:]):
         if not eplane._lattice_clique(a + b):
-            if not set(a).isdisjoint(b):
-                raise ConditionViolated(
-                    f"simplices {Simplex(a)} and {Simplex(b)} are not disjoint")
-            raise ConditionViolated(
-                f"simplices {Simplex(a)} and {Simplex(b)} do not span a simplex")
+            _refuse_span(a, b)
     if sims[0] != (source,) or sims[-1] != (target,):
         raise ConditionViolated(f"simplices do not run from {source} to {target}")
 
@@ -225,10 +223,17 @@ def _check_spans(c: FlagComplex, sims):
     form a clique are disjoint; disjointness is only tested to name the
     failure."""
     for a, b in zip(sims, sims[1:]):
-        if not c.is_clique(a.verts + b.verts):
-            if not a.isdisjoint(b):
-                raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
-            raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
+        if not c.is_clique(a + b):
+            _refuse_span(a, b)
+
+
+def _refuse_span(a, b):
+    """Name why consecutive simplices a and b do not jointly form a clique."""
+    if not set(a).isdisjoint(b):
+        raise ConditionViolated(
+            f"simplices {simplex_text(a)} and {simplex_text(b)} are not disjoint")
+    raise ConditionViolated(
+        f"simplices {simplex_text(a)} and {simplex_text(b)} do not span a simplex")
 
 
 def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
@@ -237,11 +242,11 @@ def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
     the next level, and re-verify the result with ``_verify_conditions``."""
     n = len(levels) - 1
     if n == 0:
-        return DirectedGeodesic(x, y, (Simplex.of([x]),))
+        return DirectedGeodesic(x, y, ((x,),))
     link = c._link
-    simplices = [Simplex.of([x])]
+    simplices = [(x,)]
     for i in range(n - 1):
-        candidates = sorted(link(simplices[-1].verts).intersection(levels[i + 1]))
+        candidates = sorted(link(simplices[-1]).intersection(levels[i + 1]))
         if not candidates:
             raise ConstructionFailed(
                 f"empty projection at step {i + 1} between {x} and {y}")
@@ -249,8 +254,8 @@ def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
             raise ConstructionFailed(
                 f"projection at step {i + 1} between {x} and {y} "
                 f"is not a simplex: {candidates}")
-        simplices.append(Simplex(tuple(candidates)))
-    simplices.append(Simplex.of([y]))
+        simplices.append(tuple(candidates))
+    simplices.append((y,))
     geo = DirectedGeodesic(x, y, tuple(simplices))
     _verify_conditions(c, geo)
     return geo
@@ -264,8 +269,8 @@ def _verify_conditions(c: FlagComplex, geo: DirectedGeodesic):
     sims = geo.simplices
     _check_spans(c, sims)
     for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
-        res = c._link(before.verts).union(before.verts)
-        if res & ball_of_simplex(c, after) != frozenset(here.verts):
+        res = c._link(before).union(before)
+        if res & ball_of_simplex(c, after) != frozenset(here):
             raise ConditionViolated(
                 f"residue/ball condition fails at index {i} "
                 f"between {geo.source} and {geo.target}")
@@ -297,7 +302,7 @@ def layers(c: FlagComplex, x, y) -> Layers:
     return Layers(c, x, y, items, sigma_geo, tau_geo, levels)
 
 
-def _thickness(c: FlagComplex, sigma: Simplex, tau: Simplex) -> int:
+def _thickness(c: FlagComplex, sigma: tuple, tau: tuple) -> int:
     """Largest ambient distance from a vertex of sigma to one of tau."""
     return max(c.true_distance(s, t) for s in sigma for t in tau)
 

@@ -11,12 +11,12 @@ tuples of ``directed._plane_chain``, each layer's segment and thickness are
 read off them, and the CAT(0) path of a thick interval is the straight
 segment between its brackets, certified in O(k - j) by
 ``cat0._straight_segment``. ``_plane_simplices`` returns those simplices
-as lattice tuples: goodness reads them as they are, and
-``euclidean_geodesic`` wraps each in a ``Simplex``. The ``Layers`` are
-built when ``EuclideanGeodesic.layers`` is read, and the disk stages when
-``disks`` is. The goodness constant of a vertex geodesic is the exact maximal
-deviation between its vertices and the Euclidean geodesics of all of its
-sub-pairs.
+as sorted lattice tuples, which goodness and ``euclidean_geodesic`` read
+as they are: every simplex, on every complex, is its sorted vertex tuple.
+The ``Layers`` are built when ``EuclideanGeodesic.layers`` is read, and the
+disk stages when ``disks`` is. The goodness constant of a vertex geodesic
+is the exact maximal deviation between its vertices and the Euclidean
+geodesics of all of its sub-pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import cat0, chardisk, directed, eplane
-from .complexes import FlagComplex, Simplex
+from .complexes import FlagComplex, simplex_text
 from .directed import Layers, layers, require_pair_safe, thick_intervals
 from .errors import ConditionViolated, NoSelection, NotASimplex, PreconditionViolated
 
@@ -71,7 +71,7 @@ class EuclideanGeodesic:
     complex: FlagComplex = field(repr=False, compare=False)
     x: object
     y: object
-    simplices: Tuple[Simplex, ...]
+    simplices: Tuple[tuple, ...]
     provenance: Tuple[str, ...]   # endpoint | thin | disk
     _layers: Optional[Layers] = field(default=None, repr=False, compare=False)
     _disks: Optional[Tuple[tuple, ...]] = field(default=None, repr=False, compare=False)
@@ -127,14 +127,14 @@ def euclidean_geodesic(c: FlagComplex, x, y, *,
     """
     if c.plane_backed:
         sims, tags = _plane_simplices(c, x, y, check_reversal)
-        return EuclideanGeodesic(c, x, y, tuple(map(Simplex, sims)), tags)
+        return EuclideanGeodesic(c, x, y, tuple(sims), tags)
     with c._shared_rows:
         layer_seq = layers(c, x, y)
         geo = _assemble(c, layer_seq)
         if check_reversal:
             back = _assemble(c, layer_seq.reversed())
-            forward = [frozenset(s.verts) for s in geo.simplices]
-            reverse = [frozenset(s.verts) for s in reversed(back.simplices)]
+            forward = [frozenset(s) for s in geo.simplices]
+            reverse = [frozenset(s) for s in reversed(back.simplices)]
             if forward != reverse:
                 raise ConditionViolated(
                     f"euclidean geodesic between {x} and {y} is not reversal-symmetric")
@@ -146,8 +146,7 @@ def _plane_simplices(c: FlagComplex, x, y, check_reversal: bool = False):
     sorted lattice tuples, the ends the caller's (x,) and (y,), with their
     provenance: the margin rule, the two certified chains, the lattice pass
     and, when asked, its reversal check. The one plane construction, for
-    ``euclidean_geodesic``, which wraps the tuples, and for
-    ``_sub_simplices``, which reads them as they are."""
+    ``euclidean_geodesic`` and for ``_sub_simplices``."""
     directed._safe_levels(c, x, y)
     sig = directed._plane_chain(c, x, y)
     tau = directed._plane_chain(c, y, x)
@@ -190,7 +189,7 @@ def _plane_pass(c: FlagComplex, x, y, sig, tau):
                     f"thin layer {i} of ({x}, {y}) does not span a simplex")
             if profile[i] != (len(union) > 1):
                 raise ConditionViolated(f"thin layer {i} of ({x}, {y}) spans "
-                                        f"{Simplex(union)} at thickness {profile[i]}")
+                                        f"{simplex_text(union)} at thickness {profile[i]}")
             sims[i], tags[i] = union, "thin"
     inside = c.vertices()
     for interval in directed._thick_runs(profile):
@@ -200,7 +199,7 @@ def _plane_pass(c: FlagComplex, x, y, sig, tau):
                 if v not in inside:
                     raise NotASimplex(f"vertex {v} not in complex")
             if not eplane._lattice_clique(s):
-                raise NotASimplex(f"{Simplex(s)} is not a clique")
+                raise NotASimplex(f"{simplex_text(s)} is not a clique")
             sims[i], tags[i] = s, "disk"
     distance = eplane.lattice_distance
     for i, s in enumerate(sims):
@@ -209,7 +208,7 @@ def _plane_pass(c: FlagComplex, x, y, sig, tau):
         for v in s:
             if v not in inside or distance(x, v) != i or distance(v, y) != n - i:
                 raise ConditionViolated(
-                    f"delta_{i} of ({x}, {y}) leaves its layer: {Simplex(s)}")
+                    f"delta_{i} of ({x}, {y}) leaves its layer: {simplex_text(s)}")
     return sims, tuple(tags), profile
 
 
@@ -219,33 +218,33 @@ def _assemble(c, layer_seq: Layers) -> EuclideanGeodesic:
     characteristic images of its diagonal."""
     x, y, n = layer_seq.x, layer_seq.y, layer_seq.n
     if n == 0:
-        return EuclideanGeodesic(c, x, y, (Simplex.of([x]),), ("endpoint",), layer_seq)
-    sims: List[Optional[Simplex]] = [None] * (n + 1)
+        return EuclideanGeodesic(c, x, y, ((x,),), ("endpoint",), layer_seq)
+    sims: List[Optional[tuple]] = [None] * (n + 1)
     tags: List[str] = [""] * (n + 1)
-    sims[0], tags[0] = Simplex.of([x]), "endpoint"
-    sims[n], tags[n] = Simplex.of([y]), "endpoint"
+    sims[0], tags[0] = (x,), "endpoint"
+    sims[n], tags[n] = (y,), "endpoint"
     for i in range(1, n):
         layer = layer_seq[i]
         if layer.thin:
-            union = set(layer.sigma.verts) | set(layer.tau.verts)
+            union = tuple(sorted(set(layer.sigma).union(layer.tau)))
             if not c.is_clique(union):
                 raise ConditionViolated(
                     f"thin layer {i} of ({x}, {y}) does not span a simplex")
-            sims[i], tags[i] = Simplex.of(union), "thin"
+            sims[i], tags[i] = union, "thin"
     disks = []
     for interval in thick_intervals(layer_seq):
         cycle, disk, mdisk, alpha = _disk_stages(c, layer_seq, interval)
         disks.append((cycle, mdisk, alpha))
         images = [chardisk.characteristic_map(c, disk, rho)
-                  for rho in cat0.euclidean_diagonal(disk, alpha).simplices]
+                  for rho in cat0.euclidean_diagonal(disk, alpha)]
         for i, image in zip(interval.interior(), images):
             sims[i], tags[i] = image, "disk"
     for i in range(n + 1):
         if sims[i] is None:
             raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
-        if not all(v in layer_seq.levels[i] for v in sims[i].verts):
+        if not all(v in layer_seq.levels[i] for v in sims[i]):
             raise ConditionViolated(
-                f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
+                f"delta_{i} of ({x}, {y}) leaves its layer: {simplex_text(sims[i])}")
     return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq, tuple(disks))
 
 
@@ -267,12 +266,12 @@ def select_vertex_geodesic(e: EuclideanGeodesic) -> Tuple:
     outputs. Failure would contradict the existence guarantee and is
     reported with full context.
     """
-    choices = [sorted(s.verts, reverse=True) for s in e.simplices]
+    choices = [sorted(s, reverse=True) for s in e.simplices]
     picked = _thread(e.complex, choices)
     if picked is None:
         raise NoSelection(
             f"no vertex geodesic through the euclidean geodesic of "
-            f"({e.x}, {e.y}); simplices: {[s.verts for s in e.simplices]}")
+            f"({e.x}, {e.y}); simplices: {list(e.simplices)}")
     return tuple(picked)
 
 
@@ -315,8 +314,8 @@ def goodness_constant(c: FlagComplex, geodesic: Sequence) -> GoodnessReport:
     This is exactly the least C' for which the geodesic is C'-good. Plane
     windows are translation-equivariant, so there one Euclidean geodesic is
     built per distinct difference v_k - v_j, as the certified lattice tuples
-    of ``_plane_simplices`` (no ``Layers``, ``Simplex`` or
-    ``EuclideanGeodesic`` is built), kept in the window's
+    of ``_plane_simplices`` (no ``Layers`` or ``EuclideanGeodesic`` is
+    built), kept in the window's
     ``translation_memo`` and reused for every later sub-pair with that
     difference, in this call or a later one (``_sub_simplices``). The
     distance loop reads each sub-pair's shift t once and measures d(v_i - t,

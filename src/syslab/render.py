@@ -77,8 +77,7 @@ def render_pipeline_svg(c: FlagComplex, x, y) -> str:
     for gid, geo, color in (("sigma", layer_seq.sigma_geo, "#d0021b"),
                             ("tau", layer_seq.tau_geo, "#4a90d9")):
         parts.append(f'<g id="{gid}" stroke="{color}" stroke-width="2.5" fill="{color}">')
-        for simplex in geo:
-            vs = sorted(simplex.verts)
+        for vs in geo:
             if len(vs) == 1:
                 parts.append('<circle cx="{}" cy="{}" r="3.2" stroke="none"/>'.format(
                     _fmt(pos[vs[0]][0]), _fmt(pos[vs[0]][1])))

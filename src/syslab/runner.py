@@ -197,7 +197,7 @@ def _task_pipeline(scenario, task, record, rng, out_dir, c):
         "distance": layer_seq.n,
         "thickness_profile": layer_seq.thickness_profile(),
         "thick_intervals": [(iv.j, iv.k) for iv in thick_intervals(layer_seq)],
-        "euclidean_geodesic": [list(s.verts) for s in euclid],
+        "euclidean_geodesic": [list(s) for s in euclid],
         "selected_geodesic": list(selected),
         "goodness": report.c_star,
     })

@@ -17,6 +17,8 @@ from .complexes import FlagComplex
 from .errors import PreconditionViolated
 from .isodyn import invariant_geodesic_on_plane
 
+RAY_LENGTH = 40
+
 
 @dataclass(frozen=True)
 class ExtendabilityEntry:
@@ -55,9 +57,9 @@ def tree_ray_from(c: FlagComplex, x, depth: int) -> Tuple:
     return tuple(ray)
 
 
-def tree_extendability(depth: int, targets: Sequence = None,
-                       x=None) -> ExtendabilityTable:
-    """E(x, y) over the branch tips (default) of the depth-truncated tree.
+def tree_extendability(depth: int, targets: Sequence = None) -> ExtendabilityTable:
+    """E(x, y) from the half-line origin x over the branch tips (default) of
+    the depth-truncated tree.
 
     The half-line continuation beyond the truncation only moves away from
     every branch, so distances to the truncated ray are already exact for
@@ -66,7 +68,7 @@ def tree_extendability(depth: int, targets: Sequence = None,
     if depth < 2:
         raise PreconditionViolated("need depth >= 2")
     c = samples.tree_with_branches(depth)
-    x = samples.half_line_vertex(0) if x is None else x
+    x = samples.half_line_vertex(0)
     if targets is None:
         targets = [samples.branch_tip(n) for n in range(2, depth)]
     ray = tree_ray_from(c, x, depth)
@@ -77,9 +79,9 @@ def tree_extendability(depth: int, targets: Sequence = None,
     return ExtendabilityTable(f"tree-T:{depth}", tuple(entries))
 
 
-def plane_control(pairs: Sequence[Tuple[eplane.Axial, eplane.Axial]],
-                  ray_length: int = 40) -> ExtendabilityTable:
-    """E(x, y) on the plane via the straight ray from x through y's direction.
+def plane_control(pairs: Sequence[Tuple[eplane.Axial, eplane.Axial]]) -> ExtendabilityTable:
+    """E(x, y) on the plane via the straight ray of ``RAY_LENGTH`` steps from
+    x through y's direction.
 
     The nearest-lattice ray along the line from x through y passes within
     CAT(0) distance 1 of every lattice point near the line, so E stays
@@ -91,7 +93,7 @@ def plane_control(pairs: Sequence[Tuple[eplane.Axial, eplane.Axial]],
             entries.append(ExtendabilityEntry(x, y, 0))
             continue
         step = (y[0] - x[0], y[1] - x[1])
-        ray = invariant_geodesic_on_plane(eplane.translation(*step), x, ray_length)
+        ray = invariant_geodesic_on_plane(eplane.translation(*step), x, RAY_LENGTH)
         E = min(eplane.lattice_distance(v, y) for v in ray)
         entries.append(ExtendabilityEntry(x, y, E))
     return ExtendabilityTable("eplane-control", tuple(entries))

@@ -65,7 +65,7 @@ profile walk (``layered_thick_intervals``), ``euclid._assemble``
 (``layered_assemble``, whose layer membership, the former
 ``Layers.holds``, is now the lattice predicate ``in_plane_layer``) and the
 former ``cat0.straight_diagonal`` on the ``Layers``
-(``layered_straight_diagonal``, with its ``Simplex`` span check
+(``layered_straight_diagonal``, with its span check
 ``simplex_verify_diagonal`` on its lattice clique test
 ``lenient_lattice_clique``), also the oracle of ``cat0._straight_segment``
 fed the layers' ``recorded_segments``.
@@ -94,9 +94,12 @@ the same realizing pairs. ``scan_displacement_set`` (with
 ``three_scan_displacement_sets``, the displacement study's former three
 calls) is the former one-scan-per-K displacement set, because it checks
 the one-scan ``isodyn.displacement_sets`` that replaced it.
-``simplex_check_min_proximity`` is the min-set proximity check on
-``euclidean_geodesic``'s ``Simplex`` sequence, the form the library has
-again since its plane read of lattice tuples was deleted.
+``independent_check_min_proximity`` (with ``bfs_thin_euclidean_geodesic``)
+is the min-set proximity check on the layered plane construction and the
+lattice metric, and off the plane on its own breadth-first searches, so
+it shares neither the construction nor the displacement with
+``isodyn.check_min_proximity``. Every simplex is a sorted vertex tuple, and
+the refusal texts print it as ``<a,b>`` by this module's ``angled``.
 ``uncached_project``, ``uncached_verify_conditions`` and
 ``uncached_extract_flat_disk`` (with ``scan_develop``, whose injectivity
 test scans every placed point) are the former ``directed._project``,
@@ -122,7 +125,6 @@ import numpy as np
 
 from syslab import cat0, chardisk, complexes, directed, eplane, isodyn
 from syslab.cat0 import PolyPath
-from syslab.complexes import Simplex
 from syslab.directed import (DirectedGeodesic, Layer, Layers, ThickInterval,
                              require_pair_safe)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
@@ -133,6 +135,11 @@ from syslab.euclid import (EuclideanGeodesic, GoodnessConstants, GoodnessReport,
                            euclidean_geodesic)
 from syslab.exact import ExactScalar, _require
 from syslab.exact import cross as exact_cross
+
+
+def angled(verts):
+    """A simplex's vertex tuple as the library's refusal texts print it."""
+    return "<" + ",".join(str(v) for v in verts) + ">"
 
 
 def bfs_distance(c, x, y, cap=10 ** 9):
@@ -886,12 +893,12 @@ def recursive_select_vertex_geodesic(e):
     """The former ``euclid.select_vertex_geodesic``, whose depth-first
     search (``recursive_thread``) recursed once per layer; kept verbatim as
     the oracle of the explicit-stack search that replaced it."""
-    choices = [sorted(s.verts, reverse=True) for s in e.simplices]
+    choices = [sorted(s, reverse=True) for s in e.simplices]
     picked = []
     if not recursive_thread(e.complex, choices, picked, 0):
         raise NoSelection(
             f"no vertex geodesic through the euclidean geodesic of "
-            f"({e.x}, {e.y}); simplices: {[s.verts for s in e.simplices]}")
+            f"({e.x}, {e.y}); simplices: {list(e.simplices)}")
     return tuple(picked)
 
 
@@ -1170,7 +1177,7 @@ def chain_diagonal(c, layer_seq, interval):
     disk = chardisk.extract_flat_disk(c, cycle)
     alpha = cat0.shortest_path(cat0.modified_disk(disk))
     diagonal = cat0.euclidean_diagonal(disk, alpha)
-    return [chardisk.characteristic_map(c, disk, rho) for rho in diagonal.simplices], alpha
+    return [chardisk.characteristic_map(c, disk, rho) for rho in diagonal], alpha
 
 
 # -- the layered plane construction ---------------------------------------------------
@@ -1188,8 +1195,8 @@ def layered_euclidean_geodesic(c, x, y, *, check_reversal=True):
         geo = layered_assemble(c, layer_seq)
         if check_reversal:
             back = layered_assemble(c, layer_seq.reversed())
-            forward = [frozenset(s.verts) for s in geo.simplices]
-            reverse = [frozenset(s.verts) for s in reversed(back.simplices)]
+            forward = [frozenset(s) for s in geo.simplices]
+            reverse = [frozenset(s) for s in reversed(back.simplices)]
             if forward != reverse:
                 raise ConditionViolated(
                     f"euclidean geodesic between {x} and {y} is not reversal-symmetric")
@@ -1209,7 +1216,7 @@ def layered_layers(c, x, y):
 def closed_form(c, x, y):
     """The former ``directed._closed_form``: the closed form, certified by
     ``certify_chain``."""
-    geo = DirectedGeodesic(x, y, tuple(map(Simplex, eplane.directed_simplices(x, y))))
+    geo = DirectedGeodesic(x, y, eplane.directed_simplices(x, y))
     certify_chain(c, geo)
     return geo
 
@@ -1219,7 +1226,7 @@ def certify_chain(c, geo):
     sets: the spans of ``directed._check_spans``, then the ends."""
     sims = geo.simplices
     directed._check_spans(c, sims)
-    if sims[0].verts != (geo.source,) or sims[-1].verts != (geo.target,):
+    if sims[0] != (geo.source,) or sims[-1] != (geo.target,):
         raise ConditionViolated(
             f"simplices do not run from {geo.source} to {geo.target}")
 
@@ -1252,19 +1259,19 @@ def layered_assemble(c, layer_seq):
     """The former ``euclid._assemble`` on a plane window."""
     x, y, n = layer_seq.x, layer_seq.y, layer_seq.n
     if n == 0:
-        return EuclideanGeodesic(c, x, y, (Simplex.of([x]),), ("endpoint",), layer_seq)
+        return EuclideanGeodesic(c, x, y, ((x,),), ("endpoint",), layer_seq)
     sims = [None] * (n + 1)
     tags = [""] * (n + 1)
-    sims[0], tags[0] = Simplex.of([x]), "endpoint"
-    sims[n], tags[n] = Simplex.of([y]), "endpoint"
+    sims[0], tags[0] = (x,), "endpoint"
+    sims[n], tags[n] = (y,), "endpoint"
     for i in range(1, n):
         layer = layer_seq[i]
         if layer.thin:
-            union = set(layer.sigma.verts) | set(layer.tau.verts)
+            union = set(layer.sigma) | set(layer.tau)
             if not c.is_clique(union):
                 raise ConditionViolated(
                     f"thin layer {i} of ({x}, {y}) does not span a simplex")
-            sims[i], tags[i] = Simplex.of(union), "thin"
+            sims[i], tags[i] = tuple(sorted(union)), "thin"
     for interval in layered_thick_intervals(layer_seq):
         images = layered_straight_diagonal(c, layer_seq, interval)
         for i, image in zip(interval.interior(), images):
@@ -1272,9 +1279,9 @@ def layered_assemble(c, layer_seq):
     for i in range(n + 1):
         if sims[i] is None:
             raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
-        if not all(in_plane_layer(layer_seq, i, v) for v in sims[i].verts):
+        if not all(in_plane_layer(layer_seq, i, v) for v in sims[i]):
             raise ConditionViolated(
-                f"delta_{i} of ({x}, {y}) leaves its layer: {sims[i]}")
+                f"delta_{i} of ({x}, {y}) leaves its layer: {angled(sims[i])}")
     return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq)
 
 
@@ -1294,8 +1301,8 @@ def recorded_segments(layer_seq, interval):
     ``cat0._straight_segment``: read off the layers' simplices by
     ``directed._layer_segments``, with each layer's recorded thickness."""
     inner = layer_seq[interval.j:interval.k + 1]
-    scanned = directed._layer_segments([layer.sigma.verts for layer in inner],
-                                       [layer.tau.verts for layer in inner])
+    scanned = directed._layer_segments([layer.sigma for layer in inner],
+                                       [layer.tau for layer in inner])
     return [(v, w, layer.thickness) for (v, w, _), layer in zip(scanned, inner)]
 
 
@@ -1309,8 +1316,8 @@ def layered_straight_diagonal(c, layer_seq, interval):
     for i in range(j, k + 1):
         layer = layer_seq[i]
         t = -1
-        for s in layer.sigma.verts:
-            for u in layer.tau.verts:
+        for s in layer.sigma:
+            for u in layer.tau:
                 d = distance(s, u)
                 if d > t:
                     t, v, w = d, s, u
@@ -1350,26 +1357,28 @@ def layered_straight_diagonal(c, layer_seq, interval):
         m = cat0.nearest_simplex_on_segment(num, den, t)
         a = (v[0] + step[0] * m[0], v[1] + step[1] * m[0])
         if len(m) == 1:
-            sims.append(Simplex((a,)))
+            sims.append((a,))
         else:
             b = (a[0] + step[0], a[1] + step[1])
-            sims.append(Simplex((a, b) if a < b else (b, a)))
+            sims.append((a, b) if a < b else (b, a))
     simplex_verify_diagonal(sims, (vj, wj), (vk, wk))
     return [c.validate_simplex(s) for s in sims]
 
 
 def simplex_verify_diagonal(sims, start, end):
-    """The former ``cat0._verify_diagonal``, on ``Simplex`` values."""
+    """The former ``cat0._verify_diagonal``, on the former ``Simplex``
+    values as vertex tuples."""
     if not sims:
         return
     for a, b in zip(sims, sims[1:]):
-        if not lenient_lattice_clique(a.verts + b.verts):
-            raise NoCrossing(f"diagonal simplices {a} and {b} do not span a simplex")
+        if not lenient_lattice_clique(a + b):
+            raise NoCrossing(
+                f"diagonal simplices {angled(a)} and {angled(b)} do not span a simplex")
     if len(sims[0]) != 1 or len(sims[-1]) != 1:
         raise NoCrossing("diagonal simplices at the interval ends must be vertices")
-    if not lenient_lattice_clique((*start, sims[0].verts[0])):
+    if not lenient_lattice_clique((*start, sims[0][0])):
         raise NoCrossing("first diagonal vertex does not span with the start edge")
-    if not lenient_lattice_clique((*end, sims[-1].verts[0])):
+    if not lenient_lattice_clique((*end, sims[-1][0])):
         raise NoCrossing("last diagonal vertex does not span with the end edge")
 
 
@@ -1405,12 +1414,12 @@ def residue(c, s):
     for v in s:
         nbrs = c.neighbors(v)
         common = nbrs if common is None else common & nbrs
-    return frozenset(s.verts) | (common or frozenset())
+    return frozenset(s) | (common or frozenset())
 
 
 def ball_of_simplex(c, s):
     """The former ``complexes.ball_of_simplex``."""
-    out = set(s.verts)
+    out = set(s)
     for v in s:
         out |= c.neighbors(v)
     return frozenset(out)
@@ -1422,14 +1431,15 @@ def verify_conditions(c, geo):
     sims = geo.simplices
     for i in range(len(sims) - 1):
         a, b = sims[i], sims[i + 1]
-        if set(a.verts) & set(b.verts):
-            raise ConditionViolated(f"simplices {a} and {b} are not disjoint")
-        if not pairwise_is_clique(c, a.verts + b.verts):
-            raise ConditionViolated(f"simplices {a} and {b} do not span a simplex")
+        if set(a) & set(b):
+            raise ConditionViolated(f"simplices {angled(a)} and {angled(b)} are not disjoint")
+        if not pairwise_is_clique(c, a + b):
+            raise ConditionViolated(
+                f"simplices {angled(a)} and {angled(b)} do not span a simplex")
     for i in range(1, len(sims) - 1):
         res = residue(c, sims[i - 1])
         ball = ball_of_simplex(c, sims[i + 1])
-        if res & ball != frozenset(sims[i].verts):
+        if res & ball != frozenset(sims[i]):
             raise ConditionViolated(
                 f"residue/ball condition fails at index {i} "
                 f"between {geo.source} and {geo.target}")
@@ -1808,29 +1818,68 @@ def three_scan_displacement_sets(h, L, c):
             scan_displacement_set(h, L + 5, c))
 
 
-def simplex_check_min_proximity(c, h, pairs, L=None):
-    """``isodyn.check_min_proximity``, which reads every Euclidean geodesic
-    as ``euclidean_geodesic``'s ``Simplex`` sequence on every complex."""
-    isodyn._require_window(h, c)
-    if L is None:
-        L = isodyn.translation_length(h)
-    bound = 9 * L + 6
+def independent_check_min_proximity(c, h, pairs, L=None):
+    """The min-set proximity report, built apart from ``isodyn`` and
+    ``euclid``. On a plane window each Euclidean geodesic is
+    ``layered_euclidean_geodesic``'s and a displacement the lattice distance
+    from v to h(v), and the caller passes L; on a table each geodesic is
+    ``bfs_thin_euclidean_geodesic``'s and a displacement a ``bfs_distance``
+    in the table's complex, and L defaults to the least over its vertices.
+    The witness is the first vertex at the largest displacement, layer by
+    layer, each simplex's vertices in sorted order."""
+    if isinstance(h, eplane.PlaneIsometry):
+        def displaced(v):
+            return eplane.lattice_distance(v, h.apply(v))
+
+        def simplices(x, y):
+            return layered_euclidean_geodesic(c, x, y, check_reversal=False).simplices
+    else:
+        def displaced(v):
+            return bfs_distance(h.complex, v, h.apply(v))
+
+        def simplices(x, y):
+            return bfs_thin_euclidean_geodesic(c, x, y)
+        if L is None:
+            L = min(map(displaced, h.complex.vertices()))
     entries = []
-    top = 0
     for x, y in pairs:
         for v in (x, y):
-            if h.displacement(v) != L:
+            if displaced(v) != L:
                 raise PreconditionViolated(f"{v} is not minimally displaced")
-        worst = 0
-        witness = x
-        for simplex in euclidean_geodesic(c, x, y, check_reversal=False):
-            for v in simplex:
-                d = h.displacement(v)
+        worst, witness = 0, x
+        for s in simplices(x, y):
+            for v in s:
+                d = displaced(v)
                 if d > worst:
                     worst, witness = d, v
         entries.append(isodyn.MinProximityEntry((x, y), worst, witness))
-        top = max(top, worst)
-    return isodyn.MinProximityReport(bound, tuple(entries), top)
+    top = max((e.max_displacement for e in entries), default=0)
+    return isodyn.MinProximityReport(9 * L + 6, tuple(entries), top)
+
+
+def bfs_thin_euclidean_geodesic(c, x, y):
+    """The Euclidean geodesic of a pair whose layers are all thin, from
+    ``bfs_map`` alone: the levels of the interval [x, y] read off the rows
+    of x and y, each directed geodesic projected through them (the next
+    simplex is the sorted level vertices adjacent to all of the last), and
+    per layer the sorted union of sigma_i and tau_i. A thick layer needs the
+    disk stages, which this oracle does not build, and fails an assertion."""
+    from_x, from_y = bfs_map(c, x), bfs_map(c, y)
+    n = from_x[y]
+    levels = [sorted(v for v, d in from_x.items() if d == i and from_y.get(v) == n - i)
+              for i in range(n + 1)]
+
+    def project(levels):
+        sims = [tuple(levels[0])]
+        for level in levels[1:]:
+            sims.append(tuple(v for v in level if all(c.adjacent(u, v) for u in sims[-1])))
+        return sims
+
+    out = []
+    for sigma, tau in zip(project(levels), project(levels[::-1])[::-1]):
+        assert max(bfs_distance(c, s, t) for s in sigma for t in tau) <= 1, (x, y)
+        out.append(tuple(sorted(set(sigma) | set(tau))))
+    return out
 
 
 # -- uncached constructions -------------------------------------------------------------
@@ -1844,11 +1893,11 @@ def uncached_project(c, x, y, levels):
     simplex intersected anew at every step."""
     n = len(levels) - 1
     if n == 0:
-        return DirectedGeodesic(x, y, (Simplex.of([x]),))
+        return DirectedGeodesic(x, y, ((x,),))
     nbrs = c.neighbors
-    simplices = [Simplex.of([x])]
+    simplices = [(x,)]
     for i in range(n - 1):
-        current = simplices[-1].verts
+        current = simplices[-1]
         candidates = sorted(nbrs(current[0]).intersection(*map(nbrs, current[1:]),
                                                           levels[i + 1]))
         if not candidates:
@@ -1858,8 +1907,8 @@ def uncached_project(c, x, y, levels):
             raise ConstructionFailed(
                 f"projection at step {i + 1} between {x} and {y} "
                 f"is not a simplex: {candidates}")
-        simplices.append(Simplex(tuple(candidates)))
-    simplices.append(Simplex.of([y]))
+        simplices.append(tuple(candidates))
+    simplices.append((y,))
     geo = DirectedGeodesic(x, y, tuple(simplices))
     uncached_verify_conditions(c, geo)
     return geo
@@ -1872,8 +1921,8 @@ def uncached_verify_conditions(c, geo):
     directed._check_spans(c, sims)
     nbrs = c.neighbors
     for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
-        res = nbrs(before.verts[0]).intersection(*map(nbrs, before.verts[1:]))
-        if res.union(before.verts) & ball_of_simplex(c, after) != frozenset(here.verts):
+        res = nbrs(before[0]).intersection(*map(nbrs, before[1:]))
+        if res.union(before) & ball_of_simplex(c, after) != frozenset(here):
             raise ConditionViolated(
                 f"residue/ball condition fails at index {i} "
                 f"between {geo.source} and {geo.target}")

@@ -55,7 +55,7 @@ def test_criterion_01_directed_uniqueness():
     for x, y in _safe_pairs(c, (0, 0), 6):
         for a, b in ((x, y), (y, x)):
             found = oracles.enumerate_directed_geodesics(c, a, b, limit=3)
-            constructed = tuple(frozenset(s.verts)
+            constructed = tuple(frozenset(s)
                                 for s in directed_geodesic(c, a, b))
             assert found == [constructed], (a, b)
             checked += 1
@@ -67,7 +67,7 @@ def test_criterion_01_directed_uniqueness():
                     continue
                 for a, b in ((x, y), (y, x)):
                     found = oracles.enumerate_directed_geodesics(disk, a, b, limit=3)
-                    constructed = tuple(frozenset(s.verts)
+                    constructed = tuple(frozenset(s)
                                         for s in directed_geodesic(disk, a, b))
                     assert found == [constructed], (disk.name, a, b)
                     checked += 1
@@ -116,7 +116,7 @@ def test_criterion_03_euclidean_structure():
             e = euclidean_geodesic(c, x, y, check_reversal=True)  # reversal inside
             levels = c.interval_levels(x, y)
             for i, s in enumerate(e):
-                assert set(s.verts) <= levels[i], (x, y, i)
+                assert set(s) <= levels[i], (x, y, i)
             count += 1
     # translation equivariance backing the representative-pair reduction
     rng = random.Random(99)
@@ -124,11 +124,11 @@ def test_criterion_03_euclidean_structure():
         t = eplane.translation(rng.randint(-3, 3), rng.randint(-3, 3))
         base = euclidean_geodesic(c, (0, 0), (4, 2), check_reversal=False)
         moved = euclidean_geodesic(c, t((0, 0)), t((4, 2)), check_reversal=False)
-        assert [sorted(t(v) for v in s.verts) for s in base] == \
-            [sorted(s.verts) for s in moved]
+        assert [sorted(t(v) for v in s) for s in base] == \
+            [sorted(s) for s in moved]
     # the hand-derived worked instance
     e42 = euclidean_geodesic(c, (0, 0), (4, 2))
-    assert [s.verts for s in e42] == [
+    assert list(e42) == [
         ((0, 0),), ((0, 1), (1, 0)), ((1, 1), (2, 0)), ((2, 1),),
         ((2, 2), (3, 1)), ((3, 2), (4, 1)), ((4, 2),)]
     # 234 classes x the reversal check inside each build = all 468 nonzero

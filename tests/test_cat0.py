@@ -94,7 +94,7 @@ def test_shortest_path_convex_is_straight(hexagon_disk):
 def _portal_strip(v_prime, w_prime):
     """A modified disk built directly from its portal endpoints, layers 0..k."""
     polygon = tuple(v_prime) + tuple(reversed(w_prime[1:-1]))
-    return ModifiedDisk(None, ThickInterval(0, len(v_prime) - 1), polygon,
+    return ModifiedDisk(ThickInterval(0, len(v_prime) - 1), polygon,
                         v_prime[0], v_prime[-1], tuple(v_prime), tuple(w_prime),
                         _all_collinear(polygon))
 
@@ -171,13 +171,13 @@ def test_shortest_path_matches_visibility_oracle_on_plane_disks():
 
 def test_shortest_path_degenerate_domain():
     P = PlanePoint
-    seg = ModifiedDisk(None, ThickInterval(0, 2),
+    seg = ModifiedDisk(ThickInterval(0, 2),
                        (P(0, 0), P(1, 0), P(2, 0)), P(0, 0), P(2, 0),
                        (), (), True)
     path = shortest_path(seg)
     assert path.points == (P(0, 0), P(2, 0))
     assert path.crossings == (0,)
-    overhang = ModifiedDisk(None, ThickInterval(0, 2),
+    overhang = ModifiedDisk(ThickInterval(0, 2),
                             (P(0, 0), P(1, 0), P(3, 0)), P(0, 0), P(2, 0),
                             (), (), True)
     with pytest.raises(DegenerateDomain):
@@ -188,7 +188,7 @@ def test_diagonal_hexagon(hexagon_disk):
     _, disk = hexagon_disk
     m = modified_disk(disk)
     diag = euclidean_diagonal(disk, shortest_path(m))
-    assert [s.verts for s in diag.simplices] == [((2, 1),)]
+    assert list(diag) == [((2, 1),)]
 
 
 def test_diagonal_strip(strip_disk):
@@ -196,7 +196,7 @@ def test_diagonal_strip(strip_disk):
     m = modified_disk(disk)
     alpha = shortest_path(m)
     diag = euclidean_diagonal(disk, alpha)
-    assert [s.verts for s in diag.simplices] == [((2, 1),), ((3, 1),), ((4, 1),)]
+    assert list(diag) == [((2, 1),), ((3, 1),), ((4, 1),)]
 
 
 def test_diagonal_no_crossing(hexagon_disk):
@@ -227,7 +227,7 @@ def test_diagonal_barycenter_hit_yields_edge():
                       pt(Fraction(21, 4), 7)),
                      (0, 0, 1, 1, 1))             # segments crossing layers 1..5
     diag = euclidean_diagonal(disk, alpha)
-    assert [s.verts for s in diag.simplices] == [
+    assert list(diag) == [
         ((1, 1),), ((2, 1),), ((2, 2), (3, 1)), ((3, 2),), ((3, 3),)]
 
 
@@ -237,7 +237,7 @@ def test_diagonal_symmetric_diamond():
     disk = _diamond_disk()
     mid = modified_disk(disk)
     diag = euclidean_diagonal(disk, shortest_path(mid))
-    assert [s.verts for s in diag.simplices] == [
+    assert list(diag) == [
         ((1, 1),), ((1, 2), (2, 1)), ((2, 2),), ((2, 3), (3, 2)), ((3, 3),)]
 
 
@@ -280,9 +280,9 @@ def test_decisions_stable_under_float_reevaluation(strip_disk):
         # every half-integer, so rounding reproduces the exact decision
         assert abs(arc - np.floor(arc) - 0.5) > 1e-6
         float_vertex = int(np.rint(arc))
-        exact = diag.simplices[i - j - 1]
-        assert exact.verts == ((v[0] + (w[0] - v[0]) // seg_len * float_vertex,
-                                v[1] + (w[1] - v[1]) // seg_len * float_vertex),)
+        exact = diag[i - j - 1]
+        assert exact == ((v[0] + (w[0] - v[0]) // seg_len * float_vertex,
+                          v[1] + (w[1] - v[1]) // seg_len * float_vertex),)
 
 
 def test_path_length_beats_random_polylines(hexagon_disk):

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from syslab import cat0, chardisk, complexes, directed, eplane, euclid, samples
-from syslab.complexes import FlagComplex, Simplex, ball_of_simplex, residue
+from syslab.complexes import FlagComplex, ball_of_simplex, residue
 from syslab.directed import (DirectedGeodesic, ThickInterval, _verify_conditions,
                              directed_geodesic, layers, thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat,
@@ -35,15 +35,15 @@ def _corruptions(geo):
     for i in range(1, len(sims) - 1):
         head, here, tail = sims[:i], sims[i], sims[i + 1:]
         for bad in (head + (sims[i - 1],) + tail,
-                    head + (Simplex(here.verts[:1]),) + tail,
-                    head + (Simplex(here.verts[-1:]),) + tail,
+                    head + (here[:1],) + tail,
+                    head + (here[-1:],) + tail,
                     head + (sims[i + 1], here) + sims[i + 2:]):
             yield DirectedGeodesic(geo.source, geo.target, bad)
 
 
 def _check_chain(c, geo):
     """The plane chain certificate on the vertex tuples of geo's simplices."""
-    directed._check_chain(c, [s.verts for s in geo.simplices], geo.source, geo.target)
+    directed._check_chain(c, geo.simplices, geo.source, geo.target)
 
 
 def _agree_on_geodesic(c, geo):
@@ -59,8 +59,7 @@ def _agree_on_geodesic(c, geo):
         assert residue(c, s) == oracles.residue(c, s)
         assert ball_of_simplex(c, s) == oracles.ball_of_simplex(c, s)
     for a, b in zip(geo.simplices, geo.simplices[1:]):
-        for verts in (a.verts + b.verts, a.verts + b.verts + a.verts[:1],
-                      tuple(geo.simplices[0].verts) + b.verts):
+        for verts in (a + b, a + b + a[:1], geo.simplices[0] + b):
             assert c.is_clique(verts) == oracles.pairwise_is_clique(c, verts)
     fired = 0
     for bad in _corruptions(geo):
@@ -90,7 +89,7 @@ def _agree_on_disk(c, cycle, disk, alpha):
         assert den > 0
         assert Fraction(num, den) == oracles.crossing_arc(alpha, a, v, step, i)
     diagonal = cat0.euclidean_diagonal(disk, alpha)
-    assert [s.verts for s in diagonal.simplices] == oracles.fraction_diagonal(disk, alpha)
+    assert list(diagonal) == oracles.fraction_diagonal(disk, alpha)
 
 
 def _agree_on_pair(c, x, y):
@@ -189,7 +188,7 @@ def test_corrupted_directed_geodesic_fails_residue_ball(window42):
     geo = directed_geodesic(window42, (0, 0), (4, 2))
     i = next(i for i, s in enumerate(geo.simplices) if len(s) > 1)
     sims = list(geo.simplices)
-    sims[i] = Simplex(sims[i].verts[:1])
+    sims[i] = sims[i][:1]
     bad = DirectedGeodesic(geo.source, geo.target, tuple(sims))
     message = f"residue/ball condition fails at index {i} between (0, 0) and (4, 2)"
     with pytest.raises(ConditionViolated) as new:
@@ -206,7 +205,7 @@ def test_corrupted_directed_geodesic_fails_residue_ball(window42):
     for check in (partial(_verify_conditions, window42), partial(_check_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"are not disjoint$"):
             check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
-    sims[i] = Simplex.of([(4, 2)])
+    sims[i] = ((4, 2),)
     for check in (partial(_verify_conditions, window42), partial(_check_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"do not span a simplex$"):
             check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))

@@ -7,7 +7,7 @@ import oracles
 from syslab import chardisk, eplane, samples
 from oracles import MinDiskTimeout, NoFilling, brute_force_min_disk
 from syslab.chardisk import boundary_cycle, characteristic_map, extract_flat_disk
-from syslab.complexes import FlagComplex, Simplex
+from syslab.complexes import FlagComplex, simplex_of
 from syslab.directed import ThickInterval, layers, thick_intervals
 from syslab.errors import (BoundaryUnsafe, NotASimplexOfDisk, NotFlat, PreconditionViolated,
                            SyslabError)
@@ -113,23 +113,23 @@ def test_minimality_agreement(hexagon_setup):
 def test_characteristic_map(hexagon_setup):
     c, _, _, cyc = hexagon_setup
     disk = extract_flat_disk(c, cyc)
-    assert characteristic_map(c, disk, Simplex.of([(2, 1)])).verts == ((2, 1),)
+    assert characteristic_map(c, disk, ((2, 1),)) == ((2, 1),)
     # boundary label v_2 maps to the chosen s_2
-    assert characteristic_map(c, disk, Simplex.of([disk.v_labels[0]])).verts == ((1, 1),)
-    edge = Simplex.of([(2, 1), (1, 2)])
-    assert characteristic_map(c, disk, edge).verts == ((1, 2), (2, 1))
+    assert characteristic_map(c, disk, (disk.v_labels[0],)) == ((1, 1),)
+    edge = simplex_of([(2, 1), (1, 2)])
+    assert characteristic_map(c, disk, edge) == ((1, 2), (2, 1))
     with pytest.raises(NotASimplexOfDisk):
-        characteristic_map(c, disk, Simplex.of([(9, 9)]))
+        characteristic_map(c, disk, ((9, 9),))
     with pytest.raises(NotASimplexOfDisk):
-        characteristic_map(c, disk, Simplex.of([(1, 1), (3, 0)]))  # not adjacent
+        characteristic_map(c, disk, simplex_of([(1, 1), (3, 0)]))  # not adjacent
 
 
 def test_characteristic_map_monotone(hexagon_setup):
     c, _, _, cyc = hexagon_setup
     disk = extract_flat_disk(c, cyc)
-    small = characteristic_map(c, disk, Simplex.of([(2, 1)]))
-    big = characteristic_map(c, disk, Simplex.of([(2, 1), (2, 2)]))
-    assert set(small.verts) <= set(big.verts)
+    small = characteristic_map(c, disk, ((2, 1),))
+    big = characteristic_map(c, disk, simplex_of([(2, 1), (2, 2)]))
+    assert set(small) <= set(big)
 
 
 def test_development_in_book():
@@ -229,11 +229,11 @@ def test_no_realizing_chain_on_degenerate_bracket():
     from syslab.directed import Layer
     c = eplane.window((2, 1), 10)
     fake = [
-        Layer(0, Simplex.of([(0, 0)]), Simplex.of([(0, 0)]), 0),
-        Layer(1, Simplex.of([(1, 0)]), Simplex.of([(1, 0)]), 0),
-        Layer(2, Simplex.of([(1, 1)]), Simplex.of([(3, -1)]), 2),
-        Layer(3, Simplex.of([(2, 1)]), Simplex.of([(2, 1)]), 0),
-        Layer(4, Simplex.of([(3, 1)]), Simplex.of([(3, 1)]), 0),
+        Layer(0, ((0, 0),), ((0, 0),), 0),
+        Layer(1, ((1, 0),), ((1, 0),), 0),
+        Layer(2, ((1, 1),), ((3, -1),), 2),
+        Layer(3, ((2, 1),), ((2, 1),), 0),
+        Layer(4, ((3, 1),), ((3, 1),), 0),
     ]
     from syslab.errors import NoRealizingChain
     with pytest.raises(NoRealizingChain):
@@ -284,7 +284,7 @@ def test_segment_reads_agree_with_area_disk(non_plane_complexes):
                 assert new.holds(v) == old.holds(v), (c.name, v)
             for v in sorted(points):
                 for u in [v] + sorted(points.intersection(eplane.neighbors(v))):
-                    rho = Simplex.of({v, u})
+                    rho = simplex_of({v, u})
                     assert (characteristic_map(c, new, rho)
                             == characteristic_map(c, old, rho)), (c.name, rho)
             checked += 1

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import oracles
 from syslab import chardisk, eplane, samples
-from syslab.complexes import (FlagComplex, Simplex, check_local_6_large, distance,
+from syslab.complexes import (FlagComplex, check_local_6_large, distance,
                               dump_complex, interval, is_convex, load_complex,
-                              materialize_window, parse_complex_text, residue)
+                              materialize_window, parse_complex_text, residue,
+                              simplex_of, simplex_text)
 from syslab.directed import layers, require_pair_safe, thick_intervals
 from syslab.errors import (BoundaryUnsafe, NotASimplex, NotFlat, PreconditionViolated,
                            ScenarioParseError, Unreachable)
@@ -378,25 +379,26 @@ def test_six_large_triangle():
 
 
 def test_residue_examples(window8):
-    assert residue(window8, Simplex.of([(0, 0)])) == frozenset(
+    assert residue(window8, ((0, 0),)) == frozenset(
         [(0, 0)] + list(eplane.neighbors((0, 0))))
-    assert residue(window8, Simplex.of([(0, 0), (1, 0)])) == frozenset(
+    assert residue(window8, ((0, 0), (1, 0))) == frozenset(
         [(0, 0), (1, 0), (1, -1), (0, 1)])
-    tri = Simplex.of([(0, 0), (1, 0), (0, 1)])
-    assert residue(window8, tri) == frozenset(tri.verts)
+    tri = ((0, 0), (0, 1), (1, 0))
+    assert residue(window8, tri) == frozenset(tri)
 
 
 def test_residue_rejects_non_simplex(window8):
     with pytest.raises(NotASimplex):
-        residue(window8, Simplex((((0, 0)), (2, 0))))
+        residue(window8, ((0, 0), (2, 0)))
 
 
 def test_simplex_basics():
-    s = Simplex.of([3, 1, 2])
-    assert s.verts == (1, 2, 3)
+    s = simplex_of([3, 1, 2])
+    assert s == (1, 2, 3)
     assert 2 in s and len(s) == 3
-    with pytest.raises(NotASimplex):
-        Simplex.of([])
+    assert simplex_of([2, 3, 1, 3]) == s and simplex_text(s) == "<1,2,3>"
+    with pytest.raises(NotASimplex, match="^empty simplex$"):
+        simplex_of([])
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),

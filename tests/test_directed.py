@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from syslab import directed, eplane, samples
-from syslab.complexes import FlagComplex, Simplex, materialize_window
+from syslab.complexes import FlagComplex, materialize_window, simplex_of
 from syslab.directed import (DirectedGeodesic, Layer, directed_geodesic, layers,
                              require_pair_safe, thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile,
@@ -12,14 +12,14 @@ from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile,
 
 
 def verts(geo):
-    return [s.verts for s in geo]
+    return list(geo)
 
 
 def map_geodesic(iso, geo):
     """Image of a directed geodesic under a plane isometry."""
     return DirectedGeodesic(
         iso(geo.source), iso(geo.target),
-        tuple(Simplex.of(map(iso, s)) for s in geo.simplices))
+        tuple(simplex_of(map(iso, s)) for s in geo.simplices))
 
 
 def test_directed_geodesic_22(window42):
@@ -47,7 +47,7 @@ def test_uniqueness_oracle_sample(window42):
             continue
         found = oracles.enumerate_directed_geodesics(window42, x, y)
         assert len(found) == 1
-        constructed = tuple(frozenset(s.verts)
+        constructed = tuple(frozenset(s)
                             for s in directed_geodesic(window42, x, y))
         assert found[0] == constructed
 
@@ -92,7 +92,7 @@ def test_any_selection_is_geodesic(window42):
         if eplane.lattice_distance(x, y) > 6:
             continue
         geo = directed_geodesic(window42, x, y)
-        pick = [rng.choice(s.verts) for s in geo]
+        pick = [rng.choice(s) for s in geo]
         assert oracles.is_geodesic(window42, pick)
 
 
@@ -102,8 +102,8 @@ def test_layers_42(window42):
     assert [layer.thin for layer in ls] == [True, True, True, False, True, True, True]
     # sphere intersections contain the directed simplices
     for layer, level in zip(ls, window42.interval_levels((0, 0), (4, 2))):
-        assert set(layer.sigma.verts) <= level
-        assert set(layer.tau.verts) <= level
+        assert set(layer.sigma) <= level
+        assert set(layer.tau) <= level
 
 
 def test_layers_collinear_all_thin(window42):

@@ -28,7 +28,7 @@ def _group():
 
 
 def _sets(simplices):
-    return tuple(frozenset(s.verts) for s in simplices)
+    return tuple(frozenset(s) for s in simplices)
 
 
 def _outcome(c, x, y):
@@ -40,7 +40,7 @@ def _outcome(c, x, y):
     ls = geo.layers
     return {
         "directed": (_sets(ls.sigma_geo), _sets(ls.tau_geo)),
-        "layers": tuple((frozenset(layer.sigma.verts), frozenset(layer.tau.verts),
+        "layers": tuple((frozenset(layer.sigma), frozenset(layer.tau),
                          layer.thickness) for layer in ls),
         "thick_intervals": tuple((iv.j, iv.k) for iv in thick_intervals(ls)),
         "euclidean": _sets(geo.simplices),

@@ -18,7 +18,7 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def verts(e):
-    return [s.verts for s in e]
+    return list(e)
 
 
 def test_euclidean_geodesic_42(window42):
@@ -38,7 +38,7 @@ def test_euclidean_geodesic_diagonal(window42):
     e = euclidean_geodesic(window42, (0, 0), (2, 2))
     ls = layers(window42, (0, 0), (2, 2))
     for i, s in enumerate(e):
-        assert set(s.verts) == set(ls[i].sigma.verts) | set(ls[i].tau.verts)
+        assert set(s) == set(ls[i].sigma) | set(ls[i].tau)
 
 
 def test_delta_in_layers_and_reversal(window12):
@@ -51,7 +51,7 @@ def test_delta_in_layers_and_reversal(window12):
         e = euclidean_geodesic(window12, x, y, check_reversal=True)
         levels = window12.interval_levels(x, y)
         for i, s in enumerate(e):
-            assert set(s.verts) <= levels[i]
+            assert set(s) <= levels[i]
 
 
 def test_select_vertex_geodesic_42(window42):
@@ -160,10 +160,10 @@ def test_equivariance(window12):
     big = eplane.window((0, 0), 14)
     for iso in (eplane.translation(3, -2), eplane.glide(1, 1), eplane.rotation60(1)):
         e = euclidean_geodesic(big, (0, 0), (4, 2), check_reversal=False)
-        mapped = [sorted(iso(v) for v in s.verts) for s in e]
+        mapped = [sorted(iso(v) for v in s) for s in e]
         direct = euclidean_geodesic(big, iso((0, 0)), iso((4, 2)),
                                     check_reversal=False)
-        assert mapped == [sorted(s.verts) for s in direct]
+        assert mapped == [sorted(s) for s in direct]
 
 
 def _assert_memo_agrees(c, g):
@@ -339,12 +339,11 @@ def test_contracting_doubling_form(window12):
 
 
 def test_no_selection_reported_with_context(window12):
-    from syslab.complexes import Simplex
     from syslab.euclid import EuclideanGeodesic
     broken = EuclideanGeodesic(
         window12, (0, 0), (3, 0),
-        (Simplex.of([(0, 0)]), Simplex.of([(1, 0)]), Simplex.of([(0, 2)]),
-         Simplex.of([(3, 0)])),
+        (((0, 0),), ((1, 0),), ((0, 2),),
+         ((3, 0),)),
         ("endpoint", "thin", "thin", "endpoint"))
     with pytest.raises(NoSelection):
         select_vertex_geodesic(broken)

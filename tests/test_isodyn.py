@@ -198,7 +198,7 @@ def test_check_min_proximity_matches_simplex_oracle_on_glide_minset(monkeypatch,
     (c, h, pairs, L), = calls
     assert len(pairs) == 50 and c.plane_backed
     assert check_min_proximity(c, h, pairs, L) \
-        == oracles.simplex_check_min_proximity(c, h, pairs, L)
+        == oracles.independent_check_min_proximity(c, h, pairs, L)
 
 
 def test_check_min_proximity_matches_simplex_oracle_off_the_plane():
@@ -206,7 +206,7 @@ def test_check_min_proximity_matches_simplex_oracle_off_the_plane():
     antipode = TableAction.from_dict(octahedron, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
     pairs = [(0, 2), (2, 5), (0, 0)]
     report = check_min_proximity(octahedron, antipode, pairs)
-    assert report == oracles.simplex_check_min_proximity(octahedron, antipode, pairs)
+    assert report == oracles.independent_check_min_proximity(octahedron, antipode, pairs)
     assert report.empirical_max == 2
 
 

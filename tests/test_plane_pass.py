@@ -19,7 +19,7 @@ import pytest
 
 import oracles
 from syslab import cat0, directed, eplane, euclid
-from syslab.complexes import Simplex
+from syslab.complexes import simplex_of
 from syslab.directed import DirectedGeodesic, Layers, thick_intervals
 from syslab.errors import ConditionViolated, SyslabError
 
@@ -92,10 +92,10 @@ def _chain_corruptions(geo):
     for i in range(1, len(sims) - 1):
         head, here, tail = sims[:i], sims[i], sims[i + 1:]
         yield head + (sims[i - 1],) + tail
-        yield head + (Simplex(here.verts[:1]),) + tail
+        yield head + (here[:1],) + tail
         yield head + (sims[i + 1], here) + sims[i + 2:]
         for da, db in eplane.OFFSETS:
-            yield head + (Simplex.of((a + da, b + db) for a, b in here),) + tail
+            yield head + (simplex_of((a + da, b + db) for a, b in here),) + tail
     yield (sims[-1],) + sims[1:-1] + (sims[0],)
 
 
@@ -109,7 +109,7 @@ def _refusal(fn, *args):
 
 def _check_chain(c, geo):
     """``directed._check_chain`` on the vertex tuples of geo's simplices."""
-    directed._check_chain(c, [s.verts for s in geo.simplices], geo.source, geo.target)
+    directed._check_chain(c, geo.simplices, geo.source, geo.target)
 
 
 def test_chain_certificate_reads_the_tuple_check():
@@ -148,18 +148,17 @@ def _layer_corruptions(ls, interval):
         for da, db in eplane.OFFSETS:
             moved = [(a + da, b + db) for a, b in layer.sigma]
             if all(v in c for v in moved):
-                yield i, layer._replace(sigma=Simplex.of(moved))
+                yield i, layer._replace(sigma=simplex_of(moved))
             for m in (1, 2):
                 sigma, tau = ([(a + m * da, b + m * db) for a, b in s]
                               for s in (layer.sigma, layer.tau))
                 if all(v in c for v in sigma + tau):
-                    yield i, layer._replace(sigma=Simplex.of(sigma), tau=Simplex.of(tau))
+                    yield i, layer._replace(sigma=simplex_of(sigma), tau=simplex_of(tau))
 
 
 def _straight_segment(layer_seq, interval):
     """``cat0._straight_segment`` on the interval's recorded segments."""
-    return [Simplex(s) for s in cat0._straight_segment(
-        interval.j, oracles.recorded_segments(layer_seq, interval))]
+    return cat0._straight_segment(interval.j, oracles.recorded_segments(layer_seq, interval))
 
 
 def test_straight_diagonal_reads_the_segment_check():
@@ -200,7 +199,7 @@ def test_plane_construction_builds_no_layers_until_read():
         geo = euclid.euclidean_geodesic(c, x, y)
         report = euclid.goodness_constant(c, euclid.select_vertex_geodesic(geo))
         # the ends are the caller's objects
-        assert geo.simplices[0].verts[0] is x and geo.simplices[-1].verts[0] is y
+        assert geo.simplices[0][0] is x and geo.simplices[-1][0] is y
         assert len(c.translation_memo) == 22 and report.pairs_examined == 78
         calls = (via_directed.call_count, via_euclid.call_count, thickness.call_count,
                  built.call_count)

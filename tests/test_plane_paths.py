@@ -10,7 +10,7 @@ import random
 import oracles
 from syslab import chardisk, directed, eplane, euclid
 from syslab.chardisk import BoundaryCycle, characteristic_map
-from syslab.complexes import Simplex
+from syslab.complexes import simplex_of
 from syslab.directed import layers, thick_intervals
 from syslab.errors import SyslabError
 
@@ -38,8 +38,7 @@ def _disk_outcome(fn, c, cycle):
 
 
 def _image(c, disk, verts):
-    out = _outcome(characteristic_map, c, disk, Simplex.of(verts))
-    return out.verts if isinstance(out, Simplex) else out
+    return _outcome(characteristic_map, c, disk, simplex_of(verts))
 
 
 def _agree_on_maps(c, fast, old):

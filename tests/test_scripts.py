@@ -32,7 +32,19 @@ def test_run_scenarios_writes_every_report(tmp_path):
     reports = sorted((tmp_path / "reports").glob("*.report.json"))
     assert len(reports) == len(names)
     assert all(json.loads(p.read_text())["pass"] for p in reports)
-    assert (tmp_path / "reports" / "pipeline-42.svg").exists()
+    # the reports without their wall-clock fields, and the figure, are the
+    # stored ones byte for byte
+    expected = json.loads((ROOT / "perfbench" / "scenario_digests.json").read_text())
+    digests = {}
+    for p in reports:
+        report = json.loads(p.read_text())
+        report["tasks"] = [{k: v for k, v in task.items() if k != "wall_clock_s"}
+                           for task in report["tasks"]]
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        digests[p.name.removesuffix(".report.json")] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == expected
+    svg = (tmp_path / "reports" / "pipeline-42.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest().startswith("6b809efb")
 
 
 def test_render_figure_writes_the_pipeline_figure(tmp_path):

@@ -17,7 +17,7 @@ import pytest
 import oracles
 from syslab import cat0, chardisk, eplane, euclid
 from syslab.chardisk import CharDisk
-from syslab.complexes import Simplex
+from syslab.complexes import simplex_of
 from syslab.directed import Layer, Layers, ThickInterval, layers, thick_intervals
 from syslab.errors import ConditionViolated
 
@@ -83,7 +83,7 @@ def _corruptions(ls, interval):
         for da, db in eplane.OFFSETS:
             moved = [(a + da, b + db) for a, b in layer.sigma]
             if all(v in c for v in moved):
-                yield i, layer._replace(sigma=Simplex.of(moved))
+                yield i, layer._replace(sigma=simplex_of(moved))
 
 
 def _refusal(fn, *args):
@@ -123,7 +123,7 @@ def test_sleeve_left_by_the_segment_is_refused(window12):
         ends = [((a, b), (a + t, b)) for b, (a, t) in enumerate(zip(lefts, lengths))]
         if flip:
             ends = [(w, v) for v, w in ends]
-        items = [Layer(b, Simplex((v,)), Simplex((w,)), t)
+        items = [Layer(b, (v,), (w,), t)
                  for b, ((v, w), t) in enumerate(zip(ends, lengths))]
         fake = Layers(window12, ends[0][0], ends[-1][0], items, None, None, None)
         interval = ThickInterval(0, 6)
