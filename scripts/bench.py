@@ -37,8 +37,8 @@ the processes, with the values themselves (``runs``); a count such as
   names candidate functions in order and wraps the first one the side has;
   a stage whose candidates a side lacks is left out of that side.
   ``projection`` is the first of ``directed._plane_chain`` (the certified
-  closed-form tuples of the one-pass plane construction),
-  ``directed._closed_form`` and ``directed._project`` that the side has;
+  closed-form tuples of the one-pass plane construction) and
+  ``directed._project`` that the side has;
   ``thickness`` is ``directed._layer_segments`` (the pass's segment scan)
   or ``directed._thickness``; ``straight_diagonal`` is the plane's
   thick-interval path, ``cat0._straight_segment``, where it exists.
@@ -142,7 +142,7 @@ SAMPLE_S = 0.02
 # do not call one another
 STAGES = {
     "levels": ("directed", "_safe_levels"),
-    "projection": ("directed", "_plane_chain", "_closed_form", "_project"),
+    "projection": ("directed", "_plane_chain", "_project"),
     "thickness": ("directed", "_layer_segments", "_thickness"),
     "boundary_cycle": ("chardisk", "boundary_cycle"),
     "flat_disk": ("chardisk", "extract_flat_disk"),

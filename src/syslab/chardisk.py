@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Dict, Optional, Tuple
 
 from . import eplane
-from .complexes import FlagComplex, interval, simplex_of, simplex_text
+from .complexes import FlagComplex, chain_search, interval, simplex_of, simplex_text
 from .directed import Layers, ThickInterval
 from .errors import NoRealizingChain, NotASimplexOfDisk, NotFlat, PreconditionViolated
 
@@ -81,34 +81,22 @@ def boundary_cycle(c: FlagComplex, interval: ThickInterval,
 
 
 def _extend_chain(c: FlagComplex, options) -> Optional[list]:
-    """Depth-first search for one realizing pair per layer, or None: one
-    loop over a stack of candidate iterators, one per layer up to the one
-    being filled, so no recursion limit bounds the interval's length. The
-    pairs at the thin brackets must be two distinct vertices, and each
-    side must step to an adjacent vertex."""
+    """One realizing pair per layer, or None (``chain_search``): the pairs
+    at the thin brackets must be two distinct vertices, and each side must
+    step to an adjacent vertex."""
     last = len(options) - 1
-    chain: list = []
-    stack = [iter(options[0])]
-    while stack:
-        pos = len(chain)
-        for s, t in stack[-1]:
-            if pos in (0, last) and s == t:
-                continue  # embeddedness at the thin brackets
-            if chain:
-                ps, pt = chain[-1]
-                if not (c.adjacent(ps, s) and c.adjacent(pt, t)):
-                    continue
-            chain.append((s, t))
-            break
-        else:
-            stack.pop()
-            if chain:
-                chain.pop()
-            continue
-        if len(chain) == len(options):
-            return chain
-        stack.append(iter(options[len(chain)]))
-    return None
+    adjacent = c.adjacent
+
+    def fits(chain, pair):
+        s, t = pair
+        if s == t and len(chain) in (0, last):
+            return False  # embeddedness at the thin brackets
+        if not chain:
+            return True
+        ps, pt = chain[-1]
+        return adjacent(ps, s) and adjacent(pt, t)
+
+    return chain_search(options, fits)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ class FlagComplex:
     a query needs, and every later query from that source reads it on.
     Each simplex's common neighbours and closed ball (``_link`` and
     ``_ball``, read by the projection and the residue/ball check of
-    ``directed``, ``residue`` and ``ball_of_simplex``) are computed once,
+    ``directed`` and ``residue``) are computed once,
     and so is each boundary cycle's certified flat disk development
     (``chardisk.extract_flat_disk``). The rows hold at most the vertices
     the construction's queries reached, each source's row no more than its
@@ -220,7 +220,7 @@ class FlagComplex:
             ball = balls[verts] = _closed_ball(self._adj, verts)
         return ball
 
-    def true_distance(self, x, y, budget: Optional[int] = None) -> int:
+    def true_distance(self, x, y) -> int:
         """Distance trusted to equal the distance in the underlying complex.
 
         Valid on complete complexes, on convex windows (any geodesic between
@@ -232,17 +232,13 @@ class FlagComplex:
         if x == y:
             return 0
         if self.metric_hint is not None:
-            d = self.metric_hint(x, y)
-            if budget is not None and d > budget:
-                raise Unreachable(f"distance {d} exceeds budget {budget}")
-            return d
-        if y in self._adj[x] and (budget is None or budget > 0):
+            return self.metric_hint(x, y)
+        if y in self._adj[x]:
             return 1
-        d = self._search(x, y, budget).get(y)
-        if d is not None and (budget is None or d <= budget):
-            return d
-        raise Unreachable(f"no path {x} -> {y}"
-                          + (f" within budget {budget}" if budget is not None else ""))
+        d = self._search(x, y).get(y)
+        if d is None:
+            raise Unreachable(f"no path {x} -> {y}")
+        return d
 
     def interval_levels(self, x, y) -> tuple:
         """The interval [x, y] as its d(x, y) + 1 level sets.
@@ -355,7 +351,7 @@ class _Row:
 # -- public metric operations ----------------------------------------------
 
 
-def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
+def distance(c: FlagComplex, x, y) -> int:
     """Edge-path distance between two vertices.
 
     On a materialized window the value is only certified when truncation
@@ -363,7 +359,7 @@ def distance(c: FlagComplex, x, y, budget: Optional[int] = None) -> int:
     metric backs it, or the distance fits inside one endpoint's margin.
     """
     _require_members(c, x, y)
-    d = c.true_distance(x, y, budget)
+    d = c.true_distance(x, y)
     _certify(c, x, y, d)
     return d
 
@@ -509,10 +505,28 @@ def residue(c: FlagComplex, s: Iterable[VertexId]) -> frozenset:
     return c._link(s).union(s)
 
 
-def ball_of_simplex(c: FlagComplex, s: tuple) -> frozenset:
-    """Vertices of B_1(s), s a sorted vertex tuple: s plus everything
-    adjacent to at least one vertex."""
-    return c._ball(s)
+def chain_search(choices, fits) -> Optional[list]:
+    """Depth-first search for one pick per position of choices, tried in
+    their order, where each pick must satisfy ``fits(chain, pick)`` on the
+    picks before it; the first chain found, or None. One loop over a stack
+    of candidate iterators, one per position up to the one being filled,
+    so no recursion limit bounds the chain's length."""
+    chain: list = []
+    stack = [iter(choices[0])]
+    while stack:
+        for pick in stack[-1]:
+            if fits(chain, pick):
+                chain.append(pick)
+                break
+        else:
+            stack.pop()
+            if chain:
+                chain.pop()
+            continue
+        if len(chain) == len(choices):
+            return chain
+        stack.append(iter(choices[len(chain)]))
+    return None
 
 
 def _common_neighbors(adj, verts: tuple) -> frozenset:

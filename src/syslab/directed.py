@@ -14,11 +14,11 @@ its lattice tuples instead (``_check_chain``): every vertex lies in the
 window, it runs from x to y, and consecutive simplices are disjoint and
 jointly form a lattice clique. The residue/ball condition is not checked
 there at run time; the projection with its full postcondition is the
-closed form's test oracle. ``_plane_chain`` hands the certified tuples to
-``euclid``'s one-pass plane construction, and ``_closed_form`` to
-``directed_geodesic`` and ``layers``, which builds no level there
-(``Layers.levels`` is None). Every simplex, on every complex, is its
-sorted vertex tuple.
+closed form's test oracle. ``_plane_chain``'s certified tuples are what
+``directed_geodesic``, ``layers`` (which builds no level there;
+``Layers.levels`` is None) and ``euclid``'s one-pass plane construction
+read. A directed geodesic is the tuple of its simplices, and every
+simplex, on every complex, is its sorted vertex tuple.
 """
 
 from __future__ import annotations
@@ -27,37 +27,18 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import eplane
-from .complexes import FlagComplex, ball_of_simplex, simplex_text
+from .complexes import FlagComplex, simplex_text
 from .errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
                      MalformedProfile, PreconditionViolated)
 
 
-@dataclass(frozen=True)
-class DirectedGeodesic:
-    """Simplices sigma_0..sigma_n read from source to target, each a sorted
-    vertex tuple."""
-
-    source: object
-    target: object
-    simplices: Tuple[tuple, ...]
-
-    def __len__(self):
-        return len(self.simplices) - 1
-
-    def __iter__(self):
-        return iter(self.simplices)
-
-    def __getitem__(self, i):
-        return self.simplices[i]
-
-
 class Layer(NamedTuple):
-    """Layer i between two vertices: sigma_i and tau_i of the two directed
+    """A layer between two vertices: sigma_i and tau_i of the two directed
     geodesics, side by side, and the thickness they realize; thin means
-    thickness at most 1. The layer's vertices, level i of the interval
-    [x, y], are the decomposition's (``Layers.levels``)."""
+    thickness at most 1. Its index i is its position in the decomposition,
+    and its vertices, level i of the interval [x, y], are the
+    decomposition's (``Layers.levels``)."""
 
-    index: int
     sigma: Optional[tuple]
     tau: Optional[tuple]
     thickness: int
@@ -74,18 +55,17 @@ class Layer(NamedTuple):
 class Layers(Sequence):
     """The full layer decomposition of a vertex pair, indexable by layer.
 
-    ``levels`` is the tuple of interval levels the decomposition was built
-    on, as ``_safe_levels`` returned it, or None on a plane window, which
-    never builds them."""
+    The directed geodesic from x is ``layer.sigma`` in layer order, and the
+    one from y is ``layer.tau`` in reverse layer order. ``levels`` is the
+    tuple of interval levels the decomposition was built on, as
+    ``_safe_levels`` returned it, or None on a plane window, which never
+    builds them."""
 
-    def __init__(self, c, x, y, items, sigma_geo, tau_geo, levels):
-        self.complex = c
+    def __init__(self, x, y, items, levels):
         self.x = x
         self.y = y
         self.items = tuple(items)
         self.n = len(self.items) - 1
-        self.sigma_geo = sigma_geo
-        self.tau_geo = tau_geo
         self.levels = levels
 
     def __len__(self):
@@ -100,9 +80,9 @@ class Layers(Sequence):
     def reversed(self) -> "Layers":
         """The decomposition of (y, x): layer i becomes layer n - i and the
         two directed geodesics swap roles."""
-        items = [Layer(i, layer.tau, layer.sigma, layer.thickness)
-                 for i, layer in enumerate(self.items[::-1])]
-        return Layers(self.complex, self.y, self.x, items, self.tau_geo, self.sigma_geo,
+        items = [Layer(layer.tau, layer.sigma, layer.thickness)
+                 for layer in self.items[::-1]]
+        return Layers(self.y, self.x, items,
                       None if self.levels is None else self.levels[::-1])
 
 
@@ -168,28 +148,24 @@ def _refuse(v, x, y):
 # -- construction ---------------------------------------------------------------
 
 
-def directed_geodesic(c: FlagComplex, x, y) -> DirectedGeodesic:
-    """The unique directed geodesic from x to y.
+def directed_geodesic(c: FlagComplex, x, y) -> Tuple[tuple, ...]:
+    """The unique directed geodesic from x to y: its simplices sigma_0..sigma_n,
+    each a sorted vertex tuple.
 
     On a plane window it is the closed form of ``eplane.directed_simplices``,
-    certified on its lattice tuples by ``_check_chain``; elsewhere it is the
-    projection of ``_project``, re-verified by ``_verify_conditions``. Raises
-    ConstructionFailed when a projection step is empty or not a clique, and
-    ConditionViolated when the finished sequence fails its check.
+    certified on its lattice tuples by ``_check_chain`` (``_plane_chain``);
+    elsewhere it is the projection of ``_project``, re-verified by
+    ``_verify_conditions``. Raises ConstructionFailed when a projection step
+    is empty or not a clique, and ConditionViolated when the finished
+    sequence fails its check.
     """
     levels = _safe_levels(c, x, y)
     if levels is None:
-        return _closed_form(c, x, y)
+        return _plane_chain(c, x, y)
     return _project(c, x, y, levels)
 
 
-def _closed_form(c: FlagComplex, x, y) -> DirectedGeodesic:
-    """The directed geodesic from x to y on a plane window: the certified
-    tuples of ``_plane_chain``."""
-    return DirectedGeodesic(x, y, _plane_chain(c, x, y))
-
-
-def _plane_chain(c: FlagComplex, x, y) -> Tuple[Tuple, ...]:
+def _plane_chain(c: FlagComplex, x, y) -> Tuple[tuple, ...]:
     """The simplices of the directed geodesic from x to y on a plane window
     as sorted lattice tuples, from ``eplane.directed_simplices`` once the
     margin rule has passed the pair, certified by ``_check_chain``."""
@@ -236,13 +212,13 @@ def _refuse_span(a, b):
         f"simplices {simplex_text(a)} and {simplex_text(b)} do not span a simplex")
 
 
-def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
+def _project(c: FlagComplex, x, y, levels) -> Tuple[tuple, ...]:
     """Project from x towards y through the interval levels read from x,
     each step the common neighbours of the last simplex (``c._link``) on
     the next level, and re-verify the result with ``_verify_conditions``."""
     n = len(levels) - 1
     if n == 0:
-        return DirectedGeodesic(x, y, ((x,),))
+        return ((x,),)
     link = c._link
     simplices = [(x,)]
     for i in range(n - 1):
@@ -256,24 +232,23 @@ def _project(c: FlagComplex, x, y, levels) -> DirectedGeodesic:
                 f"is not a simplex: {candidates}")
         simplices.append(tuple(candidates))
     simplices.append((y,))
-    geo = DirectedGeodesic(x, y, tuple(simplices))
-    _verify_conditions(c, geo)
-    return geo
+    sims = tuple(simplices)
+    _verify_conditions(c, sims, x, y)
+    return sims
 
 
-def _verify_conditions(c: FlagComplex, geo: DirectedGeodesic):
-    """The spans of ``_check_spans``, and every interior sigma_i is
-    Res(sigma_{i-1}) meet B_1(sigma_{i+1}). The spans make every simplex a
-    clique of the complex, so the residue is read off as common neighbours
-    (``c._link``) without validating it again."""
-    sims = geo.simplices
+def _verify_conditions(c: FlagComplex, sims, x, y):
+    """The spans of ``_check_spans``, and every interior sigma_i of the
+    directed geodesic sims from x to y is Res(sigma_{i-1}) meet
+    B_1(sigma_{i+1}). The spans make every simplex a clique of the complex,
+    so the residue is read off as common neighbours (``c._link``) and the
+    ball as ``c._ball`` without validating either again."""
     _check_spans(c, sims)
     for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
         res = c._link(before).union(before)
-        if res & ball_of_simplex(c, after) != frozenset(here):
+        if res & c._ball(after) != frozenset(here):
             raise ConditionViolated(
-                f"residue/ball condition fails at index {i} "
-                f"between {geo.source} and {geo.target}")
+                f"residue/ball condition fails at index {i} between {x} and {y}")
 
 
 # -- layers and thickness ---------------------------------------------------------
@@ -292,14 +267,12 @@ def layers(c: FlagComplex, x, y) -> Layers:
     """
     levels = _safe_levels(c, x, y)
     if levels is None:
-        sigma_geo = _closed_form(c, x, y)
-        tau_geo = _closed_form(c, y, x)
+        sigmas, taus = _plane_chain(c, x, y), _plane_chain(c, y, x)
     else:
-        sigma_geo = _project(c, x, y, levels)
-        tau_geo = _project(c, y, x, levels[::-1])
-    items = [Layer(i, sigma, tau, _thickness(c, sigma, tau))
-             for i, (sigma, tau) in enumerate(zip(sigma_geo, tau_geo.simplices[::-1]))]
-    return Layers(c, x, y, items, sigma_geo, tau_geo, levels)
+        sigmas, taus = _project(c, x, y, levels), _project(c, y, x, levels[::-1])
+    items = [Layer(sigma, tau, _thickness(c, sigma, tau))
+             for sigma, tau in zip(sigmas, taus[::-1])]
+    return Layers(x, y, items, levels)
 
 
 def _thickness(c: FlagComplex, sigma: tuple, tau: tuple) -> int:

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import cat0, chardisk, directed, eplane
-from .complexes import FlagComplex, simplex_text
+from .complexes import FlagComplex, chain_search, simplex_text
 from .directed import Layers, layers, require_pair_safe, thick_intervals
 from .errors import ConditionViolated, NoSelection, NotASimplex, PreconditionViolated
 
@@ -267,34 +267,14 @@ def select_vertex_geodesic(e: EuclideanGeodesic) -> Tuple:
     reported with full context.
     """
     choices = [sorted(s, reverse=True) for s in e.simplices]
-    picked = _thread(e.complex, choices)
+    adjacent = e.complex.adjacent
+    picked = chain_search(choices, lambda chain, v: (
+        not chain or chain[-1] == v or adjacent(chain[-1], v)))
     if picked is None:
         raise NoSelection(
             f"no vertex geodesic through the euclidean geodesic of "
             f"({e.x}, {e.y}); simplices: {list(e.simplices)}")
     return tuple(picked)
-
-
-def _thread(c: FlagComplex, choices) -> Optional[List]:
-    """Depth-first search for an adjacent chain through choices, or None:
-    one loop over a stack of candidate iterators, one per position up to
-    the one being filled, so no recursion limit bounds the chain's length."""
-    picked: List = []
-    stack = [iter(choices[0])]
-    while stack:
-        for v in stack[-1]:
-            if not picked or c.adjacent(picked[-1], v) or picked[-1] == v:
-                picked.append(v)
-                break
-        else:
-            stack.pop()
-            if picked:
-                picked.pop()
-            continue
-        if len(picked) == len(choices):
-            return picked
-        stack.append(iter(choices[len(picked)]))
-    return None
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,10 @@ def render_pipeline_svg(c: FlagComplex, x, y) -> str:
                 _fmt(pos[v][0]), _fmt(pos[v][1]), color))
     parts.append('</g>')
 
-    for gid, geo, color in (("sigma", layer_seq.sigma_geo, "#d0021b"),
-                            ("tau", layer_seq.tau_geo, "#4a90d9")):
+    # the directed geodesic from x is sigma in layer order, the one from y
+    # tau in reverse layer order
+    for gid, geo, color in (("sigma", [layer.sigma for layer in layer_seq], "#d0021b"),
+                            ("tau", [layer.tau for layer in layer_seq][::-1], "#4a90d9")):
         parts.append(f'<g id="{gid}" stroke="{color}" stroke-width="2.5" fill="{color}">')
         for vs in geo:
             if len(vs) == 1:

@@ -388,16 +388,19 @@ def _task_contracting(scenario, task, record, rng, out_dir, c):
     if not rays:
         raise TaskFailed(f"no margin-safe ray from origin {origin} "
                          f"after {attempts} attempts")
-    max_slack = Fraction(-10 ** 9)
+    # a slack is only reported once a check has measured one: with no
+    # check run, both the output and the assertion's measured value are null
+    slacks = []
     violations = 0
     for _ in range(n_pairs):
         g1 = rays[rng.randrange(len(rays))]
         g2 = rays[rng.randrange(len(rays))]
         rep = verify_contracting(c, g1, g2, cs, constants=scenario.constants)
         violations += len(rep.violations)
-        max_slack = max(max_slack, rep.max_slack)
+        slacks.append(rep.max_slack)
+    max_slack = max(slacks, default=None)
     doubling_violations = 0
-    doubling_slack = Fraction(-10 ** 9)
+    doubling_slacks = []
     for _ in range(n_doubling):
         g1 = rays[rng.randrange(len(rays))]
         shift = (rng.randint(-2, 2), rng.randint(-2, 2))
@@ -408,18 +411,19 @@ def _task_contracting(scenario, task, record, rng, out_dir, c):
         rep = verify_contracting(c, g1, g2, cs, constants=scenario.constants,
                                  doubling_bound=max(sep, 1))
         doubling_violations += len(rep.violations)
-        doubling_slack = max(doubling_slack, rep.max_slack)
+        doubling_slacks.append(rep.max_slack)
+    doubling_slack = max(doubling_slacks, default=None)
     record.outputs.update({
         "rays": len(rays), "pairs": n_pairs,
-        "empirical_max_slack": str(max_slack),
-        "doubling_max_slack": str(doubling_slack),
+        "empirical_max_slack": max_slack,
+        "doubling_max_slack": doubling_slack,
     })
     record.assertions.append(Assertion(
-        "contracting", "D", scenario.constants.D, str(max_slack),
+        "contracting", "D", scenario.constants.D, max_slack,
         violations == 0, None))
     record.assertions.append(Assertion(
         "contracting-doubling", "2D+1", 2 * scenario.constants.D + 1,
-        str(doubling_slack), doubling_violations == 0, None))
+        doubling_slack, doubling_violations == 0, None))
 
 
 def _task_extendability(scenario, task, record, rng, out_dir, c):

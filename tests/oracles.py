@@ -125,8 +125,7 @@ import numpy as np
 
 from syslab import cat0, chardisk, complexes, directed, eplane, isodyn
 from syslab.cat0 import PolyPath
-from syslab.directed import (DirectedGeodesic, Layer, Layers, ThickInterval,
-                             require_pair_safe)
+from syslab.directed import Layer, Layers, ThickInterval, require_pair_safe
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, ConstructionFailed,
                            DegenerateDomain, MalformedProfile, NoCrossing, NoRealizingChain, NoSelection,
                            NotFlat, NotTranslationLike, PreconditionViolated,
@@ -829,14 +828,13 @@ def early_exit_bfs(c, source, budget=None, until=()):
     return dist
 
 
-def early_exit_distance(c, x, y, budget=None):
+def early_exit_distance(c, x, y):
     """The former ``FlagComplex.true_distance`` of a complex without a
     closed-form metric: one early-exit search per call."""
-    dist = early_exit_bfs(c, x, budget, (y,))
+    dist = early_exit_bfs(c, x, None, (y,))
     if y in dist:
         return dist[y]
-    raise Unreachable(f"no path {x} -> {y}"
-                      + (f" within budget {budget}" if budget is not None else ""))
+    raise Unreachable(f"no path {x} -> {y}")
 
 
 def early_exit_interval_levels(c, x, y):
@@ -1206,29 +1204,35 @@ def layered_euclidean_geodesic(c, x, y, *, check_reversal=True):
 def layered_layers(c, x, y):
     """The former ``directed.layers`` on a plane window."""
     levels = directed._safe_levels(c, x, y)
-    sigma_geo = closed_form(c, x, y)
-    tau_geo = closed_form(c, y, x)
-    items = [Layer(i, sigma, tau, directed._thickness(c, sigma, tau))
-             for i, (sigma, tau) in enumerate(zip(sigma_geo, tau_geo.simplices[::-1]))]
-    return Layers(c, x, y, items, sigma_geo, tau_geo, levels)
+    sigmas = closed_form(c, x, y)
+    taus = closed_form(c, y, x)
+    items = [Layer(sigma, tau, directed._thickness(c, sigma, tau))
+             for sigma, tau in zip(sigmas, taus[::-1])]
+    return Layers(x, y, items, levels)
 
 
 def closed_form(c, x, y):
     """The former ``directed._closed_form``: the closed form, certified by
     ``certify_chain``."""
-    geo = DirectedGeodesic(x, y, eplane.directed_simplices(x, y))
-    certify_chain(c, geo)
-    return geo
+    sims = eplane.directed_simplices(x, y)
+    certify_chain(c, sims, x, y)
+    return sims
 
 
-def certify_chain(c, geo):
+def certify_chain(c, sims, x, y):
     """The former ``directed._certify_chain``, on the window's neighbour
     sets: the spans of ``directed._check_spans``, then the ends."""
-    sims = geo.simplices
     directed._check_spans(c, sims)
-    if sims[0] != (geo.source,) or sims[-1] != (geo.target,):
-        raise ConditionViolated(
-            f"simplices do not run from {geo.source} to {geo.target}")
+    if sims[0] != (x,) or sims[-1] != (y,):
+        raise ConditionViolated(f"simplices do not run from {x} to {y}")
+
+
+def directed_pair(layer_seq):
+    """The two directed geodesics a decomposition holds, as the former
+    ``Layers.sigma_geo`` and ``tau_geo`` stored them: sigma_0..sigma_n from
+    x, and from y the taus in reverse layer order."""
+    return (tuple(layer.sigma for layer in layer_seq),
+            tuple(layer.tau for layer in reversed(layer_seq)))
 
 
 def layered_thick_intervals(layer_seq):
@@ -1279,19 +1283,19 @@ def layered_assemble(c, layer_seq):
     for i in range(n + 1):
         if sims[i] is None:
             raise ConditionViolated(f"layer {i} of ({x}, {y}) was never assigned")
-        if not all(in_plane_layer(layer_seq, i, v) for v in sims[i]):
+        if not all(in_plane_layer(c, layer_seq, i, v) for v in sims[i]):
             raise ConditionViolated(
                 f"delta_{i} of ({x}, {y}) leaves its layer: {angled(sims[i])}")
     return EuclideanGeodesic(c, x, y, tuple(sims), tuple(tags), layer_seq)
 
 
-def in_plane_layer(layer_seq, i, v):
+def in_plane_layer(c, layer_seq, i, v):
     """Whether v lies in layer i of a plane pair: in the window, at lattice
     distance i from x and n - i from y, as ``euclid._plane_pass`` tests it.
     It stands for the former ``Layers.holds`` on a plane window, which read
     the same distances off ``FlagComplex.true_distance``."""
     x, y, n = layer_seq.x, layer_seq.y, layer_seq.n
-    return (v in layer_seq.complex and eplane.lattice_distance(x, v) == i
+    return (v in c and eplane.lattice_distance(x, v) == i
             and eplane.lattice_distance(v, y) == n - i)
 
 
@@ -1425,10 +1429,9 @@ def ball_of_simplex(c, s):
     return frozenset(out)
 
 
-def verify_conditions(c, geo):
+def verify_conditions(c, sims, x, y):
     """The former ``directed._verify_conditions``: disjointness, then the
     span, per consecutive pair, then residue meet ball per interior index."""
-    sims = geo.simplices
     for i in range(len(sims) - 1):
         a, b = sims[i], sims[i + 1]
         if set(a) & set(b):
@@ -1442,7 +1445,7 @@ def verify_conditions(c, geo):
         if res & ball != frozenset(sims[i]):
             raise ConditionViolated(
                 f"residue/ball condition fails at index {i} "
-                f"between {geo.source} and {geo.target}")
+                f"between {x} and {y}")
 
 
 def is_region_hexagon(c, inside):
@@ -1893,7 +1896,7 @@ def uncached_project(c, x, y, levels):
     simplex intersected anew at every step."""
     n = len(levels) - 1
     if n == 0:
-        return DirectedGeodesic(x, y, ((x,),))
+        return ((x,),)
     nbrs = c.neighbors
     simplices = [(x,)]
     for i in range(n - 1):
@@ -1909,15 +1912,14 @@ def uncached_project(c, x, y, levels):
                 f"is not a simplex: {candidates}")
         simplices.append(tuple(candidates))
     simplices.append((y,))
-    geo = DirectedGeodesic(x, y, tuple(simplices))
-    uncached_verify_conditions(c, geo)
-    return geo
+    sims = tuple(simplices)
+    uncached_verify_conditions(c, sims, x, y)
+    return sims
 
 
-def uncached_verify_conditions(c, geo):
+def uncached_verify_conditions(c, sims, x, y):
     """The former ``directed._verify_conditions``, on the former
     ``ball_of_simplex`` of this module."""
-    sims = geo.simplices
     directed._check_spans(c, sims)
     nbrs = c.neighbors
     for i, (before, here, after) in enumerate(zip(sims, sims[1:], sims[2:]), 1):
@@ -1925,7 +1927,7 @@ def uncached_verify_conditions(c, geo):
         if res.union(before) & ball_of_simplex(c, after) != frozenset(here):
             raise ConditionViolated(
                 f"residue/ball condition fails at index {i} "
-                f"between {geo.source} and {geo.target}")
+                f"between {x} and {y}")
 
 
 def uncached_extract_flat_disk(c, cycle):

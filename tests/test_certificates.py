@@ -11,9 +11,9 @@ import pytest
 
 import oracles
 from syslab import cat0, chardisk, complexes, directed, eplane, euclid, samples
-from syslab.complexes import FlagComplex, ball_of_simplex, residue
-from syslab.directed import (DirectedGeodesic, ThickInterval, _verify_conditions,
-                             directed_geodesic, layers, thick_intervals)
+from syslab.complexes import FlagComplex, residue
+from syslab.directed import (ThickInterval, _verify_conditions, directed_geodesic, layers,
+                             thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConditionViolated, NoCrossing, NotFlat,
                            PreconditionViolated, SyslabError)
 from syslab.exact import PlanePoint
@@ -28,46 +28,40 @@ def _outcome(fn, *args):
     return None
 
 
-def _corruptions(geo):
+def _corruptions(sims):
     """The geodesic with one interior simplex repeated from its predecessor,
     cut down to its first or its last vertex, or swapped with its successor."""
-    sims = geo.simplices
     for i in range(1, len(sims) - 1):
         head, here, tail = sims[:i], sims[i], sims[i + 1:]
-        for bad in (head + (sims[i - 1],) + tail,
+        yield from (head + (sims[i - 1],) + tail,
                     head + (here[:1],) + tail,
                     head + (here[-1:],) + tail,
-                    head + (sims[i + 1], here) + sims[i + 2:]):
-            yield DirectedGeodesic(geo.source, geo.target, bad)
+                    head + (sims[i + 1], here) + sims[i + 2:])
 
 
-def _check_chain(c, geo):
-    """The plane chain certificate on the vertex tuples of geo's simplices."""
-    directed._check_chain(c, geo.simplices, geo.source, geo.target)
-
-
-def _agree_on_geodesic(c, geo):
-    """The postcondition and its oracle on the geodesic and its corruptions;
-    on a plane window also the lattice certificate, which must pass the
-    geodesic and, whenever it refuses a corruption, give the oracle's text.
-    Returns how many corruptions the postcondition refused."""
-    assert _outcome(_verify_conditions, c, geo) is None
-    assert oracles.verify_conditions(c, geo) is None
+def _agree_on_geodesic(c, sims, x, y):
+    """The postcondition and its oracle on the geodesic sims from x to y
+    and its corruptions; on a plane window also the lattice certificate,
+    which must pass the geodesic and, whenever it refuses a corruption,
+    give the oracle's text. Returns how many corruptions the postcondition
+    refused."""
+    assert _outcome(_verify_conditions, c, sims, x, y) is None
+    assert oracles.verify_conditions(c, sims, x, y) is None
     if c.plane_backed:
-        assert _outcome(_check_chain, c, geo) is None
-    for s in geo.simplices:
+        assert _outcome(directed._check_chain, c, sims, x, y) is None
+    for s in sims:
         assert residue(c, s) == oracles.residue(c, s)
-        assert ball_of_simplex(c, s) == oracles.ball_of_simplex(c, s)
-    for a, b in zip(geo.simplices, geo.simplices[1:]):
-        for verts in (a + b, a + b + a[:1], geo.simplices[0] + b):
+        assert c._ball(s) == oracles.ball_of_simplex(c, s)
+    for a, b in zip(sims, sims[1:]):
+        for verts in (a + b, a + b + a[:1], sims[0] + b):
             assert c.is_clique(verts) == oracles.pairwise_is_clique(c, verts)
     fired = 0
-    for bad in _corruptions(geo):
-        new = _outcome(_verify_conditions, c, bad)
-        assert new == _outcome(oracles.verify_conditions, c, bad), bad
+    for bad in _corruptions(sims):
+        new = _outcome(_verify_conditions, c, bad, x, y)
+        assert new == _outcome(oracles.verify_conditions, c, bad, x, y), bad
         fired += new is not None
         if c.plane_backed:
-            certified = _outcome(_check_chain, c, bad)
+            certified = _outcome(directed._check_chain, c, bad, x, y)
             assert certified is None or certified == new, bad
     return fired
 
@@ -96,7 +90,8 @@ def _agree_on_pair(c, x, y):
     """Every certificate of the pair's construction against its oracle;
     returns (disks checked, corruptions that fired)."""
     ls = layers(c, x, y)
-    fired = _agree_on_geodesic(c, ls.sigma_geo) + _agree_on_geodesic(c, ls.tau_geo)
+    sigmas, taus = oracles.directed_pair(ls)
+    fired = _agree_on_geodesic(c, sigmas, x, y) + _agree_on_geodesic(c, taus, y, x)
     disks = 0
     for interval in thick_intervals(ls):
         cycle = chardisk.boundary_cycle(c, interval, ls)
@@ -185,30 +180,33 @@ def test_two_triangle_link_is_not_flat():
 
 
 def test_corrupted_directed_geodesic_fails_residue_ball(window42):
-    geo = directed_geodesic(window42, (0, 0), (4, 2))
-    i = next(i for i, s in enumerate(geo.simplices) if len(s) > 1)
-    sims = list(geo.simplices)
+    x, y = (0, 0), (4, 2)
+    geo = directed_geodesic(window42, x, y)
+    i = next(i for i, s in enumerate(geo) if len(s) > 1)
+    sims = list(geo)
     sims[i] = sims[i][:1]
-    bad = DirectedGeodesic(geo.source, geo.target, tuple(sims))
+    bad = tuple(sims)
     message = f"residue/ball condition fails at index {i} between (0, 0) and (4, 2)"
     with pytest.raises(ConditionViolated) as new:
-        _verify_conditions(window42, bad)
+        _verify_conditions(window42, bad, x, y)
     with pytest.raises(ConditionViolated) as old:
-        oracles.verify_conditions(window42, bad)
+        oracles.verify_conditions(window42, bad, x, y)
     assert str(new.value) == str(old.value) == message
     # Only the residue/ball condition catches an edge cut down to one of its
     # ends: the chain still runs from x to y through simplices that pairwise
     # span simplices. The plane certificate does not check that condition,
     # so it passes this corruption; the closed form never builds it.
-    _check_chain(window42, bad)
+    directed._check_chain(window42, bad, x, y)
     sims[i] = sims[i - 1]
-    for check in (partial(_verify_conditions, window42), partial(_check_chain, window42)):
+    for check in (partial(_verify_conditions, window42),
+                  partial(directed._check_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"are not disjoint$"):
-            check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
+            check(tuple(sims), x, y)
     sims[i] = ((4, 2),)
-    for check in (partial(_verify_conditions, window42), partial(_check_chain, window42)):
+    for check in (partial(_verify_conditions, window42),
+                  partial(directed._check_chain, window42)):
         with pytest.raises(ConditionViolated, match=r"do not span a simplex$"):
-            check(DirectedGeodesic(geo.source, geo.target, tuple(sims)))
+            check(tuple(sims), x, y)
 
 
 def test_plane_certificate_needs_the_pair_as_ends(window42):
@@ -218,7 +216,7 @@ def test_plane_certificate_needs_the_pair_as_ends(window42):
     for source, target in (((1, 0), (4, 2)), ((0, 0), (3, 2))):
         message = f"simplices do not run from {source} to {target}"
         with pytest.raises(ConditionViolated, match=f"^{re.escape(message)}$"):
-            _check_chain(window42, DirectedGeodesic(source, target, geo.simplices))
+            directed._check_chain(window42, geo, source, target)
 
 
 def test_triangle_count_mismatch_is_not_flat(window42):
@@ -278,10 +276,10 @@ def test_goodness_shares_rows_within_one_call(monkeypatch):
     true_distance, interval_levels = c.true_distance, c.interval_levels
     check_isometric = chardisk._check_isometric
 
-    def counted_distance(x, y, budget=None):
-        if x != y and not (c.adjacent(x, y) and (budget is None or budget > 0)):
-            former.append(len(oracles.early_exit_bfs(c, x, budget, (y,))))
-        return true_distance(x, y, budget)
+    def counted_distance(x, y):
+        if x != y and not c.adjacent(x, y):
+            former.append(len(oracles.early_exit_bfs(c, x, None, (y,))))
+        return true_distance(x, y)
 
     def counted_levels(x, y):
         if x != y:

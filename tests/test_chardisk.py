@@ -229,11 +229,11 @@ def test_no_realizing_chain_on_degenerate_bracket():
     from syslab.directed import Layer
     c = eplane.window((2, 1), 10)
     fake = [
-        Layer(0, ((0, 0),), ((0, 0),), 0),
-        Layer(1, ((1, 0),), ((1, 0),), 0),
-        Layer(2, ((1, 1),), ((3, -1),), 2),
-        Layer(3, ((2, 1),), ((2, 1),), 0),
-        Layer(4, ((3, 1),), ((3, 1),), 0),
+        Layer(((0, 0),), ((0, 0),), 0),
+        Layer(((1, 0),), ((1, 0),), 0),
+        Layer(((1, 1),), ((3, -1),), 2),
+        Layer(((2, 1),), ((2, 1),), 0),
+        Layer(((3, 1),), ((3, 1),), 0),
     ]
     from syslab.errors import NoRealizingChain
     with pytest.raises(NoRealizingChain):

@@ -1,7 +1,6 @@
 import importlib.util
 import inspect
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -28,11 +27,6 @@ def test_distance_examples(window8):
 def test_distance_budget():
     c = FlagComplex({0: [1], 1: [0, 2], 2: [1], 3: []})
     assert distance(c, 0, 2) == 2
-    with pytest.raises(Unreachable):
-        distance(c, 0, 2, budget=1)
-    assert distance(c, 0, 1, budget=1) == 1
-    with pytest.raises(Unreachable):
-        distance(c, 0, 1, budget=0)
     with pytest.raises(Unreachable):
         distance(c, 0, 3)
     with pytest.raises(PreconditionViolated):
@@ -191,8 +185,7 @@ def _result(fn, *args):
 def test_shared_rows_agree_with_early_exit_oracle(non_plane_complexes):
     """Every pair within distance 6, shuffled, inside one scope, so most
     queries read a row that an earlier one grew past their target: the
-    distance without a budget and at budgets d - 1, d and d + 1, the
-    interval levels, and the isometry verdict on each disk of the pair,
+    distance, the interval levels, and the isometry verdict on each disk of the pair,
     intact and with two region vertices' coordinates swapped, agree with
     the former early-exit search; so does the file complex's disconnected
     pair, asked before and after its rows grew. The rows are gone when the
@@ -208,10 +201,6 @@ def test_shared_rows_agree_with_early_exit_oracle(non_plane_complexes):
             for x, y in pairs:
                 d = _result(oracles.early_exit_distance, c, x, y)
                 assert _result(c.true_distance, x, y) == d, (c.name, x, y)
-                for budget in ((d - 1, d, d + 1) if isinstance(d, int) else (0, 6)):
-                    assert (_result(c.true_distance, x, y, budget)
-                            == _result(oracles.early_exit_distance, c, x, y, budget)), \
-                        (c.name, x, y, budget)
                 assert (_result(c.interval_levels, x, y)
                         == _result(oracles.early_exit_interval_levels, c, x, y))
                 if not isinstance(d, int) or not x < y:
@@ -233,22 +222,6 @@ def test_shared_rows_agree_with_early_exit_oracle(non_plane_complexes):
                     disks += 1
         assert c._shared_rows.rows is None
     assert disks >= 200
-
-
-def test_grown_row_keeps_the_budget(non_plane_complexes):
-    """A row that already holds y beyond a smaller budget still refuses the
-    query with the budget's text, and answers it at the budget."""
-    c = non_plane_complexes[0]
-    x = (0, 0, 0)
-    y = next(v for v, d in oracles.bfs_map(c, x).items() if d == 4)
-    with c._shared_rows:
-        assert c.true_distance(x, y) == 4
-        assert c._shared_rows.rows[x].dist[y] == 4
-        with pytest.raises(Unreachable, match=rf"^no path {re.escape(str(x))} -> "
-                                              rf"{re.escape(str(y))} within budget 3$"):
-            c.true_distance(x, y, 3)
-        assert c.true_distance(x, y, 4) == 4
-    assert c._shared_rows.rows is None
 
 
 def test_is_convex_examples(window8):

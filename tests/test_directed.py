@@ -5,8 +5,8 @@ import pytest
 import oracles
 from syslab import directed, eplane, samples
 from syslab.complexes import FlagComplex, materialize_window, simplex_of
-from syslab.directed import (DirectedGeodesic, Layer, directed_geodesic, layers,
-                             require_pair_safe, thick_intervals)
+from syslab.directed import (Layer, directed_geodesic, layers, require_pair_safe,
+                             thick_intervals)
 from syslab.errors import (BoundaryUnsafe, ConstructionFailed, MalformedProfile,
                            PreconditionViolated)
 
@@ -17,9 +17,7 @@ def verts(geo):
 
 def map_geodesic(iso, geo):
     """Image of a directed geodesic under a plane isometry."""
-    return DirectedGeodesic(
-        iso(geo.source), iso(geo.target),
-        tuple(simplex_of(map(iso, s)) for s in geo.simplices))
+    return tuple(simplex_of(map(iso, s)) for s in geo)
 
 
 def test_directed_geodesic_22(window42):
@@ -36,6 +34,19 @@ def test_directed_geodesic_42(window42):
     assert verts(directed_geodesic(window42, (0, 0), (4, 2))) == [
         ((0, 0),), ((0, 1), (1, 0)), ((1, 1),), ((1, 2), (2, 1)), ((2, 2),),
         ((3, 2),), ((4, 2),)]
+
+
+def test_directed_geodesic_is_its_tuple_of_simplices(window42):
+    """A directed geodesic is the plain tuple of its simplices, on the plane
+    and off it, and a decomposition holds both of the pair's: sigma in
+    layer order, and tau in reverse layer order."""
+    book = samples.book_window(4, 8)
+    for c, x, y in ((window42, (0, 0), (4, 2)), (book, (0, 0, 0), (3, 1, 2))):
+        geo = directed_geodesic(c, x, y)
+        assert type(geo) is tuple and geo[0] == (x,) and geo[-1] == (y,)
+        ls = layers(c, x, y)
+        assert [layer.sigma for layer in ls] == list(geo)
+        assert [layer.tau for layer in reversed(ls)] == list(directed_geodesic(c, y, x))
 
 
 def test_uniqueness_oracle_sample(window42):
@@ -123,18 +134,17 @@ def test_layer_symmetry(window42):
     n = fwd.n
     for i in range(n + 1):
         assert {v for v in window42.vertices()
-                if oracles.in_plane_layer(fwd, i, v)} == levels[i]
+                if oracles.in_plane_layer(window42, fwd, i, v)} == levels[i]
         assert {v for v in window42.vertices()
-                if oracles.in_plane_layer(bwd, n - i, v)} == levels[i]
+                if oracles.in_plane_layer(window42, bwd, n - i, v)} == levels[i]
 
 
 def _assert_reversed_layers(c, x, y):
     back = layers(c, y, x)
     flipped = layers(c, x, y).reversed()
-    assert (flipped.complex, flipped.x, flipped.y) == (c, y, x)
+    assert (flipped.x, flipped.y) == (y, x)
     assert list(flipped) == list(back), (x, y)
-    assert flipped.sigma_geo == back.sigma_geo
-    assert flipped.tau_geo == back.tau_geo
+    assert oracles.directed_pair(flipped) == oracles.directed_pair(back)
     assert flipped.levels == back.levels
     assert back.levels == (None if c.plane_backed else c.interval_levels(y, x))
 
@@ -169,7 +179,7 @@ def test_reversed_layers_match_book_pairs():
 
 
 def _profile(thicknesses):
-    return [Layer(i, None, None, t) for i, t in enumerate(thicknesses)]
+    return [Layer(None, None, t) for t in thicknesses]
 
 
 def test_thick_intervals_from_profiles():

@@ -11,6 +11,7 @@ a tie rule agree on a biased rule; the group does not, because a rule that
 favours a direction of the lattice breaks the symmetry.
 """
 
+import oracles
 from syslab import eplane, euclid
 from syslab.directed import thick_intervals
 from syslab.errors import SyslabError
@@ -39,7 +40,7 @@ def _outcome(c, x, y):
         return type(exc).__name__
     ls = geo.layers
     return {
-        "directed": (_sets(ls.sigma_geo), _sets(ls.tau_geo)),
+        "directed": tuple(map(_sets, oracles.directed_pair(ls))),
         "layers": tuple((frozenset(layer.sigma), frozenset(layer.tau),
                          layer.thickness) for layer in ls),
         "thick_intervals": tuple((iv.j, iv.k) for iv in thick_intervals(ls)),

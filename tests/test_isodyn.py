@@ -210,6 +210,21 @@ def test_check_min_proximity_matches_simplex_oracle_off_the_plane():
     assert report.empirical_max == 2
 
 
+def test_check_min_proximity_witness_is_the_first_vertex_of_a_tie():
+    """The swap reflection glide(0, 0) displaces (a, b) by |a - b|, so
+    delta_1 = <(0,1),(1,0)> puts two vertices at the worst displacement, 1,
+    before any other simplex reaches it: the witness is the first of them
+    in sorted order, as the independent oracle picks it. The reflection is
+    not hyperbolic, so L = 0 is passed."""
+    c = eplane.window((0, 0), 8)
+    h = eplane.glide(0, 0)
+    pairs = [((0, 0), (2, 2))]
+    report = check_min_proximity(c, h, pairs, 0)
+    assert report == oracles.independent_check_min_proximity(c, h, pairs, 0)
+    (entry,) = report.entries
+    assert (entry.max_displacement, entry.witness_vertex) == (1, (0, 1))
+
+
 def test_check_min_proximity_translation():
     c = eplane.window((0, 0), 12)
     h = eplane.translation(2, 0)

@@ -20,7 +20,7 @@ import pytest
 import oracles
 from syslab import cat0, directed, eplane, euclid
 from syslab.complexes import simplex_of
-from syslab.directed import DirectedGeodesic, Layers, thick_intervals
+from syslab.directed import Layers, thick_intervals
 from syslab.errors import ConditionViolated, SyslabError
 
 
@@ -32,7 +32,7 @@ def _outcome(build, c, x, y, check_reversal):
     except SyslabError as exc:
         return type(exc).__name__, str(exc)
     ls = geo.layers
-    return (geo.simplices, geo.provenance, ls.thickness_profile(), ls.sigma_geo, ls.tau_geo)
+    return (geo.simplices, geo.provenance, ls.thickness_profile(), oracles.directed_pair(ls))
 
 
 def _agree(c, x, y):
@@ -84,11 +84,10 @@ def test_pass_refuses_like_layered_path():
     assert _agree(c, (0, 0), (0, 0)) is False
 
 
-def _chain_corruptions(geo):
+def _chain_corruptions(sims):
     """The directed geodesic with one interior simplex repeated, cut to one
     vertex, swapped with its successor, or shifted by a unit offset, and
     with its ends swapped."""
-    sims = geo.simplices
     for i in range(1, len(sims) - 1):
         head, here, tail = sims[:i], sims[i], sims[i + 1:]
         yield head + (sims[i - 1],) + tail
@@ -107,11 +106,6 @@ def _refusal(fn, *args):
     return None
 
 
-def _check_chain(c, geo):
-    """``directed._check_chain`` on the vertex tuples of geo's simplices."""
-    directed._check_chain(c, geo.simplices, geo.source, geo.target)
-
-
 def test_chain_certificate_reads_the_tuple_check():
     """``directed._check_chain`` on corrupted chains refuses exactly as the
     former neighbour-set certificate did, with its text. A chain that
@@ -122,11 +116,10 @@ def test_chain_certificate_reads_the_tuple_check():
     fired = 0
     for x, y in (((0, 0), (4, 2)), ((-3, 1), (5, -2)), ((2, 2), (-6, 0))):
         geo = directed.directed_geodesic(c, x, y)
-        assert _refusal(_check_chain, c, geo) is None
+        assert _refusal(directed._check_chain, c, geo, x, y) is None
         for bad in _chain_corruptions(geo):
-            bad_geo = DirectedGeodesic(x, y, bad)
-            got = _refusal(_check_chain, c, bad_geo)
-            assert got == _refusal(oracles.certify_chain, c, bad_geo), bad
+            got = _refusal(directed._check_chain, c, bad, x, y)
+            assert got == _refusal(oracles.certify_chain, c, bad, x, y), bad
             fired += got is not None
     assert fired > 50
     line = tuple(((a, 0),) for a in range(11))
@@ -135,12 +128,11 @@ def test_chain_certificate_reads_the_tuple_check():
         directed._check_chain(c, line, (0, 0), (10, 0))
 
 
-def _layer_corruptions(ls, interval):
+def _layer_corruptions(c, ls, interval):
     """Each layer of the interval with its thickness off by one, with its
-    sigma shifted by each unit offset inside the window, and with sigma and
-    tau shifted together by one and two of each unit offset, which slides
-    the layer along its line or off it."""
-    c = ls.complex
+    sigma shifted by each unit offset inside the window c, and with sigma
+    and tau shifted together by one and two of each unit offset, which
+    slides the layer along its line or off it."""
     for i in range(interval.j, interval.k + 1):
         layer = ls[i]
         for dt in (-1, 1):
@@ -172,10 +164,10 @@ def test_straight_diagonal_reads_the_segment_check():
         for interval in thick_intervals(ls):
             assert (_straight_segment(ls, interval)
                     == oracles.layered_straight_diagonal(c, ls, interval))
-            for i, bad in _layer_corruptions(ls, interval):
+            for i, bad in _layer_corruptions(c, ls, interval):
                 items = list(ls)
                 items[i] = bad
-                worse = Layers(c, x, y, items, ls.sigma_geo, ls.tau_geo, None)
+                worse = Layers(x, y, items, None)
                 got = _refusal(_straight_segment, worse, interval)
                 assert got == _refusal(oracles.layered_straight_diagonal, c, worse,
                                        interval), (x, y, i, bad)
@@ -210,7 +202,7 @@ def test_plane_construction_builds_no_layers_until_read():
     want = directed.layers(c, x, y)
     assert (ls.x, ls.y, ls.levels) == (want.x, want.y, want.levels)
     assert tuple(ls) == tuple(want)
-    assert (ls.sigma_geo, ls.tau_geo) == (want.sigma_geo, want.tau_geo)
+    assert oracles.directed_pair(ls) == oracles.directed_pair(want)
     assert ls.thickness_profile() == want.thickness_profile()
     assert want.thickness_profile() == (0, 1, 1, 2, 2, 3, 3, 3, 2, 2, 1, 1, 0)
 

@@ -107,9 +107,9 @@ def _agree_on_pair(c, x, y, corrupt=True):
     assert ls.levels is None
     for i, level in enumerate(levels):
         near = level.union(*map(c.neighbors, level))
-        assert {v for v in near if oracles.in_plane_layer(ls, i, v)} == level, (x, y, i)
-    assert ls.sigma_geo == directed._project(c, x, y, levels)
-    assert ls.tau_geo == directed._project(c, y, x, levels[::-1])
+        assert {v for v in near if oracles.in_plane_layer(c, ls, i, v)} == level, (x, y, i)
+    assert oracles.directed_pair(ls) == (directed._project(c, x, y, levels),
+                                         directed._project(c, y, x, levels[::-1]))
     disks = refused = 0
     for interval in thick_intervals(ls):
         refused += _agree_on_disk(c, chardisk.boundary_cycle(c, interval, ls), corrupt)
@@ -171,5 +171,5 @@ def test_plane_construction_never_builds_levels(window42, monkeypatch):
     euclid.euclidean_geodesic(window42, (0, 0), (4, 2), check_reversal=True)
     assert calls == []
     assert ls.levels is None and ls.reversed().levels is None
-    assert ({v for v in window42.vertices() if oracles.in_plane_layer(ls, 3, v)}
+    assert ({v for v in window42.vertices() if oracles.in_plane_layer(window42, ls, 3, v)}
             == {(1, 2), (2, 1), (3, 0)})

@@ -285,6 +285,24 @@ def test_contracting_suite_without_rays_is_a_task_failure(tmp_path, radius, orig
         f"TaskFailed: no margin-safe ray from origin ({a}, {b}) {why}")
 
 
+def test_contracting_suite_without_doubling_checks_reports_no_slack(tmp_path):
+    """With doubling = 0 no doubling check runs, so the doubling slack is
+    null in the outputs and as the assertion's measured value, not a
+    sentinel that reads as a passing measurement."""
+    text = (SCENARIOS / "contracting.scn").read_text()
+    assert "doubling = 20\n" in text and "pairs = 60\n" in text
+    text = text.replace("doubling = 20\n", "doubling = 0\n").replace(
+        "pairs = 60\n", "pairs = 5\n")
+    report, code = run_scenario(parse_scenario_text(text, base_dir=SCENARIOS), tmp_path)
+    assert code == 0
+    (task,) = report["tasks"]
+    measured = {a["name"]: a["measured"] for a in task["assertions"]}
+    assert task["outputs"]["doubling_max_slack"] is None
+    assert measured["contracting-doubling"] is None
+    slack = task["outputs"]["empirical_max_slack"]
+    assert slack is not None and measured["contracting"] == slack
+
+
 def test_extendability_study_without_distinct_control_pair_is_a_task_failure(tmp_path):
     """At seed 5 the one control draw in [-1, 1]^2 has x == y."""
     text = ("[scenario]\nseed = 5\n\n[task t]\nkind = extendability-study\n"

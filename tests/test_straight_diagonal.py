@@ -69,13 +69,12 @@ def test_plane_construction_builds_no_disk_until_read(window42):
 def _with_layer(ls, i, layer):
     items = list(ls)
     items[i] = layer
-    return Layers(ls.complex, ls.x, ls.y, items, ls.sigma_geo, ls.tau_geo, None)
+    return Layers(ls.x, ls.y, items, None)
 
 
-def _corruptions(ls, interval):
+def _corruptions(c, ls, interval):
     """Each layer of the interval with its thickness off by one, and with
-    its sigma shifted by each unit offset inside the window."""
-    c = ls.complex
+    its sigma shifted by each unit offset inside the window c."""
     for i in range(interval.j, interval.k + 1):
         layer = ls[i]
         for dt in (-1, 1):
@@ -102,7 +101,7 @@ def test_corrupted_layers_are_refused(window12):
     assert intervals
     refused = 0
     for interval in intervals:
-        for i, bad in _corruptions(ls, interval):
+        for i, bad in _corruptions(window12, ls, interval):
             worse = _with_layer(ls, i, bad)
             text = _refusal(_straight_segment, worse, interval)
             assert f"layer {i}" in text
@@ -123,9 +122,8 @@ def test_sleeve_left_by_the_segment_is_refused(window12):
         ends = [((a, b), (a + t, b)) for b, (a, t) in enumerate(zip(lefts, lengths))]
         if flip:
             ends = [(w, v) for v, w in ends]
-        items = [Layer(b, (v,), (w,), t)
-                 for b, ((v, w), t) in enumerate(zip(ends, lengths))]
-        fake = Layers(window12, ends[0][0], ends[-1][0], items, None, None, None)
+        items = [Layer((v,), (w,), t) for (v, w), t in zip(ends, lengths)]
+        fake = Layers(ends[0][0], ends[-1][0], items, None)
         interval = ThickInterval(0, 6)
         text = _refusal(_straight_segment, fake, interval)
         assert re.search(r"layer 3 at u = .* outside the portal", text), flip
